@@ -68,7 +68,7 @@ def _configure_threads() -> None:
     if "numpy" in sys.modules:
         return  # too late to cap the BLAS pool; library users set env themselves
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+        os.environ[var] = cap  # the cap wins over a pool size set for other programs
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

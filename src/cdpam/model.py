@@ -26,6 +26,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,39 +154,53 @@ def tiny_config() -> ModelConfig:
                        sample_rate=1600, clip_samples=1600)
 
 
-def _init_params(config: ModelConfig, rng: np.random.Generator) -> tuple[dict, dict]:
+class _TensorSpec(NamedTuple):
+    kind: str    # "param" (trained) or "state" (BatchNorm running statistics)
+    shape: tuple
+    std: float   # He-style normal draw with this std; 0.0 means a constant fill
+    fill: float = 0.0
+
+
+def _tensor_layout(config: ModelConfig) -> dict[str, _TensorSpec]:
+    """Every tensor a model of this config holds, in the order weights are drawn."""
     enc = config.encoder
-    params: dict[str, np.ndarray] = {}
-    state: dict[str, np.ndarray] = {}
+    layout: dict[str, _TensorSpec] = {}
     c_in = 1
     for layer in range(1, enc.n_layers + 1):
         c_out = enc.channel_of(layer)
-        std = np.sqrt(2.0 / (c_in * enc.kernel))
-        params[f"enc.conv{layer}.w"] = rng.normal(0.0, std, size=(c_out, c_in, enc.kernel))
-        params[f"enc.bn{layer}.gamma"] = np.ones(c_out)
-        params[f"enc.bn{layer}.beta"] = np.zeros(c_out)
-        state[f"enc.bn{layer}.running_mean"] = np.zeros(c_out)
-        state[f"enc.bn{layer}.running_var"] = np.ones(c_out)
+        layout[f"enc.conv{layer}.w"] = _TensorSpec("param", (c_out, c_in, enc.kernel),
+                                                   np.sqrt(2.0 / (c_in * enc.kernel)))
+        layout[f"enc.bn{layer}.gamma"] = _TensorSpec("param", (c_out,), 0.0, 1.0)
+        layout[f"enc.bn{layer}.beta"] = _TensorSpec("param", (c_out,), 0.0)
+        layout[f"enc.bn{layer}.running_mean"] = _TensorSpec("state", (c_out,), 0.0)
+        layout[f"enc.bn{layer}.running_var"] = _TensorSpec("state", (c_out,), 0.0, 1.0)
         c_in = c_out
 
+    def dense(prefix: str, d_out: int, d_in: int, std: float) -> None:
+        layout[f"{prefix}.w"] = _TensorSpec("param", (d_out, d_in), std)
+        layout[f"{prefix}.b"] = _TensorSpec("param", (d_out,), 0.0)
+
     for head, dim in (("acoustic", enc.acoustic_dim), ("content", enc.content_dim)):
-        params[f"proj.{head}.fc1.w"] = rng.normal(0.0, np.sqrt(2.0 / dim), size=(dim, dim))
-        params[f"proj.{head}.fc1.b"] = np.zeros(dim)
-        params[f"proj.{head}.fc2.w"] = rng.normal(0.0, np.sqrt(2.0 / dim),
-                                                  size=(config.projection_dim, dim))
-        params[f"proj.{head}.fc2.b"] = np.zeros(config.projection_dim)
+        dense(f"proj.{head}.fc1", dim, dim, np.sqrt(2.0 / dim))
+        dense(f"proj.{head}.fc2", config.projection_dim, dim, np.sqrt(2.0 / dim))
 
     widths = (enc.acoustic_dim,) + tuple(config.lossnet_widths)
     for i in range(4):
-        params[f"lossnet.fc{i + 1}.w"] = rng.normal(0.0, np.sqrt(2.0 / widths[i]),
-                                                    size=(widths[i + 1], widths[i]))
-        params[f"lossnet.fc{i + 1}.b"] = np.zeros(widths[i + 1])
+        dense(f"lossnet.fc{i + 1}", widths[i + 1], widths[i], np.sqrt(2.0 / widths[i]))
 
     h = config.classifier_hidden
-    params["clf.fc1.w"] = rng.normal(0.0, 1.0, size=(h, 1))
-    params["clf.fc1.b"] = np.zeros(h)
-    params["clf.fc2.w"] = rng.normal(0.0, np.sqrt(2.0 / h), size=(1, h))
-    params["clf.fc2.b"] = np.zeros(1)
+    dense("clf.fc1", h, 1, 1.0)
+    dense("clf.fc2", 1, h, np.sqrt(2.0 / h))
+    return layout
+
+
+def _init_params(config: ModelConfig, rng: np.random.Generator) -> tuple[dict, dict]:
+    params: dict[str, np.ndarray] = {}
+    state: dict[str, np.ndarray] = {}
+    for name, spec in _tensor_layout(config).items():
+        arr = (rng.normal(0.0, spec.std, size=spec.shape) if spec.std
+               else np.full(spec.shape, spec.fill))
+        (params if spec.kind == "param" else state)[name] = arr
     return params, state
 
 
@@ -328,13 +343,6 @@ class PerceptualModel:
                                           T.narrow(acoustic, 0, 1, 1))
         return float(d.data[0])
 
-    def distances_to_reference(self, ref: Waveform, others) -> np.ndarray:
-        """Distances from one reference to many clips, batched for speed."""
-        embs = self.embed_waves([ref] + list(others))
-        ref_emb = Tensor(np.repeat(embs[:1], len(others), axis=0))
-        per_emb = Tensor(embs[1:])
-        return self.distance_from_embeddings(ref_emb, per_emb).data.copy()
-
     def judge(self, d: float) -> float:
         if not np.isfinite(d) or d < 0.0:
             raise ContractError(f"judge expects a non-negative distance, got {d}")
@@ -383,26 +391,43 @@ def load_checkpoint(path) -> PerceptualModel:
     try:
         header = json.loads(blob[12:12 + header_len].decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
-        directory = header["tensors"]
+        directory = list(header["tensors"])
         stage = header["stage"]
-        seed = header["seed"]
+        seed = int(header["seed"])
     except (ValueError, KeyError, TypeError) as err:
         raise FormatError(f"{path}: corrupt checkpoint header ({err})") from err
 
+    layout = _tensor_layout(config)
     offset = 12 + header_len
     params: dict[str, np.ndarray] = {}
     state: dict[str, np.ndarray] = {}
     for entry in directory:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 8 if shape else 8
+        try:
+            name, kind, shape = str(entry["name"]), entry["kind"], tuple(int(n) for n in entry["shape"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise FormatError(f"{path}: corrupt tensor directory entry ({err})") from err
+        spec = layout.get(name)
+        if spec is None:
+            raise FormatError(f"{path}: unexpected tensor {name!r}")
+        if name in params or name in state:
+            raise FormatError(f"{path}: duplicate tensor {name!r}")
+        if kind != spec.kind:
+            raise FormatError(f"{path}: tensor {name!r} has kind {kind!r}, expected {spec.kind!r}")
+        if shape != spec.shape:
+            raise FormatError(f"{path}: tensor {name!r} has shape {list(shape)}, "
+                              f"expected {list(spec.shape)}")
+        nbytes = int(np.prod(shape)) * 8
         if offset + nbytes > len(blob):
-            raise FormatError(f"{path}: truncated tensor payload for {entry['name']}")
+            raise FormatError(f"{path}: truncated tensor payload for {name!r}")
         arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").astype(np.float64).reshape(shape)
         offset += nbytes
-        if entry["kind"] == "param":
-            params[entry["name"]] = arr
-        else:
-            state[entry["name"]] = arr
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
+        (params if kind == "param" else state)[name] = arr
     if offset != len(blob):
         raise FormatError(f"{path}: trailing bytes after tensor payloads")
+    missing = [name for name in layout if name not in params and name not in state]
+    if missing:
+        raise FormatError(f"{path}: missing tensor {missing[0]!r}"
+                          + (f" and {len(missing) - 1} more" if len(missing) > 1 else ""))
     return PerceptualModel(config, params, state, stage=stage, seed=seed)

@@ -10,9 +10,18 @@ Every operation validates that its output is finite (NaN/Inf raises
 :class:`NumericError`), which is what lets training abort on divergence
 instead of silently continuing.
 
-conv1d is implemented as a chunked im2col + one GEMM per chunk; that keeps
-the working set bounded while letting BLAS do the heavy lifting, which
-matters because everything here runs on the CPU in double precision.
+conv1d is a cache-blocked im2col feeding BLAS, which matters because
+everything here runs on the CPU in double precision.  The input is padded
+once and viewed as (batch, Cin, K, Lout) taps whose rows are contiguous in
+time.  A few batch items at a time are copied from that view into one
+reused block of about ``_BLOCK`` doubles (256 KB), and each item's
+(Cout, Cin*K) @ (Cin*K, Lout) product is written straight into the
+(batch, Cout, Lout) output, so there is no transposing copy and no output
+transpose.  The block is sized to stay in L2 between the copy that fills it
+and the GEMM that reads it; when one item's columns exceed it, a block holds
+that single item.  The backward pass walks the same blocks: dW accumulates
+g_b @ col_b^T, and dX scatters w^T @ g_b back onto the padded input with K
+strided adds, reusing the block buffer for those column gradients.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
 
-_COL_BUDGET = 4_000_000  # doubles per im2col chunk (~32 MB)
+_BLOCK = 1 << 15  # doubles per im2col block (256 KB): small enough to stay in L2
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -251,10 +260,12 @@ def clamp(x: Tensor, lo: float | None, hi: float | None) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    out_data = np.where(x.data > 0.0, x.data, slope * x.data)
+    # max(x, slope*x) equals where(x > 0, x, slope*x) bit for bit when slope <= 1
+    pick = np.maximum if slope <= 1.0 else np.minimum
+    out_data = pick(x.data, slope * x.data)
 
     def backward(g):
-        x._accumulate(g * np.where(x.data > 0.0, 1.0, slope))
+        x._accumulate(np.where(x.data > 0.0, g, slope * g))
 
     return _make(out_data, (x,), backward, "leaky_relu")
 
@@ -385,34 +396,39 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out_data, parents, backward, "linear")
 
 
-def _conv_chunks(cin: int, k: int, batch: int, out_len: int):
-    per_t = max(1, cin * k * batch)
-    step = max(1, _COL_BUDGET // per_t)
-    for t0 in range(0, out_len, step):
-        yield t0, min(out_len, t0 + step)
+def _blocks(batch: int, cin: int, k: int, out_len: int):
+    """Split the batch into runs of items whose im2col columns fill about _BLOCK doubles.
+
+    Yields (b0, b1, col), where col is a (b1-b0, Cin, K, Lout) view of one
+    buffer that every block reuses.
+    """
+    per_item = cin * k * out_len
+    step = max(1, _BLOCK // per_item)
+    buf = np.empty(min(batch, step) * per_item)
+    for b0 in range(0, batch, step):
+        b1 = min(batch, b0 + step)
+        yield b0, b1, buf[:(b1 - b0) * per_item].reshape(b1 - b0, cin, k, out_len)
 
 
-def _conv_col(xp: np.ndarray, k: int, stride: int, t0: int, t1: int) -> np.ndarray:
-    # columns of the (Cin*K, B*(t1-t0)) im2col block for output positions [t0, t1)
-    win = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-    block = win[:, :, t0:t1, :]
-    b, cin, tc, _ = block.shape
-    return np.ascontiguousarray(block.transpose(1, 3, 0, 2)).reshape(cin * k, b * tc)
+def _taps(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Pad x once; return the (B, Cin, K, Lout) view taps[b,c,j,t] = xp[b,c,j+stride*t]."""
+    batch, cin, length = x.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((batch, cin, length + 2 * pad))
+    xp[:, :, pad:pad + length] = x
+    return sliding_window_view(xp, stride * (length // stride - 1) + 1, axis=2)[:, :, :k, ::stride]
 
 
 def _conv1d_forward(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     batch, cin, length = x.shape
     cout, _, k = w.shape
-    pad = (k - 1) // 2
     out_len = length // stride
-    xp = np.zeros((batch, cin, length + 2 * pad))
-    xp[:, :, pad:pad + length] = x
+    taps = _taps(x, k, stride)
     w2 = w.reshape(cout, cin * k)
     out = np.empty((batch, cout, out_len))
-    for t0, t1 in _conv_chunks(cin, k, batch, out_len):
-        col = _conv_col(xp, k, stride, t0, t1)
-        y = w2 @ col
-        out[:, :, t0:t1] = y.reshape(cout, batch, t1 - t0).transpose(1, 0, 2)
+    for b0, b1, col in _blocks(batch, cin, k, out_len):
+        np.copyto(col, taps[b0:b1])
+        np.matmul(w2, col.reshape(b1 - b0, cin * k, out_len), out=out[b0:b1])
     return out
 
 
@@ -422,21 +438,20 @@ def _conv1d_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
     cout, _, k = w.shape
     pad = (k - 1) // 2
     out_len = length // stride
-    xp = np.zeros((batch, cin, length + 2 * pad))
-    xp[:, :, pad:pad + length] = x
+    taps = _taps(x, k, stride)
     w2 = w.reshape(cout, cin * k)
     dw2 = np.zeros((cout, cin * k)) if need_dw else None
-    dxp = np.zeros_like(xp) if need_dx else None
-    for t0, t1 in _conv_chunks(cin, k, batch, out_len):
-        tc = t1 - t0
-        gc = np.ascontiguousarray(g[:, :, t0:t1].transpose(1, 0, 2)).reshape(cout, batch * tc)
+    dxp = np.zeros((batch, cin, length + 2 * pad)) if need_dx else None
+    for b0, b1, col in _blocks(batch, cin, k, out_len):
+        # the block holds its columns for dW first, then their gradients for dX
+        cols = col.reshape(b1 - b0, cin * k, out_len)
         if need_dw:
-            col = _conv_col(xp, k, stride, t0, t1)
-            dw2 += gc @ col.T
+            np.copyto(col, taps[b0:b1])
+            dw2 += np.matmul(g[b0:b1], cols.transpose(0, 2, 1)).sum(axis=0)
         if need_dx:
-            gcol = (w2.T @ gc).reshape(cin, k, batch, tc).transpose(2, 0, 1, 3)
+            np.matmul(w2.T, g[b0:b1], out=cols)
             for j in range(k):
-                dxp[:, :, j + stride * t0: j + stride * t1: stride] += gcol[:, :, j, :]
+                dxp[b0:b1, :, j:j + stride * (out_len - 1) + 1:stride] += col[:, :, j]
     dx = dxp[:, :, pad:pad + length] if need_dx else None
     dw = dw2.reshape(cout, cin, k) if need_dw else None
     return dx, dw
@@ -508,16 +523,32 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     if gamma.shape != (ch,) or beta.shape != (ch,):
         raise ShapeError("batch_norm1d gamma/beta must be per-channel vectors")
 
-    if train:
-        mu = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        mu = running_mean
-        var = running_var
+    if not train:
+        # inference is one per-channel affine; x-hat is rebuilt only for gamma's gradient,
+        # from a copy of the running mean, which train-mode calls update in place
+        mu = running_mean.copy()
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma.data * inv_std
+        out_data = x.data * scale[None, :, None]
+        out_data += (beta.data - mu * scale)[None, :, None]
+
+        def backward(g):
+            if gamma.requires_grad:
+                xhat = (x.data - mu[None, :, None]) * inv_std[None, :, None]
+                gamma._accumulate((g * xhat).sum(axis=(0, 2)))
+            if beta.requires_grad:
+                beta._accumulate(g.sum(axis=(0, 2)))
+            if x.requires_grad:
+                x._accumulate(g * scale[None, :, None])
+
+        return _make(out_data, (x, gamma, beta), backward, "batch_norm1d")
+
+    mu = x.data.mean(axis=(0, 2))
+    var = x.data.var(axis=(0, 2))
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu[None, :, None]) * inv_std[None, :, None]
     out_data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
@@ -529,17 +560,13 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
             beta._accumulate(g.sum(axis=(0, 2)))
         if x.requires_grad:
             dxhat = g * gamma.data[None, :, None]
-            if train:
-                n = x.shape[0] * x.shape[2]
-                centered = x.data - mu[None, :, None]
-                dvar = (dxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
-                dmu = -dxhat.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * centered.sum(axis=(0, 2))
-                dx = (dxhat * inv_std[None, :, None]
-                      + dvar[None, :, None] * 2.0 * centered / n
-                      + dmu[None, :, None] / n)
-            else:
-                dx = dxhat * inv_std[None, :, None]
-            x._accumulate(dx)
+            n = x.shape[0] * x.shape[2]
+            centered = x.data - mu[None, :, None]
+            dvar = (dxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
+            dmu = -dxhat.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * centered.sum(axis=(0, 2))
+            x._accumulate(dxhat * inv_std[None, :, None]
+                          + dvar[None, :, None] * 2.0 * centered / n
+                          + dmu[None, :, None] / n)
 
     return _make(out_data, (x, gamma, beta), backward, "batch_norm1d")
 

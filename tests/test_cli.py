@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cdpam
 from cdpam.cli import main, resolve_config
 from cdpam.model import tiny_config
 
@@ -150,6 +153,17 @@ class TestDistanceCommand:
         assert code == 2
         assert capsys.readouterr().err != ""
 
+    def test_checkpoint_missing_tensor_exits_2(self, pipeline_run, tmp_path, capsys,
+                                                rewrite_checkpoint):
+        _, _, cfg = pipeline_run
+        out = cfg["out"]
+        bad = tmp_path / "missing.ckpt"
+        bad.write_bytes(open(os.path.join(out, "finetuned.ckpt"), "rb").read())
+        rewrite_checkpoint(bad, lambda t: t.pop("enc.bn4.running_var"))
+        wav = os.path.join(out, "corpus", "utt0000.wav")
+        assert main(["distance", str(bad), wav, wav]) == 2
+        assert "'enc.bn4.running_var'" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_reports_contain_all_metrics(self, pipeline_run):
@@ -215,3 +229,19 @@ class TestUsageErrors:
         bad.write_text("{not json")
         assert main(["synth-data", "--config", str(bad)]) == 2
         assert capsys.readouterr().err != ""
+
+
+class TestThreadCap:
+    def test_cdpam_threads_wins_over_preset_pool_sizes(self):
+        # a fresh interpreter: numpy is already loaded here, so the cap would be skipped
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cdpam.__file__)))
+        pool_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        env = dict(os.environ, PYTHONPATH=src, CDPAM_THREADS="1", **{v: "7" for v in pool_vars})
+        code = ("import os, sys\n"
+                "from cdpam.cli import _configure_threads\n"
+                "assert 'numpy' not in sys.modules\n"
+                "_configure_threads()\n"
+                f"print(*(os.environ[v] for v in {pool_vars!r}))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == ["1", "1", "1"]

@@ -148,6 +148,34 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit,name,problem", [
+        (lambda t: t.pop("enc.bn4.running_var"), "enc.bn4.running_var", "missing"),
+        (lambda t: t.update({"enc.bogus": [{"name": "enc.bogus", "kind": "param", "shape": [2]},
+                                            np.zeros(2)]}), "enc.bogus", "unexpected"),
+        (lambda t: t["enc.bn1.running_mean"][0].update(kind="buffer"),
+         "enc.bn1.running_mean", "kind"),
+        (lambda t: t.update({"lossnet.fc1.b": [{"name": "lossnet.fc1.b", "kind": "param",
+                                                "shape": [3]}, np.zeros(3)]}),
+         "lossnet.fc1.b", "shape"),
+        (lambda t: t["lossnet.fc2.w"][1].__setitem__((0, 0), np.nan), "lossnet.fc2.w",
+         "non-finite"),
+    ], ids=["missing", "extra", "wrong-kind", "wrong-shape", "non-finite"])
+    def test_bad_tensor_is_named(self, tiny_model, tmp_path, rewrite_checkpoint, edit, name,
+                                 problem):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(tiny_model, path)
+        rewrite_checkpoint(path, edit)
+        with pytest.raises(FormatError, match=problem) as err:
+            load_checkpoint(path)
+        assert repr(name) in str(err.value)
+
+    def test_rewrite_without_edit_still_loads(self, tiny_model, tmp_path, rewrite_checkpoint):
+        path = tmp_path / "same.ckpt"
+        save_checkpoint(tiny_model, path)
+        blob = path.read_bytes()
+        rewrite_checkpoint(path, lambda t: None)
+        assert path.read_bytes() == blob
+
     def test_stage_vocabulary(self):
         with pytest.raises(ContractError):
             PerceptualModel(tiny_config(), {}, {}, stage="warmup")

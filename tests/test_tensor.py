@@ -134,6 +134,55 @@ class TestConv1d:
         finite_difference_check(build, [x, w, b])
 
 
+def per_tap_conv(x, w, stride):
+    """Reference conv1d: sum over taps j of w[:, :, j] @ xp[:, :, j::stride]."""
+    batch, cin, length = x.shape
+    k = w.shape[2]
+    pad = (k - 1) // 2
+    out_len = length // stride
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    return sum(np.einsum("oc,bct->bot", w[:, :, j], xp[:, :, j:j + stride * out_len:stride])
+               for j in range(k))
+
+
+class TestBlockedConv1d:
+    @pytest.mark.parametrize("batch,cin,cout,k,length,stride,block", [
+        (7, 3, 4, 5, 16, 1, 3 * 3 * 5 * 16),   # 3 items per block, last block partial
+        (7, 3, 4, 5, 16, 2, 3 * 3 * 5 * 8),
+        (5, 1, 4, 15, 64, 2, 2 * 15 * 32),     # Cin = 1
+        (5, 1, 3, 15, 64, 1, 2 * 15 * 64),
+        (3, 2, 2, 3, 10, 1, 1),                # block smaller than one item
+        (3, 4, 4, 15, 4000, 2, None),          # the default block, one item per block
+    ])
+    def test_forward_matches_per_tap_reference(self, monkeypatch, batch, cin, cout, k, length,
+                                               stride, block):
+        if block is not None:
+            monkeypatch.setattr(T, "_BLOCK", block)
+        rng = np.random.default_rng(batch * 100 + cin * 10 + stride)
+        x = rng.normal(size=(batch, cin, length))
+        w = rng.normal(size=(cout, cin, k))
+        out = T.conv1d(Tensor(x), Tensor(w), stride=stride).data
+        ref = per_tap_conv(x, w, stride)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_gradients_across_blocks(self, monkeypatch, stride):
+        batch, cin, cout, k, length = 3, 2, 3, 5, 8
+        monkeypatch.setattr(T, "_BLOCK", 2 * cin * k * (length // stride))
+        assert [b[:2] for b in T._blocks(batch, cin, k, length // stride)] == [(0, 2), (2, 3)]
+        rng = np.random.default_rng(20 + stride)
+        x = rng.normal(size=(batch, cin, length))
+        w = rng.normal(size=(cout, cin, k))
+        b = rng.normal(size=(cout,))
+        probe = linear_probe((batch, cout, length // stride), 21)
+
+        def build(ts):
+            return T.sum_(T.mul(T.conv1d(ts[0], ts[1], ts[2], stride=stride), probe))
+
+        finite_difference_check(build, [x, w, b])
+
+
 class TestLayers:
     def test_leaky_relu_values(self):
         out = T.leaky_relu(Tensor(np.array([-1.0, 2.0])), 0.2)
@@ -182,6 +231,44 @@ class TestLayers:
             return T.sum_(T.mul(T.batch_norm1d(ts[0], ts[1], ts[2], rm, rv, True), probe))
 
         finite_difference_check(build, [x, gamma, beta])
+
+    def test_batch_norm_eval_matches_normalized_form(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(3, 4, 10))
+        gamma, beta = rng.normal(1.0, 0.3, size=4), rng.normal(size=4)
+        rm, rv = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+        out = T.batch_norm1d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, False).data
+        ref = (gamma[None, :, None] * (x - rm[None, :, None]) / np.sqrt(rv[None, :, None] + 1e-5)
+               + beta[None, :, None])
+        assert np.allclose(out, ref, rtol=1e-13, atol=1e-13)
+
+    def test_batch_norm_gradients_eval_mode(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(3, 2, 6))
+        gamma = rng.normal(1.0, 0.2, size=(2,))
+        beta = rng.normal(size=(2,))
+        rm, rv = rng.normal(size=2), rng.uniform(0.5, 2.0, size=2)
+        stats = (rm.copy(), rv.copy())
+        probe = linear_probe((3, 2, 6), 24)
+
+        def build(ts):
+            return T.sum_(T.mul(T.batch_norm1d(ts[0], ts[1], ts[2], rm, rv, False), probe))
+
+        finite_difference_check(build, [x, gamma, beta])
+        assert np.array_equal(rm, stats[0]) and np.array_equal(rv, stats[1])
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 3.0])
+    def test_leaky_relu_bit_equal_to_select_form(self, slope):
+        rng = np.random.default_rng(25)
+        x = np.concatenate([[-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300],
+                            rng.normal(size=200)])
+        g = rng.normal(size=x.shape)
+        t = Tensor(x, requires_grad=True)
+        out = T.leaky_relu(t, slope)
+        T.sum_(T.mul(out, Tensor(g))).backward()
+        assert out.data.tobytes() == np.where(x > 0.0, x, slope * x).tobytes()
+        # gradients accumulate into zeros, as the select form's did
+        assert t.grad.tobytes() == (np.zeros_like(x) + g * np.where(x > 0.0, 1.0, slope)).tobytes()
 
     def test_sigmoid_range_and_grad(self):
         x = np.linspace(-4, 4, 9)
