@@ -5,7 +5,8 @@ Subcommands read a JSON config file (``--config``) merged over built-in
 desk-scale defaults, with individual flags (``--seed``, ``--out``,
 ``--epochs``) winning over both.  Every run writes a manifest echoing the
 fully resolved configuration, so a run is reproducible from its manifest
-alone.
+alone.  With ``--json`` a subcommand prints one JSON line holding its
+outputs (paths, counts, final losses, metric values) and nothing else.
 
 Exit codes: 0 success, 1 internal error, 2 usage or input error.  Setting
 ``CDPAM_THREADS`` caps the BLAS worker pool (it must be decided before numpy
@@ -200,7 +201,7 @@ def _materialize_records(records, corpus, root: str, subdir: str) -> list:
 # -- subcommands ----------------------------------------------------------------------
 
 
-def cmd_synth_data(cfg: dict) -> int:
+def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
     from . import datagen
     from .datagen import write_jsonl, write_manifest
 
@@ -237,45 +238,58 @@ def cmd_synth_data(cfg: dict) -> int:
                                             min_magnitude_gap=ev["triplet_gap"])
     eval_triplets = _materialize_records(eval_triplets, eval_corpus, eval_dir, "triplet_clips")
     write_manifest(eval_triplets, os.path.join(eval_dir, "triplets.jsonl"))
-    write_jsonl(datagen.build_mono_series(eval_corpus, families, ev["mono_levels"],
-                                          ev["mono_contents"], seed=seed + 3),
-                os.path.join(eval_dir, "mono.jsonl"))
-    write_jsonl(datagen.build_common_area_sets(eval_corpus, ev["common_area_pairs"],
-                                               seed=seed + 4, families=families),
-                os.path.join(eval_dir, "common_area.jsonl"))
-    write_jsonl(datagen.build_retrieval_set(eval_corpus, ev["retrieval_groups"],
-                                            ev["retrieval_group_size"], seed=seed + 5,
-                                            families=families),
-                os.path.join(eval_dir, "retrieval.jsonl"))
-    write_jsonl(datagen.build_mos_set(eval_corpus, ev["mos_conditions"],
-                                      ev["mos_clips_per_cell"], seed=seed + 6,
-                                      families=families),
-                os.path.join(eval_dir, "mos.jsonl"))
+    eval_sets = {
+        "mono_items": ("mono.jsonl", datagen.build_mono_series(
+            eval_corpus, families, ev["mono_levels"], ev["mono_contents"], seed=seed + 3)),
+        "grouped_pairs": ("common_area.jsonl", datagen.build_common_area_sets(
+            eval_corpus, ev["common_area_pairs"], seed=seed + 4, families=families)),
+        "retrieval_items": ("retrieval.jsonl", datagen.build_retrieval_set(
+            eval_corpus, ev["retrieval_groups"], ev["retrieval_group_size"], seed=seed + 5,
+            families=families)),
+        "mos_rows": ("mos.jsonl", datagen.build_mos_set(
+            eval_corpus, ev["mos_conditions"], ev["mos_clips_per_cell"], seed=seed + 6,
+            families=families)),
+    }
+    for filename, items in eval_sets.values():
+        write_jsonl(items, os.path.join(eval_dir, filename))
 
     _write_manifest(cfg, out, "synth_data")
-    print(f"corpus, manifests and eval splits written under {out}")
-    return 0
+    if not as_json:
+        print(f"corpus, manifests and eval splits written under {out}")
+    return {"out": out, "corpus": len(corpus), "jnd_pairs": len(jnd), "triplets": len(triplets),
+            "eval": {"corpus": len(eval_corpus), "triplets": len(eval_triplets),
+                     **{name: len(items) for name, (_, items) in eval_sets.items()}}}
 
 
-def cmd_pretrain(cfg: dict, progress: bool = True) -> int:
+def _save_stage(cfg: dict, stage: str, command: str, model, rows) -> dict:
+    """Write a stage's checkpoint, loss log and manifest; return their paths and final loss."""
     from .model import save_checkpoint
-    from .trainer import pretrain_contrastive, save_loss_log
+    from .trainer import save_loss_log
 
     out = cfg["out"]
-    corpus = _read_corpus(out, "corpus")
-    train_cfg = _train_config(cfg, "pretrain")
+    checkpoint = os.path.join(out, CHECKPOINT_NAMES[stage])
+    log = os.path.join(out, f"{stage}_log.csv")
+    save_checkpoint(model, checkpoint)
+    save_loss_log(rows, log)
+    _write_manifest(cfg, out, command)
+    return {"checkpoint": checkpoint, "log": log, "epochs": len(rows),
+            "final_loss": rows[-1]["loss"] if rows else None}
+
+
+def cmd_pretrain(cfg: dict, progress: bool = True) -> dict:
+    from .trainer import pretrain_contrastive
+
+    corpus = _read_corpus(cfg["out"], "corpus")
     callback = _progress_printer("pretrain") if progress else None
-    model, rows = pretrain_contrastive(corpus, train_cfg, _model_config(cfg), progress=callback)
-    save_checkpoint(model, os.path.join(out, CHECKPOINT_NAMES["pretrain"]))
-    save_loss_log(rows, os.path.join(out, "pretrain_log.csv"))
-    _write_manifest(cfg, out, "pretrain")
-    return 0
+    model, rows = pretrain_contrastive(corpus, _train_config(cfg, "pretrain"), _model_config(cfg),
+                                       progress=callback)
+    return _save_stage(cfg, "pretrain", "pretrain", model, rows)
 
 
-def cmd_train_jnd(cfg: dict, progress: bool = True) -> int:
+def cmd_train_jnd(cfg: dict, progress: bool = True) -> dict:
     from .datagen import read_manifest
-    from .model import load_checkpoint, save_checkpoint
-    from .trainer import save_loss_log, train_jnd
+    from .model import load_checkpoint
+    from .trainer import train_jnd
 
     out = cfg["out"]
     corpus = _read_corpus(out, "corpus")
@@ -283,16 +297,13 @@ def cmd_train_jnd(cfg: dict, progress: bool = True) -> int:
     model = load_checkpoint(os.path.join(out, CHECKPOINT_NAMES["pretrain"]))
     callback = _progress_printer("jnd") if progress else None
     model, rows = train_jnd(model, corpus, records, _train_config(cfg, "jnd"), progress=callback)
-    save_checkpoint(model, os.path.join(out, CHECKPOINT_NAMES["jnd"]))
-    save_loss_log(rows, os.path.join(out, "jnd_log.csv"))
-    _write_manifest(cfg, out, "train_jnd")
-    return 0
+    return _save_stage(cfg, "jnd", "train_jnd", model, rows)
 
 
-def cmd_finetune(cfg: dict, progress: bool = True) -> int:
+def cmd_finetune(cfg: dict, progress: bool = True) -> dict:
     from .datagen import read_manifest
-    from .model import load_checkpoint, save_checkpoint
-    from .trainer import finetune_triplet, save_loss_log
+    from .model import load_checkpoint
+    from .trainer import finetune_triplet
 
     out = cfg["out"]
     corpus = _read_corpus(out, "corpus")
@@ -301,23 +312,18 @@ def cmd_finetune(cfg: dict, progress: bool = True) -> int:
     callback = _progress_printer("finetune") if progress else None
     model, rows = finetune_triplet(model, corpus, records, _train_config(cfg, "finetune"),
                                    progress=callback)
-    save_checkpoint(model, os.path.join(out, CHECKPOINT_NAMES["finetune"]))
-    save_loss_log(rows, os.path.join(out, "finetune_log.csv"))
-    _write_manifest(cfg, out, "finetune")
-    return 0
+    return _save_stage(cfg, "finetune", "finetune", model, rows)
 
 
-def cmd_distance(ckpt_path: str, path_a: str, path_b: str, as_json: bool = False) -> int:
+def cmd_distance(ckpt_path: str, path_a: str, path_b: str, as_json: bool = False) -> dict:
     from .audio import read_wav
     from .model import load_checkpoint
 
     model = load_checkpoint(ckpt_path)
     d = model.distance(read_wav(path_a), read_wav(path_b))
-    if as_json:
-        print(json.dumps({"distance": d}))
-    else:
+    if not as_json:
         print(f"{d:.6f}")
-    return 0
+    return {"distance": d}
 
 
 def load_eval_datasets(eval_dir: str) -> tuple:
@@ -338,7 +344,7 @@ def load_eval_datasets(eval_dir: str) -> tuple:
     return corpus, datasets
 
 
-def cmd_eval(cfg: dict, ckpt_path: str | None = None, metrics=None, as_json: bool = False) -> int:
+def cmd_eval(cfg: dict, ckpt_path: str | None = None, metrics=None, as_json: bool = False) -> dict:
     from .evaluate import ALL_METRICS, run_full_eval, write_reports_csv, write_reports_json
     from .model import load_checkpoint
 
@@ -356,12 +362,10 @@ def cmd_eval(cfg: dict, ckpt_path: str | None = None, metrics=None, as_json: boo
     write_reports_json(reports, os.path.join(out, "reports.json"))
     write_reports_csv(reports, os.path.join(out, "reports.csv"))
     _write_manifest(cfg, out, "eval")
-    if as_json:
-        print(json.dumps({r.metric: r.value for r in reports}, sort_keys=True))
-    else:
+    if not as_json:
         for report in reports:
             print(f"{report.metric}: {report.value:.4f} (n={report.n})")
-    return 0
+    return {report.metric: report.value for report in reports}
 
 
 def _progress_printer(stage: str):
@@ -371,13 +375,16 @@ def _progress_printer(stage: str):
     return callback
 
 
-def run_pipeline(cfg: dict, progress: bool = False) -> None:
-    """synth-data + all three stages + eval, as one deterministic sequence."""
-    cmd_synth_data(cfg)
-    cmd_pretrain(cfg, progress=progress)
-    cmd_train_jnd(cfg, progress=progress)
-    cmd_finetune(cfg, progress=progress)
-    cmd_eval(cfg)
+def run_pipeline(cfg: dict, progress: bool = False, as_json: bool = False) -> dict:
+    """synth-data + all three stages + eval, as one deterministic sequence.
+
+    Returns each command's outputs under its command name.
+    """
+    return {"synth-data": cmd_synth_data(cfg, as_json=as_json),
+            "pretrain": cmd_pretrain(cfg, progress=progress),
+            "train-jnd": cmd_train_jnd(cfg, progress=progress),
+            "finetune": cmd_finetune(cfg, progress=progress),
+            "eval": cmd_eval(cfg, as_json=as_json)}
 
 
 # -- argument parsing --------------------------------------------------------------------
@@ -427,25 +434,29 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "distance":
-            return cmd_distance(args.checkpoint, args.wav_a, args.wav_b, as_json=args.json)
-        stage_of = {"pretrain": "pretrain", "train-jnd": "jnd", "finetune": "finetune"}
-        cfg = resolve_config(args.config, args.seed, args.out,
-                             getattr(args, "epochs", None), stage_of.get(args.command))
-        if args.command == "synth-data":
-            return cmd_synth_data(cfg)
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg, progress=not args.quiet)
-        if args.command == "train-jnd":
-            return cmd_train_jnd(cfg, progress=not args.quiet)
-        if args.command == "finetune":
-            return cmd_finetune(cfg, progress=not args.quiet)
-        if args.command == "eval":
-            metrics = args.metrics.split(",") if args.metrics else None
-            return cmd_eval(cfg, ckpt_path=args.checkpoint, metrics=metrics, as_json=args.json)
-        if args.command == "pipeline":
-            run_pipeline(cfg, progress=True)
-            return 0
-        parser.error(f"unknown command {args.command}")
+            outputs = cmd_distance(args.checkpoint, args.wav_a, args.wav_b, as_json=args.json)
+        else:
+            stage_of = {"pretrain": "pretrain", "train-jnd": "jnd", "finetune": "finetune"}
+            cfg = resolve_config(args.config, args.seed, args.out,
+                                 getattr(args, "epochs", None), stage_of.get(args.command))
+            # --json keeps stdout to the one JSON line, so per-epoch progress is off
+            progress = not (args.json or getattr(args, "quiet", False))
+            if args.command == "synth-data":
+                outputs = cmd_synth_data(cfg, as_json=args.json)
+            elif args.command == "pretrain":
+                outputs = cmd_pretrain(cfg, progress=progress)
+            elif args.command == "train-jnd":
+                outputs = cmd_train_jnd(cfg, progress=progress)
+            elif args.command == "finetune":
+                outputs = cmd_finetune(cfg, progress=progress)
+            elif args.command == "eval":
+                metrics = args.metrics.split(",") if args.metrics else None
+                outputs = cmd_eval(cfg, ckpt_path=args.checkpoint, metrics=metrics,
+                                   as_json=args.json)
+            else:
+                outputs = run_pipeline(cfg, progress=progress, as_json=args.json)
+        if args.json:
+            print(json.dumps(outputs, sort_keys=True))
     except (CdpamError, FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ machine-readable :class:`EvalReport` records.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -149,14 +150,44 @@ def precision_at_k(embeddings, labels, k: int) -> float:
 # -- model-driven runners --------------------------------------------------------------
 
 
+def cached_embedder(model):
+    """``model.embed_waves`` behind a cache keyed on clip content.
+
+    A clip's key is its sample rate plus a blake2b digest of its samples, so
+    the cache holds keys and embedding rows, never samples.  Each call sends
+    only the distinct clips it has not seen before to ``model.embed_waves``,
+    in one batch; embeddings do not depend on batch composition.
+    """
+    rows: dict = {}
+
+    def embed(waves) -> np.ndarray:
+        keys = [(w.sample_rate, hashlib.blake2b(w.samples.tobytes(), digest_size=16).digest())
+                for w in waves]
+        fresh = {}
+        for key, wave in zip(keys, waves):
+            if key not in rows:
+                fresh.setdefault(key, wave)
+        if fresh:
+            rows.update(zip(fresh, model.embed_waves(list(fresh.values()))))
+        return np.array([rows[key] for key in keys]).reshape(len(keys),
+                                                             model.config.encoder.acoustic_dim)
+
+    return embed
+
+
 def _pair_distances(model, emb_x: np.ndarray, emb_y: np.ndarray) -> np.ndarray:
     from .tensor import Tensor
     return model.distance_from_embeddings(Tensor(emb_x), Tensor(emb_y)).data.copy()
 
 
-def run_two_afc(model, corpus, triplets) -> tuple:
-    if not triplets:
-        raise DataError("no triplets to evaluate")
+def _require(records, dataset: str) -> None:
+    if not records:
+        raise DataError(f"the {dataset} set is empty")
+
+
+def run_two_afc(model, corpus, triplets, embed=None) -> tuple:
+    _require(triplets, "two-AFC triplet")
+    embed = embed or cached_embedder(model)
     by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
     refs, a_clips, b_clips, labels = [], [], [], []
     for record in triplets:
@@ -165,35 +196,37 @@ def run_two_afc(model, corpus, triplets) -> tuple:
         a_clips.append(apply(record.spec_a, clean))
         b_clips.append(apply(record.spec_b, clean))
         labels.append(record.label)
-    emb_ref = model.embed_waves(refs)
-    d_a = _pair_distances(model, emb_ref, model.embed_waves(a_clips))
-    d_b = _pair_distances(model, emb_ref, model.embed_waves(b_clips))
+    emb_ref = embed(refs)
+    d_a = _pair_distances(model, emb_ref, embed(a_clips))
+    d_b = _pair_distances(model, emb_ref, embed(b_clips))
     return two_afc_from_distances(d_a, d_b, labels), len(labels)
 
 
-def run_common_area(model, corpus, grouped_pairs, n_bins: int = DEFAULT_BINS) -> tuple:
+def run_common_area(model, corpus, grouped_pairs, n_bins: int = DEFAULT_BINS,
+                    embed=None) -> tuple:
+    _require(grouped_pairs, "common-area")
+    if not {"same", "diff"} <= {p.group for p in grouped_pairs}:
+        raise DataError("the common-area set needs both 'same' and 'diff' pairs")
+    embed = embed or cached_embedder(model)
     by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
     waves_a = [apply(p.spec_a, by_id[p.utt_a].clean) for p in grouped_pairs]
     waves_b = [apply(p.spec_b, by_id[p.utt_b].clean) for p in grouped_pairs]
-    d = _pair_distances(model, model.embed_waves(waves_a), model.embed_waves(waves_b))
+    d = _pair_distances(model, embed(waves_a), embed(waves_b))
     same = np.array([di for di, p in zip(d, grouped_pairs) if p.group == "same"])
     diff = np.array([di for di, p in zip(d, grouped_pairs) if p.group == "diff"])
-    if same.size == 0 or diff.size == 0:
-        raise DataError("common-area evaluation needs both groups")
     return common_area(same, diff, n_bins), {"same": same, "diff": diff}
 
 
-def run_monotonicity(model, corpus, items) -> tuple:
+def run_monotonicity(model, corpus, items, embed=None) -> tuple:
     """Pooled Spearman(distance-to-clean, level) per family series.
 
     Returns (mean rho over series, {family: rho}).
     """
+    _require(items, "monotonicity series")
+    embed = embed or cached_embedder(model)
     by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
-    utt_ids = sorted({item.utt_id for item in items})
-    ref_emb = {uid: emb for uid, emb in
-               zip(utt_ids, model.embed_waves([by_id[uid].clean for uid in utt_ids]))}
-    clip_emb = model.embed_waves([apply(item.spec, by_id[item.utt_id].clean) for item in items])
-    refs = np.stack([ref_emb[item.utt_id] for item in items])
+    refs = embed([by_id[item.utt_id].clean for item in items])
+    clip_emb = embed([apply(item.spec, by_id[item.utt_id].clean) for item in items])
     distances = _pair_distances(model, refs, clip_emb)
     per_family: dict = {}
     for family in sorted({item.family for item in items}):
@@ -203,18 +236,21 @@ def run_monotonicity(model, corpus, items) -> tuple:
     return float(np.mean(list(per_family.values()))), per_family
 
 
-def run_precision_at_k(model, corpus, retrieval_items, k: int = 5) -> tuple:
+def run_precision_at_k(model, corpus, retrieval_items, k: int = 5, embed=None) -> tuple:
+    _require(retrieval_items, "retrieval")
+    embed = embed or cached_embedder(model)
     by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
-    emb = model.embed_waves([apply(item.spec, by_id[item.utt_id].clean)
-                             for item in retrieval_items])
+    emb = embed([apply(item.spec, by_id[item.utt_id].clean) for item in retrieval_items])
     labels = np.array([item.group_id for item in retrieval_items])
     return precision_at_k(emb, labels, k), len(retrieval_items)
 
 
-def run_mos_correlation(model, corpus, mos_rows) -> tuple:
+def run_mos_correlation(model, corpus, mos_rows, embed=None) -> tuple:
+    _require(mos_rows, "MOS")
+    embed = embed or cached_embedder(model)
     by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
-    refs = model.embed_waves([by_id[row.utt_id].clean for row in mos_rows])
-    clips = model.embed_waves([apply(row.spec, by_id[row.utt_id].clean) for row in mos_rows])
+    refs = embed([by_id[row.utt_id].clean for row in mos_rows])
+    clips = embed([apply(row.spec, by_id[row.utt_id].clean) for row in mos_rows])
     distances = _pair_distances(model, refs, clips)
     rho = mos_correlation(distances,
                           [row.rating for row in mos_rows],
@@ -298,31 +334,37 @@ def run_full_eval(model, corpus, datasets: dict, metrics=ALL_METRICS, k: int = 5
 
     `datasets` maps metric names to their record lists (triplets, pairs,
     series, retrieval items, MOS rows).  Returns one EvalReport per metric.
+    The runners share one :func:`cached_embedder`, so a clip that several
+    datasets hold is embedded once per call.
     """
     echo = config_echo or {}
+    embed = cached_embedder(model)
     reports = []
     for metric in metrics:
         if metric not in ALL_METRICS:
             raise ContractError(f"unknown metric {metric!r}")
         if metric == "two_afc":
-            value, n = run_two_afc(model, corpus, datasets["triplets"])
+            value, n = run_two_afc(model, corpus, datasets["triplets"], embed=embed)
             reports.append(EvalReport("two_afc", value, n, echo))
         elif metric == "common_area":
-            value, groups = run_common_area(model, corpus, datasets["grouped_pairs"])
+            value, groups = run_common_area(model, corpus, datasets["grouped_pairs"],
+                                            embed=embed)
             if histogram_path is not None:
                 svg_histogram(groups, histogram_path)
             reports.append(EvalReport("common_area", value, len(datasets["grouped_pairs"]), echo,
                                       breakdown=[{"group": g, "mean_distance": float(v.mean())}
                                                  for g, v in sorted(groups.items())]))
         elif metric == "monotonicity":
-            value, per_family = run_monotonicity(model, corpus, datasets["mono_items"])
+            value, per_family = run_monotonicity(model, corpus, datasets["mono_items"],
+                                                 embed=embed)
             reports.append(EvalReport("monotonicity", value, len(datasets["mono_items"]), echo,
                                       breakdown=[{"family": f, "rho": r}
                                                  for f, r in sorted(per_family.items())]))
         elif metric == "precision_at_k":
-            value, n = run_precision_at_k(model, corpus, datasets["retrieval_items"], k=k)
+            value, n = run_precision_at_k(model, corpus, datasets["retrieval_items"], k=k,
+                                          embed=embed)
             reports.append(EvalReport("precision_at_k", value, n, {**echo, "k": k}))
         elif metric == "mos_correlation":
-            value, n = run_mos_correlation(model, corpus, datasets["mos_rows"])
+            value, n = run_mos_correlation(model, corpus, datasets["mos_rows"], embed=embed)
             reports.append(EvalReport("mos_correlation", value, n, echo))
     return reports

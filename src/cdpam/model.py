@@ -2,9 +2,11 @@
 
 The audio encoder is a 16-layer 1-D CNN (15-tap kernels, stride 2 at the end
 of each 4-layer block, batch norm + leaky ReLU per layer) followed by global
-average pooling.  Its embedding splits into an *acoustic* half, which feeds
-the loss network, and a *content* half; each half gets its own projection
-head during contrastive pretraining and the heads are discarded afterwards.
+average pooling.  At inference each layer's batch norm is folded into its
+conv, so a layer is a single conv1d pass.  The embedding splits into an
+*acoustic* half, which feeds the loss network, and a *content* half; each
+half gets its own projection head during contrastive pretraining and the
+heads are discarded afterwards.
 
 The loss network is a 4-layer MLP over the acoustic embedding.  The
 perceptual distance between two clips is the sum over its four hidden layers
@@ -250,7 +252,13 @@ class PerceptualModel:
     # -- forward passes ---------------------------------------------------------
 
     def encode(self, x: Tensor, train: bool = False) -> tuple[Tensor, Tensor]:
-        """Run the CNN; returns the (acoustic, content) embedding halves."""
+        """Run the CNN; returns the (acoustic, content) embedding halves.
+
+        Training runs conv1d, batch_norm1d on batch statistics and leaky ReLU
+        as three ops per layer.  Inference folds each BatchNorm's running
+        statistics into its conv (``T.fold_batch_norm``) and runs the layer as
+        one ``T.conv1d`` with the leaky ReLU as its epilogue.
+        """
         if x.data.ndim != 3 or x.shape[1] != 1:
             raise ShapeError("encoder input must be [batch, 1, len]")
         enc = self.config.encoder
@@ -260,14 +268,17 @@ class PerceptualModel:
         h = x
         for layer in range(1, enc.n_layers + 1):
             stride = 2 if layer in enc.stride2_layers else 1
-            h = T.conv1d(h, self.params[f"enc.conv{layer}.w"], stride=stride)
-            h = T.batch_norm1d(h,
-                               self.params[f"enc.bn{layer}.gamma"],
-                               self.params[f"enc.bn{layer}.beta"],
-                               self.state[f"enc.bn{layer}.running_mean"],
-                               self.state[f"enc.bn{layer}.running_var"],
-                               train=train)
-            h = T.leaky_relu(h, LEAKY_SLOPE)
+            w = self.params[f"enc.conv{layer}.w"]
+            bn = (self.params[f"enc.bn{layer}.gamma"], self.params[f"enc.bn{layer}.beta"],
+                  self.state[f"enc.bn{layer}.running_mean"],
+                  self.state[f"enc.bn{layer}.running_var"])
+            if train:
+                h = T.conv1d(h, w, stride=stride)
+                h = T.batch_norm1d(h, *bn, train=True)
+                h = T.leaky_relu(h, LEAKY_SLOPE)
+            else:
+                w, b = T.fold_batch_norm(w, *bn)
+                h = T.conv1d(h, w, b, stride=stride, slope=LEAKY_SLOPE)
         pooled = T.global_avg_pool(h)
         acoustic = T.narrow(pooled, 1, 0, enc.acoustic_dim)
         content = T.narrow(pooled, 1, enc.acoustic_dim, enc.content_dim)
@@ -328,7 +339,7 @@ class PerceptualModel:
 
     def embed_waves(self, waves, batch_size: int = 64) -> np.ndarray:
         """Inference-mode acoustic embeddings for a list of waveforms."""
-        chunks = []
+        chunks = [np.empty((0, self.config.encoder.acoustic_dim))]
         for start in range(0, len(waves), batch_size):
             x = self.waves_to_tensor(waves[start:start + batch_size])
             acoustic, _ = self.encode(x, train=False)

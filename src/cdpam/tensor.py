@@ -22,6 +22,12 @@ and the GEMM that reads it; when one item's columns exceed it, a block holds
 that single item.  The backward pass walks the same blocks: dW accumulates
 g_b @ col_b^T, and dX scatters w^T @ g_b back onto the padded input with K
 strided adds, reusing the block buffer for those column gradients.
+
+conv1d also takes the layer's epilogue: its bias and, with ``slope``, a
+leaky ReLU are applied to each output block in place right after its GEMM,
+while the block is still in cache, and the result is checked for finite
+values once.  With :func:`fold_batch_norm` an inference-mode encoder layer
+(conv, BatchNorm, leaky ReLU) is one pass over its output instead of three.
 """
 
 from __future__ import annotations
@@ -259,10 +265,14 @@ def clamp(x: Tensor, lo: float | None, hi: float | None) -> Tensor:
     return _make(out_data, (x,), backward, "clamp")
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
     # max(x, slope*x) equals where(x > 0, x, slope*x) bit for bit when slope <= 1
     pick = np.maximum if slope <= 1.0 else np.minimum
-    out_data = pick(x.data, slope * x.data)
+    return pick(x, slope * x, out=out)
+
+
+def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+    out_data = _leaky(x.data, slope)
 
     def backward(g):
         x._accumulate(np.where(x.data > 0.0, g, slope * g))
@@ -419,7 +429,8 @@ def _taps(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     return sliding_window_view(xp, stride * (length // stride - 1) + 1, axis=2)[:, :, :k, ::stride]
 
 
-def _conv1d_forward(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+def _conv1d_forward(x: np.ndarray, w: np.ndarray, stride: int,
+                    bias: np.ndarray | None, slope: float | None) -> np.ndarray:
     batch, cin, length = x.shape
     cout, _, k = w.shape
     out_len = length // stride
@@ -428,7 +439,13 @@ def _conv1d_forward(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     out = np.empty((batch, cout, out_len))
     for b0, b1, col in _blocks(batch, cin, k, out_len):
         np.copyto(col, taps[b0:b1])
-        np.matmul(w2, col.reshape(b1 - b0, cin * k, out_len), out=out[b0:b1])
+        block = out[b0:b1]
+        np.matmul(w2, col.reshape(b1 - b0, cin * k, out_len), out=block)
+        # the epilogue runs while the GEMM's output block is still in cache
+        if bias is not None:
+            block += bias[:, None]
+        if slope is not None:
+            _leaky(block, slope, out=block)
     return out
 
 
@@ -457,11 +474,15 @@ def _conv1d_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
     return dx, dw
 
 
-def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
+           slope: float | None = None) -> Tensor:
     """Cross-correlation with "same" framing: out[b,o,t] = sum x[b,c,t*stride+j-pad] w[o,c,j].
 
     Requires an odd kernel, stride 1 or 2, and a length divisible by the
-    stride; output length is len/stride.
+    stride; output length is len/stride.  With ``slope`` the output passes
+    through ``leaky_relu(., slope)`` in the same pass, bit for bit; the slope
+    must be non-negative, so the output is positive exactly where its input
+    was and backward takes its mask from the output.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError("conv1d expects x[batch, ch, len] and w[out, ch, k]")
@@ -477,12 +498,14 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1) ->
         raise ShapeError(f"conv1d length {length} not divisible by stride {stride}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv1d bias must have shape ({cout},)")
+    if slope is not None and not slope >= 0.0:
+        raise ContractError(f"conv1d slope must be non-negative, got {slope}")
 
-    out_data = _conv1d_forward(x.data, w.data, stride)
-    if bias is not None:
-        out_data = out_data + bias.data[None, :, None]
+    out_data = _conv1d_forward(x.data, w.data, stride, None if bias is None else bias.data, slope)
 
     def backward(g):
+        if slope is not None:
+            g = np.where(out_data > 0.0, g, slope * g)
         dx, dw = _conv1d_backward(g, x.data, w.data, stride, x.requires_grad, w.requires_grad)
         if x.requires_grad:
             x._accumulate(dx)
@@ -569,6 +592,24 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                           + dmu[None, :, None] / n)
 
     return _make(out_data, (x, gamma, beta), backward, "batch_norm1d")
+
+
+def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor,
+                    running_mean: np.ndarray, running_var: np.ndarray,
+                    eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+    """Weight and bias of one conv1d that computes conv1d(x, w) then inference batch_norm1d.
+
+    With scale = gamma / sqrt(running_var + eps), the folded weight is
+    w * scale per output channel and the folded bias is
+    beta - running_mean * scale (Jacob et al. 2018).  Both are built from
+    tensor ops, so gradients still reach w, gamma and beta; the running
+    statistics are constants, copied because train-mode calls update them
+    in place.
+    """
+    scale = mul(gamma, Tensor(1.0 / np.sqrt(running_var + eps)))
+    w_folded = mul(w, reshape(scale, (-1, 1, 1)))
+    b_folded = sub(beta, mul(Tensor(running_mean.copy()), scale))
+    return w_folded, b_folded
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:

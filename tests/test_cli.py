@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -188,6 +189,67 @@ class TestEvalCommand:
                      "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert list(out) == ["two_afc"]
+
+
+class TestEmptyEvalSets:
+    @pytest.mark.parametrize("filename,metric,dataset", [
+        ("triplets.jsonl", "two_afc", "two-AFC"),
+        ("common_area.jsonl", "common_area", "common-area"),
+        ("mono.jsonl", "monotonicity", "monotonicity"),
+        ("retrieval.jsonl", "precision_at_k", "retrieval"),
+        ("mos.jsonl", "mos_correlation", "MOS"),
+    ])
+    def test_exits_2_naming_the_dataset(self, pipeline_run, tmp_path, capsys, filename, metric,
+                                        dataset):
+        _, config_path, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(cfg["out"], run)
+        (run / "eval" / filename).write_text("")
+        code = main(["eval", "--config", str(config_path), "--out", str(run),
+                     "--metrics", metric])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and dataset in err and "empty" in err
+
+
+def json_line(capsys) -> dict:
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+class TestJsonOutput:
+    def test_each_stage_prints_one_json_line(self, tmp_path, capsys):
+        config_path, cfg = tiny_run_config(tmp_path, out_name="json")
+        out = cfg["out"]
+        assert main(["synth-data", "--config", str(config_path), "--json"]) == 0
+        synth = json_line(capsys)
+        assert synth["out"] == out and synth["corpus"] == cfg["data"]["n_utterances"]
+        assert synth["eval"]["triplets"] == cfg["data"]["eval"]["n_triplets"]
+        for command, stage, checkpoint in (("pretrain", "pretrain", "pretrained.ckpt"),
+                                           ("train-jnd", "jnd", "jnd.ckpt"),
+                                           ("finetune", "finetune", "finetuned.ckpt")):
+            assert main([command, "--config", str(config_path), "--json"]) == 0
+            outputs = json_line(capsys)
+            assert outputs["checkpoint"] == os.path.join(out, checkpoint)
+            assert os.path.isfile(outputs["log"])
+            assert outputs["epochs"] == cfg["train"]["epochs"][stage]
+            assert np.isfinite(outputs["final_loss"])
+
+    def test_pipeline_prints_one_json_line(self, pipeline_run, tmp_path, capsys):
+        _, config_path, cfg = pipeline_run
+        out = str(tmp_path / "pipe")
+        assert main(["pipeline", "--config", str(config_path), "--out", out, "--json"]) == 0
+        outputs = json_line(capsys)
+        assert list(outputs) == sorted(["synth-data", "pretrain", "train-jnd", "finetune",
+                                        "eval"])
+        assert outputs["finetune"]["checkpoint"] == os.path.join(out, "finetuned.ckpt")
+        with open(os.path.join(out, "reports.json")) as fh:
+            reports = json.load(fh)
+        assert outputs["eval"] == {metric: r["value"] for metric, r in reports.items()}
+        # same config and seed as the module's step-by-step run
+        with open(os.path.join(cfg["out"], "finetuned.ckpt"), "rb") as fh:
+            assert fh.read() == open(os.path.join(out, "finetuned.ckpt"), "rb").read()
 
 
 class TestReproducibility:

@@ -187,6 +187,108 @@ class TestPrecisionAtK:
             precision_at_k(np.ones((3, 2)) + np.arange(6).reshape(3, 2), [0, 0, 1], k=3)
 
 
+@pytest.fixture(scope="module")
+def tiny_eval():
+    from cdpam.datagen import (build_common_area_sets, build_mono_series, build_mos_set,
+                               build_retrieval_set, oracle_triplets, synth_corpus)
+    from cdpam.model import PerceptualModel, tiny_config
+
+    cfg = tiny_config()
+    corpus = synth_corpus(24, 4, seed=2, sample_rate=cfg.sample_rate,
+                          clip_samples=cfg.clip_samples)
+    model = PerceptualModel.initialize(cfg, seed=0)
+    datasets = {
+        "triplets": oracle_triplets(corpus, 12, seed=1, min_magnitude_gap=0.2),
+        "mono_items": build_mono_series(corpus, ("noise",), n_levels=3, n_contents=2, seed=2),
+        "grouped_pairs": build_common_area_sets(corpus, n_pairs=10, seed=3),
+        "retrieval_items": build_retrieval_set(corpus, n_groups=3, group_size=6, seed=4),
+        "mos_rows": build_mos_set(corpus, n_conditions=3, clips_per_cell=2, seed=5),
+    }
+    return model, corpus, datasets
+
+
+def uncached_runs(model, corpus, datasets, embed):
+    """Each runner alone, on the given embed function: metric -> (value, detail)."""
+    from cdpam.evaluate import (run_common_area, run_monotonicity, run_mos_correlation,
+                                run_precision_at_k, run_two_afc)
+
+    return {
+        "two_afc": run_two_afc(model, corpus, datasets["triplets"], embed=embed),
+        "common_area": run_common_area(model, corpus, datasets["grouped_pairs"], embed=embed),
+        "monotonicity": run_monotonicity(model, corpus, datasets["mono_items"], embed=embed),
+        "precision_at_k": run_precision_at_k(model, corpus, datasets["retrieval_items"], k=3,
+                                             embed=embed),
+        "mos_correlation": run_mos_correlation(model, corpus, datasets["mos_rows"],
+                                               embed=embed),
+    }
+
+
+class TestEvalCache:
+    def test_full_eval_equals_uncached_runners(self, tiny_eval):
+        from cdpam.evaluate import run_full_eval
+
+        model, corpus, datasets = tiny_eval
+        reports = {r.metric: r for r in run_full_eval(model, corpus, datasets, k=3)}
+        for metric, (value, detail) in uncached_runs(model, corpus, datasets,
+                                                     model.embed_waves).items():
+            assert reports[metric].value == value, metric
+        groups = uncached_runs(model, corpus, datasets, model.embed_waves)["common_area"][1]
+        assert reports["common_area"].breakdown == [
+            {"group": g, "mean_distance": float(v.mean())} for g, v in sorted(groups.items())]
+
+    def test_each_distinct_clip_embedded_once(self, tiny_eval, monkeypatch):
+        from cdpam.evaluate import run_full_eval
+
+        model, corpus, datasets = tiny_eval
+        real = model.embed_waves
+
+        def recorder(log):
+            def embed(waves):
+                log.extend(w.samples.tobytes() + str(w.sample_rate).encode() for w in waves)
+                return real(waves)
+            return embed
+
+        requested, embedded = [], []
+        uncached_runs(model, corpus, datasets, recorder(requested))
+        monkeypatch.setattr(model, "embed_waves", recorder(embedded))
+        run_full_eval(model, corpus, datasets, k=3)
+        assert len(requested) > len(set(requested))  # the eval sets do repeat clips
+        assert sorted(embedded) == sorted(set(requested))
+
+    def test_key_is_rate_and_every_sample(self, tiny_eval, monkeypatch):
+        from cdpam.audio import Waveform
+        from cdpam.evaluate import cached_embedder
+
+        model, corpus, _ = tiny_eval
+        clean = corpus[0].clean
+        last_changed = clean.samples.copy()
+        last_changed[-1] += 1e-3
+        waves = [clean, Waveform(clean.samples.copy(), clean.sample_rate),
+                 Waveform(last_changed, clean.sample_rate),
+                 Waveform(clean.samples, 2 * clean.sample_rate)]
+        calls = []
+        real = model.embed_waves
+        monkeypatch.setattr(model, "embed_waves", lambda ws: calls.append(len(ws)) or real(ws))
+        embed = cached_embedder(model)
+        rows = embed(waves)
+        assert calls == [3]
+        assert np.array_equal(rows[0], rows[1])
+        assert np.array_equal(embed(waves[::-1]), rows[::-1])
+        assert calls == [3]
+        assert embed([]).shape == (0, model.config.encoder.acoustic_dim)
+
+    @pytest.mark.parametrize("runner,dataset", [
+        ("run_two_afc", "two-AFC"), ("run_common_area", "common-area"),
+        ("run_monotonicity", "monotonicity"), ("run_precision_at_k", "retrieval"),
+        ("run_mos_correlation", "MOS")])
+    def test_empty_set_names_its_dataset(self, tiny_eval, runner, dataset):
+        from cdpam import evaluate
+
+        model, corpus, _ = tiny_eval
+        with pytest.raises(DataError, match=dataset):
+            getattr(evaluate, runner)(model, corpus, [])
+
+
 class TestReportsAndRunners:
     def test_svg_histogram_deterministic(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -197,24 +299,10 @@ class TestReportsAndRunners:
         assert a == (tmp_path / "b.svg").read_bytes()
         assert a.startswith(b"<svg")
 
-    def test_full_eval_on_tiny_model(self, tmp_path):
-        from cdpam.datagen import (build_common_area_sets, build_mono_series, build_mos_set,
-                                   build_retrieval_set, oracle_triplets, synth_corpus)
+    def test_full_eval_on_tiny_model(self, tiny_eval, tmp_path):
         from cdpam.evaluate import run_full_eval, write_reports_csv, write_reports_json
-        from cdpam.model import PerceptualModel, tiny_config
 
-        cfg = tiny_config()
-        corpus = synth_corpus(24, 4, seed=2, sample_rate=cfg.sample_rate,
-                              clip_samples=cfg.clip_samples)
-        model = PerceptualModel.initialize(cfg, seed=0)
-        datasets = {
-            "triplets": oracle_triplets(corpus, 12, seed=1, min_magnitude_gap=0.2),
-            "mono_items": build_mono_series(corpus, ("noise",), n_levels=3, n_contents=2,
-                                            seed=2),
-            "grouped_pairs": build_common_area_sets(corpus, n_pairs=10, seed=3),
-            "retrieval_items": build_retrieval_set(corpus, n_groups=3, group_size=6, seed=4),
-            "mos_rows": build_mos_set(corpus, n_conditions=3, clips_per_cell=2, seed=5),
-        }
+        model, corpus, datasets = tiny_eval
         reports = run_full_eval(model, corpus, datasets, k=3,
                                 histogram_path=tmp_path / "hist.svg")
         names = {r.metric for r in reports}

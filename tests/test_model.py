@@ -5,9 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+from cdpam import tensor as T
 from cdpam.errors import ContractError, FormatError, ShapeError, VersionError
-from cdpam.model import (EncoderConfig, ModelConfig, PerceptualModel, default_config,
-                         desk_config, load_checkpoint, save_checkpoint, tiny_config)
+from cdpam.model import (LEAKY_SLOPE, EncoderConfig, ModelConfig, PerceptualModel,
+                         default_config, desk_config, load_checkpoint, save_checkpoint,
+                         tiny_config)
 from cdpam.tensor import Tensor
 
 
@@ -74,6 +76,101 @@ class TestEncode:
             stride = 2 if layer in enc.stride2_layers else 1
             h = T.conv1d(h, model.params[f"enc.conv{layer}.w"], stride=stride)
         assert h.shape[2] == 320 // 16
+
+
+def with_random_batch_norm(config, seed):
+    """A fresh model whose BatchNorm parameters and running statistics are all non-trivial."""
+    model = PerceptualModel.initialize(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    for layer in range(1, config.encoder.n_layers + 1):
+        c = config.encoder.channel_of(layer)
+        model.state[f"enc.bn{layer}.running_mean"][...] = rng.normal(0.0, 0.5, c)
+        model.state[f"enc.bn{layer}.running_var"][...] = rng.uniform(0.3, 3.0, c)
+        model.params[f"enc.bn{layer}.gamma"].data = rng.normal(1.0, 0.3, c)
+        model.params[f"enc.bn{layer}.beta"].data = rng.normal(0.0, 0.3, c)
+    return model
+
+
+def separate_ops_encode(model, x):
+    """Reference inference encoder: conv1d, batch_norm1d(train=False), leaky_relu per layer."""
+    enc = model.config.encoder
+    h = Tensor(x)
+    for layer in range(1, enc.n_layers + 1):
+        h = T.conv1d(h, model.params[f"enc.conv{layer}.w"],
+                     stride=2 if layer in enc.stride2_layers else 1)
+        h = T.batch_norm1d(h, model.params[f"enc.bn{layer}.gamma"],
+                           model.params[f"enc.bn{layer}.beta"],
+                           model.state[f"enc.bn{layer}.running_mean"],
+                           model.state[f"enc.bn{layer}.running_var"], train=False)
+        h = T.leaky_relu(h, LEAKY_SLOPE)
+    return T.global_avg_pool(h).data
+
+
+class TestFusedInference:
+    @pytest.mark.parametrize("make_config", [tiny_config, desk_config])
+    def test_matches_separate_ops(self, make_config):
+        model = with_random_batch_norm(make_config(), seed=4)
+        x = np.random.default_rng(5).normal(size=(3, 1, model.config.clip_samples)) * 0.1
+        acoustic, content = model.encode(Tensor(x), train=False)
+        fused = np.concatenate([acoustic.data, content.data], axis=1)
+        ref = separate_ops_encode(model, x)
+        assert np.max(np.abs(fused - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_gradients_match_finite_differences(self):
+        model = with_random_batch_norm(tiny_config(), seed=6)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 1, 32))
+        enc = model.config.encoder
+        probes = (Tensor(rng.normal(size=(2, enc.acoustic_dim))),
+                  Tensor(rng.normal(size=(2, enc.content_dim))))
+        names = [name for name in model.params if name.startswith("enc.")]
+
+        def loss(xt):
+            halves = model.encode(xt, train=False)
+            return T.add(*(T.sum_(T.mul(half, probe)) for half, probe in zip(halves, probes)))
+
+        model.set_trainable(("enc.",))
+        xt = Tensor(x.copy(), requires_grad=True)
+        loss(xt).backward()
+        analytic = {"x": xt.grad, **{name: model.params[name].grad for name in names}}
+        model.set_trainable(())
+        arrays = {"x": x, **{name: model.params[name].data for name in names}}
+        assert {name.split(".")[-1] for name in arrays} == {"x", "w", "gamma", "beta"}
+        h = 1e-6
+        for key, arr in arrays.items():
+            flat, grad = arr.reshape(-1), analytic[key].reshape(-1)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + h
+                f_plus = loss(Tensor(x)).item()
+                flat[i] = keep - h
+                f_minus = loss(Tensor(x)).item()
+                flat[i] = keep
+                numeric = (f_plus - f_minus) / (2.0 * h)
+                assert abs(numeric - grad[i]) <= 1e-4 * max(abs(numeric), abs(grad[i]), 1e-6), \
+                    f"{key}[{i}]: numeric {numeric} vs autodiff {grad[i]}"
+
+    def test_one_conv1d_call_per_layer(self, monkeypatch):
+        model = PerceptualModel.initialize(tiny_config(), seed=8)
+        calls = []
+
+        def counting(op):
+            real = getattr(T, op)
+
+            def wrapper(*args, **kwargs):
+                calls.append(op)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for op in ("conv1d", "batch_norm1d", "leaky_relu"):
+            monkeypatch.setattr(T, op, counting(op))
+        x = Tensor(np.random.default_rng(9).normal(size=(2, 1, model.config.clip_samples)))
+        model.encode(x, train=False)
+        assert calls == ["conv1d"] * model.config.encoder.n_layers
+
+    def test_embed_no_waves(self, tiny_model):
+        assert tiny_model.embed_waves([]).shape == (0, tiny_model.config.encoder.acoustic_dim)
 
 
 class TestDistance:

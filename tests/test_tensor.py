@@ -183,6 +183,67 @@ class TestBlockedConv1d:
         finite_difference_check(build, [x, w, b])
 
 
+class TestConv1dEpilogue:
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 3.0])
+    @pytest.mark.parametrize("block", [None, 2 * 3 * 5 * 8])  # one block; 2 items per block
+    def test_bit_equal_to_separate_leaky_relu(self, monkeypatch, slope, block):
+        if block is not None:
+            monkeypatch.setattr(T, "_BLOCK", block)
+        rng = np.random.default_rng(30)
+        x = Tensor(rng.normal(size=(5, 3, 16)))
+        w = Tensor(rng.normal(size=(4, 3, 5)))
+        b = Tensor(rng.normal(size=(4,)))
+        fused = T.conv1d(x, w, b, stride=2, slope=slope)
+        separate = T.leaky_relu(T.conv1d(x, w, b, stride=2), slope)
+        assert fused.data.tobytes() == separate.data.tobytes()
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 3.0])
+    def test_gradients_across_blocks(self, monkeypatch, slope):
+        batch, cin, cout, k, length = 3, 2, 3, 5, 8
+        monkeypatch.setattr(T, "_BLOCK", 2 * cin * k * length)
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(batch, cin, length))
+        w = rng.normal(size=(cout, cin, k))
+        b = rng.normal(size=(cout,))
+        probe = linear_probe((batch, cout, length), 32)
+
+        def build(ts):
+            return T.sum_(T.mul(T.conv1d(ts[0], ts[1], ts[2], slope=slope), probe))
+
+        finite_difference_check(build, [x, w, b])
+
+    def test_negative_slope_rejected(self):
+        with pytest.raises(ContractError):
+            T.conv1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros((1, 1, 3))), slope=-0.1)
+
+
+class TestFoldBatchNorm:
+    def test_matches_conv_then_inference_batch_norm(self):
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.normal(size=(3, 2, 12)))
+        w = Tensor(rng.normal(size=(4, 2, 5)))
+        gamma, beta = Tensor(rng.normal(1.0, 0.3, size=4)), Tensor(rng.normal(size=4))
+        rm, rv = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+        wf, bf = T.fold_batch_norm(w, gamma, beta, rm, rv)
+        folded = T.conv1d(x, wf, bf, stride=2).data
+        ref = T.batch_norm1d(T.conv1d(x, w, stride=2), gamma, beta, rm, rv, False).data
+        assert np.max(np.abs(folded - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_gradients(self):
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(2, 2, 8))
+        w = rng.normal(size=(3, 2, 3))
+        gamma, beta = rng.normal(1.0, 0.3, size=3), rng.normal(size=3)
+        rm, rv = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+        probe = linear_probe((2, 3, 8), 35)
+
+        def build(ts):
+            wf, bf = T.fold_batch_norm(ts[1], ts[2], ts[3], rm, rv)
+            return T.sum_(T.mul(T.conv1d(ts[0], wf, bf, slope=0.2), probe))
+
+        finite_difference_check(build, [x, w, gamma, beta])
+
+
 class TestLayers:
     def test_leaky_relu_values(self):
         out = T.leaky_relu(Tensor(np.array([-1.0, 2.0])), 0.2)
