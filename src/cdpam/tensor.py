@@ -41,6 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
 
 _BLOCK = 1 << 15  # doubles per im2col block (256 KB): small enough to stay in L2
+_BN_EPS = 1e-5  # BatchNorm variance epsilon; batch_norm1d and fold_batch_norm must agree
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -533,7 +534,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
-                 train: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+                 train: bool, momentum: float = 0.1) -> Tensor:
     """Per-channel batch norm over (batch, time) for x[batch, ch, len].
 
     In training mode the batch statistics normalize the batch and update the
@@ -550,7 +551,7 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         # inference is one per-channel affine; x-hat is rebuilt only for gamma's gradient,
         # from a copy of the running mean, which train-mode calls update in place
         mu = running_mean.copy()
-        inv_std = 1.0 / np.sqrt(running_var + eps)
+        inv_std = 1.0 / np.sqrt(running_var + _BN_EPS)
         scale = gamma.data * inv_std
         out_data = x.data * scale[None, :, None]
         out_data += (beta.data - mu * scale)[None, :, None]
@@ -572,7 +573,7 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     running_mean += momentum * mu
     running_var *= 1.0 - momentum
     running_var += momentum * var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
     xhat = (x.data - mu[None, :, None]) * inv_std[None, :, None]
     out_data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
 
@@ -595,18 +596,17 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor,
-                    running_mean: np.ndarray, running_var: np.ndarray,
-                    eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+                    running_mean: np.ndarray, running_var: np.ndarray) -> tuple[Tensor, Tensor]:
     """Weight and bias of one conv1d that computes conv1d(x, w) then inference batch_norm1d.
 
-    With scale = gamma / sqrt(running_var + eps), the folded weight is
-    w * scale per output channel and the folded bias is
-    beta - running_mean * scale (Jacob et al. 2018).  Both are built from
+    With scale = gamma / sqrt(running_var + eps), eps being batch_norm1d's
+    (_BN_EPS), the folded weight is w * scale per output channel and the
+    folded bias is beta - running_mean * scale (Jacob et al. 2018).  Both are built from
     tensor ops, so gradients still reach w, gamma and beta; the running
     statistics are constants, copied because train-mode calls update them
     in place.
     """
-    scale = mul(gamma, Tensor(1.0 / np.sqrt(running_var + eps)))
+    scale = mul(gamma, Tensor(1.0 / np.sqrt(running_var + _BN_EPS)))
     w_folded = mul(w, reshape(scale, (-1, 1, 1)))
     b_folded = sub(beta, mul(Tensor(running_mean.copy()), scale))
     return w_folded, b_folded
