@@ -3,10 +3,11 @@ evaluation, and pairwise distance queries.
 
 Subcommands read a JSON config file (``--config``) merged over built-in
 desk-scale defaults, with individual flags (``--seed``, ``--out``,
-``--epochs``) winning over both.  Every run writes a manifest echoing the
-fully resolved configuration, so a run is reproducible from its manifest
-alone.  With ``--json`` a subcommand prints one JSON line holding its
-outputs (paths, counts, final losses, metric values) and nothing else.
+``--epochs``) winning over both; a key the defaults lack is an error.  Every
+run writes a manifest echoing the fully resolved configuration and the BLAS
+thread settings, so a run is reproducible from its manifest alone.  With
+``--json`` a subcommand prints one JSON line holding its outputs (paths,
+counts, final losses, metric values) and nothing else.
 
 Exit codes: 0 success, 1 internal error, 2 usage or input error.  Setting
 ``CDPAM_THREADS`` caps the BLAS worker pool (it must be decided before numpy
@@ -54,11 +55,13 @@ DEFAULT_RUN_CONFIG = {
         "tau": 0.5,
         "margin": 0.1,
         "augment": {"pretrain": False, "jnd": True, "finetune": True},
-        "encoder_frozen_in_jnd": True,
         "batches_per_mode": None,
     },
 }
 
+# the BLAS pool settings a run's manifest records: checkpoints are byte-identical
+# only at a fixed thread count
+THREAD_VARS = ("CDPAM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 CHECKPOINT_NAMES = {"pretrain": "pretrained.ckpt", "jnd": "jnd.ckpt", "finetune": "finetuned.ckpt"}
 
 
@@ -82,11 +85,32 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
+def _check_config(value, defaults: dict, path: str = "") -> None:
+    """Reject keys the defaults lack, and a non-object where the defaults hold one."""
+    from .errors import ContractError
+
+    if not isinstance(value, dict):
+        where = f"config key {path[:-1]!r}" if path else "the config file"
+        raise ContractError(f"{where} must be a JSON object, got {value!r}")
+    for key, item in value.items():
+        dotted = path + key
+        if key not in defaults:
+            raise ContractError(f"unknown config key {dotted!r}")
+        if dotted == "model":  # a preset name or a full ModelConfig object
+            if not isinstance(item, dict) and item not in ("desk", "default"):
+                raise ContractError(f"config key 'model' must be 'desk', 'default' or an "
+                                    f"object, got {item!r}")
+        elif isinstance(defaults[key], dict):
+            _check_config(item, defaults[key], dotted + ".")
+
+
 def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=None) -> dict:
     cfg = copy.deepcopy(DEFAULT_RUN_CONFIG)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
-            cfg = _deep_merge(cfg, json.load(fh))
+            override = json.load(fh)
+        _check_config(override, DEFAULT_RUN_CONFIG)
+        cfg = _deep_merge(cfg, override)
     if seed is not None:
         cfg["seed"] = seed
     if out is not None:
@@ -115,12 +139,11 @@ def _train_config(cfg: dict, stage: str):
         stage=stage,
         epochs=t["epochs"][stage],
         batch_size=t["batch_size"],
-        lr=t["lr"][stage] if isinstance(t["lr"], dict) else t["lr"],
+        lr=t["lr"][stage],
         tau=t["tau"],
         margin=t["margin"],
         seed=cfg["seed"],
-        augment=t["augment"][stage] if isinstance(t["augment"], dict) else t["augment"],
-        encoder_frozen_in_jnd=t["encoder_frozen_in_jnd"],
+        augment=t["augment"][stage],
         families=tuple(cfg["data"]["families"]),
         batches_per_mode=t["batches_per_mode"],
     )
@@ -130,7 +153,9 @@ def _write_manifest(cfg: dict, out_dir: str, command: str) -> None:
     path = os.path.join(out_dir, f"{command}_manifest.json")
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"command": command, "config": cfg}, fh, sort_keys=True, indent=2)
+        threads = {var: os.environ.get(var) for var in THREAD_VARS}
+        json.dump({"command": command, "config": cfg, "threads": threads}, fh, sort_keys=True,
+                  indent=2)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -279,10 +304,10 @@ def _save_stage(cfg: dict, stage: str, command: str, model, rows) -> dict:
 def cmd_pretrain(cfg: dict, progress: bool = True) -> dict:
     from .trainer import pretrain_contrastive
 
+    config = _train_config(cfg, "pretrain")
     corpus = _read_corpus(cfg["out"], "corpus")
     callback = _progress_printer("pretrain") if progress else None
-    model, rows = pretrain_contrastive(corpus, _train_config(cfg, "pretrain"), _model_config(cfg),
-                                       progress=callback)
+    model, rows = pretrain_contrastive(corpus, config, _model_config(cfg), progress=callback)
     return _save_stage(cfg, "pretrain", "pretrain", model, rows)
 
 
@@ -291,12 +316,13 @@ def cmd_train_jnd(cfg: dict, progress: bool = True) -> dict:
     from .model import load_checkpoint
     from .trainer import train_jnd
 
+    config = _train_config(cfg, "jnd")
     out = cfg["out"]
     corpus = _read_corpus(out, "corpus")
     records = read_manifest(os.path.join(out, "jnd.jsonl"))
     model = load_checkpoint(os.path.join(out, CHECKPOINT_NAMES["pretrain"]))
     callback = _progress_printer("jnd") if progress else None
-    model, rows = train_jnd(model, corpus, records, _train_config(cfg, "jnd"), progress=callback)
+    model, rows = train_jnd(model, corpus, records, config, progress=callback)
     return _save_stage(cfg, "jnd", "train_jnd", model, rows)
 
 
@@ -305,13 +331,13 @@ def cmd_finetune(cfg: dict, progress: bool = True) -> dict:
     from .model import load_checkpoint
     from .trainer import finetune_triplet
 
+    config = _train_config(cfg, "finetune")
     out = cfg["out"]
     corpus = _read_corpus(out, "corpus")
     records = read_manifest(os.path.join(out, "triplets.jsonl"))
     model = load_checkpoint(os.path.join(out, CHECKPOINT_NAMES["jnd"]))
     callback = _progress_printer("finetune") if progress else None
-    model, rows = finetune_triplet(model, corpus, records, _train_config(cfg, "finetune"),
-                                   progress=callback)
+    model, rows = finetune_triplet(model, corpus, records, config, progress=callback)
     return _save_stage(cfg, "finetune", "finetune", model, rows)
 
 

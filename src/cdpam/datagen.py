@@ -57,7 +57,6 @@ class JudgmentRecord:
     a_id: str
     spec_a: PerturbSpec
     label: str
-    label_source: str = "oracle"
     b_id: str | None = None
     spec_b: PerturbSpec | None = None
     paths: dict | None = None
@@ -77,8 +76,6 @@ class JudgmentRecord:
                 raise ContractError("triplet comparison clips must be distinct")
         else:
             raise ContractError(f"unknown record kind {self.kind!r}")
-        if self.label_source not in ("oracle", "file"):
-            raise ContractError(f"unknown label source {self.label_source!r}")
 
     def to_dict(self) -> dict:
         d = {
@@ -87,7 +84,6 @@ class JudgmentRecord:
             "a_id": self.a_id,
             "spec_a": json.loads(self.spec_a.to_json()),
             "label": self.label,
-            "label_source": self.label_source,
         }
         if self.kind == "triplet":
             d["b_id"] = self.b_id
@@ -104,7 +100,6 @@ class JudgmentRecord:
             a_id=d["a_id"],
             spec_a=PerturbSpec.from_json(json.dumps(d["spec_a"])),
             label=d["label"],
-            label_source=d.get("label_source", "oracle"),
             b_id=d.get("b_id"),
             spec_b=PerturbSpec.from_json(json.dumps(d["spec_b"])) if d.get("spec_b") else None,
             paths=d.get("paths"),
@@ -246,10 +241,6 @@ def corpus_by_id(corpus) -> dict:
 class ContrastivePair:
     wave_i: Waveform
     wave_j: Waveform
-    spec_i: PerturbSpec
-    spec_j: PerturbSpec
-    utt_i: str
-    utt_j: str
 
 
 def make_contrastive_batch(corpus, mode: str, batch_size: int = 16, seed: int = 0,
@@ -273,14 +264,12 @@ def make_contrastive_batch(corpus, mode: str, batch_size: int = 16, seed: int = 
         if mode == "acoustic":
             u1, u2 = corpus[picks[2 * b]], corpus[picks[2 * b + 1]]
             spec = sample_spec(int(rng.integers(0, 2 ** 63)), families)
-            pairs.append(ContrastivePair(apply(spec, u1.clean), apply(spec, u2.clean),
-                                         spec, spec, u1.id, u2.id))
+            pairs.append(ContrastivePair(apply(spec, u1.clean), apply(spec, u2.clean)))
         else:
             utt = corpus[picks[b]]
             spec_1 = sample_spec(int(rng.integers(0, 2 ** 63)), families)
             spec_2 = sample_spec(int(rng.integers(0, 2 ** 63)), families)
-            pairs.append(ContrastivePair(apply(spec_1, utt.clean), apply(spec_2, utt.clean),
-                                         spec_1, spec_2, utt.id, utt.id))
+            pairs.append(ContrastivePair(apply(spec_1, utt.clean), apply(spec_2, utt.clean)))
     return pairs
 
 

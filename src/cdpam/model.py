@@ -228,9 +228,6 @@ class PerceptualModel:
 
     # -- parameter bookkeeping ------------------------------------------------
 
-    def param_arrays(self) -> dict:
-        return {name: t.data for name, t in self.params.items()}
-
     def set_trainable(self, prefixes: tuple) -> None:
         """Mark parameters trainable iff their name starts with one of `prefixes`."""
         for name, t in self.params.items():

@@ -81,9 +81,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Reverse-mode pass from a scalar root; gradients sum over fan-out."""
         if self.data.size != 1:
@@ -610,18 +607,6 @@ def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor,
     w_folded = mul(w, reshape(scale, (-1, 1, 1)))
     b_folded = sub(beta, mul(Tensor(running_mean.copy()), scale))
     return w_folded, b_folded
-
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """(a . b) / (|a| |b|) for 1-D tensors; raises on zero vectors."""
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"cosine_similarity expects equal-length vectors, got {a.shape}, {b.shape}")
-    if not np.any(a.data) or not np.any(b.data):
-        raise DegenerateInputError("cosine similarity of a zero vector is undefined")
-    dot = sum_(mul(a, b))
-    na = sqrt(sum_(mul(a, a)))
-    nb = sqrt(sum_(mul(b, b)))
-    return div(dot, mul(na, nb))
 
 
 def normalize_rows(z: Tensor) -> Tensor:

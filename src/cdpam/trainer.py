@@ -6,9 +6,9 @@ projection head and the NT-Xent loss is taken over the projected half that
 matches the batch mode.
 
 Stage b (jnd): the loss network and judgment classifier are fit with binary
-cross-entropy against oracle same/different labels.  The encoder is frozen
-by default, so each epoch encodes the (augmented) clips once in inference
-mode and the cheap loss-network optimization runs over cached embeddings.
+cross-entropy against oracle same/different labels.  The encoder is frozen,
+so each epoch encodes the (augmented) clips once in inference mode and the
+cheap loss-network optimization runs over cached embeddings.
 
 Stage c (finetune): margin ranking on triplet comparisons, loss network
 only, encoder still frozen.
@@ -22,9 +22,10 @@ checkpoints.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +59,6 @@ class TrainConfig:
     margin: float = 0.1
     seed: int = 0
     augment: bool = True
-    encoder_frozen_in_jnd: bool = True
     families: tuple = ("noise", "reverb")
     batches_per_mode: int | None = None
 
@@ -67,8 +67,12 @@ class TrainConfig:
             raise ContractError(f"unknown stage {self.stage!r}")
         if self.epochs is None:
             self.epochs = EPOCH_DEFAULTS[self.stage]
-        if self.epochs < 1:
-            raise ContractError("epochs must be >= 1")
+        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
+        if (isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real)
+                or not (np.isfinite(self.lr) and self.lr > 0)):
+            raise ContractError(f"lr must be a finite number > 0, got {self.lr!r}")
 
 
 # -- online augmentation ----------------------------------------------------------
@@ -86,12 +90,6 @@ def _augment(w: Waveform, rng: np.random.Generator) -> Waveform:
         samples[:max(0, n - silence)] = w.samples[silence:]  # shifted left, tail silent
     gain_db = rng.uniform(*GAIN_RANGE_DB)
     return apply_gain_db(Waveform(samples, w.sample_rate), gain_db)
-
-
-def augment_online(w: Waveform, seed: int) -> Waveform:
-    """Seeded standalone form of the per-clip training augmentation."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(10,)))
-    return _augment(w, rng)
 
 
 def _maybe_augment(waves, rng, enabled: bool):
@@ -133,9 +131,38 @@ def save_loss_log(rows, path) -> None:
     os.replace(tmp, path)
 
 
-def _log_row(epoch: int, stage: str, loss: float, t0: float) -> dict:
-    return {"epoch": epoch, "stage": stage, "loss": loss,
-            "wall_ms": (time.perf_counter() - t0) * 1000.0}
+def _check_entry(config: TrainConfig, stage: str, model=None, needs: str | None = None) -> None:
+    """The config must be for `stage`; a given model must carry the stage tag `needs`."""
+    if config.stage != stage:
+        raise ContractError(f"config stage is {config.stage!r}, expected {stage!r}")
+    if model is not None and model.stage != needs:
+        raise ContractError(f"the {stage} stage needs a {needs!r} checkpoint, got {model.stage!r}")
+
+
+def _run_epochs(model: PerceptualModel, config: TrainConfig, spawn: int, done_tag: str,
+                run_epoch, progress) -> tuple:
+    """Run `run_epoch(rng) -> mean loss` config.epochs times; return (model, loss rows).
+
+    Epoch e draws from SeedSequence(seed, spawn_key=(spawn, e)).  A non-finite
+    value anywhere in an epoch aborts training with that epoch's index.  At
+    the end the model is tagged `done_tag` and every parameter is frozen.
+    """
+    rows = []
+    for epoch in range(config.epochs):
+        t0 = time.perf_counter()
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(spawn, epoch)))
+        try:
+            loss = run_epoch(rng)
+        except NumericError as err:
+            raise TrainingError(f"{config.stage} stage diverged at epoch {epoch}: {err}",
+                                epoch=epoch) from err
+        rows.append({"epoch": epoch, "stage": config.stage, "loss": loss,
+                     "wall_ms": (time.perf_counter() - t0) * 1000.0})
+        if progress:
+            progress(rows[-1])
+    model.stage = done_tag
+    model.set_trainable(())
+    return model, rows
 
 
 # -- stage a: contrastive pretraining ------------------------------------------------
@@ -149,8 +176,7 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
     content batches alternate; each mode covers the corpus batches_per_mode
     times per epoch.  NaN losses abort with the epoch index.
     """
-    if config.stage != "pretrain":
-        raise ContractError(f"config stage is {config.stage!r}, expected 'pretrain'")
+    _check_entry(config, "pretrain")
     model = PerceptualModel.initialize(model_config, seed=config.seed)
     model.set_trainable(("enc.", "proj."))
     per_mode = config.batches_per_mode or max(1, len(corpus) // (4 * config.batch_size))
@@ -163,165 +189,111 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
                                              seed=int(seeder.integers(0, 2 ** 63)),
                                              families=config.families))
                for mode in ["acoustic", "content"] * per_mode]
-    rows = []
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        epoch_rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(21, epoch)))
+
+    def run_epoch(rng):
         epoch_losses = []
-        try:
-            for mode, pairs in batches:
-                waves = _maybe_augment([p.wave_i for p in pairs], epoch_rng, config.augment) \
-                    + _maybe_augment([p.wave_j for p in pairs], epoch_rng, config.augment)
-                x = model.waves_to_tensor(waves)
-                acoustic, content = model.encode(x, train=True)
-                half = acoustic if mode == "acoustic" else content
-                z = model.project(half, mode)
-                n = len(pairs)
-                loss = losses.nt_xent(T.narrow(z, 0, 0, n), T.narrow(z, 0, n, n), tau=config.tau)
-                loss.backward()
-                grads = _collect_grads(model)
-                states["enc."] = _step_group(model, grads, "enc.", states["enc."])
-                head = f"proj.{mode}."
-                states[head] = _step_group(model, grads, head, states[head])
-                _zero_grads(model)
-                epoch_losses.append(loss.item())
-        except NumericError as err:
-            raise TrainingError(f"pretraining diverged at epoch {epoch}: {err}",
-                                epoch=epoch) from err
-        rows.append(_log_row(epoch, "pretrain", float(np.mean(epoch_losses)), t0))
-        if progress:
-            progress(rows[-1])
-    model.stage = "pretrained"
-    model.set_trainable(())
-    return model, rows
+        for mode, pairs in batches:
+            waves = _maybe_augment([p.wave_i for p in pairs], rng, config.augment) \
+                + _maybe_augment([p.wave_j for p in pairs], rng, config.augment)
+            x = model.waves_to_tensor(waves)
+            acoustic, content = model.encode(x, train=True)
+            half = acoustic if mode == "acoustic" else content
+            z = model.project(half, mode)
+            n = len(pairs)
+            loss = losses.nt_xent(T.narrow(z, 0, 0, n), T.narrow(z, 0, n, n), tau=config.tau)
+            loss.backward()
+            grads = _collect_grads(model)
+            states["enc."] = _step_group(model, grads, "enc.", states["enc."])
+            head = f"proj.{mode}."
+            states[head] = _step_group(model, grads, head, states[head])
+            _zero_grads(model)
+            epoch_losses.append(loss.item())
+        return float(np.mean(epoch_losses))
+
+    return _run_epochs(model, config, 21, "pretrained", run_epoch, progress)
 
 
-# -- stage b: JND training ------------------------------------------------------------
+# -- stages b and c: loss network on a frozen encoder ------------------------------------
 
 
-def _jnd_items(corpus, records):
+def _clip_items(corpus, records, kind: str, positive: str) -> list:
+    """(clips, target) per record: the clean reference, then each compared clip
+    regenerated from its spec; target is 1.0 when the label is `positive`."""
     by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
     items = []
     for record in records:
-        if record.kind != "jnd_pair":
-            raise ContractError("train_jnd expects jnd_pair records")
+        if record.kind != kind:
+            raise ContractError(f"expected {kind} records, got {record.kind!r}")
         clean = by_id[record.ref_id].clean
-        items.append((clean, apply(record.spec_a, clean),
-                      1.0 if record.label == "different" else 0.0))
+        specs = (record.spec_a,) if record.spec_b is None else (record.spec_a, record.spec_b)
+        items.append(((clean, *(apply(spec, clean) for spec in specs)),
+                      1.0 if record.label == positive else 0.0))
     return items
+
+
+def _frozen_encoder_epochs(model: PerceptualModel, items, config: TrainConfig, spawn: int,
+                           done_tag: str, batch_loss, progress) -> tuple:
+    """Fit the trainable parameters on frozen-encoder embeddings of `items`.
+
+    Each epoch permutes the items, augments each clip column (reference first)
+    with the epoch generator, embeds each column once in inference mode, and
+    steps one Adam state over minibatches of `batch_loss(embs, targets)`.
+    """
+    columns = list(zip(*(clips for clips, _ in items)))
+    targets = np.array([target for _, target in items])
+    state = AdamState(lr=config.lr)
+
+    def run_epoch(rng):
+        nonlocal state
+        order = rng.permutation(len(items))
+        embs = [model.embed_waves(_maybe_augment([column[i] for i in order], rng, config.augment))
+                for column in columns]
+        epoch_losses = []
+        for start in range(0, len(items), config.batch_size):
+            stop = min(len(items), start + config.batch_size)
+            loss = batch_loss([Tensor(e[start:stop]) for e in embs], targets[order[start:stop]])
+            loss.backward()
+            state = _step_group(model, _collect_grads(model), "", state)
+            _zero_grads(model)
+            epoch_losses.append(loss.item())
+        return float(np.mean(epoch_losses))
+
+    return _run_epochs(model, config, spawn, done_tag, run_epoch, progress)
 
 
 def train_jnd(model: PerceptualModel, corpus, records, config: TrainConfig,
               progress=None) -> tuple:
     """Fit the loss network + classifier on oracle same/different pairs with BCE."""
-    if config.stage != "jnd":
-        raise ContractError(f"config stage is {config.stage!r}, expected 'jnd'")
-    if model.stage != "pretrained":
-        raise ContractError(f"train_jnd needs a 'pretrained' checkpoint, got {model.stage!r}")
+    _check_entry(config, "jnd", model, needs="pretrained")
     model = model.clone()
-    frozen = config.encoder_frozen_in_jnd
-    model.set_trainable(("lossnet.", "clf.") if frozen else ("enc.", "lossnet.", "clf."))
-    items = _jnd_items(corpus, records)
-    labels = np.array([label for _, _, label in items])
-    state = AdamState(lr=config.lr)
-    rows = []
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(22, epoch)))
-        order = rng.permutation(len(items))
-        epoch_losses = []
-        try:
-            refs = _maybe_augment([items[i][0] for i in order], rng, config.augment)
-            pers = _maybe_augment([items[i][1] for i in order], rng, config.augment)
-            if frozen:
-                emb_ref = model.embed_waves(refs)
-                emb_per = model.embed_waves(pers)
-            for start in range(0, len(items), config.batch_size):
-                stop = min(len(items), start + config.batch_size)
-                if frozen:
-                    e_ref = Tensor(emb_ref[start:stop])
-                    e_per = Tensor(emb_per[start:stop])
-                else:
-                    a_ref, _ = model.encode(model.waves_to_tensor(refs[start:stop]), train=True)
-                    a_per, _ = model.encode(model.waves_to_tensor(pers[start:stop]), train=True)
-                    e_ref, e_per = a_ref, a_per
-                d = model.distance_from_embeddings(e_ref, e_per)
-                p = model.judge_from_distance(T.reshape(d, (stop - start, 1)))
-                loss = losses.bce(p, labels[order[start:stop]].reshape(-1, 1))
-                loss.backward()
-                grads = _collect_grads(model)
-                state = _step_group(model, grads, "", state)
-                _zero_grads(model)
-                epoch_losses.append(loss.item())
-        except NumericError as err:
-            raise TrainingError(f"jnd training diverged at epoch {epoch}: {err}",
-                                epoch=epoch) from err
-        rows.append(_log_row(epoch, "jnd", float(np.mean(epoch_losses)), t0))
-        if progress:
-            progress(rows[-1])
-    model.stage = "jnd"
-    model.set_trainable(())
-    return model, rows
+    model.set_trainable(("lossnet.", "clf."))
 
+    def batch_loss(embs, labels):
+        e_ref, e_per = embs
+        d = model.distance_from_embeddings(e_ref, e_per)
+        p = model.judge_from_distance(T.reshape(d, (len(labels), 1)))
+        return losses.bce(p, labels.reshape(-1, 1))
 
-# -- stage c: triplet fine-tuning -------------------------------------------------------
+    items = _clip_items(corpus, records, "jnd_pair", positive="different")
+    return _frozen_encoder_epochs(model, items, config, 22, "jnd", batch_loss, progress)
 
 
 def finetune_triplet(model: PerceptualModel, corpus, records, config: TrainConfig,
                      progress=None) -> tuple:
     """Fine-tune the loss network with margin ranking on triplet comparisons."""
-    if config.stage != "finetune":
-        raise ContractError(f"config stage is {config.stage!r}, expected 'finetune'")
-    if model.stage != "jnd":
-        raise ContractError(f"finetune_triplet needs a 'jnd' checkpoint, got {model.stage!r}")
+    _check_entry(config, "finetune", model, needs="jnd")
     model = model.clone()
     model.set_trainable(("lossnet.",))
-    by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
-    items = []
-    for record in records:
-        if record.kind != "triplet":
-            raise ContractError("finetune_triplet expects triplet records")
-        clean = by_id[record.ref_id].clean
-        items.append((clean, apply(record.spec_a, clean), apply(record.spec_b, clean),
-                      1.0 if record.label == "A" else 0.0))
-    prefer_a = np.array([item[3] for item in items])
-    state = AdamState(lr=config.lr)
-    rows = []
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(23, epoch)))
-        order = rng.permutation(len(items))
-        epoch_losses = []
-        try:
-            refs = _maybe_augment([items[i][0] for i in order], rng, config.augment)
-            a_clips = _maybe_augment([items[i][1] for i in order], rng, config.augment)
-            b_clips = _maybe_augment([items[i][2] for i in order], rng, config.augment)
-            emb_ref = model.embed_waves(refs)
-            emb_a = model.embed_waves(a_clips)
-            emb_b = model.embed_waves(b_clips)
-            for start in range(0, len(items), config.batch_size):
-                stop = min(len(items), start + config.batch_size)
-                d_a = model.distance_from_embeddings(Tensor(emb_ref[start:stop]),
-                                                     Tensor(emb_a[start:stop]))
-                d_b = model.distance_from_embeddings(Tensor(emb_ref[start:stop]),
-                                                     Tensor(emb_b[start:stop]))
-                mask = Tensor(prefer_a[order[start:stop]])
-                one = Tensor(np.ones(stop - start))
-                d_pref = T.add(T.mul(d_a, mask), T.mul(d_b, T.sub(one, mask)))
-                d_other = T.add(T.mul(d_b, mask), T.mul(d_a, T.sub(one, mask)))
-                loss = T.mean_(losses.margin_rank(d_pref, d_other, margin=config.margin))
-                loss.backward()
-                grads = _collect_grads(model)
-                state = _step_group(model, grads, "", state)
-                _zero_grads(model)
-                epoch_losses.append(loss.item())
-        except NumericError as err:
-            raise TrainingError(f"fine-tuning diverged at epoch {epoch}: {err}",
-                                epoch=epoch) from err
-        rows.append(_log_row(epoch, "finetune", float(np.mean(epoch_losses)), t0))
-        if progress:
-            progress(rows[-1])
-    model.stage = "finetuned"
-    model.set_trainable(())
-    return model, rows
+
+    def batch_loss(embs, prefer_a):
+        e_ref, e_a, e_b = embs
+        d_a = model.distance_from_embeddings(e_ref, e_a)
+        d_b = model.distance_from_embeddings(e_ref, e_b)
+        mask = Tensor(prefer_a)
+        one = Tensor(np.ones(len(prefer_a)))
+        d_pref = T.add(T.mul(d_a, mask), T.mul(d_b, T.sub(one, mask)))
+        d_other = T.add(T.mul(d_b, mask), T.mul(d_a, T.sub(one, mask)))
+        return T.mean_(losses.margin_rank(d_pref, d_other, margin=config.margin))
+
+    items = _clip_items(corpus, records, "triplet", positive="A")
+    return _frozen_encoder_epochs(model, items, config, 23, "finetuned", batch_loss, progress)

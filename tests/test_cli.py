@@ -48,7 +48,6 @@ def tiny_run_config(tmp_path, out_name="run", **data_overrides):
             "tau": 0.5,
             "margin": 0.1,
             "augment": {"pretrain": False, "jnd": True, "finetune": True},
-            "encoder_frozen_in_jnd": True,
             "batches_per_mode": 1,
         },
     }
@@ -110,6 +109,19 @@ class TestStageOrdering:
         assert load_checkpoint(os.path.join(out, "pretrained.ckpt")).stage == "pretrained"
         assert load_checkpoint(os.path.join(out, "jnd.ckpt")).stage == "jnd"
         assert load_checkpoint(os.path.join(out, "finetuned.ckpt")).stage == "finetuned"
+
+    def test_divergence_exits_2_naming_stage_and_epoch(self, pipeline_run, tmp_path, capsys,
+                                                       monkeypatch):
+        from cdpam import losses, tensor as T
+        _, config_path, cfg = pipeline_run
+        out = str(tmp_path / "diverged")
+        shutil.copytree(cfg["out"], out)
+        real = losses.bce
+        monkeypatch.setattr(losses, "bce",
+                            lambda *a, **kw: T.mul(real(*a, **kw), T.Tensor(np.nan)))
+        code = main(["train-jnd", "--config", str(config_path), "--out", out, "--quiet"])
+        assert code == 2
+        assert "jnd stage diverged at epoch 0" in capsys.readouterr().err
 
     def test_loss_logs_written(self, pipeline_run):
         _, _, cfg = pipeline_run
@@ -280,6 +292,32 @@ class TestReproducibility:
         assert manifest["config"]["data"]["n_utterances"] == cfg["data"]["n_utterances"]
 
 
+class TestConfigBoundary:
+    @pytest.mark.parametrize("override,named", [
+        ({"train": {"batch_size": 0}}, "batch_size"),
+        ({"data": 5}, "'data'"),
+        ({"train": {"lr": "x"}}, "'train.lr'"),
+        ({"train": {"augment": True}}, "'train.augment'"),
+        ({"train": {"epochs": {"pretrain": "2"}}}, "epochs"),
+        ([1, 2], "the config file must be a JSON object"),
+        ({"trian": {}}, "unknown config key 'trian'"),
+        ({"data": {"eval": {"n_triplet": 8}}}, "unknown config key 'data.eval.n_triplet'"),
+        ({"model": "huge"}, "'model'"),
+    ])
+    def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, override, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(override))
+        assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("model", ["desk", "default", tiny_config().to_dict()])
+    def test_model_preset_or_object_accepted(self, tmp_path, model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"model": model}))
+        assert resolve_config(str(path))["model"] == model
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -294,6 +332,28 @@ class TestUsageErrors:
 
 
 class TestThreadCap:
+    def test_every_manifest_records_thread_settings(self, pipeline_run):
+        _, _, cfg = pipeline_run
+        names = [n for n in sorted(os.listdir(cfg["out"])) if n.endswith("_manifest.json")]
+        assert len(names) == 5
+        for name in names:
+            with open(os.path.join(cfg["out"], name)) as fh:
+                threads = json.load(fh)["threads"]
+            assert threads == {var: os.environ.get(var) for var in
+                               ("CDPAM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+
+    def test_manifest_records_the_capped_pool(self, tmp_path):
+        config_path, cfg = tiny_run_config(tmp_path, out_name="threads")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cdpam.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, CDPAM_THREADS="1", OMP_NUM_THREADS="7",
+                   OPENBLAS_NUM_THREADS="7")
+        subprocess.run([sys.executable, "-m", "cdpam.cli", "synth-data", "--config",
+                        str(config_path)], env=env, capture_output=True, check=True)
+        with open(os.path.join(cfg["out"], "synth_data_manifest.json")) as fh:
+            threads = json.load(fh)["threads"]
+        assert threads == {"CDPAM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                           "OPENBLAS_NUM_THREADS": "1"}
+
     def test_cdpam_threads_wins_over_preset_pool_sizes(self):
         # a fresh interpreter: numpy is already loaded here, so the cap would be skipped
         src = os.path.dirname(os.path.dirname(os.path.abspath(cdpam.__file__)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cdpam import datagen
 from cdpam.audio import rms
 from cdpam.datagen import (JudgmentRecord, build_common_area_sets, build_mono_series,
                            build_mos_set, build_retrieval_set, make_contrastive_batch,
@@ -51,22 +52,48 @@ class TestSynthCorpus:
         assert all(len(u.clean) == CLIP for u in loaded)
 
 
+@pytest.fixture
+def applied(monkeypatch, corpus):
+    """Per pair, the (spec, utterance id) of each perturbation make_contrastive_batch applies."""
+    calls = []
+    real = datagen.apply
+    ids = {id(utt.clean): utt.id for utt in corpus}
+
+    def recording_apply(spec, clean):
+        out = real(spec, clean)
+        calls.append((spec, ids[id(clean)], out))
+        return out
+
+    monkeypatch.setattr(datagen, "apply", recording_apply)
+    return calls
+
+
+def _views(pairs, calls):
+    """(spec, utterance id) of view i and view j per pair, checked against the pair's waves."""
+    assert len(calls) == 2 * len(pairs)
+    views = []
+    for pair, call_i, call_j in zip(pairs, calls[0::2], calls[1::2]):
+        assert pair.wave_i is call_i[2] and pair.wave_j is call_j[2]
+        views.append((call_i[:2], call_j[:2]))
+    return views
+
+
 class TestContrastivePairs:
-    def test_acoustic_mode_shares_spec(self, corpus):
+    def test_acoustic_mode_shares_spec(self, corpus, applied):
         pairs = make_contrastive_batch(corpus, "acoustic", batch_size=8, seed=1)
         assert len(pairs) == 8
         seen = set()
-        for pair in pairs:
-            assert pair.spec_i.to_json() == pair.spec_j.to_json()
-            assert pair.utt_i != pair.utt_j
-            seen.update((pair.utt_i, pair.utt_j))
+        for (spec_i, utt_i), (spec_j, utt_j) in _views(pairs, applied):
+            assert spec_i.to_json() == spec_j.to_json()
+            assert utt_i != utt_j
+            seen.update((utt_i, utt_j))
         assert len(seen) == 16  # all distinct across the batch
 
-    def test_content_mode_shares_utterance(self, corpus):
+    def test_content_mode_shares_utterance(self, corpus, applied):
         pairs = make_contrastive_batch(corpus, "content", batch_size=8, seed=2)
-        for pair in pairs:
-            assert pair.utt_i == pair.utt_j
-            assert pair.spec_i.to_json() != pair.spec_j.to_json()
+        for (spec_i, utt_i), (spec_j, utt_j) in _views(pairs, applied):
+            assert utt_i == utt_j
+            assert spec_i.to_json() != spec_j.to_json()
 
     def test_batch_of_16_has_32_waveforms(self, corpus):
         pairs = make_contrastive_batch(corpus, "acoustic", batch_size=16, seed=3)
@@ -82,7 +109,7 @@ class TestContrastivePairs:
         b = make_contrastive_batch(corpus, "content", batch_size=4, seed=11)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.wave_i.samples, pb.wave_i.samples)
-            assert pa.spec_j == pb.spec_j
+            assert np.array_equal(pa.wave_j.samples, pb.wave_j.samples)
 
 
 class TestSpecWithSeverity:
@@ -152,6 +179,12 @@ class TestManifests:
         write_manifest(records, path)
         back = read_manifest(path)
         assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
+
+    def test_older_manifest_with_label_source_loads(self, corpus):
+        record = oracle_jnd(corpus, 1, seed=7)[0]
+        older = dict(record.to_dict(), label_source="oracle")
+        assert "label_source" not in record.to_dict()
+        assert JudgmentRecord.from_dict(older) == record
 
     def test_record_validation(self):
         from cdpam.perturb import PerturbSpec

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdpam import tensor as T
-from cdpam.errors import ContractError, DegenerateInputError, NumericError, ShapeError
+from cdpam.errors import ContractError, NumericError, ShapeError
 from cdpam.tensor import AdamState, Tensor, adam_step
 
 
@@ -337,29 +337,6 @@ class TestLayers:
         assert np.all((out.data > 0) & (out.data < 1))
         probe = linear_probe((9,), 10)
         finite_difference_check(lambda ts: T.sum_(T.mul(T.sigmoid(ts[0]), probe)), [x.copy()])
-
-
-class TestCosine:
-    def test_identical_vectors(self):
-        a = Tensor(np.array([1.0, 2.0, -1.0]))
-        assert T.cosine_similarity(a, Tensor(a.data.copy())).item() == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        sim = T.cosine_similarity(Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 2.0])))
-        assert sim.item() == pytest.approx(0.0)
-
-    def test_45_degrees(self):
-        sim = T.cosine_similarity(Tensor(np.array([1.0, 1.0])), Tensor(np.array([1.0, 0.0])))
-        assert sim.item() == pytest.approx(1 / np.sqrt(2))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            T.cosine_similarity(Tensor(np.zeros(3)), Tensor(np.ones(3)))
-
-    def test_gradients(self):
-        rng = np.random.default_rng(6)
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        finite_difference_check(lambda ts: T.cosine_similarity(ts[0], ts[1]), [a, b])
 
 
 class TestElementwiseGradients:
