@@ -3,11 +3,12 @@ evaluation, and pairwise distance queries.
 
 Subcommands read a JSON config file (``--config``) merged over built-in
 desk-scale defaults, with individual flags (``--seed``, ``--out``,
-``--epochs``) winning over both; a key the defaults lack is an error.  Every
-run writes a manifest echoing the fully resolved configuration and the BLAS
-thread settings, so a run is reproducible from its manifest alone.  With
-``--json`` a subcommand prints one JSON line holding its outputs (paths,
-counts, final losses, metric values) and nothing else.
+``--epochs``) winning over both; a key the defaults lack, or a value of
+another type than its default, is an error.  Every run writes a manifest
+echoing the fully resolved configuration and the BLAS thread settings, so a
+run is reproducible from its manifest alone.  With ``--json`` a subcommand
+prints one JSON line holding its outputs (paths, counts, final losses, metric
+values) and nothing else.
 
 Exit codes: 0 success, 1 internal error, 2 usage or input error.  Setting
 ``CDPAM_THREADS`` caps the BLAS worker pool (it must be decided before numpy
@@ -85,8 +86,30 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
+def _leaf_mismatch(item, default, dotted: str) -> str | None:
+    """What the config leaf `dotted` must be when `item` does not fit its default's type."""
+    def is_int(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if dotted == "data.families":
+        ok, want = isinstance(item, list) and all(isinstance(f, str) for f in item), \
+            "a list of strings"
+    elif dotted == "train.batches_per_mode":
+        ok, want = item is None or is_int(item), "null or an integer"
+    elif isinstance(default, bool):
+        ok, want = isinstance(item, bool), "true or false"
+    elif isinstance(default, int):
+        ok, want = is_int(item), "an integer"
+    elif isinstance(default, float):
+        ok, want = isinstance(item, (int, float)) and not isinstance(item, bool), "a number"
+    else:
+        ok, want = isinstance(item, str), "a string"
+    return None if ok else want
+
+
 def _check_config(value, defaults: dict, path: str = "") -> None:
-    """Reject keys the defaults lack, and a non-object where the defaults hold one."""
+    """Reject keys the defaults lack, a non-object where the defaults hold one, a leaf of
+    the wrong type for its default, and a model object ModelConfig cannot be built from."""
     from .errors import ContractError
 
     if not isinstance(value, dict):
@@ -97,11 +120,19 @@ def _check_config(value, defaults: dict, path: str = "") -> None:
         if key not in defaults:
             raise ContractError(f"unknown config key {dotted!r}")
         if dotted == "model":  # a preset name or a full ModelConfig object
-            if not isinstance(item, dict) and item not in ("desk", "default"):
+            if isinstance(item, dict):
+                from .model import ModelConfig
+
+                ModelConfig.from_dict(item)
+            elif item not in ("desk", "default"):
                 raise ContractError(f"config key 'model' must be 'desk', 'default' or an "
                                     f"object, got {item!r}")
         elif isinstance(defaults[key], dict):
             _check_config(item, defaults[key], dotted + ".")
+        else:
+            want = _leaf_mismatch(item, defaults[key], dotted)
+            if want:
+                raise ContractError(f"config key {dotted!r} must be {want}, got {item!r}")
 
 
 def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=None) -> dict:

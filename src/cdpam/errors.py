@@ -34,7 +34,7 @@ class CapacityError(ContractError):
 
 
 class DataError(CdpamError, ValueError):
-    """An evaluation dataset is missing required entries."""
+    """A training or evaluation dataset is empty or missing required entries."""
 
 
 class NumericError(CdpamError, ArithmeticError):

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -41,6 +43,38 @@ CHECKPOINT_MAGIC = b"CDPM"
 CHECKPOINT_VERSION = 1
 STAGES = ("init", "pretrained", "jnd", "finetuned")
 LEAKY_SLOPE = 0.2
+
+
+def _check_positive_ints(config, where: str) -> None:
+    """Each int field of a config must hold a positive integer, and each tuple field a
+    non-empty tuple of them; errors name the field under the dotted key path `where`."""
+    def positive(v) -> bool:
+        return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v > 0
+
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if isinstance(field.default, tuple):
+            ok = isinstance(value, tuple) and len(value) > 0 and all(map(positive, value))
+            what = "a non-empty tuple of positive integers"
+        elif isinstance(field.default, int):
+            ok, what = positive(value), "a positive integer"
+        else:
+            continue
+        if not ok:
+            raise ContractError(f"{where}.{field.name} must be {what}, got {value!r}")
+
+
+def _check_keys(d, cls, where: str) -> None:
+    """`d` must be an object holding exactly the fields of dataclass `cls`."""
+    if not isinstance(d, dict):
+        raise ContractError(f"config key {where!r} must be an object, got {d!r}")
+    names = [field.name for field in dataclasses.fields(cls)]
+    unknown = [key for key in d if key not in names]
+    if unknown:
+        raise ContractError(f"unknown config key {where + '.' + str(unknown[0])!r}")
+    missing = [name for name in names if name not in d]
+    if missing:
+        raise ContractError(f"missing config key {where + '.' + missing[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +94,7 @@ class EncoderConfig:
     content_dim: int = 512
 
     def __post_init__(self):
+        _check_positive_ints(self, "model.encoder")
         if self.kernel % 2 == 0:
             raise ContractError("encoder kernel must be odd")
         if self.n_layers % len(self.block_channels) != 0:
@@ -96,6 +131,7 @@ class ModelConfig:
     clip_samples: int = 40000
 
     def __post_init__(self):
+        _check_positive_ints(self, "model")
         if len(self.lossnet_widths) != 4:
             raise ContractError("the loss network has exactly 4 hidden transforms")
         if self.clip_samples % self.encoder.downsample_factor != 0:
@@ -110,12 +146,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        enc = dict(d["encoder"])
-        enc["stride2_layers"] = tuple(enc["stride2_layers"])
-        enc["block_channels"] = tuple(enc["block_channels"])
-        rest = {k: v for k, v in d.items() if k != "encoder"}
-        rest["lossnet_widths"] = tuple(rest["lossnet_widths"])
-        return cls(encoder=EncoderConfig(**enc), **rest)
+        """Inverse of to_dict; every field must be present, and no other key."""
+        _check_keys(d, cls, "model")
+        _check_keys(d["encoder"], EncoderConfig, "model.encoder")
+
+        def tuples(fields: dict) -> dict:
+            return {k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()}
+
+        rest = tuples({k: v for k, v in d.items() if k != "encoder"})
+        return cls(encoder=EncoderConfig(**tuples(d["encoder"])), **rest)
 
 
 def default_config() -> ModelConfig:
@@ -402,17 +441,24 @@ def load_checkpoint(path) -> PerceptualModel:
         directory = list(header["tensors"])
         stage = header["stage"]
         seed = int(header["seed"])
-    except (ValueError, KeyError, TypeError) as err:
+        if stage not in STAGES:
+            raise FormatError(f"{path}: unknown stage {stage!r}")
+        # every encoder layer holds 5 tensors, which bounds the layout built next
+        if 5 * config.encoder.n_layers > len(directory):
+            raise FormatError(f"{path}: {len(directory)} tensors listed for "
+                              f"{config.encoder.n_layers} encoder layers")
+        layout = _tensor_layout(config)
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
+        # ContractError is a ValueError: a config the model rejects is a corrupt header
         raise FormatError(f"{path}: corrupt checkpoint header ({err})") from err
 
-    layout = _tensor_layout(config)
     offset = 12 + header_len
     params: dict[str, np.ndarray] = {}
     state: dict[str, np.ndarray] = {}
     for entry in directory:
         try:
             name, kind, shape = str(entry["name"]), entry["kind"], tuple(int(n) for n in entry["shape"])
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise FormatError(f"{path}: corrupt tensor directory entry ({err})") from err
         spec = layout.get(name)
         if spec is None:
@@ -424,7 +470,7 @@ def load_checkpoint(path) -> PerceptualModel:
         if shape != spec.shape:
             raise FormatError(f"{path}: tensor {name!r} has shape {list(shape)}, "
                               f"expected {list(spec.shape)}")
-        nbytes = int(np.prod(shape)) * 8
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(blob):
             raise FormatError(f"{path}: truncated tensor payload for {name!r}")
         arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").astype(np.float64).reshape(shape)

@@ -10,6 +10,11 @@ which is what makes dataset generation and the pairing rules auditable.
 The scalar :func:`magnitude` maps a spec to [0, 1] and drives the oracle
 annotator that stands in for human judgments at desk scale.  Its per-family
 weights are plumbing, not a perceptual calibration.
+
+The module needs only numpy to import: reverb convolves with numpy.fft at the
+FFT size scipy.signal.fftconvolve would pick, so its output matches
+fftconvolve bit for bit, and scipy.signal, which takes over a second to
+import, is loaded on first use by the EQ family.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 from .audio import Waveform, rms
 from .errors import ContractError
@@ -164,10 +168,31 @@ def reverb_impulse_response(rt60_s: float, sample_rate: int, seed: int = 0) -> n
     return ir
 
 
+def _fft_len(n: int) -> int:
+    """Smallest 5-smooth number (2^a * 3^b * 5^c) that is >= n.
+
+    This is the real-input FFT size that scipy.fft.next_fast_len picks, so
+    the reverb convolution below rounds exactly as scipy.signal.fftconvolve.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def apply_reverb(w: Waveform, rt60_s: float, seed: int = 0) -> Waveform:
     """Convolve with a seeded synthetic room response; output keeps the input's length and peak."""
     ir = reverb_impulse_response(rt60_s, w.sample_rate, seed)
-    wet = fftconvolve(w.samples, ir)[:len(w)]
+    if min(len(w), len(ir)) == 1:
+        # fftconvolve multiplies a one-sample operand directly, and ir[0] == 1
+        return w
+    n = _fft_len(len(w) + len(ir) - 1)
+    wet = np.fft.irfft(np.fft.rfft(w.samples, n) * np.fft.rfft(ir, n), n)[:len(w)]
     peak_in = np.max(np.abs(w.samples))
     peak_out = np.max(np.abs(wet))
     if peak_out > 0.0 and peak_in > 0.0:
@@ -189,6 +214,8 @@ def _peaking_coeffs(center_hz: float, sample_rate: int, gain_db: float, q: float
 
 def apply_eq(w: Waveform, gains_db: Sequence[float]) -> Waveform:
     """Cascade of 8 peaking filters on fixed octave bands 62.5 Hz .. 8 kHz."""
+    from scipy.signal import lfilter  # deferred: see the module docstring
+
     if len(gains_db) != len(_EQ_BANDS_HZ):
         raise ContractError(f"expected {len(_EQ_BANDS_HZ)} band gains")
     out = w.samples

@@ -32,7 +32,7 @@ import numpy as np
 from . import losses, tensor as T
 from .audio import Waveform, apply_gain_db
 from .datagen import corpus_by_id, make_contrastive_batch
-from .errors import ContractError, NumericError, TrainingError
+from .errors import ContractError, DataError, NumericError, TrainingError
 from .model import ModelConfig, PerceptualModel
 from .perturb import apply
 from .tensor import AdamState, Tensor, adam_step
@@ -275,6 +275,8 @@ def train_jnd(model: PerceptualModel, corpus, records, config: TrainConfig,
         return losses.bce(p, labels.reshape(-1, 1))
 
     items = _clip_items(corpus, records, "jnd_pair", positive="different")
+    if not items:
+        raise DataError("the jnd record set is empty")
     return _frozen_encoder_epochs(model, items, config, 22, "jnd", batch_loss, progress)
 
 
@@ -296,4 +298,6 @@ def finetune_triplet(model: PerceptualModel, corpus, records, config: TrainConfi
         return T.mean_(losses.margin_rank(d_pref, d_other, margin=config.margin))
 
     items = _clip_items(corpus, records, "triplet", positive="A")
+    if not items:
+        raise DataError("the triplet record set is empty")
     return _frozen_encoder_epochs(model, items, config, 23, "finetuned", batch_loss, progress)

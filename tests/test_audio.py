@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cdpam.audio import (Waveform, apply_gain_db, fix_length, read_wav, resample, rms,
                          write_wav)
-from cdpam.errors import ContractError, FormatError, UnsupportedFormatError
+from cdpam.errors import CdpamError, ContractError, FormatError, UnsupportedFormatError
 
 
 def _write_raw_wav(path, payload: bytes, fmt_code=1, channels=1, rate=16000, bits=16):
@@ -87,6 +87,72 @@ class TestReadWav:
         _write_raw_wav(tmp_path / "u.wav", b"\x00" * 8, fmt_code=6)  # a-law
         with pytest.raises(UnsupportedFormatError):
             read_wav(tmp_path / "u.wav")
+
+
+def _valid_wavs() -> list:
+    """Small valid files in every encoding read_wav accepts: 8/16/24-bit PCM, float32."""
+    wavs = []
+    for fmt_code, bits, channels, payload in (
+            (1, 8, 1, bytes([128, 255, 0, 64])),
+            (1, 16, 2, struct.pack("<4h", 0, 16384, -16384, 32767)),
+            (1, 24, 1, bytes(range(9))),
+            (3, 32, 1, struct.pack("<3f", 0.25, -0.75, 1.0))):
+        block = channels * bits // 8
+        wavs.append(b"".join([
+            b"RIFF", struct.pack("<I", 36 + len(payload)), b"WAVE",
+            b"fmt ", struct.pack("<IHHIIHH", 16, fmt_code, channels, 8000, 8000 * block, block,
+                                 bits),
+            b"data", struct.pack("<I", len(payload)), payload]))
+    return wavs
+
+
+# (byte offset, struct layout) of each header field in the files above: the RIFF size,
+# fmt chunk size, format code, channels, rate, byte rate, block align, bits and data size
+_HEADER_FIELDS = [(4, "<I"), (16, "<I"), (20, "<H"), (22, "<H"), (24, "<I"), (28, "<I"),
+                  (32, "<H"), (34, "<H"), (40, "<I")]
+
+
+def _read_or_cdpam_error(path, blob: bytes) -> None:
+    """read_wav either returns a valid Waveform or raises a package error."""
+    path.write_bytes(blob)
+    try:
+        w = read_wav(path)
+    except CdpamError:
+        return
+    assert w.sample_rate > 0 and len(w) > 0 and np.isfinite(w.samples).all()
+
+
+class TestReadWavFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=96), st.booleans())
+    def test_arbitrary_bytes(self, tmp_path_factory, data, riff_header):
+        if riff_header:  # get past the magic check to the chunk walk
+            data = b"RIFF" + data[:4].ljust(4, b"\0") + b"WAVE" + data[4:]
+        _read_or_cdpam_error(tmp_path_factory.mktemp("fuzz") / "a.wav", data)
+
+    @pytest.mark.parametrize("offset,layout", _HEADER_FIELDS)
+    @settings(max_examples=15, deadline=None)
+    @given(blob=st.sampled_from(_valid_wavs()), value=st.integers(0, 2 ** 32 - 1))
+    def test_any_header_field_value(self, tmp_path_factory, offset, layout, blob, value):
+        mutated = bytearray(blob)
+        struct.pack_into(layout, mutated, offset, value % 256 ** struct.calcsize(layout))
+        _read_or_cdpam_error(tmp_path_factory.mktemp("fuzz") / "h.wav", bytes(mutated))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_valid_wavs()),
+           st.lists(st.tuples(st.integers(0, 56), st.integers(0, 255)), max_size=4),
+           st.none() | st.integers(0, 56))
+    def test_mutated_valid_wavs(self, tmp_path_factory, blob, overwrites, cut):
+        mutated = bytearray(blob)
+        for position, value in overwrites:
+            if position < len(mutated):
+                mutated[position] = value
+        _read_or_cdpam_error(tmp_path_factory.mktemp("fuzz") / "m.wav", bytes(mutated[:cut]))
+
+    def test_valid_wavs_read(self, tmp_path):
+        for i, blob in enumerate(_valid_wavs()):
+            (tmp_path / f"{i}.wav").write_bytes(blob)
+            assert read_wav(tmp_path / f"{i}.wav").sample_rate == 8000
 
 
 class TestWriteWav:

@@ -303,6 +303,24 @@ class TestConfigBoundary:
         ({"trian": {}}, "unknown config key 'trian'"),
         ({"data": {"eval": {"n_triplet": 8}}}, "unknown config key 'data.eval.n_triplet'"),
         ({"model": "huge"}, "'model'"),
+        ({"seed": "x"}, "config key 'seed' must be an integer"),
+        ({"seed": True}, "config key 'seed' must be an integer"),
+        ({"out": 5}, "config key 'out' must be a string"),
+        ({"train": {"tau": "0.5"}}, "config key 'train.tau' must be a number"),
+        ({"train": {"augment": {"jnd": 1}}}, "config key 'train.augment.jnd' must be true"),
+        ({"train": {"batches_per_mode": 1.5}}, "'train.batches_per_mode' must be null or"),
+        ({"data": {"families": "noise"}}, "config key 'data.families' must be a list"),
+        ({"data": {"families": ["noise", 3]}}, "config key 'data.families' must be a list"),
+        ({"model": {"foo": 1}}, "unknown config key 'model.foo'"),
+        ({"model": {k: v for k, v in tiny_config().to_dict().items() if k != "sample_rate"}},
+         "missing config key 'model.sample_rate'"),
+        ({"model": {**tiny_config().to_dict(), "encoder": {"kernel": 3}}},
+         "missing config key 'model.encoder.n_layers'"),
+        ({"model": {**tiny_config().to_dict(),
+                    "encoder": {**tiny_config().to_dict()["encoder"], "block_channels": []}}},
+         "model.encoder.block_channels must be a non-empty tuple"),
+        ({"model": {**tiny_config().to_dict(), "sample_rate": "1600"}},
+         "model.sample_rate must be a positive integer"),
     ])
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, override, named):
         path = tmp_path / "bad.json"
@@ -311,11 +329,36 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    def test_leaf_types_accepted(self, tmp_path):
+        path = tmp_path / "types.json"
+        path.write_text(json.dumps({"train": {"tau": 1, "lr": {"jnd": 0.01},
+                                              "batches_per_mode": None},
+                                    "data": {"jnd_threshold": 0.2, "families": ["eq"]}}))
+        cfg = resolve_config(str(path))
+        assert cfg["train"]["tau"] == 1 and cfg["data"]["families"] == ["eq"]
+
     @pytest.mark.parametrize("model", ["desk", "default", tiny_config().to_dict()])
     def test_model_preset_or_object_accepted(self, tmp_path, model):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"model": model}))
         assert resolve_config(str(path))["model"] == model
+
+
+class TestEmptyRecordSets:
+    @pytest.mark.parametrize("command,records,checkpoint,name", [
+        ("train-jnd", "jnd.jsonl", "jnd.ckpt", "jnd"),
+        ("finetune", "triplets.jsonl", "finetuned.ckpt", "triplet"),
+    ])
+    def test_exits_2_without_a_checkpoint(self, pipeline_run, tmp_path, capsys, command, records,
+                                          checkpoint, name):
+        _, config_path, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(cfg["out"], run)
+        (run / records).write_text("")
+        (run / checkpoint).unlink()
+        assert main([command, "--config", str(config_path), "--out", str(run), "--quiet"]) == 2
+        assert f"error: the {name} record set is empty" in capsys.readouterr().err
+        assert not (run / checkpoint).exists()
 
 
 class TestUsageErrors:

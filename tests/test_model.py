@@ -1,12 +1,15 @@
 """Encoder shape contracts, distance properties, checkpoint format."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdpam import tensor as T
-from cdpam.errors import ContractError, FormatError, ShapeError, VersionError
+from cdpam.errors import CdpamError, ContractError, FormatError, ShapeError, VersionError
 from cdpam.model import (LEAKY_SLOPE, EncoderConfig, ModelConfig, PerceptualModel,
                          default_config, desk_config, load_checkpoint, save_checkpoint,
                          tiny_config)
@@ -39,6 +42,36 @@ class TestConfigs:
     def test_round_trips_through_dict(self):
         for cfg in (default_config(), desk_config(), tiny_config()):
             assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("field,value", [
+        ("block_channels", ()), ("block_channels", (4, 8, 0, 16)), ("stride2_layers", [1, 2]),
+        ("n_layers", 0), ("kernel", 3.0), ("kernel", True), ("acoustic_dim", -4),
+    ])
+    def test_encoder_fields_must_be_positive_integers(self, field, value):
+        with pytest.raises(ContractError, match=f"model.encoder.{field} must be"):
+            EncoderConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("projection_dim", 0), ("lossnet_widths", ()), ("sample_rate", "16000"),
+        ("clip_samples", 1.6e4),
+    ])
+    def test_model_fields_must_be_positive_integers(self, field, value):
+        with pytest.raises(ContractError, match=f"model.{field} must be"):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda d: d.update(foo=1), "unknown config key 'model.foo'"),
+        (lambda d: d.pop("classifier_hidden"), "missing config key 'model.classifier_hidden'"),
+        (lambda d: d["encoder"].update(bar=2), "unknown config key 'model.encoder.bar'"),
+        (lambda d: d["encoder"].pop("kernel"), "missing config key 'model.encoder.kernel'"),
+        (lambda d: d.update(encoder=[16]), "config key 'model.encoder' must be an object"),
+        (lambda d: d.update(lossnet_widths=8), "model.lossnet_widths must be a non-empty"),
+    ])
+    def test_from_dict_names_the_bad_key(self, edit, named):
+        d = tiny_config().to_dict()
+        edit(d)
+        with pytest.raises(ContractError, match=named):
+            ModelConfig.from_dict(d)
 
 
 class TestEncode:
@@ -202,6 +235,93 @@ class TestDistance:
             tiny_model.judge(-0.5)
 
 
+def _split(blob: bytes) -> tuple:
+    """A checkpoint's decoded JSON header and its tensor payload bytes."""
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    return json.loads(blob[12:12 + header_len]), blob[12 + header_len:]
+
+
+def _join(blob: bytes, header, payload: bytes) -> bytes:
+    encoded = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(encoded)) + encoded + payload
+
+
+def _node_paths(node, prefix=()) -> list:
+    """The key path of every node of a JSON value, the root included."""
+    paths = [prefix]
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        paths += _node_paths(child, prefix + (key,))
+    return paths
+
+
+def _replace_at(header, path: tuple, value):
+    if not path:
+        return value
+    node = header
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return header
+
+
+def _overflowing_shape(header) -> None:
+    """Loss-network widths, and a first directory entry of matching shape, whose element
+    count overflows int64."""
+    header["config"]["lossnet_widths"] = [2 ** 32, 2 ** 32, 16, 8]
+    entry = next(e for e in header["tensors"] if e["name"] == "lossnet.fc2.w")
+    entry["shape"] = [2 ** 32, 2 ** 32]
+    header["tensors"].remove(entry)
+    header["tensors"].insert(0, entry)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=5)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """A tiny model's checkpoint bytes plus a scratch path for mutated copies."""
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    save_checkpoint(PerceptualModel.initialize(tiny_config(), seed=3), path)
+    return path.read_bytes(), path
+
+
+class TestCheckpointFuzz:
+    """Every way a checkpoint file can be wrong surfaces as a package error."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_mutated_header_values(self, saved_checkpoint, data):
+        blob, path = saved_checkpoint
+        header, payload = _split(blob)
+        everywhere = _node_paths(header)
+        outside_directory = [p for p in everywhere if p[:1] != ("tensors",)]
+        where = data.draw(st.sampled_from(outside_directory) | st.sampled_from(everywhere))
+        header = _replace_at(header, where, data.draw(_JSON_VALUES))
+        path.write_bytes(_join(blob, header, payload))
+        try:
+            load_checkpoint(path)
+        except CdpamError:
+            pass
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_truncated_or_padded_payload(self, saved_checkpoint, data):
+        blob, path = saved_checkpoint
+        if data.draw(st.booleans()):
+            mutated = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            mutated = blob + data.draw(st.binary(min_size=1, max_size=32))
+        path.write_bytes(mutated)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_model, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -272,6 +392,32 @@ class TestCheckpoint:
         blob = path.read_bytes()
         rewrite_checkpoint(path, lambda t: None)
         assert path.read_bytes() == blob
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda h: h["config"]["encoder"].update(block_channels=[]), "block_channels"),
+        (lambda h: h["config"].update(sample_rate=0), "sample_rate"),
+        (lambda h: h["config"].pop("clip_samples"), "clip_samples"),
+        (lambda h: h.update(stage="warmup"), "unknown stage"),
+        (lambda h: h.update(seed=float("inf")), "corrupt checkpoint header"),
+        (lambda h: h["config"]["encoder"].update(kernel=10 ** 400 + 1),
+         "corrupt checkpoint header"),
+        (lambda h: h["config"]["encoder"].update(n_layers=4 * 10 ** 12),
+         "tensors listed for"),
+        (lambda h: h["tensors"][0].update(shape=[float("inf")]), "corrupt tensor directory"),
+        (_overflowing_shape, "truncated tensor payload"),
+    ], ids=["empty-blocks", "zero-rate", "missing-key", "stage", "inf-seed", "huge-kernel",
+            "huge-depth", "inf-shape", "overflowing-shape"])
+    def test_bad_header_is_format_error_naming_the_file(self, tiny_model, tmp_path, edit,
+                                                       problem):
+        path = tmp_path / "header.ckpt"
+        save_checkpoint(tiny_model, path)
+        blob = path.read_bytes()
+        header, payload = _split(blob)
+        edit(header)
+        path.write_bytes(_join(blob, header, payload))
+        with pytest.raises(FormatError, match=problem) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_stage_vocabulary(self):
         with pytest.raises(ContractError):

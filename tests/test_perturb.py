@@ -1,8 +1,13 @@
 """Perturbation synthesis: determinism, calibration, and magnitude math."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cdpam
 from cdpam.audio import Waveform, rms
 from cdpam.errors import ContractError
 from cdpam import perturb
@@ -101,10 +106,57 @@ class TestReverb:
         assert np.max(np.abs(out.samples)) == pytest.approx(np.max(np.abs(tone.samples)))
 
 
+class TestReverbMatchesScipy:
+    """The numpy.fft reverb reproduces scipy.signal.fftconvolve bit for bit; scipy is
+    imported only here, as the reference."""
+
+    def test_fft_len_is_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        sizes = range(1, 50001)
+        assert [perturb._fft_len(n) for n in sizes] == [next_fast_len(n, real=True)
+                                                        for n in sizes]
+
+    @pytest.mark.parametrize("rate", [1600, 8000, 16000])
+    def test_bit_equal_to_fftconvolve(self, rate):
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(rate)
+        for length in (1, 7, 1601, 8001):
+            w = Waveform(0.2 * rng.standard_normal(length), rate)
+            # 2e-5 s is a one-tap IR at every rate here
+            for seed, rt60 in enumerate((2e-5, 0.0501, 0.3, 0.77, 1.3, 2.0)):
+                wet = fftconvolve(w.samples, reverb_impulse_response(rt60, rate, seed))[:length]
+                wet *= np.max(np.abs(w.samples)) / np.max(np.abs(wet))
+                out = apply_reverb(w, rt60, seed)
+                assert np.array_equal(out.samples, wet), (length, rt60)
+
+    def test_package_and_reverb_load_no_scipy(self):
+        # a fresh interpreter: scipy is already loaded in this one
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cdpam.__file__)))
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import cdpam.cli, cdpam.datagen, cdpam.trainer, cdpam.evaluate\n"
+                "from cdpam.audio import Waveform\n"
+                "from cdpam.perturb import PerturbSpec, apply\n"
+                "spec = PerturbSpec(noise_snr_db=10.0, reverb_rt60_s=0.5, seed=3)\n"
+                "apply(spec, Waveform(np.sin(np.arange(4000) / 7.0), 8000))\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+
 class TestEq:
     def test_zero_gains_identity(self, tone):
         out = apply_eq(tone, [0.0] * 8)
         assert np.max(np.abs(out.samples - tone.samples)) < 1e-6
+
+    def test_eq_spec_applies(self, tone):
+        gains = (3.0, -2.0, 1.0, 0.0, 4.0, -4.0, 2.0, 0.0)
+        out = apply(PerturbSpec(eq_gains_db=gains, seed=5), tone)
+        assert np.array_equal(out.samples, apply_eq(tone, gains).samples)
+        assert not np.allclose(out.samples, tone.samples)
 
     @pytest.mark.parametrize("gain", [12.0, -12.0])
     def test_1khz_band_gain(self, gain):

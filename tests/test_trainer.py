@@ -6,7 +6,7 @@ import pytest
 from cdpam import losses, tensor as T
 from cdpam.audio import Waveform, rms
 from cdpam.datagen import oracle_jnd, oracle_triplets, synth_corpus
-from cdpam.errors import ContractError, NumericError, TrainingError
+from cdpam.errors import ContractError, DataError, NumericError, TrainingError
 from cdpam.model import PerceptualModel, tiny_config
 from cdpam.trainer import (EPOCH_DEFAULTS, TrainConfig, _augment, finetune_triplet,
                            pretrain_contrastive, train_jnd)
@@ -229,3 +229,19 @@ class TestDivergence:
         assert err.value.epoch == 1
         assert isinstance(err.value.__cause__, NumericError)
         assert [row["epoch"] for row in finished] == [0]
+
+
+class TestEmptyRecordSets:
+    """An empty record set stops its stage before the first epoch."""
+
+    @pytest.mark.parametrize("stage,needs,name", [("jnd", "pretrained", "jnd"),
+                                                  ("finetune", "jnd", "triplet")])
+    def test_raises_data_error_before_any_epoch(self, corpus, pretrained, stage, needs, name):
+        model = pretrained[0].clone()
+        model.stage = needs
+        train = train_jnd if stage == "jnd" else finetune_triplet
+        finished = []
+        with pytest.raises(DataError, match=f"the {name} record set is empty"):
+            train(model, corpus, [], TrainConfig(stage=stage, epochs=2),
+                  progress=finished.append)
+        assert finished == []
