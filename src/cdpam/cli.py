@@ -144,6 +144,10 @@ def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=Non
         cfg = _deep_merge(cfg, override)
     if seed is not None:
         cfg["seed"] = seed
+    if cfg["seed"] < 0:
+        from .errors import ContractError
+
+        raise ContractError(f"config key 'seed' must be a non-negative integer, got {cfg['seed']}")
     if out is not None:
         cfg["out"] = out
     if epochs is not None and stage is not None:
@@ -196,62 +200,24 @@ def _write_manifest(cfg: dict, out_dir: str, command: str) -> None:
 
 def _write_corpus(corpus, root: str, subdir: str) -> None:
     from .audio import write_wav
+    from .datagen import CorpusEntry, write_jsonl
 
-    corpus_dir = os.path.join(root, subdir)
-    os.makedirs(corpus_dir, exist_ok=True)
-    rows = []
+    os.makedirs(os.path.join(root, subdir), exist_ok=True)
+    entries = []
     for utt in corpus:
-        rel = os.path.join(subdir, f"{utt.id}.wav")
-        write_wav(utt.clean, os.path.join(root, rel))
-        rows.append({"id": utt.id, "speaker_id": utt.speaker_id, "path": rel})
-    tmp = os.path.join(root, subdir + ".jsonl.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
-    os.replace(tmp, os.path.join(root, subdir + ".jsonl"))
+        entry = CorpusEntry(utt.id, utt.speaker_id, os.path.join(subdir, f"{utt.id}.wav"))
+        write_wav(utt.clean, os.path.join(root, entry.path))
+        entries.append(entry)
+    write_jsonl(entries, os.path.join(root, subdir + ".jsonl"))
 
 
 def _read_corpus(root: str, subdir: str) -> list:
     from .audio import read_wav
-    from .datagen import Utterance
+    from .datagen import CorpusEntry, Utterance, read_jsonl
 
-    manifest = os.path.join(root, subdir + ".jsonl")
-    corpus = []
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            corpus.append(Utterance(id=row["id"], clean=read_wav(os.path.join(root, row["path"])),
-                                    speaker_id=row["speaker_id"]))
-    return corpus
-
-
-def _materialize_records(records, corpus, root: str, subdir: str) -> list:
-    """Write each record's perturbed clips as WAVs; returns records with paths."""
-    import dataclasses
-
-    from .audio import write_wav
-    from .datagen import corpus_by_id
-    from .perturb import apply
-
-    by_id = corpus_by_id(corpus)
-    os.makedirs(os.path.join(root, subdir), exist_ok=True)
-    out = []
-    for i, record in enumerate(records):
-        clean = by_id[record.ref_id].clean
-        paths = {"ref": os.path.join("corpus", f"{record.ref_id}.wav")}
-        rel_a = os.path.join(subdir, f"{i:05d}_a.wav")
-        write_wav(apply(record.spec_a, clean), os.path.join(root, rel_a))
-        paths["a"] = rel_a
-        if record.kind == "triplet":
-            rel_b = os.path.join(subdir, f"{i:05d}_b.wav")
-            write_wav(apply(record.spec_b, clean), os.path.join(root, rel_b))
-            paths["b"] = rel_b
-        out.append(dataclasses.replace(record, paths=paths))
-    return out
+    return [Utterance(id=entry.id, clean=read_wav(os.path.join(root, entry.path)),
+                      speaker_id=entry.speaker_id)
+            for entry in read_jsonl(os.path.join(root, subdir + ".jsonl"), CorpusEntry)]
 
 
 # -- subcommands ----------------------------------------------------------------------
@@ -259,7 +225,7 @@ def _materialize_records(records, corpus, root: str, subdir: str) -> list:
 
 def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
     from . import datagen
-    from .datagen import write_jsonl, write_manifest
+    from .datagen import write_jsonl
 
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -275,12 +241,10 @@ def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
 
     jnd = datagen.oracle_jnd(corpus, data["n_jnd_pairs"], threshold=data["jnd_threshold"],
                              noise_sigma=data["jnd_sigma"], seed=seed, families=families)
-    jnd = _materialize_records(jnd, corpus, out, "jnd_clips")
-    write_manifest(jnd, os.path.join(out, "jnd.jsonl"))
+    write_jsonl(jnd, os.path.join(out, "jnd.jsonl"))
 
     triplets = datagen.oracle_triplets(corpus, data["n_triplets"], seed=seed, families=families)
-    triplets = _materialize_records(triplets, corpus, out, "triplet_clips")
-    write_manifest(triplets, os.path.join(out, "triplets.jsonl"))
+    write_jsonl(triplets, os.path.join(out, "triplets.jsonl"))
 
     ev = data["eval"]
     eval_dir = os.path.join(out, "eval")
@@ -289,12 +253,10 @@ def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
                                        seed=seed + 1, sample_rate=model_cfg.sample_rate,
                                        clip_samples=model_cfg.clip_samples, id_prefix="ev")
     _write_corpus(eval_corpus, eval_dir, "corpus")
-    eval_triplets = datagen.oracle_triplets(eval_corpus, ev["n_triplets"], seed=seed + 2,
-                                            families=families,
-                                            min_magnitude_gap=ev["triplet_gap"])
-    eval_triplets = _materialize_records(eval_triplets, eval_corpus, eval_dir, "triplet_clips")
-    write_manifest(eval_triplets, os.path.join(eval_dir, "triplets.jsonl"))
     eval_sets = {
+        "triplets": ("triplets.jsonl", datagen.oracle_triplets(
+            eval_corpus, ev["n_triplets"], seed=seed + 2, families=families,
+            min_magnitude_gap=ev["triplet_gap"])),
         "mono_items": ("mono.jsonl", datagen.build_mono_series(
             eval_corpus, families, ev["mono_levels"], ev["mono_contents"], seed=seed + 3)),
         "grouped_pairs": ("common_area.jsonl", datagen.build_common_area_sets(
@@ -313,7 +275,7 @@ def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
     if not as_json:
         print(f"corpus, manifests and eval splits written under {out}")
     return {"out": out, "corpus": len(corpus), "jnd_pairs": len(jnd), "triplets": len(triplets),
-            "eval": {"corpus": len(eval_corpus), "triplets": len(eval_triplets),
+            "eval": {"corpus": len(eval_corpus),
                      **{name: len(items) for name, (_, items) in eval_sets.items()}}}
 
 
@@ -343,14 +305,14 @@ def cmd_pretrain(cfg: dict, progress: bool = True) -> dict:
 
 
 def cmd_train_jnd(cfg: dict, progress: bool = True) -> dict:
-    from .datagen import read_manifest
+    from .datagen import JudgmentRecord, read_jsonl
     from .model import load_checkpoint
     from .trainer import train_jnd
 
     config = _train_config(cfg, "jnd")
     out = cfg["out"]
     corpus = _read_corpus(out, "corpus")
-    records = read_manifest(os.path.join(out, "jnd.jsonl"))
+    records = read_jsonl(os.path.join(out, "jnd.jsonl"), JudgmentRecord)
     model = load_checkpoint(os.path.join(out, CHECKPOINT_NAMES["pretrain"]))
     callback = _progress_printer("jnd") if progress else None
     model, rows = train_jnd(model, corpus, records, config, progress=callback)
@@ -358,14 +320,14 @@ def cmd_train_jnd(cfg: dict, progress: bool = True) -> dict:
 
 
 def cmd_finetune(cfg: dict, progress: bool = True) -> dict:
-    from .datagen import read_manifest
+    from .datagen import JudgmentRecord, read_jsonl
     from .model import load_checkpoint
     from .trainer import finetune_triplet
 
     config = _train_config(cfg, "finetune")
     out = cfg["out"]
     corpus = _read_corpus(out, "corpus")
-    records = read_manifest(os.path.join(out, "triplets.jsonl"))
+    records = read_jsonl(os.path.join(out, "triplets.jsonl"), JudgmentRecord)
     model = load_checkpoint(os.path.join(out, CHECKPOINT_NAMES["jnd"]))
     callback = _progress_printer("finetune") if progress else None
     model, rows = finetune_triplet(model, corpus, records, config, progress=callback)
@@ -384,15 +346,15 @@ def cmd_distance(ckpt_path: str, path_a: str, path_b: str, as_json: bool = False
 
 
 def load_eval_datasets(eval_dir: str) -> tuple:
-    from .datagen import (GroupedPair, MonoSeriesItem, MosRow, RetrievalItem, read_jsonl,
-                          read_manifest)
+    from .datagen import (GroupedPair, JudgmentRecord, MonoSeriesItem, MosRow, RetrievalItem,
+                          read_jsonl)
     from .errors import DataError
 
     if not os.path.isdir(eval_dir):
         raise DataError(f"missing eval split directory {eval_dir}")
     corpus = _read_corpus(eval_dir, "corpus")
     datasets = {
-        "triplets": read_manifest(os.path.join(eval_dir, "triplets.jsonl")),
+        "triplets": read_jsonl(os.path.join(eval_dir, "triplets.jsonl"), JudgmentRecord),
         "mono_items": read_jsonl(os.path.join(eval_dir, "mono.jsonl"), MonoSeriesItem),
         "grouped_pairs": read_jsonl(os.path.join(eval_dir, "common_area.jsonl"), GroupedPair),
         "retrieval_items": read_jsonl(os.path.join(eval_dir, "retrieval.jsonl"), RetrievalItem),

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .audio import CANONICAL_RATE, CANONICAL_SAMPLES, Waveform, fix_length, read_wav, resample
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, DataError
 from .perturb import (FAMILIES, EQ_GAIN_RANGE_DB, MULAW_BITS_RANGE, NOISE_SNR_RANGE_DB,
                       PerturbSpec, REVERB_RT60_RANGE_S, apply, magnitude, sample_spec)
 
@@ -47,9 +47,9 @@ class Utterance:
 class JudgmentRecord:
     """A labeled JND pair or triplet; the supervision unit for training.
 
-    ``ref_id`` names the clean utterance; the compared clips are defined by
-    perturbation specs so they can be regenerated bit-exactly.  ``paths``
-    holds relative WAV paths once the record has been materialized on disk.
+    ``ref_id`` names the clean utterance.  A compared clip exists only as its
+    spec: ``perturb.apply(record.spec_a, clean)`` regenerates it bit-exactly,
+    so no perturbed audio is stored.
     """
 
     kind: str
@@ -59,7 +59,6 @@ class JudgmentRecord:
     label: str
     b_id: str | None = None
     spec_b: PerturbSpec | None = None
-    paths: dict | None = None
 
     def __post_init__(self):
         if self.kind == "jnd_pair":
@@ -77,52 +76,54 @@ class JudgmentRecord:
         else:
             raise ContractError(f"unknown record kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "ref_id": self.ref_id,
-            "a_id": self.a_id,
-            "spec_a": json.loads(self.spec_a.to_json()),
-            "label": self.label,
-        }
-        if self.kind == "triplet":
-            d["b_id"] = self.b_id
-            d["spec_b"] = json.loads(self.spec_b.to_json())
-        if self.paths is not None:
-            d["paths"] = dict(self.paths)
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "JudgmentRecord":
-        return cls(
-            kind=d["kind"],
-            ref_id=d["ref_id"],
-            a_id=d["a_id"],
-            spec_a=PerturbSpec.from_json(json.dumps(d["spec_a"])),
-            label=d["label"],
-            b_id=d.get("b_id"),
-            spec_b=PerturbSpec.from_json(json.dumps(d["spec_b"])) if d.get("spec_b") else None,
-            paths=d.get("paths"),
-        )
+# -- JSONL records ----------------------------------------------------------------
 
 
-def write_manifest(records, path) -> None:
+def write_jsonl(items, path) -> None:
+    """Write record dataclasses to `path`, one sorted-key JSON line each, replacing it atomically.
+
+    A PerturbSpec field is stored as its canonical JSON object; a None field is left out.
+    """
     tmp = str(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True))
+        for item in items:
+            row = {f.name: getattr(item, f.name) for f in fields(item)}
+            row = {key: json.loads(value.to_json()) if isinstance(value, PerturbSpec) else value
+                   for key, value in row.items() if value is not None}
+            fh.write(json.dumps(row, sort_keys=True))
             fh.write("\n")
     os.replace(tmp, path)
 
 
-def read_manifest(path) -> list:
-    records = []
+def read_jsonl(path, cls) -> list:
+    """The `cls` records in a JSONL file; keys that are not fields of `cls` are ignored.
+
+    A line that is not a JSON object, lacks a field that has no default, or
+    holds a value `cls` rejects raises DataError naming the file and line.
+    """
+    items = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(JudgmentRecord.from_dict(json.loads(line)))
-    return records
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise DataError(f"expected a JSON object, got {line.strip()[:40]!r}")
+                kwargs = {}
+                for f in fields(cls):
+                    if f.name in row:
+                        value = row[f.name]
+                        if "PerturbSpec" in f.type and value is not None:  # f.type is a str
+                            value = PerturbSpec.from_json(json.dumps(value))
+                        kwargs[f.name] = value
+                    elif f.default is MISSING:
+                        raise DataError(f"missing key {f.name!r}")
+                items.append(cls(**kwargs))
+            except (TypeError, ValueError) as err:  # DataError and ContractError among them
+                raise DataError(f"{path} line {number}: {err}") from err
+    return items
 
 
 # -- corpus synthesis -----------------------------------------------------------
@@ -230,8 +231,24 @@ def synth_corpus(n: int, n_speakers: int, seed: int = 0,
     return corpus
 
 
+@dataclass(frozen=True)
+class CorpusEntry:
+    """One line of a corpus manifest; ``path`` is the clean WAV, relative to the manifest's
+    directory."""
+
+    id: str
+    speaker_id: int
+    path: str
+
+
+class _CorpusIndex(dict):
+    def __missing__(self, utt_id):
+        raise DataError(f"utterance {utt_id!r} is not in the corpus")
+
+
 def corpus_by_id(corpus) -> dict:
-    return {utt.id: utt for utt in corpus}
+    """Utterances by id; looking up an id the corpus lacks raises DataError naming it."""
+    return _CorpusIndex((utt.id, utt) for utt in corpus)
 
 
 # -- contrastive pairing ---------------------------------------------------------
@@ -376,15 +393,6 @@ class MonoSeriesItem:
     level: int
     spec: PerturbSpec
 
-    def to_dict(self) -> dict:
-        return {"utt_id": self.utt_id, "family": self.family, "level": self.level,
-                "spec": json.loads(self.spec.to_json())}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["utt_id"], d["family"], d["level"],
-                   PerturbSpec.from_json(json.dumps(d["spec"])))
-
 
 @dataclass(frozen=True)
 class GroupedPair:
@@ -394,31 +402,12 @@ class GroupedPair:
     spec_b: PerturbSpec
     group: str  # "same" or "diff"
 
-    def to_dict(self) -> dict:
-        return {"utt_a": self.utt_a, "utt_b": self.utt_b,
-                "spec_a": json.loads(self.spec_a.to_json()),
-                "spec_b": json.loads(self.spec_b.to_json()), "group": self.group}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["utt_a"], d["utt_b"],
-                   PerturbSpec.from_json(json.dumps(d["spec_a"])),
-                   PerturbSpec.from_json(json.dumps(d["spec_b"])), d["group"])
-
 
 @dataclass(frozen=True)
 class RetrievalItem:
     utt_id: str
     group_id: int
     spec: PerturbSpec
-
-    def to_dict(self) -> dict:
-        return {"utt_id": self.utt_id, "group_id": self.group_id,
-                "spec": json.loads(self.spec.to_json())}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["utt_id"], d["group_id"], PerturbSpec.from_json(json.dumps(d["spec"])))
 
 
 @dataclass(frozen=True)
@@ -428,35 +417,6 @@ class MosRow:
     utt_id: str
     spec: PerturbSpec
     rating: float
-
-    def to_dict(self) -> dict:
-        return {"speaker_id": self.speaker_id, "condition_id": self.condition_id,
-                "utt_id": self.utt_id, "spec": json.loads(self.spec.to_json()),
-                "rating": self.rating}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["speaker_id"], d["condition_id"], d["utt_id"],
-                   PerturbSpec.from_json(json.dumps(d["spec"])), d["rating"])
-
-
-def write_jsonl(items, path) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(item.to_dict(), sort_keys=True))
-            fh.write("\n")
-    os.replace(tmp, path)
-
-
-def read_jsonl(path, cls) -> list:
-    items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                items.append(cls.from_dict(json.loads(line)))
-    return items
 
 
 def build_mono_series(corpus, families=("noise", "reverb"), n_levels: int = 6,

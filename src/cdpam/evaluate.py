@@ -188,7 +188,7 @@ def _require(records, dataset: str) -> None:
 def run_two_afc(model, corpus, triplets, embed=None) -> tuple:
     _require(triplets, "two-AFC triplet")
     embed = embed or cached_embedder(model)
-    by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
+    by_id = corpus_by_id(corpus)
     refs, a_clips, b_clips, labels = [], [], [], []
     for record in triplets:
         clean = by_id[record.ref_id].clean
@@ -208,7 +208,7 @@ def run_common_area(model, corpus, grouped_pairs, n_bins: int = DEFAULT_BINS,
     if not {"same", "diff"} <= {p.group for p in grouped_pairs}:
         raise DataError("the common-area set needs both 'same' and 'diff' pairs")
     embed = embed or cached_embedder(model)
-    by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
+    by_id = corpus_by_id(corpus)
     waves_a = [apply(p.spec_a, by_id[p.utt_a].clean) for p in grouped_pairs]
     waves_b = [apply(p.spec_b, by_id[p.utt_b].clean) for p in grouped_pairs]
     d = _pair_distances(model, embed(waves_a), embed(waves_b))
@@ -224,7 +224,7 @@ def run_monotonicity(model, corpus, items, embed=None) -> tuple:
     """
     _require(items, "monotonicity series")
     embed = embed or cached_embedder(model)
-    by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
+    by_id = corpus_by_id(corpus)
     refs = embed([by_id[item.utt_id].clean for item in items])
     clip_emb = embed([apply(item.spec, by_id[item.utt_id].clean) for item in items])
     distances = _pair_distances(model, refs, clip_emb)
@@ -239,7 +239,7 @@ def run_monotonicity(model, corpus, items, embed=None) -> tuple:
 def run_precision_at_k(model, corpus, retrieval_items, k: int = 5, embed=None) -> tuple:
     _require(retrieval_items, "retrieval")
     embed = embed or cached_embedder(model)
-    by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
+    by_id = corpus_by_id(corpus)
     emb = embed([apply(item.spec, by_id[item.utt_id].clean) for item in retrieval_items])
     labels = np.array([item.group_id for item in retrieval_items])
     return precision_at_k(emb, labels, k), len(retrieval_items)
@@ -248,7 +248,7 @@ def run_precision_at_k(model, corpus, retrieval_items, k: int = 5, embed=None) -
 def run_mos_correlation(model, corpus, mos_rows, embed=None) -> tuple:
     _require(mos_rows, "MOS")
     embed = embed or cached_embedder(model)
-    by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
+    by_id = corpus_by_id(corpus)
     refs = embed([by_id[row.utt_id].clean for row in mos_rows])
     clips = embed([apply(row.spec, by_id[row.utt_id].clean) for row in mos_rows])
     distances = _pair_distances(model, refs, clips)

@@ -219,7 +219,7 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
 def _clip_items(corpus, records, kind: str, positive: str) -> list:
     """(clips, target) per record: the clean reference, then each compared clip
     regenerated from its spec; target is 1.0 when the label is `positive`."""
-    by_id = corpus_by_id(corpus) if not isinstance(corpus, dict) else corpus
+    by_id = corpus_by_id(corpus)
     items = []
     for record in records:
         if record.kind != kind:

@@ -78,14 +78,15 @@ class TestSynthLayout:
         assert os.path.isdir(os.path.join(out, "eval"))
         assert os.path.isfile(os.path.join(out, "eval", "triplets.jsonl"))
 
-    def test_manifests_reference_existing_wavs(self, pipeline_run):
-        from cdpam.datagen import read_manifest
+    def test_writes_no_perturbed_clips(self, pipeline_run):
+        # a perturbed clip exists only as the spec its record holds
         _, _, cfg = pipeline_run
-        out = cfg["out"]
-        for record in read_manifest(os.path.join(out, "jnd.jsonl")):
-            assert record.paths is not None
-            for rel in record.paths.values():
-                assert os.path.isfile(os.path.join(out, rel)), rel
+        for root, dirs, files in os.walk(cfg["out"]):
+            assert not [d for d in dirs if d.endswith("_clips")], root
+            for name in files:
+                if name.endswith(".jsonl"):
+                    with open(os.path.join(root, name)) as fh:
+                        assert all("paths" not in json.loads(line) for line in fh), name
 
     def test_missing_output_dir_is_created(self, tmp_path):
         config_path, cfg = tiny_run_config(tmp_path, out_name="nested/deeper/run")
@@ -321,6 +322,7 @@ class TestConfigBoundary:
          "model.encoder.block_channels must be a non-empty tuple"),
         ({"model": {**tiny_config().to_dict(), "sample_rate": "1600"}},
          "model.sample_rate must be a positive integer"),
+        ({"seed": -1}, "config key 'seed' must be a non-negative integer"),
     ])
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, override, named):
         path = tmp_path / "bad.json"
@@ -328,6 +330,11 @@ class TestConfigBoundary:
         assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert main(["synth-data", "--seed", "-1", "--out", str(tmp_path / "run")]) == 2
+        assert "'seed' must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_leaf_types_accepted(self, tmp_path):
         path = tmp_path / "types.json"
@@ -359,6 +366,43 @@ class TestEmptyRecordSets:
         assert main([command, "--config", str(config_path), "--out", str(run), "--quiet"]) == 2
         assert f"error: the {name} record set is empty" in capsys.readouterr().err
         assert not (run / checkpoint).exists()
+
+
+def _drop(key):
+    return lambda row: {k: v for k, v in row.items() if k != key}
+
+
+def _set(key, value):
+    return lambda row: {**row, key: value}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("filename,edit,command,named", [
+        ("jnd.jsonl", _drop("spec_a"), "train-jnd", "jnd.jsonl line 2: missing key 'spec_a'"),
+        ("eval/mono.jsonl", _drop("utt_id"), "eval", "mono.jsonl line 2: missing key 'utt_id'"),
+        ("corpus.jsonl", _drop("speaker_id"), "pretrain",
+         "corpus.jsonl line 2: missing key 'speaker_id'"),
+        ("triplets.jsonl", lambda row: [1, 2], "finetune",
+         "triplets.jsonl line 2: expected a JSON object"),
+        ("jnd.jsonl", _set("ref_id", "nope"), "train-jnd", "utterance 'nope' is not in the corpus"),
+        ("eval/mono.jsonl", _set("utt_id", "nope"), "eval",
+         "utterance 'nope' is not in the corpus"),
+    ], ids=["missing-spec_a", "missing-utt_id", "missing-speaker_id", "not-an-object",
+            "unknown-ref_id", "unknown-utt_id"])
+    def test_exits_2_naming_the_fault(self, pipeline_run, tmp_path, capsys, filename, edit,
+                                      command, named):
+        _, config_path, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(cfg["out"], run)
+        path = run / filename
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        path.write_text("\n".join(lines) + "\n")
+        argv = [command, "--config", str(config_path), "--out", str(run)]
+        assert main(argv + (["--metrics", "monotonicity"] if command == "eval" else
+                            ["--quiet"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
 
 class TestUsageErrors:

@@ -1,16 +1,18 @@
 """Corpus synthesis, pairing rules, oracle labels, manifest round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cdpam import datagen
 from cdpam.audio import rms
-from cdpam.datagen import (JudgmentRecord, build_common_area_sets, build_mono_series,
-                           build_mos_set, build_retrieval_set, make_contrastive_batch,
-                           oracle_jnd, oracle_triplets, read_manifest, spec_with_severity,
-                           synth_corpus, write_manifest)
+from cdpam.datagen import (CorpusEntry, JudgmentRecord, build_common_area_sets,
+                           build_mono_series, build_mos_set, build_retrieval_set,
+                           make_contrastive_batch, oracle_jnd, oracle_triplets, read_jsonl,
+                           spec_with_severity, synth_corpus, write_jsonl)
 from cdpam.errors import CapacityError, ContractError
-from cdpam.perturb import magnitude
+from cdpam.perturb import FAMILIES, magnitude
 
 SR = 4000
 CLIP = 4000
@@ -148,7 +150,7 @@ class TestOracleJnd:
     def test_determinism(self, corpus):
         a = oracle_jnd(corpus, 10, seed=5)
         b = oracle_jnd(corpus, 10, seed=5)
-        assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+        assert a == b
 
 
 class TestOracleTriplets:
@@ -169,22 +171,47 @@ class TestOracleTriplets:
     def test_determinism(self, corpus):
         a = oracle_triplets(corpus, 12, seed=6)
         b = oracle_triplets(corpus, 12, seed=6)
-        assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+        assert a == b
+
+
+# records of each type the JSONL manifests hold, made from the test corpus
+RECORD_SETS = {
+    "jnd_pair": lambda corpus: oracle_jnd(corpus, 8, seed=7),
+    "triplet": lambda corpus: oracle_triplets(corpus, 8, seed=8),
+    "mono": lambda corpus: build_mono_series(corpus, ("noise", "eq"), n_levels=3, n_contents=2),
+    "common_area": lambda corpus: build_common_area_sets(corpus, n_pairs=4, seed=1),
+    "retrieval": lambda corpus: build_retrieval_set(corpus, n_groups=2, group_size=4, seed=2,
+                                                    families=FAMILIES),
+    "mos": lambda corpus: build_mos_set(corpus, n_conditions=2, clips_per_cell=1, seed=3),
+    "corpus": lambda corpus: [CorpusEntry(u.id, u.speaker_id, f"corpus/{u.id}.wav")
+                              for u in corpus[:4]],
+}
 
 
 class TestManifests:
-    def test_round_trip_lossless(self, corpus, tmp_path):
-        records = oracle_jnd(corpus, 8, seed=7) + oracle_triplets(corpus, 8, seed=8)
-        path = tmp_path / "records.jsonl"
-        write_manifest(records, path)
-        back = read_manifest(path)
-        assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
+    @pytest.mark.parametrize("kind", sorted(RECORD_SETS))
+    def test_round_trip_lossless(self, corpus, tmp_path, kind):
+        records = RECORD_SETS[kind](corpus)
+        path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
+        write_jsonl(records, path)
+        back = read_jsonl(path, type(records[0]))
+        assert back == records
+        write_jsonl(back, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert "null" not in path.read_text()  # a None field is left out, not written
 
-    def test_older_manifest_with_label_source_loads(self, corpus):
+    @pytest.mark.parametrize("extra", [
+        {"label_source": "oracle"},
+        {"paths": {"ref": "corpus/utt0000.wav", "a": "jnd_clips/00000_a.wav"}},
+    ], ids=["label_source", "paths"])
+    def test_older_manifest_with_extra_keys_loads(self, corpus, tmp_path, extra):
         record = oracle_jnd(corpus, 1, seed=7)[0]
-        older = dict(record.to_dict(), label_source="oracle")
-        assert "label_source" not in record.to_dict()
-        assert JudgmentRecord.from_dict(older) == record
+        path = tmp_path / "jnd.jsonl"
+        write_jsonl([record], path)
+        row = json.loads(path.read_text())
+        assert not set(extra) & set(row)
+        path.write_text(json.dumps({**row, **extra}) + "\n")
+        assert read_jsonl(path, JudgmentRecord) == [record]
 
     def test_record_validation(self):
         from cdpam.perturb import PerturbSpec
