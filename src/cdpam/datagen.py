@@ -18,8 +18,9 @@ for two-alternative comparisons across the full severity range.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -30,17 +31,16 @@ from .perturb import (FAMILIES, EQ_GAIN_RANGE_DB, MULAW_BITS_RANGE, NOISE_SNR_RA
 
 DEFAULT_JND_THRESHOLD = 0.15
 DEFAULT_JND_SIGMA = 0.03
-EVAL_TRIPLET_GAP = 0.2
+MOS_RATING_NOISE = 0.1  # std of the synthetic listener noise added to each MOS rating
 
 
 @dataclass(frozen=True)
 class Utterance:
-    """One synthetic (or imported) clean clip plus its generator parameters."""
+    """One synthetic (or imported) clean clip."""
 
     id: str
     clean: Waveform
     speaker_id: int
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -54,25 +54,21 @@ class JudgmentRecord:
 
     kind: str
     ref_id: str
-    a_id: str
     spec_a: PerturbSpec
     label: str
-    b_id: str | None = None
     spec_b: PerturbSpec | None = None
 
     def __post_init__(self):
         if self.kind == "jnd_pair":
             if self.label not in ("same", "different"):
                 raise ContractError(f"jnd label must be same/different, got {self.label!r}")
-            if self.b_id is not None or self.spec_b is not None:
+            if self.spec_b is not None:
                 raise ContractError("jnd pairs have a single comparison clip")
         elif self.kind == "triplet":
             if self.label not in ("A", "B"):
                 raise ContractError(f"triplet label must be A or B, got {self.label!r}")
-            if self.b_id is None or self.spec_b is None:
+            if self.spec_b is None:
                 raise ContractError("triplets need two comparison clips")
-            if self.b_id == self.a_id:
-                raise ContractError("triplet comparison clips must be distinct")
         else:
             raise ContractError(f"unknown record kind {self.kind!r}")
 
@@ -96,11 +92,25 @@ def write_jsonl(items, path) -> None:
     os.replace(tmp, path)
 
 
+# the JSON value a record field holds, by its annotation; a PerturbSpec field checks itself
+_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+               "float": ((int, float), "a finite number")}
+
+
+def _check_type(name: str, annotation: str, value) -> None:
+    kind, what = _JSON_TYPES.get(annotation, (None, None))
+    if kind and (isinstance(value, bool) or not isinstance(value, kind)
+                 or isinstance(value, float) and not math.isfinite(value)):
+        raise DataError(f"key {name!r} must be {what}, got {value!r}")
+
+
 def read_jsonl(path, cls) -> list:
     """The `cls` records in a JSONL file; keys that are not fields of `cls` are ignored.
 
-    A line that is not a JSON object, lacks a field that has no default, or
-    holds a value `cls` rejects raises DataError naming the file and line.
+    A line that is not a JSON object, lacks a field that has no default, holds
+    a value of the wrong JSON type for its field's annotation (str, an int
+    that is not a bool, a finite number) or a value `cls` rejects raises
+    DataError naming the file and line.
     """
     items = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -115,7 +125,8 @@ def read_jsonl(path, cls) -> list:
                 for f in fields(cls):
                     if f.name in row:
                         value = row[f.name]
-                        if "PerturbSpec" in f.type and value is not None:  # f.type is a str
+                        _check_type(f.name, f.type, value)  # f.type is a str
+                        if "PerturbSpec" in f.type and value is not None:
                             value = PerturbSpec.from_json(json.dumps(value))
                         kwargs[f.name] = value
                     elif f.default is MISSING:
@@ -216,8 +227,7 @@ def synth_corpus(n: int, n_speakers: int, seed: int = 0,
         for i, name in enumerate(names[:n]):
             w = read_wav(os.path.join(from_dir, name))
             w = fix_length(resample(w, sample_rate), clip_samples)
-            corpus.append(Utterance(id=f"{id_prefix}{i:04d}", clean=w,
-                                    speaker_id=i % n_speakers, params={"source": name}))
+            corpus.append(Utterance(id=f"{id_prefix}{i:04d}", clean=w, speaker_id=i % n_speakers))
         return corpus
 
     speakers = [_speaker_params(seed, s) for s in range(n_speakers)]
@@ -227,7 +237,7 @@ def synth_corpus(n: int, n_speakers: int, seed: int = 0,
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, i)))
         samples = _synth_utterance(speakers[speaker_id], rng, clip_samples, sample_rate)
         corpus.append(Utterance(id=f"{id_prefix}{i:04d}", clean=Waveform(samples, sample_rate),
-                                speaker_id=speaker_id, params=dict(speakers[speaker_id])))
+                                speaker_id=speaker_id))
     return corpus
 
 
@@ -343,14 +353,13 @@ def oracle_jnd(corpus, n_pairs: int, threshold: float = DEFAULT_JND_THRESHOLD,
         raise ContractError("threshold must lie in (0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
     records = []
-    for i in range(n_pairs):
+    for _ in range(n_pairs):
         utt = corpus[int(rng.integers(0, len(corpus)))]
         target = rng.uniform(0.0, min(1.0, 2.0 * threshold))
         spec = spec_with_severity(families, target, rng)
         noisy_magnitude = magnitude(spec) + (rng.normal(0.0, noise_sigma) if noise_sigma > 0 else 0.0)
         label = "different" if noisy_magnitude > threshold else "same"
-        records.append(JudgmentRecord(kind="jnd_pair", ref_id=utt.id,
-                                      a_id=f"{utt.id}#jnd{i:05d}", spec_a=spec, label=label))
+        records.append(JudgmentRecord(kind="jnd_pair", ref_id=utt.id, spec_a=spec, label=label))
     return records
 
 
@@ -366,7 +375,7 @@ def oracle_triplets(corpus, n: int, seed: int = 0, families=("noise", "reverb"),
         raise ContractError("need at least one triplet")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
     records = []
-    for i in range(n):
+    for _ in range(n):
         utt = corpus[int(rng.integers(0, len(corpus)))]
         while True:
             t_a, t_b = rng.uniform(0.0, 1.0, size=2)
@@ -375,11 +384,8 @@ def oracle_triplets(corpus, n: int, seed: int = 0, families=("noise", "reverb"),
             mag_a, mag_b = magnitude(spec_a), magnitude(spec_b)
             if abs(mag_a - mag_b) >= max(min_magnitude_gap, 1e-9):
                 break
-        records.append(JudgmentRecord(
-            kind="triplet", ref_id=utt.id,
-            a_id=f"{utt.id}#t{i:05d}a", spec_a=spec_a,
-            b_id=f"{utt.id}#t{i:05d}b", spec_b=spec_b,
-            label="A" if mag_a < mag_b else "B"))
+        records.append(JudgmentRecord(kind="triplet", ref_id=utt.id, spec_a=spec_a, spec_b=spec_b,
+                                      label="A" if mag_a < mag_b else "B"))
     return records
 
 
@@ -475,7 +481,7 @@ def build_retrieval_set(corpus, n_groups: int = 10, group_size: int = 20, seed: 
 
 
 def build_mos_set(corpus, n_conditions: int = 10, clips_per_cell: int = 3, seed: int = 0,
-                  families=("noise", "reverb"), rating_noise: float = 0.1) -> list:
+                  families=("noise", "reverb")) -> list:
     """Synthetic MOS table: rating = 5 - 4*magnitude + noise, clipped to [1, 5]."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
     speakers = sorted({utt.speaker_id for utt in corpus})
@@ -489,6 +495,6 @@ def build_mos_set(corpus, n_conditions: int = 10, clips_per_cell: int = 3, seed:
             for _ in range(clips_per_cell):
                 utt = pool[int(rng.integers(0, len(pool)))]
                 rating = float(np.clip(5.0 - 4.0 * magnitude(spec)
-                                       + rng.normal(0.0, rating_noise), 1.0, 5.0))
+                                       + rng.normal(0.0, MOS_RATING_NOISE), 1.0, 5.0))
                 rows.append(MosRow(speaker, condition_id, utt.id, spec, rating))
     return rows

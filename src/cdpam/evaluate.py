@@ -9,6 +9,7 @@ machine-readable :class:`EvalReport` records.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -202,8 +203,7 @@ def run_two_afc(model, corpus, triplets, embed=None) -> tuple:
     return two_afc_from_distances(d_a, d_b, labels), len(labels)
 
 
-def run_common_area(model, corpus, grouped_pairs, n_bins: int = DEFAULT_BINS,
-                    embed=None) -> tuple:
+def run_common_area(model, corpus, grouped_pairs, embed=None) -> tuple:
     _require(grouped_pairs, "common-area")
     if not {"same", "diff"} <= {p.group for p in grouped_pairs}:
         raise DataError("the common-area set needs both 'same' and 'diff' pairs")
@@ -214,7 +214,7 @@ def run_common_area(model, corpus, grouped_pairs, n_bins: int = DEFAULT_BINS,
     d = _pair_distances(model, embed(waves_a), embed(waves_b))
     same = np.array([di for di, p in zip(d, grouped_pairs) if p.group == "same"])
     diff = np.array([di for di, p in zip(d, grouped_pairs) if p.group == "diff"])
-    return common_area(same, diff, n_bins), {"same": same, "diff": diff}
+    return common_area(same, diff), {"same": same, "diff": diff}
 
 
 def run_monotonicity(model, corpus, items, embed=None) -> tuple:
@@ -270,13 +270,9 @@ class EvalReport:
     config: dict = field(default_factory=dict)
     breakdown: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"metric": self.metric, "value": self.value, "n": self.n,
-                "config": self.config, "breakdown": self.breakdown}
-
 
 def write_reports_json(reports, path) -> None:
-    payload = {report.metric: report.to_dict() for report in reports}
+    payload = {report.metric: dataclasses.asdict(report) for report in reports}
     tmp = str(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -293,9 +289,9 @@ def write_reports_csv(reports, path) -> None:
     os.replace(tmp, path)
 
 
-def svg_histogram(groups: dict, path, n_bins: int = DEFAULT_BINS,
-                  width: int = 640, height: int = 240) -> None:
+def svg_histogram(groups: dict, path) -> None:
     """Overlaid normalized histograms as a dependency-free, deterministic SVG."""
+    n_bins, width, height = DEFAULT_BINS, 640, 240
     values = np.concatenate([np.asarray(v, dtype=np.float64) for v in groups.values()])
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:

@@ -273,9 +273,6 @@ class PerceptualModel:
             t.requires_grad = name.startswith(prefixes)
             t.grad = None
 
-    def trainable(self) -> dict:
-        return {name: t for name, t in self.params.items() if t.requires_grad}
-
     def apply_updates(self, new_arrays: dict) -> None:
         for name, arr in new_arrays.items():
             self.params[name].data = arr
@@ -292,8 +289,9 @@ class PerceptualModel:
 
         Training runs conv1d, batch_norm1d on batch statistics and leaky ReLU
         as three ops per layer.  Inference folds each BatchNorm's running
-        statistics into its conv (``T.fold_batch_norm``) and runs the layer as
-        one ``T.conv1d`` with the leaky ReLU as its epilogue.
+        statistics into its conv in numpy (``T.fold_batch_norm``) and runs the
+        layer as one ``T.conv1d`` with the leaky ReLU as its epilogue; the
+        folded weights are constants, so gradients reach ``x`` only.
         """
         if x.data.ndim != 3 or x.shape[1] != 1:
             raise ShapeError("encoder input must be [batch, 1, len]")

@@ -8,8 +8,8 @@ condition; applying the same spec to the same input is bit-reproducible,
 which is what makes dataset generation and the pairing rules auditable.
 
 The scalar :func:`magnitude` maps a spec to [0, 1] and drives the oracle
-annotator that stands in for human judgments at desk scale.  Its per-family
-weights are plumbing, not a perceptual calibration.
+annotator that stands in for human judgments at desk scale.  It is the plain
+mean of the present families' severities, not a perceptual calibration.
 
 The module needs only numpy to import: reverb convolves with numpy.fft at the
 FFT size scipy.signal.fftconvolve would pick, so its output matches
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ _EQ_BANDS_HZ = tuple(62.5 * 2 ** i for i in range(8))
 _DROPOUT_WINDOW_S = 0.010
 _POP_WINDOW_S = 0.001
 _MU = 255.0
+_EQ_Q = np.sqrt(2.0)  # quality factor of every peaking band
 
 
 @dataclass(frozen=True)
@@ -200,12 +201,12 @@ def apply_reverb(w: Waveform, rt60_s: float, seed: int = 0) -> Waveform:
     return w.replace_samples(wet)
 
 
-def _peaking_coeffs(center_hz: float, sample_rate: int, gain_db: float, q: float = np.sqrt(2.0)):
+def _peaking_coeffs(center_hz: float, sample_rate: int, gain_db: float):
     # Peaking biquad with gain_db at the center frequency.  Centers at or
     # above Nyquist degenerate to sin(w0) ~ 0, i.e. an identity filter.
     a_lin = 10.0 ** (gain_db / 40.0)
     w0 = 2.0 * np.pi * center_hz / sample_rate
-    alpha = np.sin(w0) / (2.0 * q)
+    alpha = np.sin(w0) / (2.0 * _EQ_Q)
     cos_w0 = np.cos(w0)
     b = np.array([1.0 + alpha * a_lin, -2.0 * cos_w0, 1.0 - alpha * a_lin])
     a = np.array([1.0 + alpha / a_lin, -2.0 * cos_w0, 1.0 - alpha / a_lin])
@@ -344,14 +345,11 @@ def severity(spec: PerturbSpec, family: str) -> float:
     raise ContractError(f"unknown family {family!r}")
 
 
-def magnitude(spec: PerturbSpec, weights: Mapping[str, float] | None = None) -> float:
-    """Weighted mean of the present families' severities; monotone per family.
+def magnitude(spec: PerturbSpec) -> float:
+    """Mean of the present families' severities; monotone per family.
 
-    Equal weights by default.  A spec with every present family at minimum
-    severity maps to 0.0 and a single family at maximum severity maps to 1.0.
+    A spec with every present family at minimum severity maps to 0.0 and a
+    single family at maximum severity maps to 1.0.
     """
     present = spec.families
-    if weights is None:
-        weights = {f: 1.0 for f in present}
-    total = sum(weights.get(f, 1.0) for f in present)
-    return float(sum(weights.get(f, 1.0) * severity(spec, f) for f in present) / total)
+    return float(sum(severity(spec, f) for f in present) / len(present))

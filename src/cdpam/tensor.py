@@ -28,6 +28,9 @@ leaky ReLU are applied to each output block in place right after its GEMM,
 while the block is still in cache, and the result is checked for finite
 values once.  With :func:`fold_batch_norm` an inference-mode encoder layer
 (conv, BatchNorm, leaky ReLU) is one pass over its output instead of three.
+The fold is plain numpy arithmetic on the layer's parameters, so the folded
+weight and bias are constants: in inference mode gradients reach the input
+waveform only, which is all that using the metric as a loss needs.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from .errors import ContractError, DegenerateInputError, NumericError, ShapeErro
 
 _BLOCK = 1 << 15  # doubles per im2col block (256 KB): small enough to stay in L2
 _BN_EPS = 1e-5  # BatchNorm variance epsilon; batch_norm1d and fold_batch_norm must agree
+_BN_MOMENTUM = 0.1  # weight of each training batch's statistics in the running ones
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -107,39 +112,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- operators ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-
-def _lift(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -249,16 +221,11 @@ def absolute(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward, "abs")
 
 
-def clamp(x: Tensor, lo: float | None, hi: float | None) -> Tensor:
+def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     out_data = np.clip(x.data, lo, hi)
 
     def backward(g):
-        inside = np.ones_like(x.data, dtype=bool)
-        if lo is not None:
-            inside &= x.data >= lo
-        if hi is not None:
-            inside &= x.data <= hi
-        x._accumulate(g * inside)
+        x._accumulate(g * ((x.data >= lo) & (x.data <= hi)))
 
     return _make(out_data, (x,), backward, "clamp")
 
@@ -384,24 +351,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # -- neural-network layers ----------------------------------------------------
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x[batch, d_in] @ w[d_out, d_in]^T + b."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear shape mismatch x{x.shape} w{w.shape}")
-    out_data = x.data @ w.data.T
-    if b is not None:
-        out_data = out_data + b.data
+    out_data = x.data @ w.data.T + b.data
 
     def backward(g):
         if x.requires_grad:
             x._accumulate(g @ w.data)
         if w.requires_grad:
             w._accumulate(g.T @ x.data)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out_data, parents, backward, "linear")
+    return _make(out_data, (x, w, b), backward, "linear")
 
 
 def _blocks(batch: int, cin: int, k: int, out_len: int):
@@ -531,7 +495,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
-                 train: bool, momentum: float = 0.1) -> Tensor:
+                 train: bool) -> Tensor:
     """Per-channel batch norm over (batch, time) for x[batch, ch, len].
 
     In training mode the batch statistics normalize the batch and update the
@@ -566,10 +530,10 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     mu = x.data.mean(axis=(0, 2))
     var = x.data.var(axis=(0, 2))
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mu
-    running_var *= 1.0 - momentum
-    running_var += momentum * var
+    running_mean *= 1.0 - _BN_MOMENTUM
+    running_mean += _BN_MOMENTUM * mu
+    running_var *= 1.0 - _BN_MOMENTUM
+    running_var += _BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
     xhat = (x.data - mu[None, :, None]) * inv_std[None, :, None]
     out_data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
@@ -598,15 +562,12 @@ def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor,
 
     With scale = gamma / sqrt(running_var + eps), eps being batch_norm1d's
     (_BN_EPS), the folded weight is w * scale per output channel and the
-    folded bias is beta - running_mean * scale (Jacob et al. 2018).  Both are built from
-    tensor ops, so gradients still reach w, gamma and beta; the running
-    statistics are constants, copied because train-mode calls update them
-    in place.
+    folded bias is beta - running_mean * scale (Jacob et al. 2018).  Both are
+    computed in numpy and returned as constant tensors: a conv1d on them
+    passes gradients to its input only, never to w, gamma or beta.
     """
-    scale = mul(gamma, Tensor(1.0 / np.sqrt(running_var + _BN_EPS)))
-    w_folded = mul(w, reshape(scale, (-1, 1, 1)))
-    b_folded = sub(beta, mul(Tensor(running_mean.copy()), scale))
-    return w_folded, b_folded
+    scale = gamma.data * (1.0 / np.sqrt(running_var + _BN_EPS))
+    return Tensor(w.data * scale.reshape(-1, 1, 1)), Tensor(beta.data - running_mean * scale)
 
 
 def normalize_rows(z: Tensor) -> Tensor:
@@ -624,9 +585,6 @@ class AdamState:
     """First/second moment accumulators plus the step counter for Adam."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
@@ -645,13 +603,12 @@ def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
             g = np.zeros_like(p)
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
-        m_n = state.beta1 * m.get(name, np.zeros_like(p)) + (1.0 - state.beta1) * g
-        v_n = state.beta2 * v.get(name, np.zeros_like(p)) + (1.0 - state.beta2) * g * g
-        m_hat = m_n / (1.0 - state.beta1 ** t)
-        v_hat = v_n / (1.0 - state.beta2 ** t)
-        new_params[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m_n = _ADAM_BETA1 * m.get(name, np.zeros_like(p)) + (1.0 - _ADAM_BETA1) * g
+        v_n = _ADAM_BETA2 * v.get(name, np.zeros_like(p)) + (1.0 - _ADAM_BETA2) * g * g
+        m_hat = m_n / (1.0 - _ADAM_BETA1 ** t)
+        v_hat = v_n / (1.0 - _ADAM_BETA2 ** t)
+        new_params[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         m[name] = m_n
         v[name] = v_n
-    new_state = AdamState(lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps,
-                          step_count=t, first_moment=m, second_moment=v)
+    new_state = AdamState(lr=state.lr, step_count=t, first_moment=m, second_moment=v)
     return new_params, new_state

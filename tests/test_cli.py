@@ -387,8 +387,14 @@ class TestMalformedRecords:
         ("jnd.jsonl", _set("ref_id", "nope"), "train-jnd", "utterance 'nope' is not in the corpus"),
         ("eval/mono.jsonl", _set("utt_id", "nope"), "eval",
          "utterance 'nope' is not in the corpus"),
+        ("eval/mono.jsonl", _set("level", "x"), "eval", "mono.jsonl line 2: key 'level'"),
+        ("eval/mos.jsonl", _set("rating", "x"), "eval", "mos.jsonl line 2: key 'rating'"),
+        ("eval/mos.jsonl", _set("rating", float("nan")), "eval", "mos.jsonl line 2: key 'rating'"),
+        ("eval/retrieval.jsonl", _set("group_id", [1]), "eval",
+         "retrieval.jsonl line 2: key 'group_id'"),
     ], ids=["missing-spec_a", "missing-utt_id", "missing-speaker_id", "not-an-object",
-            "unknown-ref_id", "unknown-utt_id"])
+            "unknown-ref_id", "unknown-utt_id", "string-level", "string-rating", "nan-rating",
+            "list-group_id"])
     def test_exits_2_naming_the_fault(self, pipeline_run, tmp_path, capsys, filename, edit,
                                       command, named):
         _, config_path, cfg = pipeline_run

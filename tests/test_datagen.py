@@ -166,7 +166,7 @@ class TestOracleTriplets:
 
     def test_distinct_comparison_clips(self, corpus):
         for record in oracle_triplets(corpus, 10, seed=5):
-            assert record.a_id != record.b_id
+            assert record.spec_a != record.spec_b
 
     def test_determinism(self, corpus):
         a = oracle_triplets(corpus, 12, seed=6)
@@ -203,7 +203,8 @@ class TestManifests:
     @pytest.mark.parametrize("extra", [
         {"label_source": "oracle"},
         {"paths": {"ref": "corpus/utt0000.wav", "a": "jnd_clips/00000_a.wav"}},
-    ], ids=["label_source", "paths"])
+        {"a_id": "utt0000#jnd00000", "b_id": "utt0000#t00000b"},
+    ], ids=["label_source", "paths", "a_id-b_id"])
     def test_older_manifest_with_extra_keys_loads(self, corpus, tmp_path, extra):
         record = oracle_jnd(corpus, 1, seed=7)[0]
         path = tmp_path / "jnd.jsonl"
@@ -217,9 +218,9 @@ class TestManifests:
         from cdpam.perturb import PerturbSpec
         spec = PerturbSpec(noise_snr_db=10.0, seed=0)
         with pytest.raises(ContractError):
-            JudgmentRecord(kind="jnd_pair", ref_id="u", a_id="a", spec_a=spec, label="A")
+            JudgmentRecord(kind="jnd_pair", ref_id="u", spec_a=spec, label="A")
         with pytest.raises(ContractError):
-            JudgmentRecord(kind="triplet", ref_id="u", a_id="a", spec_a=spec, label="A")
+            JudgmentRecord(kind="triplet", ref_id="u", spec_a=spec, label="A")
 
 
 class TestEvalSets:

@@ -275,10 +275,6 @@ class TestMagnitude:
             stronger = PerturbSpec(noise_snr_db=snr_lo, reverb_rt60_s=rt, seed=0)
             assert magnitude(stronger) >= magnitude(weaker)
 
-    def test_weights_configurable(self):
-        spec = PerturbSpec(noise_snr_db=0.0, reverb_rt60_s=0.05, seed=0)
-        assert magnitude(spec, weights={"noise": 3.0, "reverb": 1.0}) == pytest.approx(0.75)
-
     def test_severity_unknown_family(self):
         with pytest.raises(ContractError):
             severity(PerturbSpec(noise_snr_db=1.0, seed=0), "codec")
