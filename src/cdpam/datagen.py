@@ -373,6 +373,8 @@ def oracle_triplets(corpus, n: int, seed: int = 0, families=("noise", "reverb"),
     """
     if n < 1:
         raise ContractError("need at least one triplet")
+    if not 0.0 <= min_magnitude_gap < 1.0:  # magnitudes lie in [0, 1]
+        raise ContractError(f"min_magnitude_gap must be in [0, 1), got {min_magnitude_gap!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
     records = []
     for _ in range(n):

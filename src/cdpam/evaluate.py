@@ -125,6 +125,8 @@ def precision_at_k(embeddings, labels, k: int) -> float:
     Neighbours are ranked by ascending cosine distance of the embeddings with
     ties broken by item index; the query itself is excluded.
     """
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
     emb = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
     if emb.ndim != 2 or emb.shape[0] != y.size:

@@ -273,10 +273,6 @@ class PerceptualModel:
             t.requires_grad = name.startswith(prefixes)
             t.grad = None
 
-    def apply_updates(self, new_arrays: dict) -> None:
-        for name, arr in new_arrays.items():
-            self.params[name].data = arr
-
     def clone(self) -> "PerceptualModel":
         return PerceptualModel(self.config,
                                {n: t.data.copy() for n, t in self.params.items()},

@@ -20,6 +20,7 @@ import, is loaded on first use by the EQ family.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -89,6 +90,9 @@ class PerturbSpec:
             raise ContractError(f"pop_rate {self.pop_rate} outside [0, 10]")
         if not self.families:
             raise ContractError("a perturbation spec must name at least one family")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or self.seed < 0:
+            raise ContractError(f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
 
     @property

@@ -31,11 +31,14 @@ values once.  With :func:`fold_batch_norm` an inference-mode encoder layer
 The fold is plain numpy arithmetic on the layer's parameters, so the folded
 weight and bias are constants: in inference mode gradients reach the input
 waveform only, which is all that using the metric as a loss needs.
+
+:func:`adam_step` updates the parameter tensors in place and keeps its step
+count and moments per parameter name, so a parameter that a loss did not
+reach neither moves nor counts that step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -580,35 +583,26 @@ def normalize_rows(z: Tensor) -> Tensor:
 
 # -- Adam ---------------------------------------------------------------------
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators plus the step counter for Adam."""
+def adam_step(params: Mapping[str, Tensor], moments: dict, lr: float) -> None:
+    """One bias-corrected Adam update, in place, of each parameter that holds a gradient.
 
-    lr: float = 1e-4
-    step_count: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
-
-
-def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
-              state: AdamState) -> tuple[dict, AdamState]:
-    """One bias-corrected Adam update; pure function of (params, grads, state)."""
-    new_params: dict = {}
-    m = dict(state.first_moment)
-    v = dict(state.second_moment)
-    t = state.step_count + 1
+    `moments` maps a parameter name to its (step count, first moment, second
+    moment).  A parameter without a gradient keeps its value and its moments,
+    so each one's bias correction counts only the steps whose loss reached it.
+    Gradients are cleared afterwards.
+    """
     for name, p in params.items():
-        g = grads.get(name)
+        g = p.grad
         if g is None:
-            g = np.zeros_like(p)
+            continue
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
-        m_n = _ADAM_BETA1 * m.get(name, np.zeros_like(p)) + (1.0 - _ADAM_BETA1) * g
-        v_n = _ADAM_BETA2 * v.get(name, np.zeros_like(p)) + (1.0 - _ADAM_BETA2) * g * g
-        m_hat = m_n / (1.0 - _ADAM_BETA1 ** t)
-        v_hat = v_n / (1.0 - _ADAM_BETA2 ** t)
-        new_params[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        m[name] = m_n
-        v[name] = v_n
-    new_state = AdamState(lr=state.lr, step_count=t, first_moment=m, second_moment=v)
-    return new_params, new_state
+        t, m, v = moments.get(name, (0, 0.0, 0.0))
+        t += 1
+        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
+        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - _ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - _ADAM_BETA2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        moments[name] = (t, m, v)
+        p.grad = None

@@ -3,7 +3,8 @@
 Stage a (pretrain): contrastive learning on the encoder, alternating
 acoustic-mode and content-mode batches; each embedding half has its own
 projection head and the NT-Xent loss is taken over the projected half that
-matches the batch mode.
+matches the batch mode.  Adam keeps its state per parameter, so a head
+steps, and counts steps, only on the batches of its own mode.
 
 Stage b (jnd): the loss network and judgment classifier are fit with binary
 cross-entropy against oracle same/different labels.  The encoder is frozen,
@@ -35,7 +36,7 @@ from .datagen import corpus_by_id, make_contrastive_batch
 from .errors import ContractError, DataError, NumericError, TrainingError
 from .model import ModelConfig, PerceptualModel
 from .perturb import apply
-from .tensor import AdamState, Tensor, adam_step
+from .tensor import Tensor, adam_step
 
 EPOCH_DEFAULTS = {"pretrain": 250, "jnd": 250, "finetune": 100}
 SHIFT_SECONDS = 0.25
@@ -99,27 +100,6 @@ def _maybe_augment(waves, rng, enabled: bool):
 # -- shared helpers ----------------------------------------------------------------
 
 
-def _collect_grads(model: PerceptualModel) -> dict:
-    return {name: t.grad for name, t in model.params.items()
-            if t.requires_grad and t.grad is not None}
-
-
-def _zero_grads(model: PerceptualModel) -> None:
-    for t in model.params.values():
-        t.grad = None
-
-
-def _step_group(model: PerceptualModel, grads: dict, prefix: str, state: AdamState) -> AdamState:
-    group_params = {n: t.data for n, t in model.params.items()
-                    if n.startswith(prefix) and t.requires_grad}
-    group_grads = {n: g for n, g in grads.items() if n.startswith(prefix)}
-    if not group_params:
-        return state
-    new_arrays, state = adam_step(group_params, group_grads, state)
-    model.apply_updates(new_arrays)
-    return state
-
-
 def save_loss_log(rows, path) -> None:
     tmp = str(path) + ".tmp"
     with open(tmp, "w", newline="", encoding="utf-8") as fh:
@@ -180,9 +160,7 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
     model = PerceptualModel.initialize(model_config, seed=config.seed)
     model.set_trainable(("enc.", "proj."))
     per_mode = config.batches_per_mode or max(1, len(corpus) // (4 * config.batch_size))
-    states = {"enc.": AdamState(lr=config.lr),
-              "proj.acoustic.": AdamState(lr=config.lr),
-              "proj.content.": AdamState(lr=config.lr)}
+    moments: dict = {}
     # the pretraining set is fixed up front; only augmentation varies per epoch
     seeder = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(20,)))
     batches = [(mode, make_contrastive_batch(corpus, mode, config.batch_size,
@@ -202,11 +180,7 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
             n = len(pairs)
             loss = losses.nt_xent(T.narrow(z, 0, 0, n), T.narrow(z, 0, n, n), tau=config.tau)
             loss.backward()
-            grads = _collect_grads(model)
-            states["enc."] = _step_group(model, grads, "enc.", states["enc."])
-            head = f"proj.{mode}."
-            states[head] = _step_group(model, grads, head, states[head])
-            _zero_grads(model)
+            adam_step(model.params, moments, config.lr)
             epoch_losses.append(loss.item())
         return float(np.mean(epoch_losses))
 
@@ -237,14 +211,13 @@ def _frozen_encoder_epochs(model: PerceptualModel, items, config: TrainConfig, s
 
     Each epoch permutes the items, augments each clip column (reference first)
     with the epoch generator, embeds each column once in inference mode, and
-    steps one Adam state over minibatches of `batch_loss(embs, targets)`.
+    takes one Adam step per minibatch of `batch_loss(embs, targets)`.
     """
     columns = list(zip(*(clips for clips, _ in items)))
     targets = np.array([target for _, target in items])
-    state = AdamState(lr=config.lr)
+    moments: dict = {}
 
     def run_epoch(rng):
-        nonlocal state
         order = rng.permutation(len(items))
         embs = [model.embed_waves(_maybe_augment([column[i] for i in order], rng, config.augment))
                 for column in columns]
@@ -253,8 +226,7 @@ def _frozen_encoder_epochs(model: PerceptualModel, items, config: TrainConfig, s
             stop = min(len(items), start + config.batch_size)
             loss = batch_loss([Tensor(e[start:stop]) for e in embs], targets[order[start:stop]])
             loss.backward()
-            state = _step_group(model, _collect_grads(model), "", state)
-            _zero_grads(model)
+            adam_step(model.params, moments, config.lr)
             epoch_losses.append(loss.item())
         return float(np.mean(epoch_losses))
 

@@ -203,6 +203,14 @@ class TestEvalCommand:
         out = json.loads(capsys.readouterr().out)
         assert list(out) == ["two_afc"]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_exits_2(self, pipeline_run, tmp_path, capsys, k):
+        _, _, cfg = pipeline_run
+        config_path, _ = tiny_run_config(tmp_path, eval={**cfg["data"]["eval"], "k": k})
+        assert main(["eval", "--config", str(config_path), "--out", cfg["out"],
+                     "--metrics", "precision_at_k"]) == 2
+        assert f"error: k must be >= 1, got {k}" in capsys.readouterr().err
+
 
 class TestEmptyEvalSets:
     @pytest.mark.parametrize("filename,metric,dataset", [
@@ -336,6 +344,20 @@ class TestConfigBoundary:
         assert "'seed' must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("gap", [1.0, 1.5])
+    def test_unreachable_triplet_gap_exits_2(self, tmp_path, gap):
+        # a fresh process with a time limit: at a gap no triplet can reach, synth-data
+        # would otherwise draw forever
+        config_path, cfg = tiny_run_config(tmp_path)
+        cfg["data"]["eval"]["triplet_gap"] = gap
+        config_path.write_text(json.dumps(cfg))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cdpam.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "cdpam.cli", "synth-data", "--config",
+                               str(config_path)], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert f"min_magnitude_gap must be in [0, 1), got {gap}" in proc.stderr
+
     def test_leaf_types_accepted(self, tmp_path):
         path = tmp_path / "types.json"
         path.write_text(json.dumps({"train": {"tau": 1, "lr": {"jnd": 0.01},
@@ -376,6 +398,10 @@ def _set(key, value):
     return lambda row: {**row, key: value}
 
 
+def _set_spec_seed(value):
+    return lambda row: {**row, "spec": {**row["spec"], "seed": value}}
+
+
 class TestMalformedRecords:
     @pytest.mark.parametrize("filename,edit,command,named", [
         ("jnd.jsonl", _drop("spec_a"), "train-jnd", "jnd.jsonl line 2: missing key 'spec_a'"),
@@ -392,9 +418,15 @@ class TestMalformedRecords:
         ("eval/mos.jsonl", _set("rating", float("nan")), "eval", "mos.jsonl line 2: key 'rating'"),
         ("eval/retrieval.jsonl", _set("group_id", [1]), "eval",
          "retrieval.jsonl line 2: key 'group_id'"),
+        ("eval/mono.jsonl", _set_spec_seed(-1), "eval",
+         "mono.jsonl line 2: seed must be an integer >= 0, got -1"),
+        ("eval/mono.jsonl", _set_spec_seed(float("inf")), "eval",
+         "mono.jsonl line 2: seed must be an integer >= 0, got inf"),
+        ("eval/mono.jsonl", _set_spec_seed(True), "eval",
+         "mono.jsonl line 2: seed must be an integer >= 0, got True"),
     ], ids=["missing-spec_a", "missing-utt_id", "missing-speaker_id", "not-an-object",
             "unknown-ref_id", "unknown-utt_id", "string-level", "string-rating", "nan-rating",
-            "list-group_id"])
+            "list-group_id", "negative-seed", "infinite-seed", "bool-seed"])
     def test_exits_2_naming_the_fault(self, pipeline_run, tmp_path, capsys, filename, edit,
                                       command, named):
         _, config_path, cfg = pipeline_run

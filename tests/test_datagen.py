@@ -1,6 +1,7 @@
 """Corpus synthesis, pairing rules, oracle labels, manifest round trips."""
 
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -172,6 +173,22 @@ class TestOracleTriplets:
         a = oracle_triplets(corpus, 12, seed=6)
         b = oracle_triplets(corpus, 12, seed=6)
         assert a == b
+
+    @pytest.mark.parametrize("gap", [1.0, 1.5, -0.1])
+    def test_unreachable_gap_rejected(self, corpus, gap):
+        # magnitudes lie in [0, 1], so no pair reaches a gap of 1: unchecked, the draw
+        # loop never ends, and the alarm fails the test instead of hanging the suite
+        def expire(signum, frame):
+            raise TimeoutError("oracle_triplets is still drawing")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ContractError, match="min_magnitude_gap"):
+                oracle_triplets(corpus, 4, seed=6, min_magnitude_gap=gap)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 # records of each type the JSONL manifests hold, made from the test corpus

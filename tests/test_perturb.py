@@ -37,6 +37,11 @@ class TestSpec:
         with pytest.raises(ContractError):
             PerturbSpec(mulaw_bits=3, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, float("inf"), True, 1.5, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ContractError, match="seed must be an integer >= 0"):
+            PerturbSpec(noise_snr_db=20.0, seed=seed)
+
     def test_json_round_trip(self):
         spec = sample_spec(11, perturb.FAMILIES)
         again = PerturbSpec.from_json(spec.to_json())

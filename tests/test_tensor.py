@@ -5,7 +5,7 @@ import pytest
 
 from cdpam import tensor as T
 from cdpam.errors import ContractError, NumericError, ShapeError
-from cdpam.tensor import AdamState, Tensor, adam_step
+from cdpam.tensor import Tensor, adam_step
 
 
 def finite_difference_check(build, arrays, h=1e-5, tol=1e-4):
@@ -389,31 +389,38 @@ class TestElementwiseGradients:
         assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
+def _param(values, grad) -> Tensor:
+    p = Tensor(np.array(values, dtype=float), requires_grad=True)
+    p.grad = np.array(grad, dtype=float)
+    return p
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        p = {"w": np.array([1.0, 2.0])}
-        new, state = adam_step(p, {"w": np.zeros(2)}, AdamState(lr=0.1))
-        assert np.array_equal(new["w"], p["w"])
-        assert state.step_count == 1
+        p = _param([1.0, 2.0], grad=[0.0, 0.0])
+        moments = {}
+        adam_step({"w": p}, moments, 0.1)
+        assert np.array_equal(p.data, [1.0, 2.0])
+        assert moments["w"][0] == 1
 
     def test_first_step_moves_by_lr_sign(self):
-        p = {"w": np.array([1.0, -1.0, 0.5])}
-        g = {"w": np.array([0.3, -2.0, 1e-3])}
-        new, _ = adam_step(p, g, AdamState(lr=1e-3))
-        move = p["w"] - new["w"]
-        assert np.allclose(move, 1e-3 * np.sign(g["w"]), atol=1e-6)
+        g = np.array([0.3, -2.0, 1e-3])
+        p = _param([1.0, -1.0, 0.5], grad=g)
+        adam_step({"w": p}, {}, 1e-3)
+        move = np.array([1.0, -1.0, 0.5]) - p.data
+        assert np.allclose(move, 1e-3 * np.sign(g), atol=1e-6)
 
     def test_deterministic(self):
-        p = {"w": np.array([0.2])}
-        g = {"w": np.array([0.7])}
-        out1 = adam_step(p, g, AdamState(lr=0.01))
-        out2 = adam_step(p, g, AdamState(lr=0.01))
-        assert np.array_equal(out1[0]["w"], out2[0]["w"])
-        assert out1[1].step_count == out2[1].step_count
+        a, b = _param([0.2], grad=[0.7]), _param([0.2], grad=[0.7])
+        moments_a, moments_b = {}, {}
+        adam_step({"w": a}, moments_a, 0.01)
+        adam_step({"w": b}, moments_b, 0.01)
+        assert np.array_equal(a.data, b.data)
+        assert moments_a["w"][0] == moments_b["w"][0] == 1
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState())
+            adam_step({"w": _param([0.0, 0.0], grad=[0.0, 0.0, 0.0])}, {}, 1e-4)
 
     def test_two_steps_match_reference(self):
         # closed-form reference for two Adam updates on a scalar
@@ -426,7 +433,26 @@ class TestAdam:
         v2 = b2 * v + (1 - b2) * g2 ** 2
         p2 = p1 - lr * (m2 / (1 - b1 ** 2)) / (np.sqrt(v2 / (1 - b2 ** 2)) + eps)
 
-        params = {"w": np.array([p])}
-        params, state = adam_step(params, {"w": np.array([g1])}, AdamState(lr=lr))
-        params, state = adam_step(params, {"w": np.array([g2])}, state)
-        assert params["w"][0] == pytest.approx(p2, rel=1e-12)
+        w = _param([p], grad=[g1])
+        moments = {}
+        adam_step({"w": w}, moments, lr)
+        w.grad = np.array([g2])
+        adam_step({"w": w}, moments, lr)
+        assert w.data[0] == pytest.approx(p2, rel=1e-12)
+
+    def test_parameter_without_gradient_keeps_value_and_step_count(self):
+        # a head the loss did not reach neither moves nor counts the step
+        stepped, idle = _param([1.0], grad=[0.5]), _param([2.0], grad=[0.5])
+        moments = {}
+        adam_step({"a": stepped, "b": idle}, moments, 0.1)
+        idle_value, idle_moments = idle.data.copy(), moments["b"]
+        stepped.grad = np.array([0.5])
+        adam_step({"a": stepped, "b": idle}, moments, 0.1)
+        assert np.array_equal(idle.data, idle_value) and moments["b"] is idle_moments
+        assert moments["a"][0] == 2 and moments["b"][0] == 1
+        assert stepped.data[0] == pytest.approx(0.8, abs=1e-6)
+
+    def test_gradients_cleared_after_step(self):
+        params = {"a": _param([1.0, 2.0], grad=[0.1, -0.1]), "b": _param([3.0], grad=[1.0])}
+        adam_step(params, {}, 1e-3)
+        assert all(p.grad is None for p in params.values())

@@ -36,3 +36,24 @@ def test_traced_wraps_and_restores_every_hook():
         trainer.apply(spec, Waveform(np.full(400, 0.1), 4000))
     assert [span[0] for span in tracer.spans] == ["perturb.apply"]
     assert [getattr(owner, attr) for owner, attr in hooks] == originals
+
+
+def test_pretraining_takes_one_adam_step_per_backward():
+    # tensor.adam_step_ms divides the Adam spans by the backward spans: one step
+    # updates the encoder and the batch's projection head together
+    from collections import Counter
+
+    from cdpam.datagen import synth_corpus
+    from cdpam.model import tiny_config
+
+    tracer_module = load_tracer()
+    cfg = tiny_config()
+    corpus = synth_corpus(16, 2, seed=1, sample_rate=cfg.sample_rate,
+                          clip_samples=cfg.clip_samples)
+    config = trainer.TrainConfig(stage="pretrain", epochs=1, batch_size=4, batches_per_mode=1)
+    tracer = tracer_module.Tracer()
+    with tracer_module.traced(tracer):
+        trainer.pretrain_contrastive(corpus, config, cfg)
+    names = Counter(span[0] for span in tracer.spans)
+    assert names["tensor.backward"] == 2
+    assert names["tensor.adam_step"] == names["tensor.backward"]
