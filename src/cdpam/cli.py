@@ -144,10 +144,13 @@ def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=Non
         cfg = _deep_merge(cfg, override)
     if seed is not None:
         cfg["seed"] = seed
-    if cfg["seed"] < 0:
-        from .errors import ContractError
+    from .errors import ContractError
 
+    if cfg["seed"] < 0:
         raise ContractError(f"config key 'seed' must be a non-negative integer, got {cfg['seed']}")
+    if cfg["data"]["eval"]["k"] < 1:
+        raise ContractError(f"k must be >= 1, got {cfg['data']['eval']['k']} "
+                            f"(config key 'data.eval.k')")
     if out is not None:
         cfg["out"] = out
     if epochs is not None and stage is not None:
@@ -254,29 +257,29 @@ def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
                                        clip_samples=model_cfg.clip_samples, id_prefix="ev")
     _write_corpus(eval_corpus, eval_dir, "corpus")
     eval_sets = {
-        "triplets": ("triplets.jsonl", datagen.oracle_triplets(
+        "triplets": datagen.oracle_triplets(
             eval_corpus, ev["n_triplets"], seed=seed + 2, families=families,
-            min_magnitude_gap=ev["triplet_gap"])),
-        "mono_items": ("mono.jsonl", datagen.build_mono_series(
-            eval_corpus, families, ev["mono_levels"], ev["mono_contents"], seed=seed + 3)),
-        "grouped_pairs": ("common_area.jsonl", datagen.build_common_area_sets(
-            eval_corpus, ev["common_area_pairs"], seed=seed + 4, families=families)),
-        "retrieval_items": ("retrieval.jsonl", datagen.build_retrieval_set(
+            min_magnitude_gap=ev["triplet_gap"]),
+        "mono_items": datagen.build_mono_series(
+            eval_corpus, families, ev["mono_levels"], ev["mono_contents"], seed=seed + 3),
+        "grouped_pairs": datagen.build_common_area_sets(
+            eval_corpus, ev["common_area_pairs"], seed=seed + 4, families=families),
+        "retrieval_items": datagen.build_retrieval_set(
             eval_corpus, ev["retrieval_groups"], ev["retrieval_group_size"], seed=seed + 5,
-            families=families)),
-        "mos_rows": ("mos.jsonl", datagen.build_mos_set(
+            families=families),
+        "mos_rows": datagen.build_mos_set(
             eval_corpus, ev["mos_conditions"], ev["mos_clips_per_cell"], seed=seed + 6,
-            families=families)),
+            families=families),
     }
-    for filename, items in eval_sets.values():
-        write_jsonl(items, os.path.join(eval_dir, filename))
+    for name, items in eval_sets.items():
+        write_jsonl(items, os.path.join(eval_dir, datagen.EVAL_SETS[name][0]))
 
     _write_manifest(cfg, out, "synth_data")
     if not as_json:
         print(f"corpus, manifests and eval splits written under {out}")
     return {"out": out, "corpus": len(corpus), "jnd_pairs": len(jnd), "triplets": len(triplets),
             "eval": {"corpus": len(eval_corpus),
-                     **{name: len(items) for name, (_, items) in eval_sets.items()}}}
+                     **{name: len(items) for name, items in eval_sets.items()}}}
 
 
 def _save_stage(cfg: dict, stage: str, command: str, model, rows) -> dict:
@@ -346,20 +349,14 @@ def cmd_distance(ckpt_path: str, path_a: str, path_b: str, as_json: bool = False
 
 
 def load_eval_datasets(eval_dir: str) -> tuple:
-    from .datagen import (GroupedPair, JudgmentRecord, MonoSeriesItem, MosRow, RetrievalItem,
-                          read_jsonl)
+    from .datagen import EVAL_SETS, read_jsonl
     from .errors import DataError
 
     if not os.path.isdir(eval_dir):
         raise DataError(f"missing eval split directory {eval_dir}")
     corpus = _read_corpus(eval_dir, "corpus")
-    datasets = {
-        "triplets": read_jsonl(os.path.join(eval_dir, "triplets.jsonl"), JudgmentRecord),
-        "mono_items": read_jsonl(os.path.join(eval_dir, "mono.jsonl"), MonoSeriesItem),
-        "grouped_pairs": read_jsonl(os.path.join(eval_dir, "common_area.jsonl"), GroupedPair),
-        "retrieval_items": read_jsonl(os.path.join(eval_dir, "retrieval.jsonl"), RetrievalItem),
-        "mos_rows": read_jsonl(os.path.join(eval_dir, "mos.jsonl"), MosRow),
-    }
+    datasets = {name: read_jsonl(os.path.join(eval_dir, filename), cls)
+                for name, (filename, cls) in EVAL_SETS.items()}
     return corpus, datasets
 
 

@@ -32,6 +32,8 @@ from .perturb import (FAMILIES, EQ_GAIN_RANGE_DB, MULAW_BITS_RANGE, NOISE_SNR_RA
 DEFAULT_JND_THRESHOLD = 0.15
 DEFAULT_JND_SIGMA = 0.03
 MOS_RATING_NOISE = 0.1  # std of the synthetic listener noise added to each MOS rating
+# draws per triplet before oracle_triplets gives up on reaching min_magnitude_gap
+MAX_TRIPLET_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -351,6 +353,8 @@ def oracle_jnd(corpus, n_pairs: int, threshold: float = DEFAULT_JND_THRESHOLD,
     """
     if not 0.0 < threshold < 1.0:
         raise ContractError("threshold must lie in (0, 1)")
+    if not noise_sigma >= 0.0:
+        raise ContractError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
     records = []
     for _ in range(n_pairs):
@@ -369,7 +373,8 @@ def oracle_triplets(corpus, n: int, seed: int = 0, families=("noise", "reverb"),
 
     Magnitudes are sampled uniformly over [0, 1] so the set spans small to
     far-beyond-threshold perturbations; eval splits pass a minimum magnitude
-    gap to keep the labels unambiguous.
+    gap to keep the labels unambiguous.  A triplet whose pair misses the gap
+    is drawn again, at most MAX_TRIPLET_DRAWS times before CapacityError.
     """
     if n < 1:
         raise ContractError("need at least one triplet")
@@ -379,13 +384,16 @@ def oracle_triplets(corpus, n: int, seed: int = 0, families=("noise", "reverb"),
     records = []
     for _ in range(n):
         utt = corpus[int(rng.integers(0, len(corpus)))]
-        while True:
+        for _ in range(MAX_TRIPLET_DRAWS):
             t_a, t_b = rng.uniform(0.0, 1.0, size=2)
             spec_a = spec_with_severity(families, t_a, rng)
             spec_b = spec_with_severity(families, t_b, rng)
             mag_a, mag_b = magnitude(spec_a), magnitude(spec_b)
             if abs(mag_a - mag_b) >= max(min_magnitude_gap, 1e-9):
                 break
+        else:
+            raise CapacityError(f"no pair of perturbations reached min_magnitude_gap "
+                                f"{min_magnitude_gap!r} in {MAX_TRIPLET_DRAWS} draws")
         records.append(JudgmentRecord(kind="triplet", ref_id=utt.id, spec_a=spec_a, spec_b=spec_b,
                                       label="A" if mag_a < mag_b else "B"))
     return records
@@ -425,6 +433,14 @@ class MosRow:
     utt_id: str
     spec: PerturbSpec
     rating: float
+
+
+# the eval sets `cdpam synth-data` writes under eval/: dataset key -> (file name, record type)
+EVAL_SETS = {"triplets": ("triplets.jsonl", JudgmentRecord),
+             "mono_items": ("mono.jsonl", MonoSeriesItem),
+             "grouped_pairs": ("common_area.jsonl", GroupedPair),
+             "retrieval_items": ("retrieval.jsonl", RetrievalItem),
+             "mos_rows": ("mos.jsonl", MosRow)}
 
 
 def build_mono_series(corpus, families=("noise", "reverb"), n_levels: int = 6,

@@ -4,13 +4,15 @@ monotonicity, and top-K retrieval precision.
 The pure metric functions operate on plain arrays so they can be tested
 against brute-force oracles; the ``run_*`` wrappers drive a trained model
 over the evaluation datasets produced by :mod:`cdpam.datagen` and emit
-machine-readable :class:`EvalReport` records.
+machine-readable :class:`EvalReport` records.  An eval clip is named only by
+its ``(utt_id, spec)`` key: :func:`clip_embedder` renders a key as
+``apply(spec, clean)`` the first time it is asked for and caches its
+embedding row.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -153,34 +155,33 @@ def precision_at_k(embeddings, labels, k: int) -> float:
 # -- model-driven runners --------------------------------------------------------------
 
 
-def cached_embedder(model):
-    """``model.embed_waves`` behind a cache keyed on clip content.
+def clip_embedder(model, corpus):
+    """``model.embed_waves`` over eval clips named by their ``(utt_id, spec)`` key.
 
-    A clip's key is its sample rate plus a blake2b digest of its samples, so
-    the cache holds keys and embedding rows, never samples.  Each call sends
-    only the distinct clips it has not seen before to ``model.embed_waves``,
-    in one batch; embeddings do not depend on batch composition.
+    ``spec=None`` names the clean clip.  Rows are cached by key, so the cache
+    holds keys and embedding rows, never samples.  Each call renders only the
+    keys it has not seen before, as ``apply(spec, clean)``, and embeds them in
+    one batch; embeddings do not depend on batch composition.  A key whose
+    utterance the corpus lacks raises DataError naming it.
     """
+    by_id = corpus_by_id(corpus)
     rows: dict = {}
 
-    def embed(waves) -> np.ndarray:
-        keys = [(w.sample_rate, hashlib.blake2b(w.samples.tobytes(), digest_size=16).digest())
-                for w in waves]
-        fresh = {}
-        for key, wave in zip(keys, waves):
-            if key not in rows:
-                fresh.setdefault(key, wave)
+    def embed(keys) -> np.ndarray:
+        fresh = list(dict.fromkeys(key for key in keys if key not in rows))
         if fresh:
-            rows.update(zip(fresh, model.embed_waves(list(fresh.values()))))
+            waves = [by_id[utt].clean if spec is None else apply(spec, by_id[utt].clean)
+                     for utt, spec in fresh]
+            rows.update(zip(fresh, model.embed_waves(waves)))
         return np.array([rows[key] for key in keys]).reshape(len(keys),
                                                              model.config.encoder.acoustic_dim)
 
     return embed
 
 
-def _pair_distances(model, emb_x: np.ndarray, emb_y: np.ndarray) -> np.ndarray:
+def _distances(model, embed, keys_x, keys_y) -> np.ndarray:
     from .tensor import Tensor
-    return model.distance_from_embeddings(Tensor(emb_x), Tensor(emb_y)).data.copy()
+    return model.distance_from_embeddings(Tensor(embed(keys_x)), Tensor(embed(keys_y))).data.copy()
 
 
 def _require(records, dataset: str) -> None:
@@ -188,48 +189,33 @@ def _require(records, dataset: str) -> None:
         raise DataError(f"the {dataset} set is empty")
 
 
-def run_two_afc(model, corpus, triplets, embed=None) -> tuple:
+def run_two_afc(model, embed, triplets) -> tuple:
     _require(triplets, "two-AFC triplet")
-    embed = embed or cached_embedder(model)
-    by_id = corpus_by_id(corpus)
-    refs, a_clips, b_clips, labels = [], [], [], []
-    for record in triplets:
-        clean = by_id[record.ref_id].clean
-        refs.append(clean)
-        a_clips.append(apply(record.spec_a, clean))
-        b_clips.append(apply(record.spec_b, clean))
-        labels.append(record.label)
-    emb_ref = embed(refs)
-    d_a = _pair_distances(model, emb_ref, embed(a_clips))
-    d_b = _pair_distances(model, emb_ref, embed(b_clips))
-    return two_afc_from_distances(d_a, d_b, labels), len(labels)
+    refs = [(t.ref_id, None) for t in triplets]
+    d_a = _distances(model, embed, refs, [(t.ref_id, t.spec_a) for t in triplets])
+    d_b = _distances(model, embed, refs, [(t.ref_id, t.spec_b) for t in triplets])
+    return two_afc_from_distances(d_a, d_b, [t.label for t in triplets]), len(triplets)
 
 
-def run_common_area(model, corpus, grouped_pairs, embed=None) -> tuple:
+def run_common_area(model, embed, grouped_pairs) -> tuple:
     _require(grouped_pairs, "common-area")
     if not {"same", "diff"} <= {p.group for p in grouped_pairs}:
         raise DataError("the common-area set needs both 'same' and 'diff' pairs")
-    embed = embed or cached_embedder(model)
-    by_id = corpus_by_id(corpus)
-    waves_a = [apply(p.spec_a, by_id[p.utt_a].clean) for p in grouped_pairs]
-    waves_b = [apply(p.spec_b, by_id[p.utt_b].clean) for p in grouped_pairs]
-    d = _pair_distances(model, embed(waves_a), embed(waves_b))
+    d = _distances(model, embed, [(p.utt_a, p.spec_a) for p in grouped_pairs],
+                   [(p.utt_b, p.spec_b) for p in grouped_pairs])
     same = np.array([di for di, p in zip(d, grouped_pairs) if p.group == "same"])
     diff = np.array([di for di, p in zip(d, grouped_pairs) if p.group == "diff"])
     return common_area(same, diff), {"same": same, "diff": diff}
 
 
-def run_monotonicity(model, corpus, items, embed=None) -> tuple:
+def run_monotonicity(model, embed, items) -> tuple:
     """Pooled Spearman(distance-to-clean, level) per family series.
 
     Returns (mean rho over series, {family: rho}).
     """
     _require(items, "monotonicity series")
-    embed = embed or cached_embedder(model)
-    by_id = corpus_by_id(corpus)
-    refs = embed([by_id[item.utt_id].clean for item in items])
-    clip_emb = embed([apply(item.spec, by_id[item.utt_id].clean) for item in items])
-    distances = _pair_distances(model, refs, clip_emb)
+    distances = _distances(model, embed, [(item.utt_id, None) for item in items],
+                           [(item.utt_id, item.spec) for item in items])
     per_family: dict = {}
     for family in sorted({item.family for item in items}):
         index = [i for i, item in enumerate(items) if item.family == family]
@@ -238,22 +224,17 @@ def run_monotonicity(model, corpus, items, embed=None) -> tuple:
     return float(np.mean(list(per_family.values()))), per_family
 
 
-def run_precision_at_k(model, corpus, retrieval_items, k: int = 5, embed=None) -> tuple:
+def run_precision_at_k(model, embed, retrieval_items, k: int = 5) -> tuple:
     _require(retrieval_items, "retrieval")
-    embed = embed or cached_embedder(model)
-    by_id = corpus_by_id(corpus)
-    emb = embed([apply(item.spec, by_id[item.utt_id].clean) for item in retrieval_items])
+    emb = embed([(item.utt_id, item.spec) for item in retrieval_items])
     labels = np.array([item.group_id for item in retrieval_items])
     return precision_at_k(emb, labels, k), len(retrieval_items)
 
 
-def run_mos_correlation(model, corpus, mos_rows, embed=None) -> tuple:
+def run_mos_correlation(model, embed, mos_rows) -> tuple:
     _require(mos_rows, "MOS")
-    embed = embed or cached_embedder(model)
-    by_id = corpus_by_id(corpus)
-    refs = embed([by_id[row.utt_id].clean for row in mos_rows])
-    clips = embed([apply(row.spec, by_id[row.utt_id].clean) for row in mos_rows])
-    distances = _pair_distances(model, refs, clips)
+    distances = _distances(model, embed, [(row.utt_id, None) for row in mos_rows],
+                           [(row.utt_id, row.spec) for row in mos_rows])
     rho = mos_correlation(distances,
                           [row.rating for row in mos_rows],
                           [row.speaker_id for row in mos_rows],
@@ -330,39 +311,39 @@ def run_full_eval(model, corpus, datasets: dict, metrics=ALL_METRICS, k: int = 5
                   config_echo: dict | None = None, histogram_path=None) -> list:
     """Run the requested metrics over pre-built evaluation datasets.
 
-    `datasets` maps metric names to their record lists (triplets, pairs,
-    series, retrieval items, MOS rows).  Returns one EvalReport per metric.
-    The runners share one :func:`cached_embedder`, so a clip that several
-    datasets hold is embedded once per call.
+    `datasets` maps dataset keys (see :data:`cdpam.datagen.EVAL_SETS`) to
+    their record lists, whose clips are ``(utt_id, spec)`` keys into
+    `corpus`.  Returns one EvalReport per metric.  An unknown metric name
+    raises ContractError before any metric runs.  The runners share one
+    :func:`clip_embedder`, so a clip that several datasets hold is rendered
+    and embedded once per call.
     """
+    unknown = [metric for metric in metrics if metric not in ALL_METRICS]
+    if unknown:
+        raise ContractError(f"unknown metric {unknown[0]!r}")
     echo = config_echo or {}
-    embed = cached_embedder(model)
+    embed = clip_embedder(model, corpus)
     reports = []
     for metric in metrics:
-        if metric not in ALL_METRICS:
-            raise ContractError(f"unknown metric {metric!r}")
         if metric == "two_afc":
-            value, n = run_two_afc(model, corpus, datasets["triplets"], embed=embed)
+            value, n = run_two_afc(model, embed, datasets["triplets"])
             reports.append(EvalReport("two_afc", value, n, echo))
         elif metric == "common_area":
-            value, groups = run_common_area(model, corpus, datasets["grouped_pairs"],
-                                            embed=embed)
+            value, groups = run_common_area(model, embed, datasets["grouped_pairs"])
             if histogram_path is not None:
                 svg_histogram(groups, histogram_path)
             reports.append(EvalReport("common_area", value, len(datasets["grouped_pairs"]), echo,
                                       breakdown=[{"group": g, "mean_distance": float(v.mean())}
                                                  for g, v in sorted(groups.items())]))
         elif metric == "monotonicity":
-            value, per_family = run_monotonicity(model, corpus, datasets["mono_items"],
-                                                 embed=embed)
+            value, per_family = run_monotonicity(model, embed, datasets["mono_items"])
             reports.append(EvalReport("monotonicity", value, len(datasets["mono_items"]), echo,
                                       breakdown=[{"family": f, "rho": r}
                                                  for f, r in sorted(per_family.items())]))
         elif metric == "precision_at_k":
-            value, n = run_precision_at_k(model, corpus, datasets["retrieval_items"], k=k,
-                                          embed=embed)
+            value, n = run_precision_at_k(model, embed, datasets["retrieval_items"], k=k)
             reports.append(EvalReport("precision_at_k", value, n, {**echo, "k": k}))
         elif metric == "mos_correlation":
-            value, n = run_mos_correlation(model, corpus, datasets["mos_rows"], embed=embed)
+            value, n = run_mos_correlation(model, embed, datasets["mos_rows"])
             reports.append(EvalReport("mos_correlation", value, n, echo))
     return reports

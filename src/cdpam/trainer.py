@@ -68,7 +68,10 @@ class TrainConfig:
             raise ContractError(f"unknown stage {self.stage!r}")
         if self.epochs is None:
             self.epochs = EPOCH_DEFAULTS[self.stage]
-        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
+        counts = [("epochs", self.epochs), ("batch_size", self.batch_size)]
+        if self.batches_per_mode is not None:  # None: scale with the corpus
+            counts.append(("batches_per_mode", self.batches_per_mode))
+        for name, value in counts:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
         if (isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real)

@@ -344,6 +344,34 @@ class TestConfigBoundary:
         assert "'seed' must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_k_below_one_exits_2_before_writing(self, tmp_path, capsys):
+        config_path, cfg = tiny_run_config(tmp_path)
+        cfg["data"]["eval"]["k"] = 0
+        config_path.write_text(json.dumps(cfg))
+        assert main(["synth-data", "--config", str(config_path)]) == 2
+        assert "k must be >= 1, got 0 (config key 'data.eval.k')" in capsys.readouterr().err
+        assert not os.path.exists(cfg["out"])
+
+    def test_negative_jnd_sigma_exits_2_without_a_checkpoint(self, tmp_path, capsys):
+        config_path, cfg = tiny_run_config(tmp_path, jnd_sigma=-0.5)
+        assert main(["pipeline", "--config", str(config_path)]) == 2
+        assert "noise_sigma must be >= 0, got -0.5" in capsys.readouterr().err
+        assert not [name for name in os.listdir(cfg["out"]) if name.endswith(".ckpt")]
+
+    @pytest.mark.parametrize("value", [-1, 0])
+    def test_batches_per_mode_below_one_exits_2_without_a_checkpoint(self, pipeline_run,
+                                                                     tmp_path, capsys, value):
+        _, _, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(cfg["out"], run)
+        (run / "pretrained.ckpt").unlink()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**cfg, "out": str(run),
+                                    "train": {**cfg["train"], "batches_per_mode": value}}))
+        assert main(["pretrain", "--config", str(path), "--quiet"]) == 2
+        assert f"batches_per_mode must be an integer >= 1, got {value}" in capsys.readouterr().err
+        assert not (run / "pretrained.ckpt").exists()
+
     @pytest.mark.parametrize("gap", [1.0, 1.5])
     def test_unreachable_triplet_gap_exits_2(self, tmp_path, gap):
         # a fresh process with a time limit: at a gap no triplet can reach, synth-data

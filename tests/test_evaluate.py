@@ -213,19 +213,26 @@ def tiny_eval():
     return model, corpus, datasets
 
 
-def uncached_runs(model, corpus, datasets, embed):
-    """Each runner alone, on the given embed function: metric -> (value, detail)."""
+def uncached_runs(model, corpus, datasets, embed_waves):
+    """Each runner alone, every clip rendered and passed to `embed_waves` afresh:
+    metric -> (value, detail)."""
+    from cdpam.datagen import corpus_by_id
     from cdpam.evaluate import (run_common_area, run_monotonicity, run_mos_correlation,
                                 run_precision_at_k, run_two_afc)
+    from cdpam.perturb import apply
+
+    by_id = corpus_by_id(corpus)
+
+    def embed(keys):
+        return embed_waves([by_id[utt].clean if spec is None else apply(spec, by_id[utt].clean)
+                            for utt, spec in keys])
 
     return {
-        "two_afc": run_two_afc(model, corpus, datasets["triplets"], embed=embed),
-        "common_area": run_common_area(model, corpus, datasets["grouped_pairs"], embed=embed),
-        "monotonicity": run_monotonicity(model, corpus, datasets["mono_items"], embed=embed),
-        "precision_at_k": run_precision_at_k(model, corpus, datasets["retrieval_items"], k=3,
-                                             embed=embed),
-        "mos_correlation": run_mos_correlation(model, corpus, datasets["mos_rows"],
-                                               embed=embed),
+        "two_afc": run_two_afc(model, embed, datasets["triplets"]),
+        "common_area": run_common_area(model, embed, datasets["grouped_pairs"]),
+        "monotonicity": run_monotonicity(model, embed, datasets["mono_items"]),
+        "precision_at_k": run_precision_at_k(model, embed, datasets["retrieval_items"], k=3),
+        "mos_correlation": run_mos_correlation(model, embed, datasets["mos_rows"]),
     }
 
 
@@ -261,26 +268,29 @@ class TestEvalCache:
         assert len(requested) > len(set(requested))  # the eval sets do repeat clips
         assert sorted(embedded) == sorted(set(requested))
 
-    def test_key_is_rate_and_every_sample(self, tiny_eval, monkeypatch):
-        from cdpam.audio import Waveform
-        from cdpam.evaluate import cached_embedder
+    def test_key_is_utterance_and_spec(self, tiny_eval, monkeypatch):
+        from cdpam import evaluate
 
-        model, corpus, _ = tiny_eval
-        clean = corpus[0].clean
-        last_changed = clean.samples.copy()
-        last_changed[-1] += 1e-3
-        waves = [clean, Waveform(clean.samples.copy(), clean.sample_rate),
-                 Waveform(last_changed, clean.sample_rate),
-                 Waveform(clean.samples, 2 * clean.sample_rate)]
-        calls = []
-        real = model.embed_waves
-        monkeypatch.setattr(model, "embed_waves", lambda ws: calls.append(len(ws)) or real(ws))
-        embed = cached_embedder(model)
-        rows = embed(waves)
-        assert calls == [3]
-        assert np.array_equal(rows[0], rows[1])
-        assert np.array_equal(embed(waves[::-1]), rows[::-1])
-        assert calls == [3]
+        model, corpus, datasets = tiny_eval
+        spec = datasets["mos_rows"][0].spec
+        a, b = corpus[0].id, corpus[1].id
+        renders, batches = [], []
+        real_apply, real_embed = evaluate.apply, model.embed_waves
+        monkeypatch.setattr(evaluate, "apply",
+                            lambda s, w: renders.append(s) or real_apply(s, w))
+        monkeypatch.setattr(model, "embed_waves",
+                            lambda ws: batches.append(len(ws)) or real_embed(ws))
+        embed = evaluate.clip_embedder(model, corpus)
+        keys = [(a, spec), (a, None), (a, spec), (b, spec)]
+        rows = embed(keys)
+        assert renders == [spec, spec] and batches == [3]
+        assert np.array_equal(rows[0], rows[2])
+        assert np.array_equal(rows[0], real_embed([real_apply(spec, corpus[0].clean)])[0])
+        assert np.array_equal(rows[1], real_embed([corpus[0].clean])[0])
+        assert np.array_equal(embed(keys[::-1]), rows[::-1])
+        assert renders == [spec, spec] and batches == [3]
+        with pytest.raises(DataError, match="utterance 'nope' is not in the corpus"):
+            embed([(a, None), ("nope", spec)])
         assert embed([]).shape == (0, model.config.encoder.acoustic_dim)
 
     @pytest.mark.parametrize("runner,dataset", [
@@ -292,7 +302,7 @@ class TestEvalCache:
 
         model, corpus, _ = tiny_eval
         with pytest.raises(DataError, match=dataset):
-            getattr(evaluate, runner)(model, corpus, [])
+            getattr(evaluate, runner)(model, evaluate.clip_embedder(model, corpus), [])
 
 
 class TestReportsAndRunners:
@@ -335,10 +345,13 @@ class TestReportsAndRunners:
         reports = run_full_eval(model, corpus, datasets, metrics=("two_afc",))
         assert [r.metric for r in reports] == ["two_afc"]
 
-    def test_unknown_metric_rejected(self):
+    def test_unknown_metric_rejected(self, tiny_eval, monkeypatch):
+        # before any metric runs: no clip of the known metric is embedded
         from cdpam.evaluate import run_full_eval
-        from cdpam.model import PerceptualModel, tiny_config
 
-        model = PerceptualModel.initialize(tiny_config(), seed=0)
-        with pytest.raises(ContractError):
-            run_full_eval(model, [], {}, metrics=("pesq",))
+        model, corpus, datasets = tiny_eval
+        calls = []
+        monkeypatch.setattr(model, "embed_waves", calls.append)
+        with pytest.raises(ContractError, match="unknown metric 'pesq'"):
+            run_full_eval(model, corpus, datasets, metrics=("two_afc", "pesq"))
+        assert calls == []

@@ -188,12 +188,12 @@ class TestFinetune:
                                  TrainConfig(stage="jnd", epochs=10, batch_size=16, lr=3e-3,
                                              seed=1))
         records = oracle_triplets(corpus, 32, seed=7, min_magnitude_gap=0.3)
-        from cdpam.evaluate import run_two_afc
-        before, _ = run_two_afc(jnd_model, corpus, records)
+        from cdpam.evaluate import clip_embedder, run_two_afc
+        before, _ = run_two_afc(jnd_model, clip_embedder(jnd_model, corpus), records)
         config = TrainConfig(stage="finetune", epochs=20, batch_size=16, lr=5e-3, seed=5,
                              augment=False)
         tuned, _ = finetune_triplet(jnd_model, corpus, records, config)
-        after, _ = run_two_afc(tuned, corpus, records)
+        after, _ = run_two_afc(tuned, clip_embedder(tuned, corpus), records)
         assert after >= before
 
 
