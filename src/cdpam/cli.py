@@ -87,13 +87,16 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def _leaf_mismatch(item, default, dotted: str) -> str | None:
-    """What the config leaf `dotted` must be when `item` does not fit its default's type."""
+    """What the config leaf `dotted` must be when `item` does not fit its default."""
     def is_int(v) -> bool:
         return isinstance(v, int) and not isinstance(v, bool)
 
     if dotted == "data.families":
-        ok, want = isinstance(item, list) and all(isinstance(f, str) for f in item), \
-            "a list of strings"
+        from .perturb import FAMILIES
+
+        ok = (isinstance(item, list) and bool(item) and all(f in FAMILIES for f in item)
+              and len(set(item)) == len(item))
+        want = f"a list of one or more distinct families from {', '.join(FAMILIES)}"
     elif dotted == "train.batches_per_mode":
         ok, want = item is None or is_int(item), "null or an integer"
     elif isinstance(default, bool):
@@ -102,6 +105,9 @@ def _leaf_mismatch(item, default, dotted: str) -> str | None:
         ok, want = is_int(item), "an integer"
     elif isinstance(default, float):
         ok, want = isinstance(item, (int, float)) and not isinstance(item, bool), "a number"
+        # json reads NaN, Infinity and integers too large for a float; NaN compares False
+        if ok and not abs(item) <= sys.float_info.max:
+            ok, want = False, "a finite number"
     else:
         ok, want = isinstance(item, str), "a string"
     return None if ok else want
@@ -109,7 +115,9 @@ def _leaf_mismatch(item, default, dotted: str) -> str | None:
 
 def _check_config(value, defaults: dict, path: str = "") -> None:
     """Reject keys the defaults lack, a non-object where the defaults hold one, a leaf of
-    the wrong type for its default, and a model object ModelConfig cannot be built from."""
+    the wrong type for its default, a non-finite number, a families list that is empty,
+    repeats a family or names one outside perturb.FAMILIES, and a model object
+    ModelConfig cannot be built from."""
     from .errors import ContractError
 
     if not isinstance(value, dict):
@@ -151,10 +159,15 @@ def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=Non
     if cfg["data"]["eval"]["k"] < 1:
         raise ContractError(f"k must be >= 1, got {cfg['data']['eval']['k']} "
                             f"(config key 'data.eval.k')")
+    if cfg["data"]["jnd_sigma"] < 0:
+        raise ContractError(f"config key 'data.jnd_sigma' must be >= 0, got "
+                            f"{cfg['data']['jnd_sigma']}")
     if out is not None:
         cfg["out"] = out
     if epochs is not None and stage is not None:
         cfg["train"]["epochs"][stage] = epochs
+    for name in CHECKPOINT_NAMES:  # every stage's values, before any command writes a file
+        _train_config(cfg, name)
     return cfg
 
 

@@ -313,14 +313,16 @@ def run_full_eval(model, corpus, datasets: dict, metrics=ALL_METRICS, k: int = 5
 
     `datasets` maps dataset keys (see :data:`cdpam.datagen.EVAL_SETS`) to
     their record lists, whose clips are ``(utt_id, spec)`` keys into
-    `corpus`.  Returns one EvalReport per metric.  An unknown metric name
-    raises ContractError before any metric runs.  The runners share one
-    :func:`clip_embedder`, so a clip that several datasets hold is rendered
-    and embedded once per call.
+    `corpus`.  Returns one EvalReport per metric.  An unknown or repeated
+    metric name raises ContractError before any metric runs.  The runners
+    share one :func:`clip_embedder`, so a clip that several datasets hold is
+    rendered and embedded once per call.
     """
-    unknown = [metric for metric in metrics if metric not in ALL_METRICS]
-    if unknown:
-        raise ContractError(f"unknown metric {unknown[0]!r}")
+    for i, metric in enumerate(metrics):
+        if metric not in ALL_METRICS:
+            raise ContractError(f"unknown metric {metric!r}")
+        if metric in metrics[:i]:
+            raise ContractError(f"metric {metric!r} is requested twice")
     echo = config_echo or {}
     embed = clip_embedder(model, corpus)
     reports = []

@@ -1,10 +1,13 @@
 """Dense float64 tensors with recorded-operation reverse-mode differentiation.
 
 A Tensor wraps a numpy array and, when gradients are requested, remembers the
-operation that produced it as a backward closure over its parents.  Calling
-``backward()`` on a scalar root walks the recorded graph in reverse
-topological order and accumulates gradients into every reachable tensor that
-requires them; fan-out sums naturally because closures add into ``.grad``.
+operation that produced it.  Every op computes its forward value and hands
+:func:`_make` one vector-Jacobian product (VJP) per input: a function from the
+output's gradient to that input's gradient.  Of the ops, only ``_make`` reads
+``requires_grad`` or accumulates: its one backward closure calls the VJP of
+each input that requires a gradient, in input order, and adds the result
+into that input's ``.grad``.  Calling ``backward()`` on a scalar root
+runs these closures in reverse topological order, so fan-out sums naturally.
 
 Every operation validates that its output is finite (NaN/Inf raises
 :class:`NumericError`), which is what lets training abort on divergence
@@ -19,9 +22,10 @@ reused block of about ``_BLOCK`` doubles (256 KB), and each item's
 (batch, Cout, Lout) output, so there is no transposing copy and no output
 transpose.  The block is sized to stay in L2 between the copy that fills it
 and the GEMM that reads it; when one item's columns exceed it, a block holds
-that single item.  The backward pass walks the same blocks: dW accumulates
-g_b @ col_b^T, and dX scatters w^T @ g_b back onto the padded input with K
-strided adds, reusing the block buffer for those column gradients.
+that single item.  The two weight and input VJPs walk the same blocks
+separately: dW fills the block with its columns and accumulates g_b @ col_b^T,
+and dX writes w^T @ g_b into the block and scatters it back onto the padded
+input with K strided adds, so dX needs no im2col of the input.
 
 conv1d also takes the layer's epilogue: its bias and, with ``slope``, a
 leaky ReLU are applied to each output block in place right after its GEMM,
@@ -127,110 +131,77 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _make(data, parents, backward_fn, op):
-    requires = any(p.requires_grad for p in parents)
-    if not requires:
+def _make(data, parents, vjps, op):
+    """The output tensor of `op`, and the one place that routes gradients to its parents.
+
+    `vjps[i](g)` returns the gradient for `parents[i]` given the output's
+    gradient `g`.  The backward closure calls it only for a parent that
+    requires a gradient and accumulates in parent order, so a tensor that is
+    two parents of one op, as in ``mul(z, z)``, gets its first parent's term
+    first.
+    """
+    if not any(p.requires_grad for p in parents):
         return Tensor(data, _op=op)
-    return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward_fn=backward_fn, _op=op)
+
+    def backward(g):
+        for parent, vjp in zip(parents, vjps):
+            if parent.requires_grad:
+                parent._accumulate(vjp(g))
+
+    return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward_fn=backward, _op=op)
 
 
 # -- elementwise ops --------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-
-    return _make(out_data, (a, b), backward, "add")
+    return _make(a.data + b.data, (a, b),
+                 (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)), "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), backward, "sub")
+    return _make(a.data - b.data, (a, b),
+                 (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)), "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _make(out_data, (a, b), backward, "mul")
+    return _make(a.data * b.data, (a, b),
+                 (lambda g: _unbroadcast(g * b.data, a.shape),
+                  lambda g: _unbroadcast(g * a.data, b.shape)), "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out_data, (a, b), backward, "div")
+    return _make(out_data, (a, b),
+                 (lambda g: _unbroadcast(g / b.data, a.shape),
+                  lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)), "div")
 
 
 def exp(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out_data = np.exp(x.data)
-
-    def backward(g):
-        x._accumulate(g * out_data)
-
-    return _make(out_data, (x,), backward, "exp")
+    return _make(out_data, (x,), (lambda g: g * out_data,), "exp")
 
 
 def log(x: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = np.log(x.data)
-
-    def backward(g):
-        x._accumulate(g / x.data)
-
-    return _make(out_data, (x,), backward, "log")
+    return _make(out_data, (x,), (lambda g: g / x.data,), "log")
 
 
 def sqrt(x: Tensor) -> Tensor:
     with np.errstate(invalid="ignore"):
         out_data = np.sqrt(x.data)
-
-    def backward(g):
-        x._accumulate(g * 0.5 / out_data)
-
-    return _make(out_data, (x,), backward, "sqrt")
+    return _make(out_data, (x,), (lambda g: g * 0.5 / out_data,), "sqrt")
 
 
 def absolute(x: Tensor) -> Tensor:
-    out_data = np.abs(x.data)
-
-    def backward(g):
-        x._accumulate(g * np.sign(x.data))
-
-    return _make(out_data, (x,), backward, "abs")
+    return _make(np.abs(x.data), (x,), (lambda g: g * np.sign(x.data),), "abs")
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    out_data = np.clip(x.data, lo, hi)
-
-    def backward(g):
-        x._accumulate(g * ((x.data >= lo) & (x.data <= hi)))
-
-    return _make(out_data, (x,), backward, "clamp")
+    return _make(np.clip(x.data, lo, hi), (x,),
+                 (lambda g: g * ((x.data >= lo) & (x.data <= hi)),), "clamp")
 
 
 def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -240,12 +211,8 @@ def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.nda
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    out_data = _leaky(x.data, slope)
-
-    def backward(g):
-        x._accumulate(np.where(x.data > 0.0, g, slope * g))
-
-    return _make(out_data, (x,), backward, "leaky_relu")
+    return _make(_leaky(x.data, slope), (x,),
+                 (lambda g: np.where(x.data > 0.0, g, slope * g),), "leaky_relu")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -256,25 +223,18 @@ def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     out_data = np.where(d >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                         np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-
-    def backward(g):
-        x._accumulate(g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (x,), backward, "sigmoid")
+    return _make(out_data, (x,), (lambda g: g * out_data * (1.0 - out_data),), "sigmoid")
 
 
 # -- reductions and shape ops ------------------------------------------------
 
 def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        gg = g
+    def vjp(g):
         if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        x._accumulate(np.broadcast_to(gg, x.shape).copy())
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, x.shape).copy()
 
-    return _make(out_data, (x,), backward, "sum")
+    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), (vjp,), "sum")
 
 
 def mean_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -290,50 +250,33 @@ def mean_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def concat0(parts: list[Tensor]) -> Tensor:
     out_data = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.shape[0] for p in parts]
-
-    def backward(g):
-        start = 0
-        for p, n in zip(parts, sizes):
-            if p.requires_grad:
-                p._accumulate(g[start:start + n])
-            start += n
-
-    return _make(out_data, tuple(parts), backward, "concat")
+    ends = np.cumsum([p.shape[0] for p in parts])
+    # each lambda binds its own rows as defaults, not the loop's last ones
+    vjps = [lambda g, lo=end - p.shape[0], hi=end: g[lo:hi] for p, end in zip(parts, ends)]
+    return _make(out_data, tuple(parts), vjps, "concat")
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * x.data.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    out_data = x.data[index]
 
-    def backward(g):
+    def vjp(g):
         gx = np.zeros_like(x.data)
         gx[index] = g
-        x._accumulate(gx)
+        return gx
 
-    return _make(out_data, (x,), backward, "narrow")
+    return _make(x.data[index], (x,), (vjp,), "narrow")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out_data = x.data.reshape(shape)
-
-    def backward(g):
-        x._accumulate(g.reshape(x.shape))
-
-    return _make(out_data, (x,), backward, "reshape")
+    return _make(x.data.reshape(shape), (x,), (lambda g: g.reshape(x.shape),), "reshape")
 
 
 def transpose2d(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError("transpose2d expects a 2-D tensor")
-    out_data = x.data.T.copy()
-
-    def backward(g):
-        x._accumulate(g.T)
-
-    return _make(out_data, (x,), backward, "transpose")
+    return _make(x.data.T.copy(), (x,), (lambda g: g.T,), "transpose")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -341,15 +284,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul expects 2-D tensors")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _make(out_data, (a, b), backward, "matmul")
+    return _make(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g),
+                 "matmul")
 
 
 # -- neural-network layers ----------------------------------------------------
@@ -358,17 +294,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x[batch, d_in] @ w[d_out, d_in]^T + b."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear shape mismatch x{x.shape} w{w.shape}")
-    out_data = x.data @ w.data.T + b.data
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g @ w.data)
-        if w.requires_grad:
-            w._accumulate(g.T @ x.data)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-
-    return _make(out_data, (x, w, b), backward, "linear")
+    return _make(x.data @ w.data.T + b.data, (x, w, b),
+                 (lambda g: g @ w.data, lambda g: g.T @ x.data, lambda g: g.sum(axis=0)),
+                 "linear")
 
 
 def _blocks(batch: int, cin: int, k: int, out_len: int):
@@ -414,29 +342,32 @@ def _conv1d_forward(x: np.ndarray, w: np.ndarray, stride: int,
     return out
 
 
-def _conv1d_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
-                     need_dx: bool, need_dw: bool):
-    batch, cin, length = x.shape
-    cout, _, k = w.shape
+def _conv1d_dx(g: np.ndarray, w: np.ndarray, stride: int, length: int) -> np.ndarray:
+    """Input gradient: w^T @ g_b per block, scattered onto the padded input by K strided adds."""
+    batch, cout, out_len = g.shape
+    _, cin, k = w.shape
     pad = (k - 1) // 2
+    w2 = w.reshape(cout, cin * k)
+    dxp = np.zeros((batch, cin, length + 2 * pad))
+    for b0, b1, col in _blocks(batch, cin, k, out_len):
+        np.matmul(w2.T, g[b0:b1], out=col.reshape(b1 - b0, cin * k, out_len))
+        for j in range(k):
+            dxp[b0:b1, :, j:j + stride * (out_len - 1) + 1:stride] += col[:, :, j]
+    return dxp[:, :, pad:pad + length]
+
+
+def _conv1d_dw(g: np.ndarray, x: np.ndarray, w_shape: tuple, stride: int) -> np.ndarray:
+    """Weight gradient: the sum over blocks of g_b @ col_b^T, col_b the block's im2col."""
+    batch, cin, length = x.shape
+    cout, _, k = w_shape
     out_len = length // stride
     taps = _taps(x, k, stride)
-    w2 = w.reshape(cout, cin * k)
-    dw2 = np.zeros((cout, cin * k)) if need_dw else None
-    dxp = np.zeros((batch, cin, length + 2 * pad)) if need_dx else None
+    dw2 = np.zeros((cout, cin * k))
     for b0, b1, col in _blocks(batch, cin, k, out_len):
-        # the block holds its columns for dW first, then their gradients for dX
+        np.copyto(col, taps[b0:b1])
         cols = col.reshape(b1 - b0, cin * k, out_len)
-        if need_dw:
-            np.copyto(col, taps[b0:b1])
-            dw2 += np.matmul(g[b0:b1], cols.transpose(0, 2, 1)).sum(axis=0)
-        if need_dx:
-            np.matmul(w2.T, g[b0:b1], out=cols)
-            for j in range(k):
-                dxp[b0:b1, :, j:j + stride * (out_len - 1) + 1:stride] += col[:, :, j]
-    dx = dxp[:, :, pad:pad + length] if need_dx else None
-    dw = dw2.reshape(cout, cin, k) if need_dw else None
-    return dx, dw
+        dw2 += np.matmul(g[b0:b1], cols.transpose(0, 2, 1)).sum(axis=0)
+    return dw2.reshape(w_shape)
 
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
@@ -468,19 +399,14 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
 
     out_data = _conv1d_forward(x.data, w.data, stride, None if bias is None else bias.data, slope)
 
-    def backward(g):
-        if slope is not None:
-            g = np.where(out_data > 0.0, g, slope * g)
-        dx, dw = _conv1d_backward(g, x.data, w.data, stride, x.requires_grad, w.requires_grad)
-        if x.requires_grad:
-            x._accumulate(dx)
-        if w.requires_grad:
-            w._accumulate(dw)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2)))
+    def pre(g):  # the gradient before the epilogue's leaky ReLU
+        return g if slope is None else np.where(out_data > 0.0, g, slope * g)
 
     parents = (x, w) if bias is None else (x, w, bias)
-    return _make(out_data, parents, backward, "conv1d")
+    vjps = (lambda g: _conv1d_dx(pre(g), w.data, stride, length),
+            lambda g: _conv1d_dw(pre(g), x.data, w.shape, stride),
+            lambda g: pre(g).sum(axis=(0, 2)))
+    return _make(out_data, parents, vjps[:len(parents)], "conv1d")
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -488,12 +414,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     if x.data.ndim != 3:
         raise ShapeError("global_avg_pool expects x[batch, ch, len]")
     length = x.shape[2]
-    out_data = x.data.mean(axis=2)
-
-    def backward(g):
-        x._accumulate(np.broadcast_to(g[:, :, None] / length, x.shape).copy())
-
-    return _make(out_data, (x,), backward, "global_avg_pool")
+    return _make(x.data.mean(axis=2), (x,),
+                 (lambda g: np.broadcast_to(g[:, :, None] / length, x.shape).copy(),),
+                 "global_avg_pool")
 
 
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -511,6 +434,9 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     if gamma.shape != (ch,) or beta.shape != (ch,):
         raise ShapeError("batch_norm1d gamma/beta must be per-channel vectors")
 
+    def dbeta(g):
+        return g.sum(axis=(0, 2))
+
     if not train:
         # inference is one per-channel affine; x-hat is rebuilt only for gamma's gradient,
         # from a copy of the running mean, which train-mode calls update in place
@@ -520,16 +446,12 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         out_data = x.data * scale[None, :, None]
         out_data += (beta.data - mu * scale)[None, :, None]
 
-        def backward(g):
-            if gamma.requires_grad:
-                xhat = (x.data - mu[None, :, None]) * inv_std[None, :, None]
-                gamma._accumulate((g * xhat).sum(axis=(0, 2)))
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=(0, 2)))
-            if x.requires_grad:
-                x._accumulate(g * scale[None, :, None])
+        def dgamma(g):
+            xhat = (x.data - mu[None, :, None]) * inv_std[None, :, None]
+            return (g * xhat).sum(axis=(0, 2))
 
-        return _make(out_data, (x, gamma, beta), backward, "batch_norm1d")
+        return _make(out_data, (x, gamma, beta),
+                     (lambda g: g * scale[None, :, None], dgamma, dbeta), "batch_norm1d")
 
     mu = x.data.mean(axis=(0, 2))
     var = x.data.var(axis=(0, 2))
@@ -541,22 +463,18 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     xhat = (x.data - mu[None, :, None]) * inv_std[None, :, None]
     out_data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
 
-    def backward(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(0, 2)))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2)))
-        if x.requires_grad:
-            dxhat = g * gamma.data[None, :, None]
-            n = x.shape[0] * x.shape[2]
-            centered = x.data - mu[None, :, None]
-            dvar = (dxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
-            dmu = -dxhat.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * centered.sum(axis=(0, 2))
-            x._accumulate(dxhat * inv_std[None, :, None]
-                          + dvar[None, :, None] * 2.0 * centered / n
-                          + dmu[None, :, None] / n)
+    def dx(g):
+        dxhat = g * gamma.data[None, :, None]
+        n = x.shape[0] * x.shape[2]
+        centered = x.data - mu[None, :, None]
+        dvar = (dxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
+        dmu = -dxhat.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * centered.sum(axis=(0, 2))
+        return (dxhat * inv_std[None, :, None]
+                + dvar[None, :, None] * 2.0 * centered / n
+                + dmu[None, :, None] / n)
 
-    return _make(out_data, (x, gamma, beta), backward, "batch_norm1d")
+    return _make(out_data, (x, gamma, beta), (dx, lambda g: (g * xhat).sum(axis=(0, 2)), dbeta),
+                 "batch_norm1d")
 
 
 def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor,

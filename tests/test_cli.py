@@ -11,7 +11,7 @@ import pytest
 
 import cdpam
 from cdpam.cli import main, resolve_config
-from cdpam.model import tiny_config
+from cdpam.model import PerceptualModel, tiny_config
 
 
 def tiny_run_config(tmp_path, out_name="run", **data_overrides):
@@ -203,6 +203,14 @@ class TestEvalCommand:
         out = json.loads(capsys.readouterr().out)
         assert list(out) == ["two_afc"]
 
+    def test_repeated_metric_exits_2_before_embedding(self, pipeline_run, monkeypatch, capsys):
+        _, config_path, _ = pipeline_run
+        calls = []
+        monkeypatch.setattr(PerceptualModel, "embed_waves", lambda self, waves: calls.append(1))
+        assert main(["eval", "--config", str(config_path), "--metrics", "two_afc,two_afc"]) == 2
+        assert "error: metric 'two_afc' is requested twice" in capsys.readouterr().err
+        assert calls == []
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_exits_2(self, pipeline_run, tmp_path, capsys, k):
         _, _, cfg = pipeline_run
@@ -331,13 +339,26 @@ class TestConfigBoundary:
         ({"model": {**tiny_config().to_dict(), "sample_rate": "1600"}},
          "model.sample_rate must be a positive integer"),
         ({"seed": -1}, "config key 'seed' must be a non-negative integer"),
+        ({"data": {"jnd_threshold": float("nan")}},
+         "config key 'data.jnd_threshold' must be a finite number, got nan"),
+        ({"data": {"families": ["foo"]}}, "config key 'data.families' must be a list of one"),
+        ({"data": {"families": []}}, "config key 'data.families' must be a list of one"),
+        ({"data": {"jnd_sigma": -0.5}}, "config key 'data.jnd_sigma' must be >= 0, got -0.5"),
+        ({"data": {"eval": {"triplet_gap": float("inf")}}},
+         "config key 'data.eval.triplet_gap' must be a finite number, got inf"),
+        ({"train": {"tau": float("nan")}}, "config key 'train.tau' must be a finite number"),
+        ({"data": {"families": ["noise", "noise"]}},
+         "config key 'data.families' must be a list of one or more distinct families"),
+        ({"train": {"tau": 10 ** 400}}, "config key 'train.tau' must be a finite number"),
     ])
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, override, named):
+        # synth-data is the first command to write: a bad value must stop it before it does
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(override))
-        assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert main(["synth-data", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "run").exists()
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["synth-data", "--seed", "-1", "--out", str(tmp_path / "run")]) == 2
@@ -351,12 +372,6 @@ class TestConfigBoundary:
         assert main(["synth-data", "--config", str(config_path)]) == 2
         assert "k must be >= 1, got 0 (config key 'data.eval.k')" in capsys.readouterr().err
         assert not os.path.exists(cfg["out"])
-
-    def test_negative_jnd_sigma_exits_2_without_a_checkpoint(self, tmp_path, capsys):
-        config_path, cfg = tiny_run_config(tmp_path, jnd_sigma=-0.5)
-        assert main(["pipeline", "--config", str(config_path)]) == 2
-        assert "noise_sigma must be >= 0, got -0.5" in capsys.readouterr().err
-        assert not [name for name in os.listdir(cfg["out"]) if name.endswith(".ckpt")]
 
     @pytest.mark.parametrize("value", [-1, 0])
     def test_batches_per_mode_below_one_exits_2_without_a_checkpoint(self, pipeline_run,

@@ -213,6 +213,23 @@ class TestFusedInference:
         n_layers = model.config.encoder.n_layers
         assert ops == ["conv1d"] * n_layers + ["global_avg_pool", "narrow", "narrow"]
 
+    def test_input_gradient_builds_taps_in_forward_only(self, monkeypatch):
+        # the folded weights are constants, so backward needs dx, which takes no im2col
+        model = PerceptualModel.initialize(tiny_config(), seed=8)
+        calls = []
+        real = T._taps
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(T, "_taps", counting)
+        x = Tensor(np.random.default_rng(9).normal(size=(2, 1, model.config.clip_samples)),
+                   requires_grad=True)
+        T.sum_(model.encode(x, train=False)[0]).backward()
+        assert len(calls) == model.config.encoder.n_layers
+        assert x.grad is not None
+
     def test_embed_no_waves(self, tiny_model):
         assert tiny_model.embed_waves([]).shape == (0, tiny_model.config.encoder.acoustic_dim)
 

@@ -364,6 +364,42 @@ class TestElementwiseGradients:
         for fn in (T.add, T.sub, T.mul, T.div):
             finite_difference_check(lambda ts, f=fn: T.sum_(T.mul(f(ts[0], ts[1]), probe)), [a, b])
 
+    @pytest.mark.parametrize("fn", [T.sub, T.mul, T.div], ids=["sub", "mul", "div"])
+    @pytest.mark.parametrize("b_shape", [(1, 3), ()], ids=["row", "scalar"])
+    def test_binary_ops_unbroadcast(self, fn, b_shape):
+        rng = np.random.default_rng(40)
+        a = rng.normal(size=(2, 3))
+        b = np.array(rng.normal(size=b_shape) + 3.0)  # a 0-d array, and away from zero
+        probe = linear_probe((2, 3), 41)
+        finite_difference_check(lambda ts: T.sum_(T.mul(fn(ts[0], ts[1]), probe)), [a, b])
+        finite_difference_check(lambda ts: T.sum_(T.mul(fn(ts[1], ts[0]), probe)),
+                                [a + 3.0, b])
+
+    def test_sum_over_axis(self):
+        x = np.random.default_rng(42).normal(size=(2, 3, 4))
+        probe = linear_probe((2, 4), 43)
+        finite_difference_check(lambda ts: T.sum_(T.mul(T.sum_(ts[0], axis=1), probe)), [x])
+
+    def test_mean_over_tuple_axis(self):
+        x = np.random.default_rng(44).normal(size=(2, 3, 4))
+        probe = linear_probe((3,), 45)
+        finite_difference_check(lambda ts: T.sum_(T.mul(T.mean_(ts[0], axis=(0, 2)), probe)), [x])
+
+    def test_global_avg_pool(self):
+        x = np.random.default_rng(46).normal(size=(2, 3, 5))
+        probe = linear_probe((2, 3), 47)
+        finite_difference_check(lambda ts: T.sum_(T.mul(T.global_avg_pool(ts[0]), probe)), [x])
+
+    def test_concat_skips_part_without_gradient(self):
+        rng = np.random.default_rng(48)
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        mid = Tensor(rng.normal(size=(1, 3)))
+        c = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        g = rng.normal(size=(6, 3))
+        T.sum_(T.mul(T.concat0([a, mid, c]), Tensor(g))).backward()
+        assert np.array_equal(a.grad, g[:2]) and np.array_equal(c.grad, g[3:])
+        assert mid.grad is None
+
     def test_matmul_and_transpose(self):
         rng = np.random.default_rng(14)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
