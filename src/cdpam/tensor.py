@@ -399,7 +399,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
 
     out_data = _conv1d_forward(x.data, w.data, stride, None if bias is None else bias.data, slope)
 
-    def pre(g):  # the gradient before the epilogue's leaky ReLU
+    def pre(g):  # gradient before the epilogue; in the encoder a slope means only dx runs
         return g if slope is None else np.where(out_data > 0.0, g, slope * g)
 
     parents = (x, w) if bias is None else (x, w, bias)
