@@ -1,10 +1,15 @@
 """Autodiff engine: op semantics, gradient checks, Adam."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from cdpam import tensor as T
+from cdpam import losses, tensor as T
 from cdpam.errors import ContractError, NumericError, ShapeError
+from cdpam.model import PerceptualModel, desk_config
 from cdpam.tensor import Tensor, adam_step
 
 
@@ -76,6 +81,77 @@ class TestBasics:
         b = Tensor(np.zeros(4), requires_grad=True)
         T.sum_(T.add(x, b)).backward()
         assert np.array_equal(b.grad, np.full(4, 3.0))
+
+
+class TestGraphRelease:
+    def test_interior_nodes_are_released(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        hidden = T.exp(x)
+        loss = T.sum_(hidden)
+        loss.backward()
+        for node in (hidden, loss):
+            assert node.grad is None and node._parents == ()
+        assert np.array_equal(x.grad, np.exp([1.0, 2.0]))
+
+    def test_second_backward_of_one_root_raises(self):
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        loss = T.sum_(T.mul(x, x))
+        loss.backward()
+        with pytest.raises(ContractError, match="earlier backward"):
+            loss.backward()
+        assert np.array_equal(x.grad, [6.0])  # the first pass's gradient is untouched
+
+    def test_second_root_through_a_released_subgraph_raises(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        shared = T.mul(x, x)
+        first, second = T.sum_(shared), T.sum_(T.add(shared, x))
+        first.backward()
+        with pytest.raises(ContractError, match="earlier backward"):
+            second.backward()
+
+    def test_training_step_frees_its_graph(self, monkeypatch):
+        # one desk-config pretraining step at 2 pairs, traced by tracemalloc, which sees
+        # numpy's buffers; gc is off so that only reference counts free memory
+        cfg = desk_config()
+        model = PerceptualModel.initialize(cfg, seed=0)
+        model.set_trainable(("enc.", "proj."))
+        n = 2
+        x = Tensor(np.random.default_rng(0).normal(0.0, 0.1, size=(2 * n, 1, cfg.clip_samples)))
+        activations = []
+        conv1d = T.conv1d
+
+        def recording_conv1d(*args, **kwargs):
+            out = conv1d(*args, **kwargs)
+            activations.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "conv1d", recording_conv1d)
+        was_tracing, gc_was_enabled = tracemalloc.is_tracing(), gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            acoustic, content = model.encode(x, train=True)
+            z = model.project(acoustic, "acoustic")
+            loss = losses.nt_xent(T.narrow(z, 0, 0, n), T.narrow(z, 0, n, n), tau=0.5)
+            forward = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            loss.backward()  # the step still holds loss, z and the embeddings, as the trainer does
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+            if gc_was_enabled:
+                gc.enable()
+        leaf_grads = sum(p.grad.nbytes for p in model.params.values() if p.grad is not None)
+        assert leaf_grads > 0
+        # besides the leaf gradients only the embeddings, z, the loss and small Python
+        # objects survive (25 KB); the slack is below the smallest encoder activation
+        # (64,000 bytes at this batch), so any activation left alive fails the check
+        assert after - before <= leaf_grads + 48 * 1024, (after - before, leaf_grads)
+        assert peak - before <= 1.3 * forward, (peak - before, forward)
+        assert len(activations) == cfg.encoder.n_layers
+        assert all(ref() is None for ref in activations)
 
 
 class TestConv1d:
@@ -292,6 +368,23 @@ class TestLayers:
             return T.sum_(T.mul(T.batch_norm1d(ts[0], ts[1], ts[2], rm, rv, True), probe))
 
         finite_difference_check(build, [x, gamma, beta])
+
+    def test_batch_norm_train_input_gradient_bit_equal_to_textbook_form(self):
+        rng = np.random.default_rng(26)
+        x = rng.normal(1.0, 2.0, size=(3, 4, 10))
+        gamma, g = rng.normal(1.0, 0.3, size=4), rng.normal(size=x.shape)
+        t = Tensor(x, requires_grad=True)
+        out = T.batch_norm1d(t, Tensor(gamma), Tensor(np.zeros(4)), np.zeros(4), np.ones(4), True)
+        T.sum_(T.mul(out, Tensor(g))).backward()
+        n = 3 * 10
+        mu, inv_std = x.mean(axis=(0, 2)), 1.0 / np.sqrt(x.var(axis=(0, 2)) + 1e-5)
+        dxhat = g * gamma[None, :, None]
+        centered = x - mu[None, :, None]
+        dvar = (dxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
+        dmu = -dxhat.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * centered.sum(axis=(0, 2))
+        ref = (dxhat * inv_std[None, :, None] + dvar[None, :, None] * 2.0 * centered / n
+               + dmu[None, :, None] / n)
+        assert t.grad.tobytes() == ref.tobytes()
 
     def test_batch_norm_eval_matches_normalized_form(self):
         rng = np.random.default_rng(22)
