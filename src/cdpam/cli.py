@@ -63,7 +63,11 @@ DEFAULT_RUN_CONFIG = {
 # the BLAS pool settings a run's manifest records: checkpoints are byte-identical
 # only at a fixed thread count
 THREAD_VARS = ("CDPAM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
-CHECKPOINT_NAMES = {"pretrain": "pretrained.ckpt", "jnd": "jnd.ckpt", "finetune": "finetuned.ckpt"}
+# the training stages in run order, by config key: command, checkpoint written, record file
+# read (pretraining reads the corpus alone); a stage loads the checkpoint of the one before it
+TRAINING_STAGES = {"pretrain": ("pretrain", "pretrained.ckpt", None),
+                   "jnd": ("train-jnd", "jnd.ckpt", "jnd.jsonl"),
+                   "finetune": ("finetune", "finetuned.ckpt", "triplets.jsonl")}
 
 
 def _configure_threads() -> None:
@@ -166,7 +170,7 @@ def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=Non
         cfg["out"] = out
     if epochs is not None and stage is not None:
         cfg["train"]["epochs"][stage] = epochs
-    for name in CHECKPOINT_NAMES:  # every stage's values, before any command writes a file
+    for name in TRAINING_STAGES:  # every stage's values, before any command writes a file
         _train_config(cfg, name)
     return cfg
 
@@ -244,31 +248,21 @@ def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
     from .datagen import write_jsonl
 
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     model_cfg = _model_config(cfg)
-    data = cfg["data"]
+    data, ev = cfg["data"], cfg["data"]["eval"]
     families = tuple(data["families"])
     seed = cfg["seed"]
+    clip = {"sample_rate": model_cfg.sample_rate, "clip_samples": model_cfg.clip_samples}
 
+    # every corpus and record set is built before the first write, so that a value the
+    # builders reject leaves no partial run directory behind
     corpus = datagen.synth_corpus(data["n_utterances"], data["n_speakers"], seed=seed,
-                                  sample_rate=model_cfg.sample_rate,
-                                  clip_samples=model_cfg.clip_samples, id_prefix="utt")
-    _write_corpus(corpus, out, "corpus")
-
+                                  id_prefix="utt", **clip)
     jnd = datagen.oracle_jnd(corpus, data["n_jnd_pairs"], threshold=data["jnd_threshold"],
                              noise_sigma=data["jnd_sigma"], seed=seed, families=families)
-    write_jsonl(jnd, os.path.join(out, "jnd.jsonl"))
-
     triplets = datagen.oracle_triplets(corpus, data["n_triplets"], seed=seed, families=families)
-    write_jsonl(triplets, os.path.join(out, "triplets.jsonl"))
-
-    ev = data["eval"]
-    eval_dir = os.path.join(out, "eval")
-    os.makedirs(eval_dir, exist_ok=True)
     eval_corpus = datagen.synth_corpus(data["n_eval_utterances"], data["n_speakers"],
-                                       seed=seed + 1, sample_rate=model_cfg.sample_rate,
-                                       clip_samples=model_cfg.clip_samples, id_prefix="ev")
-    _write_corpus(eval_corpus, eval_dir, "corpus")
+                                       seed=seed + 1, id_prefix="ev", **clip)
     eval_sets = {
         "triplets": datagen.oracle_triplets(
             eval_corpus, ev["n_triplets"], seed=seed + 2, families=families,
@@ -284,9 +278,14 @@ def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
             eval_corpus, ev["mos_conditions"], ev["mos_clips_per_cell"], seed=seed + 6,
             families=families),
     }
+
+    _write_corpus(corpus, out, "corpus")  # creates `out`
+    write_jsonl(jnd, os.path.join(out, "jnd.jsonl"))
+    write_jsonl(triplets, os.path.join(out, "triplets.jsonl"))
+    eval_dir = os.path.join(out, "eval")
+    _write_corpus(eval_corpus, eval_dir, "corpus")
     for name, items in eval_sets.items():
         write_jsonl(items, os.path.join(eval_dir, datagen.EVAL_SETS[name][0]))
-
     _write_manifest(cfg, out, "synth_data")
     if not as_json:
         print(f"corpus, manifests and eval splits written under {out}")
@@ -295,59 +294,47 @@ def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
                      **{name: len(items) for name, items in eval_sets.items()}}}
 
 
-def _save_stage(cfg: dict, stage: str, command: str, model, rows) -> dict:
-    """Write a stage's checkpoint, loss log and manifest; return their paths and final loss."""
-    from .model import save_checkpoint
-    from .trainer import save_loss_log
+def _run_stage(cfg: dict, stage: str, progress: bool) -> dict:
+    """Train `stage` on the run directory's files; write its checkpoint, loss log and
+    manifest, and return their paths, the epoch count and the final loss."""
+    from . import trainer
+    from .datagen import JudgmentRecord, read_jsonl
+    from .model import load_checkpoint, save_checkpoint
 
+    command, checkpoint_name, records_name = TRAINING_STAGES[stage]
+    config = _train_config(cfg, stage)
     out = cfg["out"]
-    checkpoint = os.path.join(out, CHECKPOINT_NAMES[stage])
+    corpus = _read_corpus(out, "corpus")
+    callback = (lambda row: print(f"[{stage}] epoch {row['epoch']}: loss {row['loss']:.5f}",
+                                  flush=True)) if progress else None
+    if records_name is None:
+        model, rows = trainer.pretrain_contrastive(corpus, config, _model_config(cfg),
+                                                   progress=callback)
+    else:
+        records = read_jsonl(os.path.join(out, records_name), JudgmentRecord)
+        previous = list(TRAINING_STAGES)[list(TRAINING_STAGES).index(stage) - 1]
+        model = load_checkpoint(os.path.join(out, TRAINING_STAGES[previous][1]))
+        train = trainer.train_jnd if stage == "jnd" else trainer.finetune_triplet
+        model, rows = train(model, corpus, records, config, progress=callback)
+    checkpoint = os.path.join(out, checkpoint_name)
     log = os.path.join(out, f"{stage}_log.csv")
     save_checkpoint(model, checkpoint)
-    save_loss_log(rows, log)
-    _write_manifest(cfg, out, command)
+    trainer.save_loss_log(rows, log)
+    _write_manifest(cfg, out, command.replace("-", "_"))
     return {"checkpoint": checkpoint, "log": log, "epochs": len(rows),
             "final_loss": rows[-1]["loss"] if rows else None}
 
 
 def cmd_pretrain(cfg: dict, progress: bool = True) -> dict:
-    from .trainer import pretrain_contrastive
-
-    config = _train_config(cfg, "pretrain")
-    corpus = _read_corpus(cfg["out"], "corpus")
-    callback = _progress_printer("pretrain") if progress else None
-    model, rows = pretrain_contrastive(corpus, config, _model_config(cfg), progress=callback)
-    return _save_stage(cfg, "pretrain", "pretrain", model, rows)
+    return _run_stage(cfg, "pretrain", progress)
 
 
 def cmd_train_jnd(cfg: dict, progress: bool = True) -> dict:
-    from .datagen import JudgmentRecord, read_jsonl
-    from .model import load_checkpoint
-    from .trainer import train_jnd
-
-    config = _train_config(cfg, "jnd")
-    out = cfg["out"]
-    corpus = _read_corpus(out, "corpus")
-    records = read_jsonl(os.path.join(out, "jnd.jsonl"), JudgmentRecord)
-    model = load_checkpoint(os.path.join(out, CHECKPOINT_NAMES["pretrain"]))
-    callback = _progress_printer("jnd") if progress else None
-    model, rows = train_jnd(model, corpus, records, config, progress=callback)
-    return _save_stage(cfg, "jnd", "train_jnd", model, rows)
+    return _run_stage(cfg, "jnd", progress)
 
 
 def cmd_finetune(cfg: dict, progress: bool = True) -> dict:
-    from .datagen import JudgmentRecord, read_jsonl
-    from .model import load_checkpoint
-    from .trainer import finetune_triplet
-
-    config = _train_config(cfg, "finetune")
-    out = cfg["out"]
-    corpus = _read_corpus(out, "corpus")
-    records = read_jsonl(os.path.join(out, "triplets.jsonl"), JudgmentRecord)
-    model = load_checkpoint(os.path.join(out, CHECKPOINT_NAMES["jnd"]))
-    callback = _progress_printer("finetune") if progress else None
-    model, rows = finetune_triplet(model, corpus, records, config, progress=callback)
-    return _save_stage(cfg, "finetune", "finetune", model, rows)
+    return _run_stage(cfg, "finetune", progress)
 
 
 def cmd_distance(ckpt_path: str, path_a: str, path_b: str, as_json: bool = False) -> dict:
@@ -378,7 +365,7 @@ def cmd_eval(cfg: dict, ckpt_path: str | None = None, metrics=None, as_json: boo
     from .model import load_checkpoint
 
     out = cfg["out"]
-    ckpt_path = ckpt_path or os.path.join(out, CHECKPOINT_NAMES["finetune"])
+    ckpt_path = ckpt_path or os.path.join(out, TRAINING_STAGES["finetune"][1])
     model = load_checkpoint(ckpt_path)
     eval_corpus, datasets = load_eval_datasets(os.path.join(out, "eval"))
     wanted = tuple(metrics) if metrics else ALL_METRICS
@@ -395,13 +382,6 @@ def cmd_eval(cfg: dict, ckpt_path: str | None = None, metrics=None, as_json: boo
         for report in reports:
             print(f"{report.metric}: {report.value:.4f} (n={report.n})")
     return {report.metric: report.value for report in reports}
-
-
-def _progress_printer(stage: str):
-    def callback(row):
-        print(f"[{stage}] epoch {row['epoch']}: loss {row['loss']:.5f}", flush=True)
-
-    return callback
 
 
 def run_pipeline(cfg: dict, progress: bool = False, as_json: bool = False) -> dict:
@@ -433,9 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-data", help="synthesize corpus, manifests and eval splits")
     common(p)
 
-    for name, stage in (("pretrain", "pretrain"), ("train-jnd", "jnd"), ("finetune", "finetune")):
+    for stage, (name, _, _) in TRAINING_STAGES.items():
         p = sub.add_parser(name, help=f"run the {stage} training stage")
         common(p)
+        p.set_defaults(stage=stage)
         p.add_argument("--epochs", type=int, help="override epoch count for this stage")
         p.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
 
@@ -465,19 +446,16 @@ def main(argv=None) -> int:
         if args.command == "distance":
             outputs = cmd_distance(args.checkpoint, args.wav_a, args.wav_b, as_json=args.json)
         else:
-            stage_of = {"pretrain": "pretrain", "train-jnd": "jnd", "finetune": "finetune"}
-            cfg = resolve_config(args.config, args.seed, args.out,
-                                 getattr(args, "epochs", None), stage_of.get(args.command))
+            stage = getattr(args, "stage", None)
+            cfg = resolve_config(args.config, args.seed, args.out, getattr(args, "epochs", None),
+                                 stage)
             # --json keeps stdout to the one JSON line, so per-epoch progress is off
             progress = not (args.json or getattr(args, "quiet", False))
             if args.command == "synth-data":
                 outputs = cmd_synth_data(cfg, as_json=args.json)
-            elif args.command == "pretrain":
-                outputs = cmd_pretrain(cfg, progress=progress)
-            elif args.command == "train-jnd":
-                outputs = cmd_train_jnd(cfg, progress=progress)
-            elif args.command == "finetune":
-                outputs = cmd_finetune(cfg, progress=progress)
+            elif stage:  # looked up per call, so that a wrapped cmd_* attribute is the one run
+                run = {"pretrain": cmd_pretrain, "jnd": cmd_train_jnd, "finetune": cmd_finetune}
+                outputs = run[stage](cfg, progress=progress)
             elif args.command == "eval":
                 metrics = args.metrics.split(",") if args.metrics else None
                 outputs = cmd_eval(cfg, ckpt_path=args.checkpoint, metrics=metrics,

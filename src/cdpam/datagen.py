@@ -26,8 +26,9 @@ import numpy as np
 
 from .audio import CANONICAL_RATE, CANONICAL_SAMPLES, Waveform, fix_length, read_wav, resample
 from .errors import CapacityError, ContractError, DataError
-from .perturb import (FAMILIES, EQ_GAIN_RANGE_DB, MULAW_BITS_RANGE, NOISE_SNR_RANGE_DB,
-                      PerturbSpec, REVERB_RT60_RANGE_S, apply, magnitude, sample_spec)
+from .perturb import (DROPOUT_RATE_RANGE, EQ_GAIN_RANGE_DB, FAMILIES, MULAW_BITS_RANGE,
+                      NOISE_SNR_RANGE_DB, POP_RATE_RANGE, PerturbSpec, REVERB_RT60_RANGE_S,
+                      apply, magnitude, sample_spec)
 
 DEFAULT_JND_THRESHOLD = 0.15
 DEFAULT_JND_SIGMA = 0.03
@@ -330,9 +331,11 @@ def spec_with_severity(families, target: float, rng: np.random.Generator,
             lo, hi = MULAW_BITS_RANGE
             kwargs["mulaw_bits"] = int(round(hi - t * (hi - lo)))
         elif fam == "dropouts":
-            kwargs["dropout_rate"] = t * 0.1
+            lo, hi = DROPOUT_RATE_RANGE
+            kwargs["dropout_rate"] = lo + t * (hi - lo)
         elif fam == "pops":
-            kwargs["pop_rate"] = t * 10.0
+            lo, hi = POP_RATE_RANGE
+            kwargs["pop_rate"] = lo + t * (hi - lo)
         else:
             raise ContractError(f"unknown family {fam!r}")
     kwargs["seed"] = int(rng.integers(0, 2 ** 63))
@@ -351,6 +354,8 @@ def oracle_jnd(corpus, n_pairs: int, threshold: float = DEFAULT_JND_THRESHOLD,
     labels come out roughly balanced; a pair is "different" when
     magnitude + N(0, noise_sigma) exceeds the threshold.
     """
+    if n_pairs < 1:
+        raise ContractError("need at least one jnd pair")
     if not 0.0 < threshold < 1.0:
         raise ContractError("threshold must lie in (0, 1)")
     if not noise_sigma >= 0.0:

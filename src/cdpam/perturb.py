@@ -29,7 +29,10 @@ import numpy as np
 from .audio import Waveform, rms
 from .errors import ContractError
 
-FAMILIES = ("noise", "reverb", "eq", "compression", "dropouts", "pops")
+# each family, in canonical order, and the PerturbSpec field that holds it (None: absent)
+_FAMILY_FIELDS = {"noise": "noise_snr_db", "reverb": "reverb_rt60_s", "eq": "eq_gains_db",
+                  "compression": "mulaw_bits", "dropouts": "dropout_rate", "pops": "pop_rate"}
+FAMILIES = tuple(_FAMILY_FIELDS)
 
 NOISE_SNR_RANGE_DB = (0.0, 40.0)
 REVERB_RT60_RANGE_S = (0.05, 2.0)
@@ -43,6 +46,16 @@ _DROPOUT_WINDOW_S = 0.010
 _POP_WINDOW_S = 0.001
 _MU = 255.0
 _EQ_Q = np.sqrt(2.0)  # quality factor of every peaking band
+
+
+def _check_range(name: str, value, bounds: tuple, open_low: bool = False) -> None:
+    """`value` must be a number within `bounds`, and an integer where the bounds are;
+    a bool, NaN or infinity never is.  `open_low` excludes the lower bound."""
+    lo, hi = bounds
+    kind = numbers.Integral if isinstance(lo, int) else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (lo < value if open_low else lo <= value) or not value <= hi):
+        raise ContractError(f"{name} {value!r} outside {'(' if open_low else '['}{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -64,30 +77,29 @@ class PerturbSpec:
 
     def __post_init__(self):
         if self.noise_snr_db is not None:
-            lo, hi = NOISE_SNR_RANGE_DB
-            if not lo <= self.noise_snr_db <= hi:
-                raise ContractError(f"noise_snr_db {self.noise_snr_db} outside [{lo}, {hi}]")
+            _check_range("noise_snr_db", self.noise_snr_db, NOISE_SNR_RANGE_DB)
             color = self.noise_color or "white"
             if color not in ("white", "pink"):
                 raise ContractError(f"unknown noise color {color!r}")
             object.__setattr__(self, "noise_color", color)
         elif self.noise_color is not None:
             raise ContractError("noise_color given without noise_snr_db")
-        if self.reverb_rt60_s is not None and not 0.0 < self.reverb_rt60_s <= 2.0:
-            raise ContractError(f"reverb_rt60_s {self.reverb_rt60_s} outside (0, 2]")
+        if self.reverb_rt60_s is not None:  # any RT60 > 0 up to the sampled range's top
+            _check_range("reverb_rt60_s", self.reverb_rt60_s, (0.0, REVERB_RT60_RANGE_S[1]),
+                         open_low=True)
         if self.eq_gains_db is not None:
-            gains = tuple(float(g) for g in self.eq_gains_db)
+            gains = tuple(self.eq_gains_db)
             if len(gains) != len(_EQ_BANDS_HZ):
                 raise ContractError(f"eq_gains_db needs {len(_EQ_BANDS_HZ)} values")
-            if any(abs(g) > 12.0 for g in gains):
-                raise ContractError("eq gains outside [-12, +12] dB")
-            object.__setattr__(self, "eq_gains_db", gains)
-        if self.mulaw_bits is not None and self.mulaw_bits not in (4, 5, 6, 7, 8):
-            raise ContractError(f"mulaw_bits {self.mulaw_bits} outside [4, 8]")
-        if self.dropout_rate is not None and not 0.0 <= self.dropout_rate <= 0.1:
-            raise ContractError(f"dropout_rate {self.dropout_rate} outside [0, 0.1]")
-        if self.pop_rate is not None and not 0.0 <= self.pop_rate <= 10.0:
-            raise ContractError(f"pop_rate {self.pop_rate} outside [0, 10]")
+            for gain in gains:
+                _check_range("eq_gains_db", gain, EQ_GAIN_RANGE_DB)
+            object.__setattr__(self, "eq_gains_db", tuple(float(g) for g in gains))
+        if self.mulaw_bits is not None:
+            _check_range("mulaw_bits", self.mulaw_bits, MULAW_BITS_RANGE)
+        if self.dropout_rate is not None:
+            _check_range("dropout_rate", self.dropout_rate, DROPOUT_RATE_RANGE)
+        if self.pop_rate is not None:
+            _check_range("pop_rate", self.pop_rate, POP_RATE_RANGE)
         if not self.families:
             raise ContractError("a perturbation spec must name at least one family")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
@@ -97,20 +109,7 @@ class PerturbSpec:
 
     @property
     def families(self) -> tuple:
-        present = []
-        if self.noise_snr_db is not None:
-            present.append("noise")
-        if self.reverb_rt60_s is not None:
-            present.append("reverb")
-        if self.eq_gains_db is not None:
-            present.append("eq")
-        if self.mulaw_bits is not None:
-            present.append("compression")
-        if self.dropout_rate is not None:
-            present.append("dropouts")
-        if self.pop_rate is not None:
-            present.append("pops")
-        return tuple(present)
+        return tuple(f for f, field in _FAMILY_FIELDS.items() if getattr(self, field) is not None)
 
     def to_json(self) -> str:
         """Canonical JSON with absent families omitted; byte-stable for audits."""
@@ -162,8 +161,7 @@ def apply_noise(w: Waveform, snr_db: float, color: str = "white", seed: int = 0)
 
 def reverb_impulse_response(rt60_s: float, sample_rate: int, seed: int = 0) -> np.ndarray:
     """Exponentially decaying noise IR whose envelope hits -60 dB at rt60_s."""
-    if not 0.0 < rt60_s <= 2.0:
-        raise ContractError(f"rt60 {rt60_s} outside (0, 2]")
+    _check_range("rt60", rt60_s, (0.0, REVERB_RT60_RANGE_S[1]), open_low=True)
     n = int(round(rt60_s * sample_rate)) + 1
     rng = _family_rng(seed, "reverb")
     t = np.arange(n) / sample_rate
@@ -225,8 +223,7 @@ def apply_eq(w: Waveform, gains_db: Sequence[float]) -> Waveform:
         raise ContractError(f"expected {len(_EQ_BANDS_HZ)} band gains")
     out = w.samples
     for center, gain in zip(_EQ_BANDS_HZ, gains_db):
-        if abs(gain) > 12.0:
-            raise ContractError("eq gains outside [-12, +12] dB")
+        _check_range("eq_gains_db", gain, EQ_GAIN_RANGE_DB)
         if gain == 0.0 or center >= w.sample_rate / 2.0:
             continue
         b, a = _peaking_coeffs(center, w.sample_rate, gain)
@@ -236,8 +233,7 @@ def apply_eq(w: Waveform, gains_db: Sequence[float]) -> Waveform:
 
 def apply_compression(w: Waveform, bits: int) -> Waveform:
     """Mu-law compand (mu=255), quantize to 2^bits levels, expand back."""
-    if bits not in (4, 5, 6, 7, 8):
-        raise ContractError(f"mulaw_bits {bits} outside [4, 8]")
+    _check_range("mulaw_bits", bits, MULAW_BITS_RANGE)
     x = np.clip(w.samples, -1.0, 1.0)
     companded = np.sign(x) * np.log1p(_MU * np.abs(x)) / np.log1p(_MU)
     half_levels = 2 ** (bits - 1) - 1  # midtread grid: zero maps to zero
@@ -248,8 +244,7 @@ def apply_compression(w: Waveform, bits: int) -> Waveform:
 
 def apply_dropouts(w: Waveform, rate: float, seed: int = 0) -> Waveform:
     """Zero out seeded 10 ms windows covering roughly `rate` of the duration."""
-    if not 0.0 <= rate <= 0.1:
-        raise ContractError(f"dropout_rate {rate} outside [0, 0.1]")
+    _check_range("dropout_rate", rate, DROPOUT_RATE_RANGE)
     if rate == 0.0:
         return w
     window = max(1, int(round(_DROPOUT_WINDOW_S * w.sample_rate)))
@@ -266,8 +261,7 @@ def apply_dropouts(w: Waveform, rate: float, seed: int = 0) -> Waveform:
 
 def apply_pops(w: Waveform, rate: float, seed: int = 0) -> Waveform:
     """Insert seeded full-scale 1 ms clicks at roughly `rate` events per second."""
-    if not 0.0 <= rate <= 10.0:
-        raise ContractError(f"pop_rate {rate} outside [0, 10]")
+    _check_range("pop_rate", rate, POP_RATE_RANGE)
     n_pops = int(round(rate * w.duration))
     if n_pops == 0:
         return w

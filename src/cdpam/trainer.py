@@ -14,6 +14,9 @@ cheap loss-network optimization runs over cached embeddings.
 Stage c (finetune): margin ranking on triplet comparisons, loss network
 only, encoder still frozen.
 
+Each stage hands `_run_epochs` a generator of minibatch losses; backward,
+the Adam step and the epoch mean happen there and nowhere else.
+
 Stages must run in order; checkpoints carry a stage tag that is checked on
 entry.  All randomness (batch composition, augmentation, perturbation draws)
 derives from the config seed, so identical configs give byte-identical
@@ -123,23 +126,31 @@ def _check_entry(config: TrainConfig, stage: str, model=None, needs: str | None 
 
 
 def _run_epochs(model: PerceptualModel, config: TrainConfig, spawn: int, done_tag: str,
-                run_epoch, progress) -> tuple:
-    """Run `run_epoch(rng) -> mean loss` config.epochs times; return (model, loss rows).
+                epoch_losses, progress) -> tuple:
+    """Run config.epochs epochs of `epoch_losses(rng)`; return (model, loss rows).
 
-    Epoch e draws from SeedSequence(seed, spawn_key=(spawn, e)).  A non-finite
-    value anywhere in an epoch aborts training with that epoch's index.  At
-    the end the model is tagged `done_tag` and every parameter is frozen.
+    The one training step: each loss the generator yields is backpropagated
+    and followed by one Adam step before the generator resumes, and an epoch
+    logs its minibatch mean.  Epoch e draws from SeedSequence(seed,
+    spawn_key=(spawn, e)).  A non-finite value anywhere in an epoch aborts
+    training with that epoch's index.  At the end the model is tagged
+    `done_tag` and every parameter is frozen.
     """
+    moments: dict = {}
     rows = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(spawn, epoch)))
+        batch_losses = []
         try:
-            loss = run_epoch(rng)
+            for loss in epoch_losses(rng):
+                loss.backward()
+                adam_step(model.params, moments, config.lr)
+                batch_losses.append(loss.item())
         except NumericError as err:
             raise TrainingError(f"{config.stage} stage diverged at epoch {epoch}: {err}",
                                 epoch=epoch) from err
-        rows.append({"epoch": epoch, "stage": config.stage, "loss": loss,
+        rows.append({"epoch": epoch, "stage": config.stage, "loss": float(np.mean(batch_losses)),
                      "wall_ms": (time.perf_counter() - t0) * 1000.0})
         if progress:
             progress(rows[-1])
@@ -163,7 +174,6 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
     model = PerceptualModel.initialize(model_config, seed=config.seed)
     model.set_trainable(("enc.", "proj."))
     per_mode = config.batches_per_mode or max(1, len(corpus) // (4 * config.batch_size))
-    moments: dict = {}
     # the pretraining set is fixed up front; only augmentation varies per epoch
     seeder = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(20,)))
     batches = [(mode, make_contrastive_batch(corpus, mode, config.batch_size,
@@ -171,8 +181,7 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
                                              families=config.families))
                for mode in ["acoustic", "content"] * per_mode]
 
-    def run_epoch(rng):
-        epoch_losses = []
+    def epoch_losses(rng):
         for mode, pairs in batches:
             waves = _maybe_augment([p.wave_i for p in pairs], rng, config.augment) \
                 + _maybe_augment([p.wave_j for p in pairs], rng, config.augment)
@@ -181,13 +190,9 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
             half = acoustic if mode == "acoustic" else content
             z = model.project(half, mode)
             n = len(pairs)
-            loss = losses.nt_xent(T.narrow(z, 0, 0, n), T.narrow(z, 0, n, n), tau=config.tau)
-            loss.backward()
-            adam_step(model.params, moments, config.lr)
-            epoch_losses.append(loss.item())
-        return float(np.mean(epoch_losses))
+            yield losses.nt_xent(T.narrow(z, 0, 0, n), T.narrow(z, 0, n, n), tau=config.tau)
 
-    return _run_epochs(model, config, 21, "pretrained", run_epoch, progress)
+    return _run_epochs(model, config, 21, "pretrained", epoch_losses, progress)
 
 
 # -- stages b and c: loss network on a frozen encoder ------------------------------------
@@ -208,32 +213,30 @@ def _clip_items(corpus, records, kind: str, positive: str) -> list:
     return items
 
 
-def _frozen_encoder_epochs(model: PerceptualModel, items, config: TrainConfig, spawn: int,
-                           done_tag: str, batch_loss, progress) -> tuple:
-    """Fit the trainable parameters on frozen-encoder embeddings of `items`.
+def _frozen_encoder_epochs(model: PerceptualModel, corpus, records, config: TrainConfig,
+                           kind: str, positive: str, spawn: int, done_tag: str, batch_loss,
+                           progress) -> tuple:
+    """Fit the trainable parameters on frozen-encoder embeddings of the `kind` records' clips.
 
     Each epoch permutes the items, augments each clip column (reference first)
     with the epoch generator, embeds each column once in inference mode, and
-    takes one Adam step per minibatch of `batch_loss(embs, targets)`.
+    yields `batch_loss(embs, targets)` per minibatch.
     """
+    items = _clip_items(corpus, records, kind, positive)
+    if not items:
+        raise DataError(f"the {kind.split('_')[0]} record set is empty")
     columns = list(zip(*(clips for clips, _ in items)))
     targets = np.array([target for _, target in items])
-    moments: dict = {}
 
-    def run_epoch(rng):
+    def epoch_losses(rng):
         order = rng.permutation(len(items))
         embs = [model.embed_waves(_maybe_augment([column[i] for i in order], rng, config.augment))
                 for column in columns]
-        epoch_losses = []
         for start in range(0, len(items), config.batch_size):
-            stop = min(len(items), start + config.batch_size)
-            loss = batch_loss([Tensor(e[start:stop]) for e in embs], targets[order[start:stop]])
-            loss.backward()
-            adam_step(model.params, moments, config.lr)
-            epoch_losses.append(loss.item())
-        return float(np.mean(epoch_losses))
+            batch = slice(start, start + config.batch_size)
+            yield batch_loss([Tensor(e[batch]) for e in embs], targets[order[batch]])
 
-    return _run_epochs(model, config, spawn, done_tag, run_epoch, progress)
+    return _run_epochs(model, config, spawn, done_tag, epoch_losses, progress)
 
 
 def train_jnd(model: PerceptualModel, corpus, records, config: TrainConfig,
@@ -249,10 +252,8 @@ def train_jnd(model: PerceptualModel, corpus, records, config: TrainConfig,
         p = model.judge_from_distance(T.reshape(d, (len(labels), 1)))
         return losses.bce(p, labels.reshape(-1, 1))
 
-    items = _clip_items(corpus, records, "jnd_pair", positive="different")
-    if not items:
-        raise DataError("the jnd record set is empty")
-    return _frozen_encoder_epochs(model, items, config, 22, "jnd", batch_loss, progress)
+    return _frozen_encoder_epochs(model, corpus, records, config, "jnd_pair", "different", 22,
+                                  "jnd", batch_loss, progress)
 
 
 def finetune_triplet(model: PerceptualModel, corpus, records, config: TrainConfig,
@@ -272,7 +273,5 @@ def finetune_triplet(model: PerceptualModel, corpus, records, config: TrainConfi
         d_other = T.add(T.mul(d_b, mask), T.mul(d_a, T.sub(one, mask)))
         return T.mean_(losses.margin_rank(d_pref, d_other, margin=config.margin))
 
-    items = _clip_items(corpus, records, "triplet", positive="A")
-    if not items:
-        raise DataError("the triplet record set is empty")
-    return _frozen_encoder_epochs(model, items, config, 23, "finetuned", batch_loss, progress)
+    return _frozen_encoder_epochs(model, corpus, records, config, "triplet", "A", 23,
+                                  "finetuned", batch_loss, progress)

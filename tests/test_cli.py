@@ -373,6 +373,24 @@ class TestConfigBoundary:
         assert "k must be >= 1, got 0 (config key 'data.eval.k')" in capsys.readouterr().err
         assert not os.path.exists(cfg["out"])
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("n_jnd_pairs", 0, "need at least one jnd pair"),
+        ("n_triplets", 0, "need at least one triplet"),
+        ("jnd_threshold", 1.5, "threshold must lie in (0, 1)"),
+        ("eval.mono_levels", 2, "monotonicity needs >= 3 levels"),
+        ("eval.retrieval_group_size", 64, "retrieval groups need group_size"),
+        ("eval.triplet_gap", 1.0, "min_magnitude_gap must be in [0, 1)"),
+    ], ids=["n_jnd_pairs", "n_triplets", "jnd_threshold", "mono_levels", "retrieval_group_size",
+            "triplet_gap"])
+    def test_synth_data_rejects_before_writing(self, tmp_path, capsys, key, value, named):
+        config_path, cfg = tiny_run_config(tmp_path)
+        section = cfg["data"]["eval"] if key.startswith("eval.") else cfg["data"]
+        section[key.removeprefix("eval.")] = value
+        config_path.write_text(json.dumps(cfg))
+        assert main(["synth-data", "--config", str(config_path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not os.path.exists(cfg["out"])
+
     @pytest.mark.parametrize("value", [-1, 0])
     def test_batches_per_mode_below_one_exits_2_without_a_checkpoint(self, pipeline_run,
                                                                      tmp_path, capsys, value):

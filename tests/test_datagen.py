@@ -12,7 +12,7 @@ from cdpam.datagen import (CorpusEntry, JudgmentRecord, build_common_area_sets,
                            build_mono_series, build_mos_set, build_retrieval_set,
                            make_contrastive_batch, oracle_jnd, oracle_triplets, read_jsonl,
                            spec_with_severity, synth_corpus, write_jsonl)
-from cdpam.errors import CapacityError, ContractError
+from cdpam.errors import CapacityError, ContractError, DataError
 from cdpam.perturb import FAMILIES, magnitude
 
 SR = 4000
@@ -148,6 +148,11 @@ class TestOracleJnd:
         flips = [rng.normal(0.0, DEFAULT_JND_SIGMA) > 0.0 for _ in range(1000)]
         assert 0.45 <= np.mean(flips) <= 0.55
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_at_least_one_pair(self, corpus, n):
+        with pytest.raises(ContractError, match="need at least one jnd pair"):
+            oracle_jnd(corpus, n)
+
     def test_determinism(self, corpus):
         a = oracle_jnd(corpus, 10, seed=5)
         b = oracle_jnd(corpus, 10, seed=5)
@@ -232,6 +237,19 @@ class TestManifests:
         assert not set(extra) & set(row)
         path.write_text(json.dumps({**row, **extra}) + "\n")
         assert read_jsonl(path, JudgmentRecord) == [record]
+
+    @pytest.mark.parametrize("field,value", [
+        ("reverb_rt60_s", True), ("noise_snr_db", True), ("pop_rate", True),
+        ("eq_gains_db", [float("nan")] * 8)])
+    def test_bad_spec_value_names_file_and_line(self, corpus, tmp_path, field, value):
+        path = tmp_path / "jnd.jsonl"
+        write_jsonl(oracle_jnd(corpus, 2, seed=7), path)
+        first, second = path.read_text().splitlines()
+        row = json.loads(second)
+        row["spec_a"][field] = value
+        path.write_text(f"{first}\n{json.dumps(row)}\n")
+        with pytest.raises(DataError, match=f"jnd.jsonl line 2: {field} "):
+            read_jsonl(path, JudgmentRecord)
 
     def test_record_validation(self):
         from cdpam.perturb import PerturbSpec

@@ -37,6 +37,24 @@ class TestSpec:
         with pytest.raises(ContractError):
             PerturbSpec(mulaw_bits=3, seed=1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"eq_gains_db": (float("nan"),) * 8},
+        {"eq_gains_db": (float("inf"),) + (0.0,) * 7},
+        {"eq_gains_db": (True,) + (0.0,) * 7},
+        {"noise_snr_db": float("nan")},
+        {"pop_rate": float("inf")},
+        {"reverb_rt60_s": True},
+        {"noise_snr_db": True},
+        {"pop_rate": True},
+        {"dropout_rate": False},
+        {"mulaw_bits": 6.0},
+    ], ids=["nan-eq", "inf-eq", "bool-eq", "nan-snr", "inf-pops", "bool-rt60", "bool-snr",
+            "bool-pops", "bool-dropouts", "float-bits"])
+    def test_rejects_bool_and_non_finite_values(self, kwargs):
+        (field,) = kwargs
+        with pytest.raises(ContractError, match=f"^{field} "):
+            PerturbSpec(seed=1, **kwargs)
+
     @pytest.mark.parametrize("seed", [-1, float("inf"), True, 1.5, "3"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ContractError, match="seed must be an integer >= 0"):

@@ -8,6 +8,7 @@ import importlib.util
 import os
 
 import numpy as np
+import pytest
 
 from cdpam import cli, datagen, evaluate, model, perturb, tensor, trainer
 from cdpam.audio import Waveform
@@ -38,22 +39,32 @@ def test_traced_wraps_and_restores_every_hook():
     assert [getattr(owner, attr) for owner, attr in hooks] == originals
 
 
-def test_pretraining_takes_one_adam_step_per_backward():
+@pytest.mark.parametrize("stage,steps", [("pretrain", 2), ("jnd", 3), ("finetune", 3)])
+def test_each_stage_takes_one_adam_step_per_backward(stage, steps):
     # tensor.adam_step_ms divides the Adam spans by the backward spans: one step
-    # updates the encoder and the batch's projection head together
+    # updates the encoder and the batch's projection head together, and a
+    # frozen-encoder stage steps once per minibatch, the last one short
     from collections import Counter
 
-    from cdpam.datagen import synth_corpus
-    from cdpam.model import tiny_config
+    from cdpam.datagen import oracle_jnd, oracle_triplets, synth_corpus
+    from cdpam.model import PerceptualModel, tiny_config
 
     tracer_module = load_tracer()
     cfg = tiny_config()
     corpus = synth_corpus(16, 2, seed=1, sample_rate=cfg.sample_rate,
                           clip_samples=cfg.clip_samples)
-    config = trainer.TrainConfig(stage="pretrain", epochs=1, batch_size=4, batches_per_mode=1)
+    config = trainer.TrainConfig(stage=stage, epochs=1, batch_size=4, batches_per_mode=1)
+    model = PerceptualModel.initialize(cfg, seed=0)
+    model.stage = {"pretrain": "init", "jnd": "pretrained", "finetune": "jnd"}[stage]
+    jnd_records, triplets = oracle_jnd(corpus, 10, seed=2), oracle_triplets(corpus, 10, seed=2)
     tracer = tracer_module.Tracer()
     with tracer_module.traced(tracer):
-        trainer.pretrain_contrastive(corpus, config, cfg)
+        if stage == "pretrain":
+            trainer.pretrain_contrastive(corpus, config, cfg)
+        elif stage == "jnd":
+            trainer.train_jnd(model, corpus, jnd_records, config)
+        else:
+            trainer.finetune_triplet(model, corpus, triplets, config)
     names = Counter(span[0] for span in tracer.spans)
-    assert names["tensor.backward"] == 2
+    assert names["tensor.backward"] == steps
     assert names["tensor.adam_step"] == names["tensor.backward"]
