@@ -10,8 +10,8 @@ Run:  python demos/01_perturbation_tour.py
 import os
 
 from cdpam.audio import write_wav
-from cdpam.datagen import spec_with_severity, synth_corpus
-from cdpam.perturb import apply, magnitude
+from cdpam.datagen import synth_corpus
+from cdpam.perturb import apply, magnitude, spec_with_severity
 
 import numpy as np
 

@@ -10,9 +10,9 @@ Run:  python demos/02_train_tiny_metric.py
 
 import numpy as np
 
-from cdpam.datagen import oracle_jnd, oracle_triplets, spec_with_severity, synth_corpus
+from cdpam.datagen import oracle_jnd, oracle_triplets, synth_corpus
 from cdpam.model import tiny_config
-from cdpam.perturb import apply
+from cdpam.perturb import apply, spec_with_severity
 from cdpam.trainer import TrainConfig, finetune_triplet, pretrain_contrastive, train_jnd
 
 config = tiny_config()

@@ -9,6 +9,7 @@ conditioned with :func:`fix_length` and :func:`resample`.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -139,7 +140,8 @@ def write_wav(w: Waveform, path) -> None:
 
     Samples outside [-1, 1] are clamped (perturbations may overshoot).  The
     read(write(w)) round trip is exact to within one 16-bit quantization step
-    (1/32768) per sample.
+    (1/32768) per sample.  The file is replaced atomically, so a killed run never leaves a
+    truncated WAV at `path`.
     """
     clipped = np.clip(w.samples, -1.0, 1.0)
     quantized = np.clip(np.round(clipped * 32768.0), -32768, 32767).astype("<i2")
@@ -153,9 +155,11 @@ def write_wav(w: Waveform, path) -> None:
         b"data",
         struct.pack("<I", len(payload)),
     ])
-    with open(path, "wb") as fh:
+    tmp = str(path) + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(payload)
+    os.replace(tmp, path)
 
 
 def fix_length(w: Waveform, n: int) -> Waveform:

@@ -12,7 +12,9 @@ two independent records to one utterance.
 Human annotation is replaced by an oracle that thresholds the perturbation
 magnitude: near-threshold pairs labelled same/different stand in for a JND
 dataset, and triplets preferring the smaller-magnitude perturbation stand in
-for two-alternative comparisons across the full severity range.
+for two-alternative comparisons across the full severity range.  Specs at a
+target severity and their magnitudes come from :mod:`cdpam.perturb`, the one
+module that knows what a family's parameter means.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ import numpy as np
 
 from .audio import CANONICAL_RATE, CANONICAL_SAMPLES, Waveform, fix_length, read_wav, resample
 from .errors import CapacityError, ContractError, DataError
-from .perturb import (DROPOUT_RATE_RANGE, EQ_GAIN_RANGE_DB, FAMILIES, MULAW_BITS_RANGE,
-                      NOISE_SNR_RANGE_DB, POP_RATE_RANGE, PerturbSpec, REVERB_RT60_RANGE_S,
-                      apply, magnitude, sample_spec)
+from .perturb import (DEFAULT_FAMILIES, PerturbSpec, apply, magnitude, sample_spec,
+                      spec_with_severity)
 
 DEFAULT_JND_THRESHOLD = 0.15
 DEFAULT_JND_SIGMA = 0.03
@@ -82,15 +83,16 @@ class JudgmentRecord:
 def write_jsonl(items, path) -> None:
     """Write record dataclasses to `path`, one sorted-key JSON line each, replacing it atomically.
 
-    A PerturbSpec field is stored as its canonical JSON object; a None field is left out.
+    A None field is left out, and a PerturbSpec field is stored as such an object of its own.
     """
+    def row(item) -> dict:
+        return {f.name: row(value) if isinstance(value, PerturbSpec) else value
+                for f in fields(item) if (value := getattr(item, f.name)) is not None}
+
     tmp = str(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         for item in items:
-            row = {f.name: getattr(item, f.name) for f in fields(item)}
-            row = {key: json.loads(value.to_json()) if isinstance(value, PerturbSpec) else value
-                   for key, value in row.items() if value is not None}
-            fh.write(json.dumps(row, sort_keys=True))
+            fh.write(json.dumps(row(item), sort_keys=True))
             fh.write("\n")
     os.replace(tmp, path)
 
@@ -130,7 +132,7 @@ def read_jsonl(path, cls) -> list:
                         value = row[f.name]
                         _check_type(f.name, f.type, value)  # f.type is a str
                         if "PerturbSpec" in f.type and value is not None:
-                            value = PerturbSpec.from_json(json.dumps(value))
+                            value = PerturbSpec(**value)
                         kwargs[f.name] = value
                     elif f.default is MISSING:
                         raise DataError(f"missing key {f.name!r}")
@@ -274,7 +276,7 @@ class ContrastivePair:
 
 
 def make_contrastive_batch(corpus, mode: str, batch_size: int = 16, seed: int = 0,
-                           families=("noise", "reverb")) -> list:
+                           families=DEFAULT_FAMILIES) -> list:
     """Build one batch of positive pairs under the requested pairing rule.
 
     acoustic mode: two different utterances share one perturbation record.
@@ -303,51 +305,12 @@ def make_contrastive_batch(corpus, mode: str, batch_size: int = 16, seed: int = 
     return pairs
 
 
-# -- severity-targeted spec construction -----------------------------------------
-
-
-def spec_with_severity(families, target: float, rng: np.random.Generator,
-                       max_families: int = 2) -> PerturbSpec:
-    """A spec whose present families each sit at the given normalized severity."""
-    pool = tuple(families)
-    if not pool:
-        raise ContractError("no families to draw from")
-    t = float(np.clip(target, 0.0, 1.0))
-    n_fam = 1 if len(pool) == 1 or max_families == 1 or rng.random() < 0.5 else 2
-    chosen = rng.choice(pool, size=min(n_fam, len(pool)), replace=False)
-    kwargs: dict = {}
-    for fam in chosen:
-        if fam == "noise":
-            lo, hi = NOISE_SNR_RANGE_DB
-            kwargs["noise_snr_db"] = hi - t * (hi - lo)
-            kwargs["noise_color"] = str(rng.choice(["white", "pink"]))
-        elif fam == "reverb":
-            lo, hi = REVERB_RT60_RANGE_S
-            kwargs["reverb_rt60_s"] = lo + t * (hi - lo)
-        elif fam == "eq":
-            signs = rng.choice([-1.0, 1.0], size=8)
-            kwargs["eq_gains_db"] = tuple(signs * t * EQ_GAIN_RANGE_DB[1])
-        elif fam == "compression":
-            lo, hi = MULAW_BITS_RANGE
-            kwargs["mulaw_bits"] = int(round(hi - t * (hi - lo)))
-        elif fam == "dropouts":
-            lo, hi = DROPOUT_RATE_RANGE
-            kwargs["dropout_rate"] = lo + t * (hi - lo)
-        elif fam == "pops":
-            lo, hi = POP_RATE_RANGE
-            kwargs["pop_rate"] = lo + t * (hi - lo)
-        else:
-            raise ContractError(f"unknown family {fam!r}")
-    kwargs["seed"] = int(rng.integers(0, 2 ** 63))
-    return PerturbSpec(**kwargs)
-
-
 # -- oracle annotators -----------------------------------------------------------
 
 
 def oracle_jnd(corpus, n_pairs: int, threshold: float = DEFAULT_JND_THRESHOLD,
                noise_sigma: float = DEFAULT_JND_SIGMA, seed: int = 0,
-               families=("noise", "reverb")) -> list:
+               families=DEFAULT_FAMILIES) -> list:
     """Near-threshold clean/perturbed pairs labelled by the magnitude oracle.
 
     Magnitudes are drawn uniformly over [0, 2*threshold] (capped at 1) so the
@@ -372,7 +335,7 @@ def oracle_jnd(corpus, n_pairs: int, threshold: float = DEFAULT_JND_THRESHOLD,
     return records
 
 
-def oracle_triplets(corpus, n: int, seed: int = 0, families=("noise", "reverb"),
+def oracle_triplets(corpus, n: int, seed: int = 0, families=DEFAULT_FAMILIES,
                     min_magnitude_gap: float = 0.0) -> list:
     """Triplets (clean reference, two perturbations); the smaller magnitude wins.
 
@@ -448,7 +411,7 @@ EVAL_SETS = {"triplets": ("triplets.jsonl", JudgmentRecord),
              "mos_rows": ("mos.jsonl", MosRow)}
 
 
-def build_mono_series(corpus, families=("noise", "reverb"), n_levels: int = 6,
+def build_mono_series(corpus, families=DEFAULT_FAMILIES, n_levels: int = 6,
                       n_contents: int = 8, seed: int = 0) -> list:
     """Per-content series at increasing severities, per family plus combined."""
     if n_levels < 3 or n_contents < 2:
@@ -471,7 +434,7 @@ def build_mono_series(corpus, families=("noise", "reverb"), n_levels: int = 6,
 
 
 def build_common_area_sets(corpus, n_pairs: int = 150, seed: int = 0,
-                           families=("noise", "reverb")) -> list:
+                           families=DEFAULT_FAMILIES) -> list:
     """Two groups of cross-content pairs: shared perturbation record vs independent ones."""
     if len(corpus) < 2:
         raise CapacityError("common-area pairs need at least 2 utterances")
@@ -489,7 +452,7 @@ def build_common_area_sets(corpus, n_pairs: int = 150, seed: int = 0,
 
 
 def build_retrieval_set(corpus, n_groups: int = 10, group_size: int = 20, seed: int = 0,
-                        families=("noise", "reverb")) -> list:
+                        families=DEFAULT_FAMILIES) -> list:
     """n_groups perturbation records, each applied to group_size different utterances."""
     if len(corpus) < group_size:
         raise CapacityError("retrieval groups need group_size distinct utterances")
@@ -504,7 +467,7 @@ def build_retrieval_set(corpus, n_groups: int = 10, group_size: int = 20, seed: 
 
 
 def build_mos_set(corpus, n_conditions: int = 10, clips_per_cell: int = 3, seed: int = 0,
-                  families=("noise", "reverb")) -> list:
+                  families=DEFAULT_FAMILIES) -> list:
     """Synthetic MOS table: rating = 5 - 4*magnitude + noise, clipped to [1, 5]."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
     speakers = sorted({utt.speaker_id for utt in corpus})

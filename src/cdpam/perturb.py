@@ -7,9 +7,12 @@ pops).  A :class:`PerturbSpec` records the parameters of one acoustic
 condition; applying the same spec to the same input is bit-reproducible,
 which is what makes dataset generation and the pairing rules auditable.
 
-The scalar :func:`magnitude` maps a spec to [0, 1] and drives the oracle
-annotator that stands in for human judgments at desk scale.  It is the plain
-mean of the present families' severities, not a perceptual calibration.
+Each family is declared once, in one table: its spec field, the range over
+which its severity runs from 0 to 1, and whether severity falls as the value
+grows (a higher SNR or bit depth is milder).  :func:`severity` and its inverse
+:func:`spec_with_severity` both read it.  The scalar :func:`magnitude`, the
+plain mean of the present families' severities and not a perceptual
+calibration, drives the oracle that stands in for listeners at desk scale.
 
 The module needs only numpy to import: reverb convolves with numpy.fft at the
 FFT size scipy.signal.fftconvolve would pick, so its output matches
@@ -19,9 +22,8 @@ import, is loaded on first use by the EQ family.
 
 from __future__ import annotations
 
-import json
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,17 +31,24 @@ import numpy as np
 from .audio import Waveform, rms
 from .errors import ContractError
 
-# each family, in canonical order, and the PerturbSpec field that holds it (None: absent)
-_FAMILY_FIELDS = {"noise": "noise_snr_db", "reverb": "reverb_rt60_s", "eq": "eq_gains_db",
-                  "compression": "mulaw_bits", "dropouts": "dropout_rate", "pops": "pop_rate"}
-FAMILIES = tuple(_FAMILY_FIELDS)
-
 NOISE_SNR_RANGE_DB = (0.0, 40.0)
 REVERB_RT60_RANGE_S = (0.05, 2.0)
 EQ_GAIN_RANGE_DB = (-12.0, 12.0)
 MULAW_BITS_RANGE = (4, 8)
 DROPOUT_RATE_RANGE = (0.0, 0.1)
 POP_RATE_RANGE = (0.0, 10.0)
+
+# each family, in canonical order: the PerturbSpec field that holds it (None: absent), the
+# range its severity runs over from 0 to 1 (for eq, of the mean absolute band gain), and
+# whether severity falls as the value grows
+_FAMILY_FIELDS = {"noise": ("noise_snr_db", NOISE_SNR_RANGE_DB, True),
+                  "reverb": ("reverb_rt60_s", REVERB_RT60_RANGE_S, False),
+                  "eq": ("eq_gains_db", (0.0, EQ_GAIN_RANGE_DB[1]), False),
+                  "compression": ("mulaw_bits", MULAW_BITS_RANGE, True),
+                  "dropouts": ("dropout_rate", DROPOUT_RATE_RANGE, False),
+                  "pops": ("pop_rate", POP_RATE_RANGE, False)}
+FAMILIES = tuple(_FAMILY_FIELDS)
+DEFAULT_FAMILIES = ("noise", "reverb")  # the families the desk pipeline trains and scores on
 
 _EQ_BANDS_HZ = tuple(62.5 * 2 ** i for i in range(8))
 _DROPOUT_WINDOW_S = 0.010
@@ -109,22 +118,8 @@ class PerturbSpec:
 
     @property
     def families(self) -> tuple:
-        return tuple(f for f, field in _FAMILY_FIELDS.items() if getattr(self, field) is not None)
-
-    def to_json(self) -> str:
-        """Canonical JSON with absent families omitted; byte-stable for audits."""
-        record = {f.name: getattr(self, f.name) for f in fields(self)}
-        record = {k: v for k, v in record.items() if v is not None}
-        if "eq_gains_db" in record:
-            record["eq_gains_db"] = list(record["eq_gains_db"])
-        return json.dumps(record, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PerturbSpec":
-        record = json.loads(text)
-        if "eq_gains_db" in record:
-            record["eq_gains_db"] = tuple(record["eq_gains_db"])
-        return cls(**record)
+        return tuple(f for f, (field, _, _) in _FAMILY_FIELDS.items()
+                     if getattr(self, field) is not None)
 
 
 def _family_rng(seed: int, family: str) -> np.random.Generator:
@@ -297,50 +292,71 @@ def apply(spec: PerturbSpec, w: Waveform) -> Waveform:
     return out
 
 
-def sample_spec(seed: int, families: Iterable[str] = FAMILIES) -> PerturbSpec:
-    """Draw each requested family's parameter uniformly from its range."""
+def _requested(families) -> tuple:
     requested = tuple(families)
     if not requested:
         raise ContractError("at least one family must be requested")
     unknown = set(requested) - set(FAMILIES)
     if unknown:
         raise ContractError(f"unknown families: {sorted(unknown)}")
+    return requested
+
+
+def sample_spec(seed: int, families: Iterable[str] = FAMILIES) -> PerturbSpec:
+    """Draw each requested family's parameter uniformly from its range."""
+    requested = _requested(families)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(len(FAMILIES),)))
     kwargs = {}
-    if "noise" in requested:
-        kwargs["noise_snr_db"] = float(rng.uniform(*NOISE_SNR_RANGE_DB))
-        kwargs["noise_color"] = str(rng.choice(["white", "pink"]))
-    if "reverb" in requested:
-        kwargs["reverb_rt60_s"] = float(rng.uniform(*REVERB_RT60_RANGE_S))
-    if "eq" in requested:
-        kwargs["eq_gains_db"] = tuple(rng.uniform(*EQ_GAIN_RANGE_DB, size=len(_EQ_BANDS_HZ)))
-    if "compression" in requested:
-        kwargs["mulaw_bits"] = int(rng.integers(MULAW_BITS_RANGE[0], MULAW_BITS_RANGE[1] + 1))
-    if "dropouts" in requested:
-        kwargs["dropout_rate"] = float(rng.uniform(*DROPOUT_RATE_RANGE))
-    if "pops" in requested:
-        kwargs["pop_rate"] = float(rng.uniform(*POP_RATE_RANGE))
+    for fam, (field, (lo, hi), _) in _FAMILY_FIELDS.items():
+        if fam not in requested:
+            continue
+        if fam == "eq":  # each band's gain, not their mean absolute value
+            kwargs[field] = tuple(rng.uniform(*EQ_GAIN_RANGE_DB, size=len(_EQ_BANDS_HZ)))
+        elif isinstance(lo, int):
+            kwargs[field] = int(rng.integers(lo, hi + 1))
+        else:
+            kwargs[field] = float(rng.uniform(lo, hi))
+        if fam == "noise":
+            kwargs["noise_color"] = str(rng.choice(["white", "pink"]))
     kwargs["seed"] = int(rng.integers(0, 2 ** 63))
     return PerturbSpec(**kwargs)
 
 
 def severity(spec: PerturbSpec, family: str) -> float:
-    """Normalized severity of one present family, in [0, 1]."""
-    if family == "noise":
-        return 1.0 - spec.noise_snr_db / NOISE_SNR_RANGE_DB[1]
-    if family == "reverb":
-        lo, hi = REVERB_RT60_RANGE_S
-        return float(np.clip((spec.reverb_rt60_s - lo) / (hi - lo), 0.0, 1.0))
-    if family == "eq":
-        return float(np.mean(np.abs(spec.eq_gains_db))) / EQ_GAIN_RANGE_DB[1]
-    if family == "compression":
-        lo, hi = MULAW_BITS_RANGE
-        return (hi - spec.mulaw_bits) / (hi - lo)
-    if family == "dropouts":
-        return spec.dropout_rate / DROPOUT_RATE_RANGE[1]
-    if family == "pops":
-        return spec.pop_rate / POP_RATE_RANGE[1]
-    raise ContractError(f"unknown family {family!r}")
+    """Normalized severity of one present family: its place in its range, 0 at the mild end."""
+    if family not in spec.families:
+        raise ContractError(f"family {family!r} is not in the spec, which has "
+                            f"{', '.join(spec.families)}")
+    field, (lo, hi), falls = _FAMILY_FIELDS[family]
+    value = getattr(spec, field)
+    if isinstance(value, tuple):  # eq: the mean absolute gain of its bands
+        value = float(np.mean(np.abs(value)))
+    s = min(max((value - lo) / (hi - lo), 0.0), 1.0)  # an RT60 below the reverb range is 0
+    return 1.0 - s if falls else s
+
+
+def spec_with_severity(families, target: float, rng: np.random.Generator,
+                       max_families: int = 2) -> PerturbSpec:
+    """The inverse of :func:`severity`: a spec of one or two of `families` (at most
+    `max_families`), each at severity `target`.
+
+    Eq draws a sign for each band, and compression rounds to whole bits.
+    """
+    pool = _requested(families)
+    t = float(np.clip(target, 0.0, 1.0))
+    n_fam = 1 if len(pool) == 1 or max_families == 1 or rng.random() < 0.5 else 2
+    chosen = rng.choice(pool, size=min(n_fam, len(pool)), replace=False)
+    kwargs: dict = {}
+    for fam in chosen:
+        field, (lo, hi), falls = _FAMILY_FIELDS[fam]
+        value = hi - t * (hi - lo) if falls else lo + t * (hi - lo)
+        if fam == "noise":
+            kwargs["noise_color"] = str(rng.choice(["white", "pink"]))
+        elif fam == "eq":
+            value = tuple(rng.choice([-1.0, 1.0], size=len(_EQ_BANDS_HZ)) * value)
+        kwargs[field] = int(round(value)) if isinstance(lo, int) else value
+    kwargs["seed"] = int(rng.integers(0, 2 ** 63))
+    return PerturbSpec(**kwargs)
 
 
 def magnitude(spec: PerturbSpec) -> float:

@@ -38,7 +38,7 @@ from .audio import Waveform, apply_gain_db
 from .datagen import corpus_by_id, make_contrastive_batch
 from .errors import ContractError, DataError, NumericError, TrainingError
 from .model import ModelConfig, PerceptualModel
-from .perturb import apply
+from .perturb import DEFAULT_FAMILIES, apply
 from .tensor import Tensor, adam_step
 
 EPOCH_DEFAULTS = {"pretrain": 250, "jnd": 250, "finetune": 100}
@@ -63,7 +63,7 @@ class TrainConfig:
     margin: float = 0.1
     seed: int = 0
     augment: bool = True
-    families: tuple = ("noise", "reverb")
+    families: tuple = DEFAULT_FAMILIES
     batches_per_mode: int | None = None
 
     def __post_init__(self):

@@ -1,5 +1,6 @@
 """Waveform container and WAV I/O contracts."""
 
+import os
 import struct
 
 import numpy as np
@@ -177,6 +178,19 @@ class TestWriteWav:
         w = Waveform(np.zeros(4), 16000)
         with pytest.raises(OSError):
             write_wav(w, tmp_path / "missing_dir" / "x.wav")
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "keep.wav"
+        write_wav(Waveform(np.full(8, 0.5), 16000), path)
+        before = path.read_bytes()
+
+        def killed(src, dst):
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError, match="killed mid-write"):
+            write_wav(Waveform(np.zeros(4), 16000), path)
+        assert path.read_bytes() == before
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-1.0, 1.0, allow_nan=False, width=32), min_size=1, max_size=64))

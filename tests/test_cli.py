@@ -5,13 +5,15 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cdpam
-from cdpam.cli import main, resolve_config
+from cdpam.cli import DEFAULT_RUN_CONFIG, main, resolve_config
 from cdpam.model import PerceptualModel, tiny_config
+from cdpam.perturb import DEFAULT_FAMILIES
 
 
 def tiny_run_config(tmp_path, out_name="run", **data_overrides):
@@ -172,7 +174,7 @@ class TestDistanceCommand:
         _, _, cfg = pipeline_run
         out = cfg["out"]
         bad = tmp_path / "missing.ckpt"
-        bad.write_bytes(open(os.path.join(out, "finetuned.ckpt"), "rb").read())
+        bad.write_bytes(Path(out, "finetuned.ckpt").read_bytes())
         rewrite_checkpoint(bad, lambda t: t.pop("enc.bn4.running_var"))
         wav = os.path.join(out, "corpus", "utt0000.wav")
         assert main(["distance", str(bad), wav, wav]) == 2
@@ -192,9 +194,9 @@ class TestEvalCommand:
     def test_rerun_identical_reports(self, pipeline_run):
         tmp_path, config_path, cfg = pipeline_run
         report_path = os.path.join(cfg["out"], "reports.json")
-        first = open(report_path, "rb").read()
+        first = Path(report_path).read_bytes()
         assert main(["eval", "--config", str(config_path)]) == 0
-        assert open(report_path, "rb").read() == first
+        assert Path(report_path).read_bytes() == first
 
     def test_metrics_filter(self, pipeline_run, capsys):
         _, config_path, cfg = pipeline_run
@@ -277,8 +279,8 @@ class TestJsonOutput:
             reports = json.load(fh)
         assert outputs["eval"] == {metric: r["value"] for metric, r in reports.items()}
         # same config and seed as the module's step-by-step run
-        with open(os.path.join(cfg["out"], "finetuned.ckpt"), "rb") as fh:
-            assert fh.read() == open(os.path.join(out, "finetuned.ckpt"), "rb").read()
+        assert (Path(cfg["out"], "finetuned.ckpt").read_bytes()
+                == Path(out, "finetuned.ckpt").read_bytes())
 
 
 class TestReproducibility:
@@ -288,8 +290,8 @@ class TestReproducibility:
         assert main(["synth-data", "--config", str(path_a)]) == 0
         assert main(["synth-data", "--config", str(path_b)]) == 0
         for name in ("jnd.jsonl", "triplets.jsonl"):
-            a = open(os.path.join(cfg_a["out"], name), "rb").read()
-            b = open(os.path.join(cfg_b["out"], name), "rb").read()
+            a = Path(cfg_a["out"], name).read_bytes()
+            b = Path(cfg_b["out"], name).read_bytes()
             assert a == b
 
     def test_flag_overrides_win(self, tmp_path):
@@ -426,6 +428,10 @@ class TestConfigBoundary:
                                     "data": {"jnd_threshold": 0.2, "families": ["eq"]}}))
         cfg = resolve_config(str(path))
         assert cfg["train"]["tau"] == 1 and cfg["data"]["families"] == ["eq"]
+
+    def test_default_families_match_perturb(self):
+        # cli spells the pair out: it must not import numpy before capping the BLAS pool
+        assert tuple(DEFAULT_RUN_CONFIG["data"]["families"]) == DEFAULT_FAMILIES
 
     @pytest.mark.parametrize("model", ["desk", "default", tiny_config().to_dict()])
     def test_model_preset_or_object_accepted(self, tmp_path, model):

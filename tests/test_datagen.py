@@ -11,7 +11,7 @@ from cdpam.audio import rms
 from cdpam.datagen import (CorpusEntry, JudgmentRecord, build_common_area_sets,
                            build_mono_series, build_mos_set, build_retrieval_set,
                            make_contrastive_batch, oracle_jnd, oracle_triplets, read_jsonl,
-                           spec_with_severity, synth_corpus, write_jsonl)
+                           synth_corpus, write_jsonl)
 from cdpam.errors import CapacityError, ContractError, DataError
 from cdpam.perturb import FAMILIES, magnitude
 
@@ -87,7 +87,7 @@ class TestContrastivePairs:
         assert len(pairs) == 8
         seen = set()
         for (spec_i, utt_i), (spec_j, utt_j) in _views(pairs, applied):
-            assert spec_i.to_json() == spec_j.to_json()
+            assert spec_i == spec_j
             assert utt_i != utt_j
             seen.update((utt_i, utt_j))
         assert len(seen) == 16  # all distinct across the batch
@@ -96,7 +96,7 @@ class TestContrastivePairs:
         pairs = make_contrastive_batch(corpus, "content", batch_size=8, seed=2)
         for (spec_i, utt_i), (spec_j, utt_j) in _views(pairs, applied):
             assert utt_i == utt_j
-            assert spec_i.to_json() != spec_j.to_json()
+            assert spec_i != spec_j
 
     def test_batch_of_16_has_32_waveforms(self, corpus):
         pairs = make_contrastive_batch(corpus, "acoustic", batch_size=16, seed=3)
@@ -113,20 +113,6 @@ class TestContrastivePairs:
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.wave_i.samples, pb.wave_i.samples)
             assert np.array_equal(pa.wave_j.samples, pb.wave_j.samples)
-
-
-class TestSpecWithSeverity:
-    def test_hits_target_for_continuous_families(self):
-        rng = np.random.default_rng(0)
-        for target in (0.0, 0.25, 0.5, 0.9, 1.0):
-            spec = spec_with_severity(("noise",), target, rng)
-            assert magnitude(spec) == pytest.approx(target, abs=1e-12)
-
-    def test_multi_family_mean(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            spec = spec_with_severity(("noise", "reverb", "eq"), 0.6, rng)
-            assert magnitude(spec) == pytest.approx(0.6, abs=0.13)  # mulaw absent: exact or near
 
 
 class TestOracleJnd:
@@ -280,15 +266,15 @@ class TestEvalSets:
         diff = [p for p in pairs if p.group == "diff"]
         assert len(same) == len(diff) == 20
         for p in same:
-            assert p.spec_a.to_json() == p.spec_b.to_json()
+            assert p.spec_a == p.spec_b
             assert p.utt_a != p.utt_b
-        assert any(p.spec_a.to_json() != p.spec_b.to_json() for p in diff)
+        assert any(p.spec_a != p.spec_b for p in diff)
 
     def test_retrieval_groups(self, corpus):
         items = build_retrieval_set(corpus, n_groups=5, group_size=8, seed=2)
         assert len(items) == 40
         for group_id in range(5):
-            specs = {i.spec.to_json() for i in items if i.group_id == group_id}
+            specs = {i.spec for i in items if i.group_id == group_id}
             assert len(specs) == 1
 
     def test_mos_cells_filled(self, corpus):

