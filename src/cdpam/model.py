@@ -283,11 +283,12 @@ class PerceptualModel:
     def encode(self, x: Tensor, train: bool = False) -> tuple[Tensor, Tensor]:
         """Run the CNN; returns the (acoustic, content) embedding halves.
 
-        Training runs conv1d, batch_norm1d on batch statistics and leaky ReLU
-        as three ops per layer.  Inference folds each BatchNorm's running
-        statistics into its conv in numpy (``T.fold_batch_norm``) and runs the
-        layer as one ``T.conv1d`` with the leaky ReLU as its epilogue; the
-        folded weights are constants, so gradients reach ``x`` only.
+        Training runs two ops per layer: conv1d, then batch_norm1d on batch
+        statistics with the leaky ReLU as its epilogue.  Inference folds each
+        BatchNorm's running statistics into its conv in numpy
+        (``T.fold_batch_norm``) and runs the layer as one ``T.conv1d`` with the
+        leaky ReLU as its epilogue; the folded weights are constants, so
+        gradients reach ``x`` only.
         """
         if x.data.ndim != 3 or x.shape[1] != 1:
             raise ShapeError("encoder input must be [batch, 1, len]")
@@ -304,8 +305,7 @@ class PerceptualModel:
                   self.state[f"enc.bn{layer}.running_var"])
             if train:
                 h = T.conv1d(h, w, stride=stride)
-                h = T.batch_norm1d(h, *bn, train=True)
-                h = T.leaky_relu(h, LEAKY_SLOPE)
+                h = T.batch_norm1d(h, *bn, train=True, slope=LEAKY_SLOPE)
             else:
                 w, b = T.fold_batch_norm(w, *bn)
                 h = T.conv1d(h, w, b, stride=stride, slope=LEAKY_SLOPE)

@@ -13,9 +13,10 @@ runs these closures in reverse topological order, so fan-out sums naturally.
 after a node's closure has run, the node drops its gradient, closure and
 parent edges, so each activation and interior gradient is freed once nothing
 upstream needs it, and only the leaves keep a ``.grad``.  A training step
-therefore holds one graph at a time: the traced numpy bytes of a desk-config
-pretraining step (32 clips) peak at about 1.1x its forward activations
-during backward, where they reached 1.8x while the graph was kept whole.
+therefore holds one graph at a time, and an encoder layer keeps two
+full-size arrays of it for backward (see the epilogues below): the traced
+numpy bytes of a desk-config pretraining step (32 clips) are 73 MB after the
+forward and peak at 93 MB during backward.
 Each graph gets one backward: a second one through a released node raises
 :class:`ContractError` instead of leaving the leaves without gradients.
 
@@ -45,6 +46,10 @@ values once.  With :func:`fold_batch_norm` an inference-mode encoder layer
 The fold is plain numpy arithmetic on the layer's parameters, so the folded
 weight and bias are constants: in inference mode gradients reach the input
 waveform only, which is all that using the metric as a loss needs.
+In training, batch_norm1d takes the leaky ReLU as its epilogue, in place, and
+its backward rebuilds x-hat from its input and the per-channel statistics
+(In-Place Activated BatchNorm, Rota Bulo et al. 2018), so a layer's graph
+keeps only the conv output and the layer output.
 
 :func:`adam_step` updates the parameter tensors in place and keeps its step
 count and moments per parameter name, so a parameter that a loss did not
@@ -454,37 +459,25 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
-                 train: bool) -> Tensor:
-    """Per-channel batch norm over (batch, time) for x[batch, ch, len].
+                 train: bool, slope: float | None = None) -> Tensor:
+    """Per-channel batch norm over (batch, time) for x[batch, ch, len], in training mode.
 
-    In training mode the batch statistics normalize the batch and update the
-    running statistics in place (biased variance, momentum 0.1); in inference
-    mode the running statistics are used and never touched.
+    The batch statistics normalize the batch and update the running
+    statistics in place (biased variance, momentum 0.1); inference folds the
+    running statistics into the conv instead (:func:`fold_batch_norm`).  With
+    ``slope`` the output passes through ``leaky_relu(., slope)`` in place, bit
+    for bit, as in :func:`conv1d`.
     """
+    if not train:
+        raise ContractError("batch_norm1d normalizes on batch statistics only; inference "
+                            "folds the running statistics into the conv with fold_batch_norm")
     if x.data.ndim != 3:
         raise ShapeError("batch_norm1d expects x[batch, ch, len]")
     ch = x.shape[1]
     if gamma.shape != (ch,) or beta.shape != (ch,):
         raise ShapeError("batch_norm1d gamma/beta must be per-channel vectors")
-
-    def dbeta(g):
-        return g.sum(axis=(0, 2))
-
-    if not train:
-        # inference is one per-channel affine; x-hat is rebuilt only for gamma's gradient,
-        # from a copy of the running mean, which train-mode calls update in place
-        mu = running_mean.copy()
-        inv_std = 1.0 / np.sqrt(running_var + _BN_EPS)
-        scale = gamma.data * inv_std
-        out_data = x.data * scale[None, :, None]
-        out_data += (beta.data - mu * scale)[None, :, None]
-
-        def dgamma(g):
-            xhat = (x.data - mu[None, :, None]) * inv_std[None, :, None]
-            return (g * xhat).sum(axis=(0, 2))
-
-        return _make(out_data, (x, gamma, beta),
-                     (lambda g: g * scale[None, :, None], dgamma, dbeta), "batch_norm1d")
+    if slope is not None and not slope >= 0.0:
+        raise ContractError(f"batch_norm1d slope must be non-negative, got {slope}")
 
     mu = x.data.mean(axis=(0, 2))
     var = x.data.var(axis=(0, 2))
@@ -493,14 +486,29 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     running_var *= 1.0 - _BN_MOMENTUM
     running_var += _BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-    xhat = (x.data - mu[None, :, None]) * inv_std[None, :, None]
-    out_data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+
+    def normalized():  # x-hat; gamma's VJP rebuilds it, so the graph keeps only x and the output
+        return (x.data - mu[None, :, None]) * inv_std[None, :, None]
+
+    out_data = normalized()
+    out_data *= gamma.data[None, :, None]
+    out_data += beta.data[None, :, None]
+    if slope is not None:
+        _leaky(out_data, slope, out=out_data)
+    masked = [None, None]  # the gradient of the running backward call, and its masked form
+
+    def pre(g):  # gradient before the epilogue, built once per backward call for all three VJPs
+        if slope is None:
+            return g
+        if masked[0] is not g:
+            masked[:] = g, np.where(out_data > 0.0, g, slope * g)
+        return masked[1]
 
     def dx(g):
         # dxhat * inv_std + dvar * 2 * centered / n + dmu / n, summed left to right as
         # written, built in place in dxhat and centered so only one more full-size
         # temporary, their product, is ever alive
-        dxhat = g * gamma.data[None, :, None]
+        dxhat = pre(g) * gamma.data[None, :, None]
         n = x.shape[0] * x.shape[2]
         centered = x.data - mu[None, :, None]
         dvar = (dxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
@@ -512,8 +520,9 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         dxhat += dmu[None, :, None] / n
         return dxhat
 
-    return _make(out_data, (x, gamma, beta), (dx, lambda g: (g * xhat).sum(axis=(0, 2)), dbeta),
-                 "batch_norm1d")
+    return _make(out_data, (x, gamma, beta),
+                 (dx, lambda g: (pre(g) * normalized()).sum(axis=(0, 2)),
+                  lambda g: pre(g).sum(axis=(0, 2))), "batch_norm1d")
 
 
 def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor,

@@ -74,6 +74,27 @@ class TestConfigs:
             ModelConfig.from_dict(d)
 
 
+def encoder_op_calls(monkeypatch, train):
+    """The calls of conv1d, batch_norm1d and leaky_relu, in order, of one tiny-model encode."""
+    model = PerceptualModel.initialize(tiny_config(), seed=8)
+    calls = []
+
+    def counting(op):
+        real = getattr(T, op)
+
+        def wrapper(*args, **kwargs):
+            calls.append(op)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for op in ("conv1d", "batch_norm1d", "leaky_relu"):
+        monkeypatch.setattr(T, op, counting(op))
+    model.encode(Tensor(np.random.default_rng(9).normal(size=(2, 1, model.config.clip_samples))),
+                 train=train)
+    return calls
+
+
 class TestEncode:
     def test_embedding_split(self, tiny_model):
         cfg = tiny_model.config
@@ -110,6 +131,11 @@ class TestEncode:
             h = T.conv1d(h, model.params[f"enc.conv{layer}.w"], stride=stride)
         assert h.shape[2] == 320 // 16
 
+    def test_training_layer_is_conv1d_then_batch_norm1d(self, monkeypatch):
+        # the leaky ReLU is batch_norm1d's epilogue, as it is conv1d's at inference
+        calls = encoder_op_calls(monkeypatch, train=True)
+        assert calls == ["conv1d", "batch_norm1d"] * tiny_config().encoder.n_layers
+
 
 def with_random_batch_norm(config, seed):
     """A fresh model whose BatchNorm parameters and running statistics are all non-trivial."""
@@ -125,18 +151,20 @@ def with_random_batch_norm(config, seed):
 
 
 def separate_ops_encode(model, x):
-    """Reference inference encoder: conv1d, batch_norm1d(train=False), leaky_relu per layer."""
+    """Reference inference encoder: per layer conv1d, then BatchNorm on the running
+    statistics and the leaky ReLU in plain numpy, independent of the fold."""
     enc = model.config.encoder
-    h = Tensor(x)
+    h = x
     for layer in range(1, enc.n_layers + 1):
-        h = T.conv1d(h, model.params[f"enc.conv{layer}.w"],
-                     stride=2 if layer in enc.stride2_layers else 1)
-        h = T.batch_norm1d(h, model.params[f"enc.bn{layer}.gamma"],
-                           model.params[f"enc.bn{layer}.beta"],
-                           model.state[f"enc.bn{layer}.running_mean"],
-                           model.state[f"enc.bn{layer}.running_var"], train=False)
-        h = T.leaky_relu(h, LEAKY_SLOPE)
-    return T.global_avg_pool(h).data
+        h = T.conv1d(Tensor(h), model.params[f"enc.conv{layer}.w"],
+                     stride=2 if layer in enc.stride2_layers else 1).data
+        gamma, beta = (model.params[f"enc.bn{layer}.{name}"].data[None, :, None]
+                       for name in ("gamma", "beta"))
+        mean, var = (model.state[f"enc.bn{layer}.running_{name}"][None, :, None]
+                     for name in ("mean", "var"))
+        h = gamma * (h - mean) / np.sqrt(var + 1e-5) + beta
+        h = np.where(h > 0.0, h, LEAKY_SLOPE * h)
+    return h.mean(axis=2)
 
 
 class TestFusedInference:
@@ -177,23 +205,8 @@ class TestFusedInference:
                 f"x[{i}]: numeric {numeric} vs autodiff {grad[i]}"
 
     def test_one_conv1d_call_per_layer(self, monkeypatch):
-        model = PerceptualModel.initialize(tiny_config(), seed=8)
-        calls = []
-
-        def counting(op):
-            real = getattr(T, op)
-
-            def wrapper(*args, **kwargs):
-                calls.append(op)
-                return real(*args, **kwargs)
-
-            return wrapper
-
-        for op in ("conv1d", "batch_norm1d", "leaky_relu"):
-            monkeypatch.setattr(T, op, counting(op))
-        x = Tensor(np.random.default_rng(9).normal(size=(2, 1, model.config.clip_samples)))
-        model.encode(x, train=False)
-        assert calls == ["conv1d"] * model.config.encoder.n_layers
+        calls = encoder_op_calls(monkeypatch, train=False)
+        assert calls == ["conv1d"] * tiny_config().encoder.n_layers
 
     def test_creates_only_layer_pool_and_split_tensors(self, monkeypatch):
         # the BatchNorm fold is numpy: no tensor op builds a graph for the encoder weights

@@ -6,6 +6,7 @@ instead of only in a traced benchmark run.
 
 import importlib.util
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,12 +40,8 @@ def test_traced_wraps_and_restores_every_hook():
     assert [getattr(owner, attr) for owner, attr in hooks] == originals
 
 
-def count_stage_spans(stage):
-    # tensor.adam_step_ms divides the Adam spans by the backward spans: one step
-    # updates the encoder and the batch's projection head together, and a
-    # frozen-encoder stage steps once per minibatch, the last one short
-    from collections import Counter
-
+def trace_stage(stage):
+    """The tracer of one epoch of `stage` on a tiny model and corpus."""
     from cdpam.datagen import oracle_jnd, oracle_triplets, synth_corpus
     from cdpam.model import PerceptualModel, tiny_config
 
@@ -64,7 +61,14 @@ def count_stage_spans(stage):
             trainer.train_jnd(model, corpus, jnd_records, config)
         else:
             trainer.finetune_triplet(model, corpus, triplets, config)
-    return Counter(span[0] for span in tracer.spans)
+    return tracer
+
+
+def count_stage_spans(stage):
+    # tensor.adam_step_ms divides the Adam spans by the backward spans: one step
+    # updates the encoder and the batch's projection head together, and a
+    # frozen-encoder stage steps once per minibatch, the last one short
+    return Counter(span[0] for span in trace_stage(stage).spans)
 
 
 def test_pretraining_takes_one_adam_step_per_backward():
@@ -78,3 +82,22 @@ def test_frozen_encoder_stage_takes_one_adam_step_per_backward(stage):
     names = count_stage_spans(stage)
     assert names["tensor.backward"] == 3
     assert names["tensor.adam_step"] == names["tensor.backward"]
+
+
+def test_every_training_layer_is_traced():
+    # the per-layer metrics tensor.Lnn.fwd_ms and bwd_ms key on the encoder ops the
+    # tracer wraps by name: a fusion that hides one of them from it fails here
+    from cdpam.model import tiny_config
+
+    tracer = trace_stage("pretrain")
+    spans = tracer.spans
+    n_layers = tiny_config().encoder.n_layers
+    encodes = [i for i, span in enumerate(spans) if span[0] == "model.encode"]
+    assert encodes
+    for e in encodes:
+        assert spans[e][4]["train"]
+        children = [(span[0], span[4]["layer"]) for span in spans if span[3] == e]
+        layers = list(range(1, n_layers + 1))
+        for op in ("tensor.conv1d", "tensor.batch_norm1d"):
+            assert sorted(layer for name, layer in children if name == op) == layers, children
+        assert sorted(layer for enc, layer in tracer.bwd if enc == e) == layers
