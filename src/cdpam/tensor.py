@@ -13,10 +13,10 @@ runs these closures in reverse topological order, so fan-out sums naturally.
 after a node's closure has run, the node drops its gradient, closure and
 parent edges, so each activation and interior gradient is freed once nothing
 upstream needs it, and only the leaves keep a ``.grad``.  A training step
-therefore holds one graph at a time, and an encoder layer keeps two
-full-size arrays of it for backward (see the epilogues below): the traced
-numpy bytes of a desk-config pretraining step (32 clips) are 73 MB after the
-forward and peak at 93 MB during backward.
+therefore holds one graph at a time, and an encoder layer keeps one
+full-size array of it for backward, its conv output (see the epilogues
+below): the traced numpy bytes of a desk-config pretraining step (32 clips)
+are 41 MB after the forward and peak at 53 MB during backward.
 Each graph gets one backward: a second one through a released node raises
 :class:`ContractError` instead of leaving the leaves without gradients.
 
@@ -48,8 +48,12 @@ weight and bias are constants: in inference mode gradients reach the input
 waveform only, which is all that using the metric as a loss needs.
 In training, batch_norm1d takes the leaky ReLU as its epilogue, in place, and
 its backward rebuilds x-hat from its input and the per-channel statistics
-(In-Place Activated BatchNorm, Rota Bulo et al. 2018), so a layer's graph
-keeps only the conv output and the layer output.
+(In-Place Activated BatchNorm, Rota Bulo et al. 2018).  Its output also
+carries a rebuild function, the forward's own expression, so the encoder
+calls :func:`release` on it once the next conv has read it, and the first
+backward VJP that reads it, the next conv's weight gradient, recomputes it
+bit for bit (recomputation for memory, Chen et al. 2016): a layer's graph
+keeps only the conv output.
 
 :func:`adam_step` updates the parameter tensors in place and keeps its step
 count and moments per parameter name, so a parameter that a loss did not
@@ -84,10 +88,19 @@ def _released(g):
     raise ContractError(_RELEASED)
 
 
+class _Dropped:
+    """The data of a tensor that :func:`release` dropped: its shape stays, its values go."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: tuple):
+        self.shape = shape
+
+
 class Tensor:
     """N-dimensional float64 value participating in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None, _op="tensor"):
         arr = np.asarray(data, dtype=np.float64)
@@ -97,6 +110,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward_fn = _backward_fn
+        self._rebuild = None  # a function that recomputes `data` bit for bit, if the op gave one
 
     @property
     def shape(self):
@@ -113,8 +127,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # one pass, no zero fill, the layout of zeros_like; bit-equal to 0.0 + g
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            # one pass, no zero fill, the layout of zeros_like; bit-equal to 0.0 + g.  A
+            # released tensor's gradient arrives before its rebuild; its data was C-ordered
+            like = np.empty(self.shape) if type(self.data) is _Dropped else np.empty_like(self.data)
+            self.grad = np.add(g, 0.0, out=like)
         else:
             self.grad += g
 
@@ -157,6 +173,24 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def release(t: Tensor) -> None:
+    """Drop t's data if its op gave it a rebuild function; a no-op on any other tensor.
+
+    Call it once every forward reader has consumed t.  The first backward
+    VJP that reads t rebuilds the data, bit for bit, and keeps it on t for
+    the later readers; ``.shape`` and gradient accumulation work without it.
+    """
+    if t._rebuild is not None:
+        t.data = _Dropped(t.shape)
+
+
+def _value(t: Tensor) -> np.ndarray:
+    """t's data, rebuilt once if :func:`release` dropped it."""
+    if type(t.data) is _Dropped:
+        t.data = t._rebuild()
+    return t.data
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -270,7 +304,7 @@ def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, x.shape).copy()
+        return np.broadcast_to(g, x.shape)  # _accumulate makes the one owned copy
 
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), (vjp,), "sum")
 
@@ -351,13 +385,23 @@ def _blocks(batch: int, cin: int, k: int, out_len: int):
         yield b0, b1, buf[:(b1 - b0) * per_item].reshape(b1 - b0, cin, k, out_len)
 
 
-def _taps(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Pad x once; return the (B, Cin, K, Lout) view taps[b,c,j,t] = xp[b,c,j+stride*t]."""
+def _columns(x: np.ndarray, k: int, stride: int):
+    """The _blocks walk over x, with each block's col holding its im2col columns.
+
+    col[b,c,j,t] = xp[b0+b,c,j+stride*t], xp being x zero-padded by (k-1)//2
+    on both ends.  Each block is padded in one reused buffer whose ends stay
+    zero, so x is never padded whole.
+    """
     batch, cin, length = x.shape
-    pad = (k - 1) // 2
-    xp = np.zeros((batch, cin, length + 2 * pad))
-    xp[:, :, pad:pad + length] = x
-    return sliding_window_view(xp, stride * (length // stride - 1) + 1, axis=2)[:, :, :k, ::stride]
+    pad, out_len = (k - 1) // 2, length // stride
+    taps = None
+    for b0, b1, col in _blocks(batch, cin, k, out_len):
+        if taps is None:  # the first block is the largest
+            xp = np.zeros((b1 - b0, cin, length + 2 * pad))
+            taps = sliding_window_view(xp, stride * (out_len - 1) + 1, axis=2)[:, :, :k, ::stride]
+        xp[:b1 - b0, :, pad:pad + length] = x[b0:b1]
+        np.copyto(col, taps[:b1 - b0])
+        yield b0, b1, col
 
 
 def _conv1d_forward(x: np.ndarray, w: np.ndarray, stride: int,
@@ -365,11 +409,9 @@ def _conv1d_forward(x: np.ndarray, w: np.ndarray, stride: int,
     batch, cin, length = x.shape
     cout, _, k = w.shape
     out_len = length // stride
-    taps = _taps(x, k, stride)
     w2 = w.reshape(cout, cin * k)
     out = np.empty((batch, cout, out_len))
-    for b0, b1, col in _blocks(batch, cin, k, out_len):
-        np.copyto(col, taps[b0:b1])
+    for b0, b1, col in _columns(x, k, stride):
         block = out[b0:b1]
         np.matmul(w2, col.reshape(b1 - b0, cin * k, out_len), out=block)
         # the epilogue runs while the GEMM's output block is still in cache
@@ -396,14 +438,11 @@ def _conv1d_dx(g: np.ndarray, w: np.ndarray, stride: int, length: int) -> np.nda
 
 def _conv1d_dw(g: np.ndarray, x: np.ndarray, w_shape: tuple, stride: int) -> np.ndarray:
     """Weight gradient: the sum over blocks of g_b @ col_b^T, col_b the block's im2col."""
-    batch, cin, length = x.shape
+    _, cin, length = x.shape
     cout, _, k = w_shape
-    out_len = length // stride
-    taps = _taps(x, k, stride)
     dw2 = np.zeros((cout, cin * k))
-    for b0, b1, col in _blocks(batch, cin, k, out_len):
-        np.copyto(col, taps[b0:b1])
-        cols = col.reshape(b1 - b0, cin * k, out_len)
+    for b0, b1, col in _columns(x, k, stride):
+        cols = col.reshape(b1 - b0, cin * k, length // stride)
         dw2 += np.matmul(g[b0:b1], cols.transpose(0, 2, 1)).sum(axis=0)
     return dw2.reshape(w_shape)
 
@@ -442,7 +481,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
 
     parents = (x, w) if bias is None else (x, w, bias)
     vjps = (lambda g: _conv1d_dx(pre(g), w.data, stride, length),
-            lambda g: _conv1d_dw(pre(g), x.data, w.shape, stride),
+            lambda g: _conv1d_dw(pre(g), _value(x), w.shape, stride),  # rebuilds a released x
             lambda g: pre(g).sum(axis=(0, 2)))
     return _make(out_data, parents, vjps[:len(parents)], "conv1d")
 
@@ -453,7 +492,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ShapeError("global_avg_pool expects x[batch, ch, len]")
     length = x.shape[2]
     return _make(x.data.mean(axis=2), (x,),
-                 (lambda g: np.broadcast_to(g[:, :, None] / length, x.shape).copy(),),
+                 (lambda g: np.broadcast_to(g[:, :, None] / length, x.shape),),
                  "global_avg_pool")
 
 
@@ -467,6 +506,12 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     running statistics into the conv instead (:func:`fold_batch_norm`).  With
     ``slope`` the output passes through ``leaky_relu(., slope)`` in place, bit
     for bit, as in :func:`conv1d`.
+
+    The output may be dropped with :func:`release`: its rebuild runs the
+    forward's expression again on x, the batch statistics, gamma and beta, so
+    gamma and beta must not change before backward.  The graph then keeps x
+    and per-channel vectors.  Backward masks the output's gradient in place
+    and builds at most two more full-size temporaries.
     """
     if not train:
         raise ContractError("batch_norm1d normalizes on batch statistics only; inference "
@@ -487,42 +532,62 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     running_var += _BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
 
-    def normalized():  # x-hat; gamma's VJP rebuilds it, so the graph keeps only x and the output
-        return (x.data - mu[None, :, None]) * inv_std[None, :, None]
+    def centered():
+        return x.data - mu[None, :, None]
 
-    out_data = normalized()
-    out_data *= gamma.data[None, :, None]
-    out_data += beta.data[None, :, None]
-    if slope is not None:
-        _leaky(out_data, slope, out=out_data)
-    masked = [None, None]  # the gradient of the running backward call, and its masked form
+    def normalized():  # x-hat; gamma's VJP rebuilds it, so the graph keeps no x-hat
+        xhat = centered()
+        xhat *= inv_std[None, :, None]
+        return xhat
 
-    def pre(g):  # gradient before the epilogue, built once per backward call for all three VJPs
-        if slope is None:
-            return g
-        if masked[0] is not g:
-            masked[:] = g, np.where(out_data > 0.0, g, slope * g)
-        return masked[1]
+    def output():  # the forward, and the rebuild of an output that release() dropped
+        y = normalized()
+        y *= gamma.data[None, :, None]
+        y += beta.data[None, :, None]
+        if slope is not None:
+            _leaky(y, slope, out=y)
+        return y
+
+    masked = [None]  # the gradient array that pre() has masked in place
+
+    def pre(g):
+        # the gradient before the epilogue, masked in place once per backward call: g is
+        # the output node's own array.  Reading the output through `out` makes a cycle,
+        # which backward breaks when it drops this closure
+        if slope is not None and masked[0] is not g:
+            np.multiply(g, slope, out=g, where=_value(out) <= 0.0)
+            masked[0] = g
+        return g
 
     def dx(g):
         # dxhat * inv_std + dvar * 2 * centered / n + dmu / n, summed left to right as
-        # written, built in place in dxhat and centered so only one more full-size
-        # temporary, their product, is ever alive
+        # written, built in place in dxhat and centered, so only those two full-size
+        # temporaries are ever alive: dvar's product goes into centered's buffer, and
+        # centered is then rebuilt with the forward's expression
         dxhat = pre(g) * gamma.data[None, :, None]
         n = x.shape[0] * x.shape[2]
-        centered = x.data - mu[None, :, None]
-        dvar = (dxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
-        dmu = -dxhat.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * centered.sum(axis=(0, 2))
+        c = centered()
+        c_sum = c.sum(axis=(0, 2))
+        c *= dxhat
+        dvar = c.sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
+        dmu = -dxhat.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * c_sum
+        np.subtract(x.data, mu[None, :, None], out=c)
         dxhat *= inv_std[None, :, None]
-        centered *= dvar[None, :, None] * 2.0
-        centered /= n
-        dxhat += centered
+        c *= dvar[None, :, None] * 2.0
+        c /= n
+        dxhat += c
         dxhat += dmu[None, :, None] / n
         return dxhat
 
-    return _make(out_data, (x, gamma, beta),
-                 (dx, lambda g: (pre(g) * normalized()).sum(axis=(0, 2)),
-                  lambda g: pre(g).sum(axis=(0, 2))), "batch_norm1d")
+    def dgamma(g):
+        xhat = normalized()
+        xhat *= pre(g)
+        return xhat.sum(axis=(0, 2))
+
+    out = _make(output(), (x, gamma, beta), (dx, dgamma, lambda g: pre(g).sum(axis=(0, 2))),
+                "batch_norm1d")
+    out._rebuild = output
+    return out
 
 
 def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor,

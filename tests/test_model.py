@@ -2,6 +2,7 @@
 
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -136,6 +137,25 @@ class TestEncode:
         calls = encoder_op_calls(monkeypatch, train=True)
         assert calls == ["conv1d", "batch_norm1d"] * tiny_config().encoder.n_layers
 
+    def test_training_drops_each_layer_output_but_the_last(self, monkeypatch):
+        # backward rebuilds layers 1-15 from their conv outputs; layer 16 feeds the pool
+        model = PerceptualModel.initialize(desk_config(), seed=0)
+        model.set_trainable(("enc.",))
+        outputs = []
+        batch_norm1d = T.batch_norm1d
+
+        def recording(*args, **kwargs):
+            out = batch_norm1d(*args, **kwargs)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "batch_norm1d", recording)
+        x = Tensor(np.random.default_rng(5).normal(0.0, 0.1,
+                                                        size=(2, 1, model.config.clip_samples)))
+        acoustic, _ = model.encode(x, train=True)
+        assert len(outputs) == model.config.encoder.n_layers == 16
+        assert [ref() is None for ref in outputs] == [True] * 15 + [False]
+
 
 def with_random_batch_norm(config, seed):
     """A fresh model whose BatchNorm parameters and running statistics are all non-trivial."""
@@ -230,13 +250,13 @@ class TestFusedInference:
         # the folded weights are constants, so backward needs dx, which takes no im2col
         model = PerceptualModel.initialize(tiny_config(), seed=8)
         calls = []
-        real = T._taps
+        real = T._columns
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(T, "_taps", counting)
+        monkeypatch.setattr(T, "_columns", counting)
         x = Tensor(np.random.default_rng(9).normal(size=(2, 1, model.config.clip_samples)),
                    requires_grad=True)
         T.sum_(model.encode(x, train=False)[0]).backward()
