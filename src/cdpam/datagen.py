@@ -2,8 +2,7 @@
 
 The corpus generator produces speech-like clips (a harmonic source with
 speaker-specific pitch and vibrato, shaped by time-varying formant
-resonances, with silence gaps) so no external audio is needed.  A directory
-of user WAVs can substitute for it.
+resonances, with silence gaps) so no external audio is needed.
 
 Two pairing rules feed contrastive pretraining: *acoustic* pairs share one
 perturbation record across two different utterances, *content* pairs apply
@@ -26,7 +25,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, CANONICAL_SAMPLES, Waveform, fix_length, read_wav, resample
+from .audio import CANONICAL_RATE, CANONICAL_SAMPLES, Waveform
 from .errors import CapacityError, ContractError, DataError
 from .perturb import (DEFAULT_FAMILIES, PerturbSpec, apply, magnitude, sample_spec,
                       spec_with_severity)
@@ -216,25 +215,10 @@ def _synth_utterance(spk: dict, rng: np.random.Generator, n: int, sr: int) -> np
 
 def synth_corpus(n: int, n_speakers: int, seed: int = 0,
                  sample_rate: int = CANONICAL_RATE, clip_samples: int = CANONICAL_SAMPLES,
-                 id_prefix: str = "utt", from_dir=None) -> list:
-    """Generate n seeded utterances across n_speakers synthetic voices.
-
-    With ``from_dir``, WAV files from that directory are conditioned to the
-    target format and used instead (speakers assigned round-robin).
-    """
+                 id_prefix: str = "utt") -> list:
+    """Generate n seeded utterances across n_speakers synthetic voices."""
     if n < 1 or n_speakers < 1:
         raise ContractError("corpus needs at least one utterance and one speaker")
-    if from_dir is not None:
-        names = sorted(f for f in os.listdir(from_dir) if f.lower().endswith(".wav"))
-        if not names:
-            raise CapacityError(f"{from_dir} holds no WAV files")
-        corpus = []
-        for i, name in enumerate(names[:n]):
-            w = read_wav(os.path.join(from_dir, name))
-            w = fix_length(resample(w, sample_rate), clip_samples)
-            corpus.append(Utterance(id=f"{id_prefix}{i:04d}", clean=w, speaker_id=i % n_speakers))
-        return corpus
-
     speakers = [_speaker_params(seed, s) for s in range(n_speakers)]
     corpus = []
     for i in range(n):

@@ -43,6 +43,7 @@ CHECKPOINT_MAGIC = b"CDPM"
 CHECKPOINT_VERSION = 1
 STAGES = ("init", "pretrained", "jnd", "finetuned")
 LEAKY_SLOPE = 0.2
+EMBED_BATCH = 64  # clips per inference encode in embed_waves
 
 
 def _check_positive_ints(config, where: str) -> None:
@@ -287,12 +288,10 @@ class PerceptualModel:
         statistics with the leaky ReLU as its epilogue.  Once the next conv
         has read a layer's output it is released, and backward rebuilds it
         from the conv output, so each layer's graph keeps one full-size
-        array; the last layer's output feeds the pool and stays.  The traced
-        numpy bytes of a desk pretraining step (32 clips) are 41 MB after the
-        forward, down from 73 MB with every output kept.  Inference folds each
-        BatchNorm's running statistics into its conv in numpy
-        (``T.fold_batch_norm``) and runs the layer as one ``T.conv1d`` with the
-        leaky ReLU as its epilogue; the folded weights are constants, so
+        array; the last layer's output feeds the pool and stays.  Inference
+        folds each BatchNorm's running statistics into its conv in numpy
+        (``T.fold_batch_norm``) and runs the layer as one ``T.conv1d`` with
+        the leaky ReLU as its epilogue; the folded weights are constants, so
         gradients reach ``x`` only.
         """
         if x.data.ndim != 3 or x.shape[1] != 1:
@@ -373,11 +372,11 @@ class PerceptualModel:
         batch = np.stack([self.conform(w).samples for w in waves])
         return Tensor(batch[:, None, :])
 
-    def embed_waves(self, waves, batch_size: int = 64) -> np.ndarray:
-        """Inference-mode acoustic embeddings for a list of waveforms."""
+    def embed_waves(self, waves) -> np.ndarray:
+        """Inference-mode acoustic embeddings for a list of waveforms, EMBED_BATCH at a time."""
         chunks = [np.empty((0, self.config.encoder.acoustic_dim))]
-        for start in range(0, len(waves), batch_size):
-            x = self.waves_to_tensor(waves[start:start + batch_size])
+        for start in range(0, len(waves), EMBED_BATCH):
+            x = self.waves_to_tensor(waves[start:start + EMBED_BATCH])
             acoustic, _ = self.encode(x, train=False)
             chunks.append(acoustic.data)
         return np.concatenate(chunks, axis=0)

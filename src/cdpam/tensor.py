@@ -15,32 +15,29 @@ parent edges, so each activation and interior gradient is freed once nothing
 upstream needs it, and only the leaves keep a ``.grad``.  A training step
 therefore holds one graph at a time, and an encoder layer keeps one
 full-size array of it for backward, its conv output (see the epilogues
-below): the traced numpy bytes of a desk-config pretraining step (32 clips)
-are 41 MB after the forward and peak at 53 MB during backward.
-Each graph gets one backward: a second one through a released node raises
-:class:`ContractError` instead of leaving the leaves without gradients.
+below).  Each graph gets one backward: a second one through a released node
+raises :class:`ContractError` instead of leaving the leaves without gradients.
 
 Every operation validates that its output is finite (NaN/Inf raises
 :class:`NumericError`), which is what lets training abort on divergence
 instead of silently continuing.
 
-conv1d is a cache-blocked im2col feeding BLAS, which matters because
-everything here runs on the CPU in double precision.  The input is padded
-once and viewed as (batch, Cin, K, Lout) taps whose rows are contiguous in
-time.  A few batch items at a time are copied from that view into one
-reused block of about ``_BLOCK`` doubles (256 KB), and each item's
-(Cout, Cin*K) @ (Cin*K, Lout) product is written straight into the
-(batch, Cout, Lout) output, so there is no transposing copy and no output
-transpose.  The block is sized to stay in L2 between the copy that fills it
-and the GEMM that reads it; when one item's columns exceed it, a block holds
-that single item.  The two weight and input VJPs walk the same blocks
-separately: dW fills the block with its columns and accumulates g_b @ col_b^T,
-and dX writes w^T @ g_b into the block and scatters it back onto the padded
-input with K strided adds, so dX needs no im2col of the input.
+conv1d is an im2col feeding BLAS, one batch item at a time, which matters
+because everything here runs on the CPU in double precision.  Each item is
+padded in one reused (Cin, L + 2*pad) row, viewed as (Cin, K, Lout) taps
+whose rows are contiguous in time, and copied into one reused (Cin*K, Lout)
+column buffer; its (Cout, Cin*K) @ (Cin*K, Lout) product is written straight
+into the item's slice of the (batch, Cout, Lout) output, so there is no
+transposing copy and no output transpose.  Beyond its output, a conv holds
+one item's columns and one padded item.  The weight and input VJPs walk the
+items separately: dW fills the column buffer and accumulates g_b @ col_b^T,
+and dX writes w^T @ g_b into one reused (Cin, K, Lout) buffer and scatters
+it back onto the padded input with K strided adds, so dX needs no im2col of
+the input.
 
 conv1d also takes the layer's epilogue: its bias and, with ``slope``, a
-leaky ReLU are applied to each output block in place right after its GEMM,
-while the block is still in cache, and the result is checked for finite
+leaky ReLU are applied to each item's output in place right after its GEMM,
+while it is still in cache, and the result is checked for finite
 values once.  With :func:`fold_batch_norm` an inference-mode encoder layer
 (conv, BatchNorm, leaky ReLU) is one pass over its output instead of three.
 The fold is plain numpy arithmetic on the layer's parameters, so the folded
@@ -69,7 +66,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
 
-_BLOCK = 1 << 15  # doubles per im2col block (256 KB): small enough to stay in L2
 _BN_EPS = 1e-5  # BatchNorm variance epsilon; batch_norm1d and fold_batch_norm must agree
 _BN_MOMENTUM = 0.1  # weight of each training batch's statistics in the running ones
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -282,7 +278,7 @@ def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.nda
     return pick(x, slope * x, out=out)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(x: Tensor, slope: float) -> Tensor:
     return _make(_leaky(x.data, slope), (x,),
                  (lambda g: np.where(x.data > 0.0, g, slope * g),), "leaky_relu")
 
@@ -371,79 +367,63 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                  "linear")
 
 
-def _blocks(batch: int, cin: int, k: int, out_len: int):
-    """Split the batch into runs of items whose im2col columns fill about _BLOCK doubles.
-
-    Yields (b0, b1, col), where col is a (b1-b0, Cin, K, Lout) view of one
-    buffer that every block reuses.
-    """
-    per_item = cin * k * out_len
-    step = max(1, _BLOCK // per_item)
-    buf = np.empty(min(batch, step) * per_item)
-    for b0 in range(0, batch, step):
-        b1 = min(batch, b0 + step)
-        yield b0, b1, buf[:(b1 - b0) * per_item].reshape(b1 - b0, cin, k, out_len)
-
-
 def _columns(x: np.ndarray, k: int, stride: int):
-    """The _blocks walk over x, with each block's col holding its im2col columns.
+    """Each batch item's im2col columns: yields (b, col), col a (Cin*K, Lout) buffer.
 
-    col[b,c,j,t] = xp[b0+b,c,j+stride*t], xp being x zero-padded by (k-1)//2
-    on both ends.  Each block is padded in one reused buffer whose ends stay
-    zero, so x is never padded whole.
+    col[c*K+j, t] = xp[b,c,j+stride*t], xp being x zero-padded by (k-1)//2
+    on both ends.  Every item is padded in one reused row whose ends stay
+    zero and copied into one reused column buffer, so x is never padded whole.
     """
     batch, cin, length = x.shape
     pad, out_len = (k - 1) // 2, length // stride
-    taps = None
-    for b0, b1, col in _blocks(batch, cin, k, out_len):
-        if taps is None:  # the first block is the largest
-            xp = np.zeros((b1 - b0, cin, length + 2 * pad))
-            taps = sliding_window_view(xp, stride * (out_len - 1) + 1, axis=2)[:, :, :k, ::stride]
-        xp[:b1 - b0, :, pad:pad + length] = x[b0:b1]
-        np.copyto(col, taps[:b1 - b0])
-        yield b0, b1, col
+    xp = np.zeros((cin, length + 2 * pad))
+    taps = sliding_window_view(xp, stride * (out_len - 1) + 1, axis=1)[:, :k, ::stride]
+    col = np.empty((cin, k, out_len))
+    cols = col.reshape(cin * k, out_len)
+    for b in range(batch):
+        xp[:, pad:pad + length] = x[b]
+        np.copyto(col, taps)
+        yield b, cols
 
 
 def _conv1d_forward(x: np.ndarray, w: np.ndarray, stride: int,
                     bias: np.ndarray | None, slope: float | None) -> np.ndarray:
     batch, cin, length = x.shape
     cout, _, k = w.shape
-    out_len = length // stride
     w2 = w.reshape(cout, cin * k)
-    out = np.empty((batch, cout, out_len))
-    for b0, b1, col in _columns(x, k, stride):
-        block = out[b0:b1]
-        np.matmul(w2, col.reshape(b1 - b0, cin * k, out_len), out=block)
-        # the epilogue runs while the GEMM's output block is still in cache
+    out = np.empty((batch, cout, length // stride))
+    for b, col in _columns(x, k, stride):
+        item = out[b]
+        np.matmul(w2, col, out=item)
+        # the epilogue runs while the GEMM's output is still in cache
         if bias is not None:
-            block += bias[:, None]
+            item += bias[:, None]
         if slope is not None:
-            _leaky(block, slope, out=block)
+            _leaky(item, slope, out=item)
     return out
 
 
 def _conv1d_dx(g: np.ndarray, w: np.ndarray, stride: int, length: int) -> np.ndarray:
-    """Input gradient: w^T @ g_b per block, scattered onto the padded input by K strided adds."""
+    """Input gradient: w^T @ g_b per item, scattered onto the padded input by K strided adds."""
     batch, cout, out_len = g.shape
     _, cin, k = w.shape
     pad = (k - 1) // 2
     w2 = w.reshape(cout, cin * k)
     dxp = np.zeros((batch, cin, length + 2 * pad))
-    for b0, b1, col in _blocks(batch, cin, k, out_len):
-        np.matmul(w2.T, g[b0:b1], out=col.reshape(b1 - b0, cin * k, out_len))
+    col = np.empty((cin, k, out_len))
+    cols = col.reshape(cin * k, out_len)
+    for b in range(batch):
+        np.matmul(w2.T, g[b], out=cols)
         for j in range(k):
-            dxp[b0:b1, :, j:j + stride * (out_len - 1) + 1:stride] += col[:, :, j]
+            dxp[b, :, j:j + stride * (out_len - 1) + 1:stride] += col[:, j]
     return dxp[:, :, pad:pad + length]
 
 
 def _conv1d_dw(g: np.ndarray, x: np.ndarray, w_shape: tuple, stride: int) -> np.ndarray:
-    """Weight gradient: the sum over blocks of g_b @ col_b^T, col_b the block's im2col."""
-    _, cin, length = x.shape
-    cout, _, k = w_shape
-    dw2 = np.zeros((cout, cin * k))
-    for b0, b1, col in _columns(x, k, stride):
-        cols = col.reshape(b1 - b0, cin * k, length // stride)
-        dw2 += np.matmul(g[b0:b1], cols.transpose(0, 2, 1)).sum(axis=0)
+    """Weight gradient: the sum over items of g_b @ col_b^T, col_b the item's im2col."""
+    dw2 = np.zeros((w_shape[0], w_shape[1] * w_shape[2]))
+    for b, col in _columns(x, w_shape[2], stride):
+        dw2 += g[b] @ col.T
     return dw2.reshape(w_shape)
 
 

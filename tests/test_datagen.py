@@ -45,15 +45,6 @@ class TestSynthCorpus:
             assert len(utt.clean) == CLIP
             assert utt.clean.sample_rate == SR
 
-    def test_wav_directory_source(self, corpus, tmp_path):
-        from cdpam.audio import write_wav
-        for utt in corpus[:3]:
-            write_wav(utt.clean, tmp_path / f"{utt.id}.wav")
-        loaded = synth_corpus(3, 2, seed=0, sample_rate=SR, clip_samples=CLIP,
-                              from_dir=tmp_path)
-        assert len(loaded) == 3
-        assert all(len(u.clean) == CLIP for u in loaded)
-
 
 @pytest.fixture
 def applied(monkeypatch, corpus):

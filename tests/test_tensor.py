@@ -160,10 +160,10 @@ class TestGraphRelease:
         kept = layer_set + sizes[-1] + 128 * 1024
         assert forward <= kept, (forward, layer_set)
         # backward adds one layer's temporaries to that.  In units of the largest layer, the
-        # most at this batch of 4 (6.7) is in layer 16's weight gradient: the conv's output
+        # most at this batch of 4 (6.5) is in layer 16's weight gradient: the conv's output
         # gradient, its released input's gradient and rebuilt data (3), one item's padded
-        # input, GEMM product and weight sum (0.7) and one item's im2col block (3.75 at 15
-        # taps), less layer 16's output, which BatchNorm 16's backward has freed (1)
+        # input and GEMM product (0.5) and one item's im2col columns (3.75 at 15 taps),
+        # less layer 16's output, which BatchNorm 16's backward has freed (1)
         assert peak - before <= kept + 8 * largest, (peak - before, layer_set)
         assert len(activations) == cfg.encoder.n_layers
         assert all(ref() is None for ref in activations)
@@ -236,19 +236,16 @@ def per_tap_conv(x, w, stride):
                for j in range(k))
 
 
-class TestBlockedConv1d:
-    @pytest.mark.parametrize("batch,cin,cout,k,length,stride,block", [
-        (7, 3, 4, 5, 16, 1, 3 * 3 * 5 * 16),   # 3 items per block, last block partial
-        (7, 3, 4, 5, 16, 2, 3 * 3 * 5 * 8),
-        (5, 1, 4, 15, 64, 2, 2 * 15 * 32),     # Cin = 1
-        (5, 1, 3, 15, 64, 1, 2 * 15 * 64),
-        (3, 2, 2, 3, 10, 1, 1),                # block smaller than one item
-        (3, 4, 4, 15, 4000, 2, None),          # the default block, one item per block
+class TestConv1dItemWalk:
+    @pytest.mark.parametrize("batch,cin,cout,k,length,stride", [
+        (7, 3, 4, 5, 16, 1),
+        (7, 3, 4, 5, 16, 2),
+        (5, 1, 4, 15, 64, 2),     # Cin = 1
+        (5, 1, 3, 15, 64, 1),
+        (3, 2, 2, 3, 10, 1),
+        (3, 4, 4, 15, 4000, 2),
     ])
-    def test_forward_matches_per_tap_reference(self, monkeypatch, batch, cin, cout, k, length,
-                                               stride, block):
-        if block is not None:
-            monkeypatch.setattr(T, "_BLOCK", block)
+    def test_forward_matches_per_tap_reference(self, batch, cin, cout, k, length, stride):
         rng = np.random.default_rng(batch * 100 + cin * 10 + stride)
         x = rng.normal(size=(batch, cin, length))
         w = rng.normal(size=(cout, cin, k))
@@ -258,10 +255,8 @@ class TestBlockedConv1d:
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_gradients_across_blocks(self, monkeypatch, stride):
+    def test_gradients_over_several_items(self, stride):
         batch, cin, cout, k, length = 3, 2, 3, 5, 8
-        monkeypatch.setattr(T, "_BLOCK", 2 * cin * k * (length // stride))
-        assert [b[:2] for b in T._blocks(batch, cin, k, length // stride)] == [(0, 2), (2, 3)]
         rng = np.random.default_rng(20 + stride)
         x = rng.normal(size=(batch, cin, length))
         w = rng.normal(size=(cout, cin, k))
@@ -273,13 +268,36 @@ class TestBlockedConv1d:
 
         finite_difference_check(build, [x, w, b])
 
+    def test_working_memory_is_one_item(self):
+        # desk layer 13 at batch 4: 32 -> 32 channels, 15 taps, 500 steps.  Beyond its
+        # output, the forward and the weight gradient each hold one item's im2col columns
+        # (1.92 MB) and one padded item (132 KB), plus an item-sized temporary: the leaky
+        # epilogue's slope * x, or the weight gradient's g_b @ col_b^T
+        batch, ch, k, length = 4, 32, 15, 500
+        rng = np.random.default_rng(40)
+        x, g = rng.normal(size=(2, batch, ch, length))
+        w, b = rng.normal(size=(ch, ch, k)), rng.normal(size=ch)
+        bound = 8 * (ch * k * length + ch * (length + k - 1) + ch * length) + 32 * 1024
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            extra = []
+            for run in (lambda: T.conv1d(Tensor(x), Tensor(w), Tensor(b), slope=0.2).data,
+                        lambda: T._conv1d_dw(g, x, w.shape, 1)):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                result = run()
+                extra.append(tracemalloc.get_traced_memory()[1] - before - result.nbytes)
+                del result
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert max(extra) <= bound, (extra, bound)
+
 
 class TestConv1dEpilogue:
     @pytest.mark.parametrize("slope", [0.0, 0.2, 3.0])
-    @pytest.mark.parametrize("block", [None, 2 * 3 * 5 * 8])  # one block; 2 items per block
-    def test_bit_equal_to_separate_leaky_relu(self, monkeypatch, slope, block):
-        if block is not None:
-            monkeypatch.setattr(T, "_BLOCK", block)
+    def test_bit_equal_to_separate_leaky_relu(self, slope):
         rng = np.random.default_rng(30)
         x = Tensor(rng.normal(size=(5, 3, 16)))
         w = Tensor(rng.normal(size=(4, 3, 5)))
@@ -289,9 +307,8 @@ class TestConv1dEpilogue:
         assert fused.data.tobytes() == separate.data.tobytes()
 
     @pytest.mark.parametrize("slope", [0.0, 0.2, 3.0])
-    def test_gradients_across_blocks(self, monkeypatch, slope):
+    def test_gradients_over_several_items(self, slope):
         batch, cin, cout, k, length = 3, 2, 3, 5, 8
-        monkeypatch.setattr(T, "_BLOCK", 2 * cin * k * length)
         rng = np.random.default_rng(31)
         x = rng.normal(size=(batch, cin, length))
         w = rng.normal(size=(cout, cin, k))
