@@ -297,9 +297,10 @@ class TestConv1dItemWalk:
 
 class TestConv1dEpilogue:
     @pytest.mark.parametrize("slope", [0.0, 0.2, 3.0])
-    def test_bit_equal_to_separate_leaky_relu(self, slope):
+    @pytest.mark.parametrize("length", [None, 240])  # None: the 16-sample input; a longer signal
+    def test_bit_equal_to_separate_leaky_relu(self, slope, length):
         rng = np.random.default_rng(30)
-        x = Tensor(rng.normal(size=(5, 3, 16)))
+        x = Tensor(rng.normal(size=(5, 3, length or 16)))
         w = Tensor(rng.normal(size=(4, 3, 5)))
         b = Tensor(rng.normal(size=(4,)))
         fused = T.conv1d(x, w, b, stride=2, slope=slope)
