@@ -59,18 +59,14 @@ class Waveform:
         return Waveform(samples, self.sample_rate)
 
 
-def _read_exact(data: bytes, offset: int, n: int, what: str) -> bytes:
-    if offset + n > len(data):
-        raise FormatError(f"truncated WAV file while reading {what}")
-    return data[offset:offset + n]
-
-
 def read_wav(path) -> Waveform:
     """Read a PCM WAV file as a mono waveform scaled to [-1, 1].
 
     Accepts 8/16/24-bit integer and 32-bit float encodings, any channel
-    count (channels are averaged).  Raises FormatError for malformed RIFF
-    structure and UnsupportedFormatError for other codecs.
+    count (channels are averaged).  Raises FormatError, naming the file,
+    for malformed RIFF structure or a header or samples that no Waveform
+    holds (a zero sample rate, non-finite samples), and
+    UnsupportedFormatError for other codecs.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -83,7 +79,9 @@ def read_wav(path) -> Waveform:
     while offset + 8 <= len(data):
         chunk_id = data[offset:offset + 4]
         (chunk_size,) = struct.unpack_from("<I", data, offset + 4)
-        body = _read_exact(data, offset + 8, chunk_size, f"chunk {chunk_id!r}")
+        body = data[offset + 8:offset + 8 + chunk_size]
+        if len(body) < chunk_size:
+            raise FormatError(f"{path}: truncated WAV file while reading chunk {chunk_id!r}")
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise FormatError(f"{path}: fmt chunk too short")
@@ -132,7 +130,10 @@ def read_wav(path) -> Waveform:
         raise FormatError(f"{path}: data chunk holds no complete frame")
     frames = samples[:usable].reshape(-1, n_channels)
     mono = frames.mean(axis=1)
-    return Waveform(mono, int(sample_rate))
+    try:
+        return Waveform(mono, int(sample_rate))
+    except ContractError as err:  # a zero sample rate, or a NaN in a float file
+        raise FormatError(f"{path}: {err}") from err
 
 
 def write_wav(w: Waveform, path) -> None:

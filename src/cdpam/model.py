@@ -3,10 +3,10 @@
 The audio encoder is a 16-layer 1-D CNN (15-tap kernels, stride 2 at the end
 of each 4-layer block, batch norm + leaky ReLU per layer) followed by global
 average pooling.  At inference each layer's batch norm is folded into its
-conv, so a layer is a single conv1d pass.  The embedding splits into an
-*acoustic* half, which feeds the loss network, and a *content* half; each
-half gets its own projection head during contrastive pretraining and the
-heads are discarded afterwards.
+conv, once per frozen model state, so a layer is a single conv1d pass.  The
+embedding splits into an *acoustic* half, which feeds the loss network, and a
+*content* half; each half gets its own projection head during contrastive
+pretraining and the heads are discarded afterwards.
 
 The loss network is a 4-layer MLP over the acoustic embedding.  The
 perceptual distance between two clips is the sum over its four hidden layers
@@ -259,6 +259,7 @@ class PerceptualModel:
         self.state = {name: np.asarray(arr, dtype=np.float64).copy() for name, arr in state.items()}
         self.stage = stage
         self.seed = int(seed)
+        self._folds = None  # each encoder layer's folded (w, b) while the encoder is frozen
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int = 0) -> "PerceptualModel":
@@ -273,6 +274,7 @@ class PerceptualModel:
         for name, t in self.params.items():
             t.requires_grad = name.startswith(prefixes)
             t.grad = None
+        self._folds = None
 
     def clone(self) -> "PerceptualModel":
         return PerceptualModel(self.config,
@@ -289,10 +291,20 @@ class PerceptualModel:
         has read a layer's output it is released, and backward rebuilds it
         from the conv output, so each layer's graph keeps one full-size
         array; the last layer's output feeds the pool and stays.  Inference
-        folds each BatchNorm's running statistics into its conv in numpy
-        (``T.fold_batch_norm``) and runs the layer as one ``T.conv1d`` with
-        the leaky ReLU as its epilogue; the folded weights are constants, so
+        runs each layer as one ``T.conv1d`` with the leaky ReLU as its
+        epilogue, on the layer's BatchNorm folded into its conv
+        (``T.fold_batch_norm``); the folded weights are constants, so
         gradients reach ``x`` only.
+
+        The fold is computed once per frozen model state and kept on the
+        model: one more copy of the conv weights, 0.57 MB at ``desk_config``
+        and 584 MB at ``default_config``.  ``encode(train=True)``, the only
+        pass that moves the running statistics, and ``set_trainable`` drop
+        it; while an encoder parameter requires a gradient, so that
+        ``adam_step`` may move it, every call folds afresh.  A write to an
+        encoder parameter's ``.data`` or to ``state`` in place, from outside
+        the package, after the first inference call is not seen: call
+        ``set_trainable`` after it to drop the fold.
         """
         if x.data.ndim != 3 or x.shape[1] != 1:
             raise ShapeError("encoder input must be [batch, 1, len]")
@@ -300,24 +312,42 @@ class PerceptualModel:
         if x.shape[2] % enc.downsample_factor != 0:
             raise ShapeError(
                 f"input length {x.shape[2]} not divisible by {enc.downsample_factor}")
+        if train:
+            self._folds = None  # this pass moves the running statistics
+        else:
+            folds = self._folded_layers()
         h = x
         for layer in range(1, enc.n_layers + 1):
             stride = 2 if layer in enc.stride2_layers else 1
-            w = self.params[f"enc.conv{layer}.w"]
-            bn = (self.params[f"enc.bn{layer}.gamma"], self.params[f"enc.bn{layer}.beta"],
-                  self.state[f"enc.bn{layer}.running_mean"],
-                  self.state[f"enc.bn{layer}.running_var"])
             if train:
+                w, *bn = self._layer_tensors(layer)
                 h, consumed = T.conv1d(h, w, stride=stride), h
                 T.release(consumed)  # the previous layer's output; backward rebuilds it
                 h = T.batch_norm1d(h, *bn, train=True, slope=LEAKY_SLOPE)
             else:
-                w, b = T.fold_batch_norm(w, *bn)
-                h = T.conv1d(h, w, b, stride=stride, slope=LEAKY_SLOPE)
+                h = T.conv1d(h, *folds[layer - 1], stride=stride, slope=LEAKY_SLOPE)
         pooled = T.global_avg_pool(h)
         acoustic = T.narrow(pooled, 1, 0, enc.acoustic_dim)
         content = T.narrow(pooled, 1, enc.acoustic_dim, enc.content_dim)
         return acoustic, content
+
+    def _layer_tensors(self, layer: int) -> tuple:
+        """Encoder layer `layer`'s conv weight, gamma, beta, running mean and running variance."""
+        return (self.params[f"enc.conv{layer}.w"], self.params[f"enc.bn{layer}.gamma"],
+                self.params[f"enc.bn{layer}.beta"], self.state[f"enc.bn{layer}.running_mean"],
+                self.state[f"enc.bn{layer}.running_var"])
+
+    def _folded_layers(self) -> list:
+        """Each encoder layer's (w, b) with its BatchNorm folded in; kept while no encoder
+        parameter requires a gradient (see encode)."""
+        frozen = not any(t.requires_grad for name, t in self.params.items()
+                         if name.startswith("enc."))
+        if frozen and self._folds is not None:
+            return self._folds
+        folds = [T.fold_batch_norm(*self._layer_tensors(layer))
+                 for layer in range(1, self.config.encoder.n_layers + 1)]
+        self._folds = folds if frozen else None
+        return folds
 
     def project(self, half: Tensor, head: str) -> Tensor:
         """Projection head used only during contrastive pretraining."""

@@ -24,9 +24,10 @@ instead of silently continuing.
 
 conv1d is an im2col feeding BLAS, one batch item at a time, which matters
 because everything here runs on the CPU in double precision.  Each item is
-padded in one reused (Cin, L + 2*pad) row, viewed as (Cin, K, Lout) taps
-whose rows are contiguous in time, and copied into one reused (Cin*K, Lout)
-column buffer; its (Cout, Cin*K) @ (Cin*K, Lout) product is written straight
+padded in one reused (Cin, L + 2*pad) row, which one read-only strided view
+(:func:`_taps`, made once per call) shows as (Cin, K, Lout) taps whose rows
+are contiguous in time, and copied into one reused (Cin*K, Lout) column
+buffer; its (Cout, Cin*K) @ (Cin*K, Lout) product is written straight
 into the item's slice of the (batch, Cout, Lout) output, so there is no
 transposing copy and no output transpose.  Beyond its output, a conv holds
 one item's columns and one padded item.  The weight and input VJPs walk the
@@ -42,7 +43,9 @@ values once.  With :func:`fold_batch_norm` an inference-mode encoder layer
 (conv, BatchNorm, leaky ReLU) is one pass over its output instead of three.
 The fold is plain numpy arithmetic on the layer's parameters, so the folded
 weight and bias are constants: in inference mode gradients reach the input
-waveform only, which is all that using the metric as a loss needs.
+waveform only, which is all that using the metric as a loss needs.  The
+model computes each fold once per frozen model state and keeps it until a
+training pass or ``set_trainable`` drops it (``PerceptualModel.encode``).
 In training, batch_norm1d takes the leaky ReLU as its epilogue, in place, and
 its backward rebuilds x-hat from its input and the per-channel statistics
 (In-Place Activated BatchNorm, Rota Bulo et al. 2018).  Its output also
@@ -62,7 +65,6 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
 
@@ -367,6 +369,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                  "linear")
 
 
+def _taps(xp: np.ndarray, k: int, stride: int, out_len: int) -> np.ndarray:
+    """The read-only (Cin, K, Lout) view taps[c, j, t] = xp[c, j + stride*t] of a padded row.
+
+    One strided view of xp's memory, so a write to xp shows in it.
+    """
+    row, step = xp.strides
+    taps = np.ndarray((xp.shape[0], k, out_len), xp.dtype, xp, strides=(row, step, step * stride))
+    taps.flags.writeable = False
+    return taps
+
+
 def _columns(x: np.ndarray, k: int, stride: int):
     """Each batch item's im2col columns: yields (b, col), col a (Cin*K, Lout) buffer.
 
@@ -377,7 +390,7 @@ def _columns(x: np.ndarray, k: int, stride: int):
     batch, cin, length = x.shape
     pad, out_len = (k - 1) // 2, length // stride
     xp = np.zeros((cin, length + 2 * pad))
-    taps = sliding_window_view(xp, stride * (out_len - 1) + 1, axis=1)[:, :k, ::stride]
+    taps = _taps(xp, k, stride, out_len)
     col = np.empty((cin, k, out_len))
     cols = col.reshape(cin * k, out_len)
     for b in range(batch):

@@ -89,6 +89,18 @@ class TestReadWav:
         with pytest.raises(UnsupportedFormatError):
             read_wav(tmp_path / "u.wav")
 
+    @pytest.mark.parametrize("payload,fields,reason", [
+        (struct.pack("<2h", 1, 2), {"rate": 0}, "sample rate must be a positive integer"),
+        (struct.pack("<2f", 0.5, np.nan), {"fmt_code": 3, "bits": 32}, "non-finite samples"),
+        (b"\x01", {}, "no complete frame"),
+    ])
+    def test_rejection_names_the_file(self, tmp_path, payload, fields, reason):
+        path = tmp_path / "bad.wav"
+        _write_raw_wav(path, payload, **fields)
+        with pytest.raises(FormatError, match=reason) as err:
+            read_wav(path)
+        assert str(err.value).startswith(f"{path}: ")
+
 
 def _valid_wavs() -> list:
     """Small valid files in every encoding read_wav accepts: 8/16/24-bit PCM, float32."""
@@ -114,11 +126,12 @@ _HEADER_FIELDS = [(4, "<I"), (16, "<I"), (20, "<H"), (22, "<H"), (24, "<I"), (28
 
 
 def _read_or_cdpam_error(path, blob: bytes) -> None:
-    """read_wav either returns a valid Waveform or raises a package error."""
+    """read_wav either returns a valid Waveform or raises a package error naming the file."""
     path.write_bytes(blob)
     try:
         w = read_wav(path)
-    except CdpamError:
+    except CdpamError as err:
+        assert str(err).startswith(f"{path}: ")
         return
     assert w.sample_rate > 0 and len(w) > 0 and np.isfinite(w.samples).all()
 

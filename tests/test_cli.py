@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +169,17 @@ class TestDistanceCommand:
         code = main(["distance", ckpt, "/nonexistent/a.wav", "/nonexistent/b.wav"])
         assert code == 2
         assert capsys.readouterr().err != ""
+
+    def test_unreadable_wav_exits_2_naming_it(self, pipeline_run, tmp_path, capsys):
+        _, _, cfg = pipeline_run
+        ckpt = os.path.join(cfg["out"], "finetuned.ckpt")
+        wav = os.path.join(cfg["out"], "corpus", "utt0000.wav")
+        bad = tmp_path / "nan.wav"  # 32-bit float mono, one NaN sample
+        bad.write_bytes(b"RIFF" + struct.pack("<I", 40) + b"WAVE"
+                        + b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 1600, 6400, 4, 32)
+                        + b"data" + struct.pack("<I", 4) + struct.pack("<f", np.nan))
+        assert main(["distance", ckpt, wav, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: waveform contains non-finite samples\n"
 
     def test_checkpoint_missing_tensor_exits_2(self, pipeline_run, tmp_path, capsys,
                                                 rewrite_checkpoint):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdpam import tensor as T
+from cdpam import losses, tensor as T
+from cdpam.audio import Waveform
 from cdpam.errors import CdpamError, ContractError, FormatError, ShapeError, VersionError
 from cdpam.model import (LEAKY_SLOPE, EncoderConfig, ModelConfig, PerceptualModel,
                          default_config, desk_config, load_checkpoint, save_checkpoint,
@@ -265,6 +266,77 @@ class TestFusedInference:
 
     def test_embed_no_waves(self, tiny_model):
         assert tiny_model.embed_waves([]).shape == (0, tiny_model.config.encoder.acoustic_dim)
+
+
+def random_clips(config, seed, n=2):
+    rng = np.random.default_rng(seed)
+    return [Waveform(rng.normal(size=config.clip_samples) * 0.1, config.sample_rate)
+            for _ in range(n)]
+
+
+def pretraining_step(model, seed, between=None):
+    """One contrastive step: a training encode, backward, then Adam on what is trainable.
+    `between`, if given, runs after backward and before the Adam step."""
+    x = model.waves_to_tensor(random_clips(model.config, seed, n=4))
+    acoustic, _ = model.encode(x, train=True)
+    z = model.project(acoustic, "acoustic")
+    losses.nt_xent(T.narrow(z, 0, 0, 2), T.narrow(z, 0, 2, 2)).backward()
+    if between is not None:
+        between()
+    T.adam_step(model.params, {}, lr=1e-2)
+
+
+def rebuilt(model):
+    """A fresh model, with no fold computed yet, from model's current params and state."""
+    return PerceptualModel(model.config, {n: t.data.copy() for n, t in model.params.items()},
+                           model.state, stage=model.stage, seed=model.seed)
+
+
+class TestFoldCache:
+    """encode(train=False) keeps the BatchNorm fold while the encoder is frozen; a fold
+    kept across a change to the encoder would give a stale distance."""
+
+    @pytest.mark.parametrize("trainable", [("enc.", "proj."), ("proj.",)])
+    def test_pretraining_step_refolds(self, trainable):
+        # ("proj.",): a frozen encoder whose running statistics the training encode moves
+        model = with_random_batch_norm(tiny_config(), seed=21)
+        model.set_trainable(trainable)
+        ref, per = random_clips(model.config, 22)
+        before = model.distance(ref, per)
+        pretraining_step(model, 23)
+        after = model.distance(ref, per)
+        assert after != before
+        assert after == rebuilt(model).distance(ref, per)
+
+    def test_distance_between_backward_and_adam_step(self):
+        model = with_random_batch_norm(tiny_config(), seed=24)
+        model.set_trainable(("enc.", "proj."))
+        ref, per = random_clips(model.config, 25)
+        model.distance(ref, per)
+        pretraining_step(model, 26, between=lambda: model.distance(ref, per))
+        assert model.distance(ref, per) == rebuilt(model).distance(ref, per)
+
+    def test_clone_keeps_its_own_distance(self):
+        model = with_random_batch_norm(tiny_config(), seed=27)
+        ref, per = random_clips(model.config, 28)
+        before = model.distance(ref, per)
+        twin = model.clone()
+        assert twin.distance(ref, per) == before
+        model.set_trainable(("enc.", "proj."))
+        pretraining_step(model, 29)
+        model.set_trainable(())
+        assert twin.distance(ref, per) == before
+        assert model.distance(ref, per) == rebuilt(model).distance(ref, per) != before
+
+    def test_set_trainable_drops_the_fold_after_an_outside_write(self):
+        model = with_random_batch_norm(tiny_config(), seed=30)
+        ref, per = random_clips(model.config, 31)
+        before = model.distance(ref, per)
+        model.state["enc.bn2.running_var"] *= 4.0
+        model.set_trainable(())
+        after = model.distance(ref, per)
+        assert after != before
+        assert after == rebuilt(model).distance(ref, per)
 
 
 class TestDistance:

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cdpam import losses, tensor as T
 from cdpam.errors import ContractError, NumericError, ShapeError
@@ -267,6 +268,22 @@ class TestConv1dItemWalk:
             return T.sum_(T.mul(T.conv1d(ts[0], ts[1], ts[2], stride=stride), probe))
 
         finite_difference_check(build, [x, w, b])
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    @pytest.mark.parametrize("out_len", [1, 9])  # 1: the shortest legal input, stride samples
+    def test_tap_view_matches_sliding_windows(self, stride, k, out_len):
+        cin, pad = 3, (k - 1) // 2
+        xp = np.random.default_rng(k * 10 + stride).normal(size=(cin, stride * out_len + 2 * pad))
+        taps = T._taps(xp, k, stride, out_len)
+        ref = sliding_window_view(xp, stride * (out_len - 1) + 1, axis=1)[:, :k, ::stride]
+        assert taps.shape == (cin, k, out_len)
+        assert np.array_equal(taps, ref)
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError):
+            taps[0, 0, 0] = 1.0
+        xp[:, pad] = 7.0  # a view of the padded row, not a copy of it
+        assert np.array_equal(taps, ref)
 
     def test_working_memory_is_one_item(self):
         # desk layer 13 at batch 4: 32 -> 32 channels, 15 taps, 500 steps.  Beyond its
