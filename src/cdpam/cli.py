@@ -342,10 +342,16 @@ def cmd_distance(ckpt_path: str, path_a: str, path_b: str, as_json: bool = False
     from .model import load_checkpoint
 
     model = load_checkpoint(ckpt_path)
-    d = model.distance(read_wav(path_a), read_wav(path_b))
+    waves = [read_wav(path_a), read_wav(path_b)]
+    d = model.distance(*waves)
     if not as_json:
         print(f"{d:.6f}")
-    return {"distance": d}
+    # the model reads each clip resampled to its rate and padded or trimmed to
+    # clip_samples, so a longer file's tail never reaches the distance
+    return {"distance": d, "sample_rate": model.config.sample_rate,
+            "samples_used": model.config.clip_samples,
+            "inputs": [{"path": path, "samples": int(w.samples.size), "sample_rate": w.sample_rate}
+                       for path, w in zip((path_a, path_b), waves)]}
 
 
 def load_eval_datasets(eval_dir: str) -> tuple:
@@ -464,8 +470,13 @@ def main(argv=None) -> int:
                 outputs = run_pipeline(cfg, progress=progress, as_json=args.json)
         if args.json:
             print(json.dumps(outputs, sort_keys=True))
-    except (CdpamError, FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as err:
+    except (CdpamError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError) as err:
+        # a path the user named cannot be opened as the file it should be
+        print(f"error: {err.filename}: {err.strerror}" if err.filename else f"error: {err}",
+              file=sys.stderr)
         return 2
     except Exception as err:  # internal failure
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)

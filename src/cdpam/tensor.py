@@ -32,9 +32,12 @@ into the item's slice of the (batch, Cout, Lout) output, so there is no
 transposing copy and no output transpose.  Beyond its output, a conv holds
 one item's columns and one padded item.  The weight and input VJPs walk the
 items separately: dW fills the column buffer and accumulates g_b @ col_b^T,
-and dX writes w^T @ g_b into one reused (Cin, K, Lout) buffer and scatters
-it back onto the padded input with K strided adds, so dX needs no im2col of
-the input.
+and dX writes w^T @ g_b into the middle of one reused, zero-margined
+(Cin, K, Lout + 2(K-1)) buffer.  A read-only skewed view of that buffer
+(:func:`_skewed_taps`, one per output parity) puts every tap that lands on
+one padded input position in one column, so a single np.add.reduce per item
+and parity sums the taps onto the padded input (the col2im step), in tap
+order, and dX needs no im2col of the input and no loop over the taps.
 
 conv1d also takes the layer's epilogue: its bias and, with ``slope``, a
 leaky ReLU are applied to each item's output in place right after its GEMM,
@@ -416,19 +419,50 @@ def _conv1d_forward(x: np.ndarray, w: np.ndarray, stride: int,
     return out
 
 
+def _skewed_taps(buf: np.ndarray, stride: int, width: int) -> list:
+    """Read-only views of a (Cin, K, Lout + 2(K-1)) tap buffer, one per output parity r.
+
+    buf[c, j, K-1+t] holds tap j of output step t, the rest of the row is a zero
+    margin.  View r is (Cin, taps, positions) with [c, i, q] = buf[c, r + stride*i,
+    K-1 + q - i]: tap r + stride*i of the output step that lands on padded input
+    position r + stride*q, or a zero where no step does.
+    """
+    cin, k, _ = buf.shape
+    row, tap, step = buf.strides
+    views = []
+    for r in range(stride):
+        shape = (cin, len(range(r, k, stride)), len(range(r, width, stride)))
+        view = np.ndarray(shape, buf.dtype, buf, offset=r * tap + (k - 1) * step,
+                          strides=(row, stride * tap - step, step))
+        view.flags.writeable = False
+        views.append(view)
+    return views
+
+
 def _conv1d_dx(g: np.ndarray, w: np.ndarray, stride: int, length: int) -> np.ndarray:
-    """Input gradient: w^T @ g_b per item, scattered onto the padded input by K strided adds."""
+    """Input gradient: w^T @ g_b per item, its taps summed onto the padded input by one reduction.
+
+    Each item's product fills the middle of one zero-margined tap buffer, and
+    np.add.reduce over the taps of each :func:`_skewed_taps` view writes one
+    parity of the item's padded row.  It adds the taps in tap order, starting
+    from 0.0: the same additions as adding each tap's strided row onto a zeroed
+    row, so every position, its sign of zero included, keeps its bits.  The
+    positions, the view's smallest stride, are numpy's inner loop, so the taps
+    are never summed pairwise.
+    """
     batch, cout, out_len = g.shape
     _, cin, k = w.shape
     pad = (k - 1) // 2
+    width = length + 2 * pad
     w2 = w.reshape(cout, cin * k)
-    dxp = np.zeros((batch, cin, length + 2 * pad))
-    col = np.empty((cin, k, out_len))
-    cols = col.reshape(cin * k, out_len)
+    dxp = np.empty((batch, cin, width))  # the parities' reductions write every position
+    buf = np.zeros((cin, k, out_len + 2 * (k - 1)))
+    cols = buf[:, :, k - 1:k - 1 + out_len].reshape(cin * k, out_len)
+    sums = _skewed_taps(buf, stride, width)
     for b in range(batch):
         np.matmul(w2.T, g[b], out=cols)
-        for j in range(k):
-            dxp[b, :, j:j + stride * (out_len - 1) + 1:stride] += col[:, j]
+        for r, taps in enumerate(sums):
+            np.add.reduce(taps, axis=1, out=dxp[b, :, r::stride])
     return dxp[:, :, pad:pad + length]
 
 

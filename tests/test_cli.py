@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cdpam
+from cdpam.audio import Waveform, read_wav, write_wav
 from cdpam.cli import DEFAULT_RUN_CONFIG, main, resolve_config
 from cdpam.model import PerceptualModel, tiny_config
 from cdpam.perturb import DEFAULT_FAMILIES
@@ -162,6 +163,25 @@ class TestDistanceCommand:
         wav = os.path.join(out, "corpus", "utt0000.wav")
         assert main(["distance", ckpt, wav, wav, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["distance"] == 0.0
+
+    def test_json_reports_what_it_read(self, pipeline_run, tmp_path, capsys):
+        # a 3 s file against a 1 s clip: the report shows that the model read its first second
+        _, _, cfg = pipeline_run
+        ckpt = os.path.join(cfg["out"], "finetuned.ckpt")
+        wav = os.path.join(cfg["out"], "corpus", "utt0000.wav")
+        rate, clip = tiny_config().sample_rate, tiny_config().clip_samples
+        long = tmp_path / "long.wav"
+        tone = 0.5 * np.sin(2 * np.pi * 100.0 * np.arange(3 * rate) / rate)
+        write_wav(Waveform(tone, rate), long)
+        assert main(["distance", ckpt, wav, str(long)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["distance", ckpt, wav, str(long), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert f"{report['distance']:.6f}\n" == plain
+        assert report["sample_rate"] == rate and report["samples_used"] == clip
+        assert report["inputs"] == [
+            {"path": wav, "samples": read_wav(wav).samples.size, "sample_rate": rate},
+            {"path": str(long), "samples": 3 * rate, "sample_rate": rate}]
 
     def test_missing_file_exits_2(self, pipeline_run, capsys):
         _, _, cfg = pipeline_run
@@ -527,6 +547,37 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])  # the checkpoint, the first WAV, the second
+    def test_directory_for_a_distance_file_exits_2(self, pipeline_run, tmp_path, capsys, slot):
+        _, _, cfg = pipeline_run
+        args = [os.path.join(cfg["out"], "finetuned.ckpt"),
+                os.path.join(cfg["out"], "corpus", "utt0000.wav"),
+                os.path.join(cfg["out"], "corpus", "utt0001.wav")]
+        args[slot] = str(tmp_path)
+        assert main(["distance", *args]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        assert main(["synth-data", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+    def test_missing_config_exits_2_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["synth-data", "--config", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+    def test_unreadable_wav_exits_2(self, pipeline_run, monkeypatch, capsys):
+        # raised by hand: file modes do not stop a superuser from reading
+        _, _, cfg = pipeline_run
+        wav = os.path.join(cfg["out"], "corpus", "utt0000.wav")
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr("cdpam.audio.read_wav", denied)
+        assert main(["distance", os.path.join(cfg["out"], "finetuned.ckpt"), wav, wav]) == 2
+        assert capsys.readouterr().err == f"error: {wav}: Permission denied\n"
 
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -237,6 +237,81 @@ def per_tap_conv(x, w, stride):
                for j in range(k))
 
 
+def strided_add_conv1d_dx(g, w, stride, length):
+    """Reference input gradient: w^T @ g_b per item, added onto a zeroed padded row tap by tap."""
+    batch, cout, out_len = g.shape
+    _, cin, k = w.shape
+    pad = (k - 1) // 2
+    w2 = w.reshape(cout, cin * k)
+    dxp = np.zeros((batch, cin, length + 2 * pad))
+    col = np.empty((cin, k, out_len))
+    cols = col.reshape(cin * k, out_len)
+    for b in range(batch):
+        np.matmul(w2.T, g[b], out=cols)
+        for j in range(k):
+            dxp[b, :, j:j + stride * (out_len - 1) + 1:stride] += col[:, j]
+    return dxp[:, :, pad:pad + length]
+
+
+def desk_conv_shapes():
+    """(Cin, Cout, k, stride, input length) of each desk encoder conv, in layer order."""
+    cfg = desk_config()
+    enc, params = cfg.encoder, PerceptualModel.initialize(cfg, seed=0).params
+    length, shapes = cfg.clip_samples, []
+    for layer in range(1, enc.n_layers + 1):
+        cout, cin, k = params[f"enc.conv{layer}.w"].shape
+        stride = 2 if layer in enc.stride2_layers else 1
+        shapes.append((cin, cout, k, stride, length))
+        length //= stride
+    return shapes
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestConv1dInputGradient:
+    """_conv1d_dx keeps the bytes of the tap-by-tap strided adds it replaced."""
+
+    @pytest.mark.parametrize("layer", range(1, 17))
+    def test_bit_equal_at_desk_layers(self, layer):
+        cin, cout, k, stride, length = desk_conv_shapes()[layer - 1]
+        rng = np.random.default_rng(50 + layer)
+        g = rng.normal(size=(3, cout, length // stride))
+        w = rng.normal(size=(cout, cin, k))
+        assert_same_bits(T._conv1d_dx(g, w, stride, length),
+                         strided_add_conv1d_dx(g, w, stride, length))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    @pytest.mark.parametrize("out_len", [1, 9])  # 1: the shortest legal input, stride samples
+    def test_bit_equal_at_edge_shapes(self, stride, k, out_len):
+        rng = np.random.default_rng(k * 10 + stride + out_len)
+        g = rng.normal(size=(2, 4, out_len))
+        w = rng.normal(size=(4, 3, k))
+        assert_same_bits(T._conv1d_dx(g, w, stride, stride * out_len),
+                         strided_add_conv1d_dx(g, w, stride, stride * out_len))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_zero_gradient_gives_positive_zeros(self, stride):
+        g = np.zeros((2, 4, 9))
+        w = np.random.default_rng(60).normal(size=(4, 3, 15))
+        dx = T._conv1d_dx(g, w, stride, stride * 9)
+        assert_same_bits(dx, strided_add_conv1d_dx(g, w, stride, stride * 9))
+        assert not np.signbit(dx).any()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_skewed_views_are_read_only_views(self, stride):
+        buf = np.zeros((2, 5, 3 + 2 * 4))
+        views = T._skewed_taps(buf, stride, stride * 3 + 4)
+        assert len(views) == stride
+        for view in views:
+            assert not view.flags.writeable
+            assert np.shares_memory(view, buf)
+
+
 class TestConv1dItemWalk:
     @pytest.mark.parametrize("batch,cin,cout,k,length,stride", [
         (7, 3, 4, 5, 16, 1),
@@ -289,7 +364,8 @@ class TestConv1dItemWalk:
         # desk layer 13 at batch 4: 32 -> 32 channels, 15 taps, 500 steps.  Beyond its
         # output, the forward and the weight gradient each hold one item's im2col columns
         # (1.92 MB) and one padded item (132 KB), plus an item-sized temporary: the leaky
-        # epilogue's slope * x, or the weight gradient's g_b @ col_b^T
+        # epilogue's slope * x, or the weight gradient's g_b @ col_b^T.  Beyond its padded
+        # output, the input gradient holds one item's margined tap buffer (2.03 MB)
         batch, ch, k, length = 4, 32, 15, 500
         rng = np.random.default_rng(40)
         x, g = rng.normal(size=(2, batch, ch, length))
@@ -300,12 +376,14 @@ class TestConv1dItemWalk:
         try:
             extra = []
             for run in (lambda: T.conv1d(Tensor(x), Tensor(w), Tensor(b), slope=0.2).data,
-                        lambda: T._conv1d_dw(g, x, w.shape, 1)):
+                        lambda: T._conv1d_dw(g, x, w.shape, 1),
+                        lambda: T._conv1d_dx(g, w, 1, length)):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 result = run()
-                extra.append(tracemalloc.get_traced_memory()[1] - before - result.nbytes)
-                del result
+                owner = result if result.base is None else result.base  # dX's padded output
+                extra.append(tracemalloc.get_traced_memory()[1] - before - owner.nbytes)
+                del result, owner
         finally:
             if not was_tracing:
                 tracemalloc.stop()
