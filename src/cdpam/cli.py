@@ -56,7 +56,6 @@ DEFAULT_RUN_CONFIG = {
         "tau": 0.5,
         "margin": 0.1,
         "augment": {"pretrain": False, "jnd": True, "finetune": True},
-        "batches_per_mode": None,
     },
 }
 
@@ -92,21 +91,16 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 def _leaf_mismatch(item, default, dotted: str) -> str | None:
     """What the config leaf `dotted` must be when `item` does not fit its default."""
-    def is_int(v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool)
-
     if dotted == "data.families":
         from .perturb import FAMILIES
 
         ok = (isinstance(item, list) and bool(item) and all(f in FAMILIES for f in item)
               and len(set(item)) == len(item))
         want = f"a list of one or more distinct families from {', '.join(FAMILIES)}"
-    elif dotted == "train.batches_per_mode":
-        ok, want = item is None or is_int(item), "null or an integer"
     elif isinstance(default, bool):
         ok, want = isinstance(item, bool), "true or false"
     elif isinstance(default, int):
-        ok, want = is_int(item), "an integer"
+        ok, want = isinstance(item, int) and not isinstance(item, bool), "an integer"
     elif isinstance(default, float):
         ok, want = isinstance(item, (int, float)) and not isinstance(item, bool), "a number"
         # json reads NaN, Infinity and integers too large for a float; NaN compares False
@@ -200,7 +194,6 @@ def _train_config(cfg: dict, stage: str):
         seed=cfg["seed"],
         augment=t["augment"][stage],
         families=tuple(cfg["data"]["families"]),
-        batches_per_mode=t["batches_per_mode"],
     )
 
 

@@ -50,13 +50,17 @@ waveform only, which is all that using the metric as a loss needs.  The
 model computes each fold once per frozen model state and keeps it until a
 training pass or ``set_trainable`` drops it (``PerceptualModel.encode``).
 In training, batch_norm1d takes the leaky ReLU as its epilogue, in place, and
-its backward rebuilds x-hat from its input and the per-channel statistics
-(In-Place Activated BatchNorm, Rota Bulo et al. 2018).  Its output also
-carries a rebuild function, the forward's own expression, so the encoder
-calls :func:`release` on it once the next conv has read it, and the first
-backward VJP that reads it, the next conv's weight gradient, recomputes it
-bit for bit (recomputation for memory, Chen et al. 2016): a layer's graph
-keeps only the conv output.
+its backward rebuilds x-hat from its input and the per-channel statistics.
+Every leaky ReLU, fused or not, has one derivative rule: with a slope in
+[0, 1] the output is positive exactly where the input was, so the op's
+``pre`` (:func:`_unleak`) reads the mask from the output (In-Place Activated
+BatchNorm, Rota Bulo et al. 2018), and :func:`_make` applies it once, to the
+output's gradient, before the VJPs.  batch_norm1d's output also carries a
+rebuild function, the forward's own expression, so the encoder calls
+:func:`release` on it once the next conv has read it, and the first backward
+VJP that reads it, the next conv's weight gradient, recomputes it bit for bit
+(recomputation for memory, Chen et al. 2016): a layer's graph keeps only the
+conv output.
 
 :func:`adam_step` updates the parameter tensors in place and keeps its step
 count and moments per parameter name, so a parameter that a loss did not
@@ -204,19 +208,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _make(data, parents, vjps, op):
+def _make(data, parents, vjps, op, pre=None):
     """The output tensor of `op`, and the one place that routes gradients to its parents.
 
     `vjps[i](g)` returns the gradient for `parents[i]` given the output's
     gradient `g`.  The backward closure calls it only for a parent that
     requires a gradient and accumulates in parent order, so a tensor that is
     two parents of one op, as in ``mul(z, z)``, gets its first parent's term
-    first.
+    first.  `pre`, if given, maps `g` once, before any VJP sees it; `g` is
+    the output's own gradient array, so `pre` may overwrite it.
     """
     if not any(p.requires_grad for p in parents):
         return Tensor(data, _op=op)
 
     def backward(g):
+        if pre is not None:
+            g = pre(g)
         for parent, vjp in zip(parents, vjps):
             if parent.requires_grad:
                 parent._accumulate(vjp(g))
@@ -277,15 +284,26 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
                  (lambda g: g * ((x.data >= lo) & (x.data <= hi)),), "clamp")
 
 
+def _check_slope(slope: float | None, op: str) -> None:
+    if slope is not None and not 0.0 <= slope <= 1.0:
+        raise ContractError(f"{op} slope must be in [0, 1], got {slope}")
+
+
 def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
-    # max(x, slope*x) equals where(x > 0, x, slope*x) bit for bit when slope <= 1
-    pick = np.maximum if slope <= 1.0 else np.minimum
-    return pick(x, slope * x, out=out)
+    # max(x, slope*x) equals where(x > 0, x, slope*x) bit for bit when 0 <= slope <= 1
+    return np.maximum(x, slope * x, out=out)
+
+
+def _unleak(g: np.ndarray, y: np.ndarray, slope: float) -> np.ndarray:
+    """g times the derivative of the leaky ReLU whose output is y, in place; returns g."""
+    # max(y > 0, slope) is exactly 1.0 or exactly slope: the select form's bits, branch-free
+    return np.multiply(g, np.maximum(y > 0.0, slope, dtype=np.float64), out=g)
 
 
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    return _make(_leaky(x.data, slope), (x,),
-                 (lambda g: np.where(x.data > 0.0, g, slope * g),), "leaky_relu")
+    _check_slope(slope, "leaky_relu")
+    y = _leaky(x.data, slope)
+    return _make(y, (x,), (lambda g: g,), "leaky_relu", pre=lambda g: _unleak(g, y, slope))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -480,9 +498,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
 
     Requires an odd kernel, stride 1 or 2, and a length divisible by the
     stride; output length is len/stride.  With ``slope`` the output passes
-    through ``leaky_relu(., slope)`` in the same pass, bit for bit; the slope
-    must be non-negative, so the output is positive exactly where its input
-    was and backward takes its mask from the output.
+    through ``leaky_relu(., slope)`` in the same pass, bit for bit.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError("conv1d expects x[batch, ch, len] and w[out, ch, k]")
@@ -498,19 +514,15 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
         raise ShapeError(f"conv1d length {length} not divisible by stride {stride}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv1d bias must have shape ({cout},)")
-    if slope is not None and not slope >= 0.0:
-        raise ContractError(f"conv1d slope must be non-negative, got {slope}")
+    _check_slope(slope, "conv1d")
 
     out_data = _conv1d_forward(x.data, w.data, stride, None if bias is None else bias.data, slope)
-
-    def pre(g):  # gradient before the epilogue; in the encoder a slope means only dx runs
-        return g if slope is None else np.where(out_data > 0.0, g, slope * g)
-
     parents = (x, w) if bias is None else (x, w, bias)
-    vjps = (lambda g: _conv1d_dx(pre(g), w.data, stride, length),
-            lambda g: _conv1d_dw(pre(g), _value(x), w.shape, stride),  # rebuilds a released x
-            lambda g: pre(g).sum(axis=(0, 2)))
-    return _make(out_data, parents, vjps[:len(parents)], "conv1d")
+    vjps = (lambda g: _conv1d_dx(g, w.data, stride, length),
+            lambda g: _conv1d_dw(g, _value(x), w.shape, stride),  # rebuilds a released x
+            lambda g: g.sum(axis=(0, 2)))
+    return _make(out_data, parents, vjps[:len(parents)], "conv1d",
+                 pre=None if slope is None else lambda g: _unleak(g, out_data, slope))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -537,8 +549,9 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     The output may be dropped with :func:`release`: its rebuild runs the
     forward's expression again on x, the batch statistics, gamma and beta, so
     gamma and beta must not change before backward.  The graph then keeps x
-    and per-channel vectors.  Backward masks the output's gradient in place
-    and builds at most two more full-size temporaries.
+    and per-channel vectors.  Backward scales the output's gradient in place
+    through one full-size factor, freed before the VJPs run, which then build
+    at most two more full-size temporaries.
     """
     if not train:
         raise ContractError("batch_norm1d normalizes on batch statistics only; inference "
@@ -548,8 +561,7 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     ch = x.shape[1]
     if gamma.shape != (ch,) or beta.shape != (ch,):
         raise ShapeError("batch_norm1d gamma/beta must be per-channel vectors")
-    if slope is not None and not slope >= 0.0:
-        raise ContractError(f"batch_norm1d slope must be non-negative, got {slope}")
+    _check_slope(slope, "batch_norm1d")
 
     mu = x.data.mean(axis=(0, 2))
     var = x.data.var(axis=(0, 2))
@@ -575,23 +587,12 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
             _leaky(y, slope, out=y)
         return y
 
-    masked = [None]  # the gradient array that pre() has masked in place
-
-    def pre(g):
-        # the gradient before the epilogue, masked in place once per backward call: g is
-        # the output node's own array.  Reading the output through `out` makes a cycle,
-        # which backward breaks when it drops this closure
-        if slope is not None and masked[0] is not g:
-            np.multiply(g, slope, out=g, where=_value(out) <= 0.0)
-            masked[0] = g
-        return g
-
     def dx(g):
         # dxhat * inv_std + dvar * 2 * centered / n + dmu / n, summed left to right as
         # written, built in place in dxhat and centered, so only those two full-size
         # temporaries are ever alive: dvar's product goes into centered's buffer, and
         # centered is then rebuilt with the forward's expression
-        dxhat = pre(g) * gamma.data[None, :, None]
+        dxhat = g * gamma.data[None, :, None]
         n = x.shape[0] * x.shape[2]
         c = centered()
         c_sum = c.sum(axis=(0, 2))
@@ -608,11 +609,13 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     def dgamma(g):
         xhat = normalized()
-        xhat *= pre(g)
+        xhat *= g
         return xhat.sum(axis=(0, 2))
 
-    out = _make(output(), (x, gamma, beta), (dx, dgamma, lambda g: pre(g).sum(axis=(0, 2))),
-                "batch_norm1d")
+    # `pre` reads the output through `out`, a cycle that backward breaks when it drops it
+    out = _make(output(), (x, gamma, beta), (dx, dgamma, lambda g: g.sum(axis=(0, 2))),
+                "batch_norm1d",
+                pre=None if slope is None else lambda g: _unleak(g, _value(out), slope))
     out._rebuild = output
     return out
 

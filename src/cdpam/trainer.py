@@ -64,17 +64,13 @@ class TrainConfig:
     seed: int = 0
     augment: bool = True
     families: tuple = DEFAULT_FAMILIES
-    batches_per_mode: int | None = None
 
     def __post_init__(self):
         if self.stage not in EPOCH_DEFAULTS:
             raise ContractError(f"unknown stage {self.stage!r}")
         if self.epochs is None:
             self.epochs = EPOCH_DEFAULTS[self.stage]
-        counts = [("epochs", self.epochs), ("batch_size", self.batch_size)]
-        if self.batches_per_mode is not None:  # None: scale with the corpus
-            counts.append(("batches_per_mode", self.batches_per_mode))
-        for name, value in counts:
+        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
         if (isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real)
@@ -167,13 +163,13 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
     """Train the encoder (plus both projection heads) with NT-Xent batches.
 
     Returns (model tagged "pretrained", per-epoch loss rows).  Acoustic and
-    content batches alternate; each mode covers the corpus batches_per_mode
-    times per epoch.  NaN losses abort with the epoch index.
+    content batches alternate, one of each per 4 * batch_size clips (at least
+    one) per epoch.  NaN losses abort with the epoch index.
     """
     _check_entry(config, "pretrain")
     model = PerceptualModel.initialize(model_config, seed=config.seed)
     model.set_trainable(("enc.", "proj."))
-    per_mode = config.batches_per_mode or max(1, len(corpus) // (4 * config.batch_size))
+    per_mode = max(1, len(corpus) // (4 * config.batch_size))
     # the pretraining set is fixed up front; only augmentation varies per epoch
     seeder = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(20,)))
     batches = [(mode, make_contrastive_batch(corpus, mode, config.batch_size,

@@ -52,7 +52,6 @@ def tiny_run_config(tmp_path, out_name="run", **data_overrides):
             "tau": 0.5,
             "margin": 0.1,
             "augment": {"pretrain": False, "jnd": True, "finetune": True},
-            "batches_per_mode": 1,
         },
     }
     path = tmp_path / f"{out_name.replace(os.sep, '_')}_config.json"
@@ -359,7 +358,7 @@ class TestConfigBoundary:
         ({"out": 5}, "config key 'out' must be a string"),
         ({"train": {"tau": "0.5"}}, "config key 'train.tau' must be a number"),
         ({"train": {"augment": {"jnd": 1}}}, "config key 'train.augment.jnd' must be true"),
-        ({"train": {"batches_per_mode": 1.5}}, "'train.batches_per_mode' must be null or"),
+        ({"train": {"batches_per_mode": 1}}, "unknown config key 'train.batches_per_mode'"),
         ({"data": {"families": "noise"}}, "config key 'data.families' must be a list"),
         ({"data": {"families": ["noise", 3]}}, "config key 'data.families' must be a list"),
         ({"model": {"foo": 1}}, "unknown config key 'model.foo'"),
@@ -425,20 +424,6 @@ class TestConfigBoundary:
         assert named in capsys.readouterr().err
         assert not os.path.exists(cfg["out"])
 
-    @pytest.mark.parametrize("value", [-1, 0])
-    def test_batches_per_mode_below_one_exits_2_without_a_checkpoint(self, pipeline_run,
-                                                                     tmp_path, capsys, value):
-        _, _, cfg = pipeline_run
-        run = tmp_path / "run"
-        shutil.copytree(cfg["out"], run)
-        (run / "pretrained.ckpt").unlink()
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**cfg, "out": str(run),
-                                    "train": {**cfg["train"], "batches_per_mode": value}}))
-        assert main(["pretrain", "--config", str(path), "--quiet"]) == 2
-        assert f"batches_per_mode must be an integer >= 1, got {value}" in capsys.readouterr().err
-        assert not (run / "pretrained.ckpt").exists()
-
     @pytest.mark.parametrize("gap", [1.0, 1.5])
     def test_unreachable_triplet_gap_exits_2(self, tmp_path, gap):
         # a fresh process with a time limit: at a gap no triplet can reach, synth-data
@@ -455,8 +440,7 @@ class TestConfigBoundary:
 
     def test_leaf_types_accepted(self, tmp_path):
         path = tmp_path / "types.json"
-        path.write_text(json.dumps({"train": {"tau": 1, "lr": {"jnd": 0.01},
-                                              "batches_per_mode": None},
+        path.write_text(json.dumps({"train": {"tau": 1, "lr": {"jnd": 0.01}},
                                     "data": {"jnd_threshold": 0.2, "families": ["eq"]}}))
         cfg = resolve_config(str(path))
         assert cfg["train"]["tau"] == 1 and cfg["data"]["families"] == ["eq"]

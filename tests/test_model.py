@@ -236,9 +236,9 @@ class TestFusedInference:
         ops = []
         real = T._make
 
-        def recording(data, parents, backward_fn, op):
+        def recording(data, parents, vjps, op, pre=None):
             ops.append(op)
-            return real(data, parents, backward_fn, op)
+            return real(data, parents, vjps, op, pre=pre)
 
         monkeypatch.setattr(T, "_make", recording)
         x = Tensor(np.random.default_rng(9).normal(size=(2, 1, model.config.clip_samples)),

@@ -391,7 +391,7 @@ class TestConv1dItemWalk:
 
 
 class TestConv1dEpilogue:
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 3.0])
+    @pytest.mark.parametrize("slope", [0.0, 0.2])
     @pytest.mark.parametrize("length", [None, 240])  # None: the 16-sample input; a longer signal
     def test_bit_equal_to_separate_leaky_relu(self, slope, length):
         rng = np.random.default_rng(30)
@@ -402,7 +402,7 @@ class TestConv1dEpilogue:
         separate = T.leaky_relu(T.conv1d(x, w, b, stride=2), slope)
         assert fused.data.tobytes() == separate.data.tobytes()
 
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 3.0])
+    @pytest.mark.parametrize("slope", [0.0, 0.2])
     def test_gradients_over_several_items(self, slope):
         batch, cin, cout, k, length = 3, 2, 3, 5, 8
         rng = np.random.default_rng(31)
@@ -422,7 +422,7 @@ class TestConv1dEpilogue:
 
 
 class TestBatchNormEpilogue:
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 3.0])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     def test_bit_equal_to_separate_leaky_relu(self, slope):
         rng = np.random.default_rng(36)
         x, g = rng.normal(1.0, 2.0, size=(3, 4, 10)), rng.normal(size=(3, 4, 10))
@@ -441,7 +441,7 @@ class TestBatchNormEpilogue:
 
         assert run(fused=True) == run(fused=False)
 
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 3.0])
+    @pytest.mark.parametrize("slope", [0.0, 0.2])
     def test_gradients(self, slope):
         rng = np.random.default_rng(37)
         x = rng.normal(size=(3, 2, 6))
@@ -460,6 +460,105 @@ class TestBatchNormEpilogue:
                            np.zeros(1), np.ones(1), True, slope=-0.1)
 
 
+def leaky_inputs(op, rng):
+    """Inputs of `op` whose leaky-ReLU output holds exact zeros at every slope."""
+    if op == "leaky_relu":
+        return [np.concatenate([[-0.0, 0.0, 5e-324, -5e-324], rng.normal(size=60)])]
+    if op == "conv1d":  # item 0 is all zeros, and there is no bias: its output is +0.0
+        x = rng.normal(size=(3, 2, 10))
+        x[0] = 0.0
+        return [x, rng.normal(size=(4, 2, 3))]
+    gamma, beta = rng.normal(1.0, 0.3, size=3), rng.normal(size=3)
+    gamma[0] = beta[0] = 0.0  # channel 0's output is +0.0
+    return [rng.normal(size=(3, 3, 8)), gamma, beta]
+
+
+def leaky_op(op, ts, slope):
+    """`op` on `ts` with a leaky ReLU of `slope`, or without one when slope is None."""
+    if op == "leaky_relu":
+        return T.reshape(ts[0], ts[0].shape) if slope is None else T.leaky_relu(ts[0], slope)
+    if op == "conv1d":
+        return T.conv1d(*ts, slope=slope)
+    return T.batch_norm1d(*ts, np.zeros(3), np.ones(3), True, slope=slope)
+
+
+class TestLeakyDerivative:
+    """leaky_relu, conv1d(slope=) and batch_norm1d(slope=) share one derivative, _unleak."""
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5])
+    @pytest.mark.parametrize("op", ["leaky_relu", "conv1d", "batch_norm1d"])
+    def test_slope_outside_unit_interval_rejected(self, op, slope):
+        ts = [Tensor(a) for a in leaky_inputs(op, np.random.default_rng(28))]
+        with pytest.raises(ContractError, match=rf"{op} slope must be in \[0, 1\]"):
+            leaky_op(op, ts, slope)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("op", ["leaky_relu", "conv1d", "batch_norm1d"])
+    def test_gradients_bit_equal_to_select_form(self, monkeypatch, op, slope):
+        # the output gradient holds +0.0 and -0.0 on both sides of the mask; the VJPs must
+        # see where(y > 0, g, slope * g), and the inputs get what the op without the leaky
+        # ReLU gives for that gradient
+        rng = np.random.default_rng(29)
+        arrays = leaky_inputs(op, rng)
+        seen = []
+        unleak = T._unleak
+
+        def spy(g, y, s):
+            before = g.copy()
+            out = unleak(g, y, s)
+            seen.append((before, y.copy(), out.copy()))
+            return out
+
+        monkeypatch.setattr(T, "_unleak", spy)
+        ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = leaky_op(op, ts, slope)
+        g = rng.normal(size=out.shape)
+        g.reshape(-1)[4::3], g.reshape(-1)[5::3] = -0.0, 0.0  # leaky_relu's zero inputs keep g
+        out._backward_fn(g.copy())
+        [(before, y, after)] = seen
+        positive = y > 0.0
+        assert (y == 0.0).any()
+        for side in (positive, ~positive):
+            zeros = np.signbit(before[side][before[side] == 0.0])
+            assert zeros.any() and not zeros.all()
+        select = np.where(positive, before, slope * before)
+        assert after.tobytes() == select.tobytes()
+        refs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        leaky_op(op, refs, None)._backward_fn(select.copy())
+        assert [t.grad.tobytes() for t in ts] == [t.grad.tobytes() for t in refs]
+
+    def test_one_unleak_per_fused_node_in_a_pretraining_step(self, monkeypatch):
+        # a tiny-model pretraining step: every BatchNorm and the projection head's leaky
+        # ReLU carry a pre, and backward applies each exactly once
+        model = PerceptualModel.initialize(tiny_config(), seed=5)
+        model.set_trainable(("enc.", "proj."))
+        fused, calls = [], []
+        make, unleak = T._make, T._unleak
+
+        def recording_make(data, parents, vjps, op, pre=None):
+            if pre is not None:
+                fused.append(op)
+            return make(data, parents, vjps, op, pre=pre)
+
+        def counting_unleak(g, y, slope):
+            calls.append(slope)
+            return unleak(g, y, slope)
+
+        monkeypatch.setattr(T, "_make", recording_make)
+        monkeypatch.setattr(T, "_unleak", counting_unleak)
+        n = 2
+        x = Tensor(np.random.default_rng(6).normal(0.0, 0.1,
+                                                   size=(2 * n, 1, model.config.clip_samples)))
+        acoustic, _ = model.encode(x, train=True)
+        z = model.project(acoustic, "acoustic")
+        loss = losses.nt_xent(T.narrow(z, 0, 0, n), T.narrow(z, 0, n, n), tau=0.5)
+        assert calls == []
+        loss.backward()
+        n_layers = model.config.encoder.n_layers
+        assert fused == ["batch_norm1d"] * n_layers + ["leaky_relu"]
+        assert calls == [0.2] * len(fused)
+
+
 def batch_norm_inputs(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(1.0, 2.0, size=(3, 4, 10))
@@ -467,7 +566,7 @@ def batch_norm_inputs(seed):
 
 
 class TestRelease:
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 3.0])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     def test_rebuilt_output_bit_equal_to_forward(self, slope):
         x, gamma, beta, _ = batch_norm_inputs(40)
         out = T.batch_norm1d(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta),
@@ -477,7 +576,7 @@ class TestRelease:
         assert out.shape == x.shape
         assert T._value(out).tobytes() == forward
 
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 3.0])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     def test_gradients_bit_equal_with_and_without_release(self, slope):
         # the next conv consumes the output, then release() drops it, as encode does
         x, gamma, beta, w = batch_norm_inputs(41)
@@ -626,7 +725,7 @@ class TestLayers:
                + dmu[None, :, None] / n)
         assert t.grad.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 3.0])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     def test_leaky_relu_bit_equal_to_select_form(self, slope):
         rng = np.random.default_rng(25)
         x = np.concatenate([[-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300],

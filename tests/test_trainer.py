@@ -215,8 +215,7 @@ class TestDivergence:
             return T.mul(out, T.Tensor(np.nan)) if finished else out
 
         monkeypatch.setattr(losses, loss, nan_after_epoch_0)
-        config = TrainConfig(stage=stage, epochs=3, batch_size=4, lr=1e-3, seed=7,
-                             batches_per_mode=1)
+        config = TrainConfig(stage=stage, epochs=3, batch_size=4, lr=1e-3, seed=7)
         with pytest.raises(TrainingError, match=f"{stage} stage diverged at epoch 1") as err:
             if stage == "pretrain":
                 pretrain_contrastive(corpus, config, CFG, progress=finished.append)
