@@ -1,4 +1,4 @@
-"""Waveform container and WAV file I/O.
+"""Waveform container, WAV file I/O and the package's one file writer.
 
 Everything downstream (perturbations, the encoder, the metric) operates on
 fixed-rate mono waveforms, so the reader folds multi-channel files down to
@@ -9,8 +9,10 @@ conditioned with :func:`fix_length` and :func:`resample`.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +143,7 @@ def write_wav(w: Waveform, path) -> None:
 
     Samples outside [-1, 1] are clamped (perturbations may overshoot).  The
     read(write(w)) round trip is exact to within one 16-bit quantization step
-    (1/32768) per sample.  The file is replaced atomically, so a killed run never leaves a
-    truncated WAV at `path`.
+    (1/32768) per sample.  `path` is written through :func:`replacing`.
     """
     clipped = np.clip(w.samples, -1.0, 1.0)
     quantized = np.clip(np.round(clipped * 32768.0), -32768, 32767).astype("<i2")
@@ -156,11 +157,32 @@ def write_wav(w: Waveform, path) -> None:
         b"data",
         struct.pack("<I", len(payload)),
     ])
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(header)
         fh.write(payload)
+
+
+@contextmanager
+def replacing(path, binary: bool = False):
+    """Yield `<path>.tmp` open for writing (text: UTF-8, line ends as written) and move it
+    onto `path` only when the block exits cleanly.  If the block raises, the temp file is
+    removed and `path` keeps its old bytes; a killed process may leave the `.tmp` behind."""
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
+
+
+def write_json(obj, path) -> None:
+    """Write `obj` as sorted-key JSON indented by 2, with a trailing newline."""
+    with replacing(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def fix_length(w: Waveform, n: int) -> Waveform:

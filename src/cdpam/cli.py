@@ -11,8 +11,8 @@ prints one JSON line holding its outputs (paths, counts, final losses, metric
 values) and nothing else.
 
 Exit codes: 0 success, 1 internal error, 2 usage or input error.  Setting
-``CDPAM_THREADS`` caps the BLAS worker pool (it must be decided before numpy
-loads, so the cap is applied at CLI startup).
+``CDPAM_THREADS`` to a positive integer caps the BLAS worker pool before numpy
+loads; any other non-empty value exits 2 before a file is written.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import copy
 import json
 import os
 import sys
+
+from .errors import CdpamError, ContractError, DataError  # loads no numpy: see _configure_threads
 
 DEFAULT_RUN_CONFIG = {
     "seed": 0,
@@ -73,6 +75,8 @@ def _configure_threads() -> None:
     cap = os.environ.get("CDPAM_THREADS")
     if not cap:
         return
+    if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
+        raise ContractError(f"CDPAM_THREADS must be a positive integer, got {cap!r}")
     if "numpy" in sys.modules:
         return  # too late to cap the BLAS pool; library users set env themselves
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -116,8 +120,6 @@ def _check_config(value, defaults: dict, path: str = "") -> None:
     the wrong type for its default, a non-finite number, a families list that is empty,
     repeats a family or names one outside perturb.FAMILIES, and a model object
     ModelConfig cannot be built from."""
-    from .errors import ContractError
-
     if not isinstance(value, dict):
         where = f"config key {path[:-1]!r}" if path else "the config file"
         raise ContractError(f"{where} must be a JSON object, got {value!r}")
@@ -150,8 +152,6 @@ def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=Non
         cfg = _deep_merge(cfg, override)
     if seed is not None:
         cfg["seed"] = seed
-    from .errors import ContractError
-
     if cfg["seed"] < 0:
         raise ContractError(f"config key 'seed' must be a non-negative integer, got {cfg['seed']}")
     if cfg["data"]["eval"]["k"] < 1:
@@ -198,14 +198,11 @@ def _train_config(cfg: dict, stage: str):
 
 
 def _write_manifest(cfg: dict, out_dir: str, command: str) -> None:
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        threads = {var: os.environ.get(var) for var in THREAD_VARS}
-        json.dump({"command": command, "config": cfg, "threads": threads}, fh, sort_keys=True,
-                  indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    from .audio import write_json
+
+    threads = {var: os.environ.get(var) for var in THREAD_VARS}
+    write_json({"command": command, "config": cfg, "threads": threads},
+               os.path.join(out_dir, f"{command}_manifest.json"))
 
 
 # -- corpus persistence ------------------------------------------------------------
@@ -349,7 +346,6 @@ def cmd_distance(ckpt_path: str, path_a: str, path_b: str, as_json: bool = False
 
 def load_eval_datasets(eval_dir: str) -> tuple:
     from .datagen import EVAL_SETS, read_jsonl
-    from .errors import DataError
 
     if not os.path.isdir(eval_dir):
         raise DataError(f"missing eval split directory {eval_dir}")
@@ -432,16 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="synth-data, all three stages, then eval")
     common(p)
+    p.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
     return parser
 
 
 def main(argv=None) -> int:
-    _configure_threads()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    from .errors import CdpamError
-
+    args = build_parser().parse_args(argv)
     try:
+        _configure_threads()
         if args.command == "distance":
             outputs = cmd_distance(args.checkpoint, args.wav_a, args.wav_b, as_json=args.json)
         else:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, CANONICAL_SAMPLES, Waveform
+from .audio import CANONICAL_RATE, CANONICAL_SAMPLES, Waveform, replacing
 from .errors import CapacityError, ContractError, DataError
 from .perturb import (DEFAULT_FAMILIES, PerturbSpec, apply, magnitude, sample_spec,
                       spec_with_severity)
@@ -80,7 +79,7 @@ class JudgmentRecord:
 
 
 def write_jsonl(items, path) -> None:
-    """Write record dataclasses to `path`, one sorted-key JSON line each, replacing it atomically.
+    """Write record dataclasses to `path`, one sorted-key JSON line each.
 
     A None field is left out, and a PerturbSpec field is stored as such an object of its own.
     """
@@ -88,12 +87,10 @@ def write_jsonl(items, path) -> None:
         return {f.name: row(value) if isinstance(value, PerturbSpec) else value
                 for f in fields(item) if (value := getattr(item, f.name)) is not None}
 
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for item in items:
             fh.write(json.dumps(row(item), sort_keys=True))
             fh.write("\n")
-    os.replace(tmp, path)
 
 
 # the JSON value a record field holds, by its annotation; a PerturbSpec field checks itself

@@ -13,12 +13,11 @@ embedding row.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio import replacing, write_json
 from .datagen import corpus_by_id
 from .errors import ContractError, DataError, DegenerateInputError
 from .perturb import apply
@@ -255,21 +254,14 @@ class EvalReport:
 
 
 def write_reports_json(reports, path) -> None:
-    payload = {report.metric: dataclasses.asdict(report) for report in reports}
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json({report.metric: dataclasses.asdict(report) for report in reports}, path)
 
 
 def write_reports_csv(reports, path) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("metric,value,n\n")
         for report in reports:
             fh.write(f"{report.metric},{report.value:.10g},{report.n}\n")
-    os.replace(tmp, path)
 
 
 def svg_histogram(groups: dict, path) -> None:
@@ -297,11 +289,9 @@ def svg_histogram(groups: dict, path) -> None:
                          f'width="{bar_w:.2f}" height="{bar_h:.2f}" fill="{color}" '
                          f'fill-opacity="0.5"><title>{name}</title></rect>')
     parts.append("</svg>")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(parts))
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 ALL_METRICS = ("two_afc", "common_area", "monotonicity", "precision_at_k", "mos_correlation")

@@ -27,7 +27,6 @@ import dataclasses
 import json
 import math
 import numbers
-import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .audio import Waveform, fix_length, resample
+from .audio import Waveform, fix_length, replacing, resample
 from .errors import ContractError, FormatError, ShapeError, VersionError
 from .tensor import Tensor
 
@@ -429,7 +428,7 @@ class PerceptualModel:
 # -- checkpoint I/O ---------------------------------------------------------------
 
 def save_checkpoint(model: PerceptualModel, path) -> None:
-    """Write the model atomically in the CDPM container format."""
+    """Write the model in the CDPM container format, through :func:`audio.replacing`."""
     names = sorted(model.params) + sorted(model.state)
     kinds = ["param"] * len(model.params) + ["state"] * len(model.state)
     arrays = [model.params[n].data if k == "param" else model.state[n]
@@ -442,15 +441,13 @@ def save_checkpoint(model: PerceptualModel, path) -> None:
         "seed": model.seed,
         "tensors": directory,
     }, sort_keys=True).encode("utf-8")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         for arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> PerceptualModel:

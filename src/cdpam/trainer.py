@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import csv
 import numbers
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses, tensor as T
-from .audio import Waveform, apply_gain_db
+from .audio import Waveform, apply_gain_db, replacing
 from .datagen import corpus_by_id, make_contrastive_batch
 from .errors import ContractError, DataError, NumericError, TrainingError
 from .model import ModelConfig, PerceptualModel
@@ -103,14 +102,12 @@ def _maybe_augment(waves, rng, enabled: bool):
 
 
 def save_loss_log(rows, path) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "stage", "loss", "wall_ms"])
         for row in rows:
             writer.writerow([row["epoch"], row["stage"], f"{row['loss']:.10g}",
                              f"{row['wall_ms']:.1f}"])
-    os.replace(tmp, path)
 
 
 def _check_entry(config: TrainConfig, stage: str, model=None, needs: str | None = None) -> None:

@@ -13,7 +13,7 @@ import pytest
 
 import cdpam
 from cdpam.audio import Waveform, read_wav, write_wav
-from cdpam.cli import DEFAULT_RUN_CONFIG, main, resolve_config
+from cdpam.cli import DEFAULT_RUN_CONFIG, _configure_threads, main, resolve_config
 from cdpam.model import PerceptualModel, tiny_config
 from cdpam.perturb import DEFAULT_FAMILIES
 
@@ -313,6 +313,15 @@ class TestJsonOutput:
         assert (Path(cfg["out"], "finetuned.ckpt").read_bytes()
                 == Path(out, "finetuned.ckpt").read_bytes())
 
+    def test_quiet_pipeline_prints_no_epoch_lines(self, pipeline_run, tmp_path, capsys):
+        _, config_path, cfg = pipeline_run
+        out = str(tmp_path / "quiet")
+        assert main(["pipeline", "--config", str(config_path), "--out", out, "--quiet"]) == 0
+        printed = capsys.readouterr().out
+        assert "epoch" not in printed and "two_afc:" in printed
+        assert (Path(cfg["out"], "finetuned.ckpt").read_bytes()
+                == Path(out, "finetuned.ckpt").read_bytes())
+
 
 class TestReproducibility:
     def test_same_seed_identical_manifests(self, tmp_path):
@@ -606,3 +615,22 @@ class TestThreadCap:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout.split() == ["1", "1", "1"]
+
+    @pytest.mark.parametrize("cap", ["abc", "0"])
+    def test_invalid_cap_exits_2_before_numpy_loads_or_a_file_is_written(self, tmp_path, cap):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cdpam.__file__)))
+        out = str(tmp_path / "run")
+        code = ("import sys\n"
+                "from cdpam.cli import main\n"
+                f"code = main(['synth-data', '--out', {out!r}])\n"
+                "assert 'numpy' not in sys.modules\n"
+                "sys.exit(code)\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src, CDPAM_THREADS=cap))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"error: CDPAM_THREADS must be a positive integer, got {cap!r}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_empty_cap_is_unset(self, monkeypatch):
+        monkeypatch.setenv("CDPAM_THREADS", "")
+        _configure_threads()
