@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, FormatError, UnsupportedFormatError
+from .errors import ContractError, FormatError, UnsupportedFormatError, check_value
 
 CANONICAL_RATE = 16000
 CANONICAL_SAMPLES = 40000
@@ -45,10 +45,9 @@ class Waveform:
             raise ContractError("waveform must be a non-empty 1-D sample array")
         if not np.isfinite(samples).all():
             raise ContractError("waveform contains non-finite samples")
-        if not (isinstance(self.sample_rate, (int, np.integer)) and self.sample_rate > 0):
-            raise ContractError(f"sample rate must be a positive integer, got {self.sample_rate!r}")
+        rate = int(check_value("sample rate", self.sample_rate, "int", lo=1))
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", rate)
 
     def __len__(self) -> int:
         return self.samples.size

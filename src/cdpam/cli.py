@@ -23,7 +23,8 @@ import json
 import os
 import sys
 
-from .errors import CdpamError, ContractError, DataError  # loads no numpy: see _configure_threads
+# errors loads no numpy: see _configure_threads
+from .errors import CdpamError, ContractError, DataError, check_value
 
 DEFAULT_RUN_CONFIG = {
     "seed": 0,
@@ -93,33 +94,17 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def _leaf_mismatch(item, default, dotted: str) -> str | None:
-    """What the config leaf `dotted` must be when `item` does not fit its default."""
-    if dotted == "data.families":
-        from .perturb import FAMILIES
-
-        ok = (isinstance(item, list) and bool(item) and all(f in FAMILIES for f in item)
-              and len(set(item)) == len(item))
-        want = f"a list of one or more distinct families from {', '.join(FAMILIES)}"
-    elif isinstance(default, bool):
-        ok, want = isinstance(item, bool), "true or false"
-    elif isinstance(default, int):
-        ok, want = isinstance(item, int) and not isinstance(item, bool), "an integer"
-    elif isinstance(default, float):
-        ok, want = isinstance(item, (int, float)) and not isinstance(item, bool), "a number"
-        # json reads NaN, Infinity and integers too large for a float; NaN compares False
-        if ok and not abs(item) <= sys.float_info.max:
-            ok, want = False, "a finite number"
-    else:
-        ok, want = isinstance(item, str), "a string"
-    return None if ok else want
+# the check_value kind of a config leaf, by the type of its default
+_LEAF_KINDS = {bool: "bool", int: "int", float: "number", str: "str"}
+# the lower bounds of the leaves that have one; TrainConfig bounds the train.* leaves
+_LEAF_MINIMA = {"seed": 0, "data.eval.k": 1, "data.jnd_sigma": 0}
 
 
 def _check_config(value, defaults: dict, path: str = "") -> None:
-    """Reject keys the defaults lack, a non-object where the defaults hold one, a leaf of
-    the wrong type for its default, a non-finite number, a families list that is empty,
-    repeats a family or names one outside perturb.FAMILIES, and a model object
-    ModelConfig cannot be built from."""
+    """Reject keys the defaults lack, a non-object where the defaults hold one, a leaf
+    check_value rejects as a value of its default's type (and below its minimum), a
+    families list that is empty, repeats a family or names one outside perturb.FAMILIES,
+    and a model object ModelConfig cannot be built from."""
     if not isinstance(value, dict):
         where = f"config key {path[:-1]!r}" if path else "the config file"
         raise ContractError(f"{where} must be a JSON object, got {value!r}")
@@ -137,33 +122,34 @@ def _check_config(value, defaults: dict, path: str = "") -> None:
                                     f"object, got {item!r}")
         elif isinstance(defaults[key], dict):
             _check_config(item, defaults[key], dotted + ".")
+        elif dotted == "data.families":
+            from .perturb import FAMILIES
+
+            if not (isinstance(item, list) and item and all(f in FAMILIES for f in item)
+                    and len(set(item)) == len(item)):
+                raise ContractError(f"config key 'data.families' must be a list of one or more "
+                                    f"distinct families from {', '.join(FAMILIES)}, got {item!r}")
         else:
-            want = _leaf_mismatch(item, defaults[key], dotted)
-            if want:
-                raise ContractError(f"config key {dotted!r} must be {want}, got {item!r}")
+            check_value(f"config key {dotted!r}", item, _LEAF_KINDS[type(defaults[key])],
+                        lo=_LEAF_MINIMA.get(dotted))
 
 
 def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=None) -> dict:
-    cfg = copy.deepcopy(DEFAULT_RUN_CONFIG)
+    overrides = []
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
-            override = json.load(fh)
+            try:
+                overrides.append(json.load(fh))
+            except ValueError as err:  # not UTF-8 JSON, or an integer too long to parse
+                raise ContractError(f"{config_path}: {err}") from err
+    # the flags win over the file, and pass the same checks
+    flags = {key: value for key, value in (("seed", seed), ("out", out)) if value is not None}
+    if epochs is not None and stage is not None:
+        flags["train"] = {"epochs": {stage: epochs}}
+    cfg = DEFAULT_RUN_CONFIG
+    for override in overrides + [flags]:
         _check_config(override, DEFAULT_RUN_CONFIG)
         cfg = _deep_merge(cfg, override)
-    if seed is not None:
-        cfg["seed"] = seed
-    if cfg["seed"] < 0:
-        raise ContractError(f"config key 'seed' must be a non-negative integer, got {cfg['seed']}")
-    if cfg["data"]["eval"]["k"] < 1:
-        raise ContractError(f"k must be >= 1, got {cfg['data']['eval']['k']} "
-                            f"(config key 'data.eval.k')")
-    if cfg["data"]["jnd_sigma"] < 0:
-        raise ContractError(f"config key 'data.jnd_sigma' must be >= 0, got "
-                            f"{cfg['data']['jnd_sigma']}")
-    if out is not None:
-        cfg["out"] = out
-    if epochs is not None and stage is not None:
-        cfg["train"]["epochs"][stage] = epochs
     for name in TRAINING_STAGES:  # every stage's values, before any command writes a file
         _train_config(cfg, name)
     return cfg
@@ -450,14 +436,14 @@ def main(argv=None) -> int:
                 run = {"pretrain": cmd_pretrain, "jnd": cmd_train_jnd, "finetune": cmd_finetune}
                 outputs = run[stage](cfg, progress=progress)
             elif args.command == "eval":
-                metrics = args.metrics.split(",") if args.metrics else None
+                metrics = None if args.metrics is None else args.metrics.split(",")
                 outputs = cmd_eval(cfg, ckpt_path=args.checkpoint, metrics=metrics,
                                    as_json=args.json)
             else:
                 outputs = run_pipeline(cfg, progress=progress, as_json=args.json)
         if args.json:
             print(json.dumps(outputs, sort_keys=True))
-    except (CdpamError, json.JSONDecodeError) as err:
+    except CdpamError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError) as err:

@@ -19,13 +19,12 @@ module that knows what a family's parameter means.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .audio import CANONICAL_RATE, CANONICAL_SAMPLES, Waveform, replacing
-from .errors import CapacityError, ContractError, DataError
+from .errors import CapacityError, ContractError, DataError, check_value
 from .perturb import (DEFAULT_FAMILIES, PerturbSpec, apply, magnitude, sample_spec,
                       spec_with_severity)
 
@@ -93,25 +92,16 @@ def write_jsonl(items, path) -> None:
             fh.write("\n")
 
 
-# the JSON value a record field holds, by its annotation; a PerturbSpec field checks itself
-_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
-               "float": ((int, float), "a finite number")}
-
-
-def _check_type(name: str, annotation: str, value) -> None:
-    kind, what = _JSON_TYPES.get(annotation, (None, None))
-    if kind and (isinstance(value, bool) or not isinstance(value, kind)
-                 or isinstance(value, float) and not math.isfinite(value)):
-        raise DataError(f"key {name!r} must be {what}, got {value!r}")
+# the check_value kind of a record field, by its annotation; a PerturbSpec field checks itself
+_FIELD_KINDS = {"str": "str", "int": "int", "float": "number"}
 
 
 def read_jsonl(path, cls) -> list:
     """The `cls` records in a JSONL file; keys that are not fields of `cls` are ignored.
 
     A line that is not a JSON object, lacks a field that has no default, holds
-    a value of the wrong JSON type for its field's annotation (str, an int
-    that is not a bool, a finite number) or a value `cls` rejects raises
-    DataError naming the file and line.
+    a value check_value rejects as its field's annotation (str, int, float) or a
+    value `cls` rejects raises DataError naming the file and line.
     """
     items = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -126,7 +116,8 @@ def read_jsonl(path, cls) -> list:
                 for f in fields(cls):
                     if f.name in row:
                         value = row[f.name]
-                        _check_type(f.name, f.type, value)  # f.type is a str
+                        if f.type in _FIELD_KINDS:  # f.type is a str
+                            check_value(f"key {f.name!r}", value, _FIELD_KINDS[f.type])
                         if "PerturbSpec" in f.type and value is not None:
                             value = PerturbSpec(**value)
                         kwargs[f.name] = value

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one value check for a scalar that
+comes from outside: a config leaf, a record field, a checkpoint header entry or an
+argument that reaches a public constructor.  The module imports no numpy.
+"""
+
+import numbers
+import sys
 
 
 class CdpamError(Exception):
@@ -47,3 +53,37 @@ class TrainingError(CdpamError, RuntimeError):
     def __init__(self, message: str, epoch: int | None = None):
         super().__init__(message)
         self.epoch = epoch
+
+
+# the builtin types come first: isinstance tries them before the slower ABC check
+_KIND_TYPES = {"bool": bool, "int": (int, numbers.Integral),
+               "number": (float, int, numbers.Real), "str": str}
+_KIND_NAMES = {"bool": "true or false", "int": "an integer", "number": "a finite number",
+               "str": "a string"}
+_FLOAT_MAX = sys.float_info.max
+
+
+def check_value(where: str, value, kind: str, lo=None, hi=None, open_low: bool = False):
+    """Return `value` if it is a `kind`: "bool", "int", "number" or "str".
+
+    A bool is never an int or a number, and an int is a number.  A number is finite: NaN,
+    an infinity and an int too large for a float are not.  `lo` and `hi` bound a number
+    when given, and `open_low` excludes `lo`.  Otherwise raise
+    ``ContractError(f"{where} must be {what}, got {value!r}")``.
+    """
+    ok = isinstance(value, _KIND_TYPES[kind])
+    if ok and (kind == "int" or kind == "number"):
+        # chained comparisons allocate nothing, and NaN fails them
+        ok = (not isinstance(value, bool) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+              and (lo is None or (lo < value if open_low else lo <= value))
+              and (hi is None or value <= hi))
+    if not ok:
+        what = _KIND_NAMES[kind]
+        if lo is not None and hi is not None:
+            what += f" in {'(' if open_low else '['}{lo}, {hi}]"
+        elif lo is not None:
+            what += f" {'>' if open_low else '>='} {lo}"
+        elif hi is not None:
+            what += f" <= {hi}"
+        raise ContractError(f"{where} must be {what}, got {value!r}")
+    return value

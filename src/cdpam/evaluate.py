@@ -19,7 +19,7 @@ import numpy as np
 
 from .audio import replacing, write_json
 from .datagen import corpus_by_id
-from .errors import ContractError, DataError, DegenerateInputError
+from .errors import ContractError, DataError, DegenerateInputError, check_value
 from .perturb import apply
 
 DEFAULT_BINS = 50
@@ -126,8 +126,7 @@ def precision_at_k(embeddings, labels, k: int) -> float:
     Neighbours are ranked by ascending cosine distance of the embeddings with
     ties broken by item index; the query itself is excluded.
     """
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
+    check_value("k", k, "int", lo=1)
     emb = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
     if emb.ndim != 2 or emb.shape[0] != y.size:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import tensor as T
 from .audio import Waveform, fix_length, replacing, resample
-from .errors import ContractError, FormatError, ShapeError, VersionError
+from .errors import ContractError, FormatError, ShapeError, VersionError, check_value
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"CDPM"
@@ -45,23 +44,19 @@ LEAKY_SLOPE = 0.2
 EMBED_BATCH = 64  # clips per inference encode in embed_waves
 
 
-def _check_positive_ints(config, where: str) -> None:
+def _check_fields(config, where: str) -> None:
     """Each int field of a config must hold a positive integer, and each tuple field a
     non-empty tuple of them; errors name the field under the dotted key path `where`."""
-    def positive(v) -> bool:
-        return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v > 0
-
     for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
+        value, name = getattr(config, field.name), f"{where}.{field.name}"
         if isinstance(field.default, tuple):
-            ok = isinstance(value, tuple) and len(value) > 0 and all(map(positive, value))
-            what = "a non-empty tuple of positive integers"
+            if not (isinstance(value, tuple) and value):
+                raise ContractError(f"{name} must be a non-empty tuple of positive integers, "
+                                    f"got {value!r}")
+            for v in value:
+                check_value(f"each of {name}", v, "int", lo=1)
         elif isinstance(field.default, int):
-            ok, what = positive(value), "a positive integer"
-        else:
-            continue
-        if not ok:
-            raise ContractError(f"{where}.{field.name} must be {what}, got {value!r}")
+            check_value(name, value, "int", lo=1)
 
 
 def _check_keys(d, cls, where: str) -> None:
@@ -94,7 +89,7 @@ class EncoderConfig:
     content_dim: int = 512
 
     def __post_init__(self):
-        _check_positive_ints(self, "model.encoder")
+        _check_fields(self, "model.encoder")
         if self.kernel % 2 == 0:
             raise ContractError("encoder kernel must be odd")
         if self.n_layers % len(self.block_channels) != 0:
@@ -131,7 +126,7 @@ class ModelConfig:
     clip_samples: int = 40000
 
     def __post_init__(self):
-        _check_positive_ints(self, "model")
+        _check_fields(self, "model")
         if len(self.lossnet_widths) != 4:
             raise ContractError("the loss network has exactly 4 hidden transforms")
         if self.clip_samples % self.encoder.downsample_factor != 0:
@@ -466,7 +461,7 @@ def load_checkpoint(path) -> PerceptualModel:
         config = ModelConfig.from_dict(header["config"])
         directory = list(header["tensors"])
         stage = header["stage"]
-        seed = int(header["seed"])
+        seed = check_value("seed", header["seed"], "int")
         if stage not in STAGES:
             raise FormatError(f"{path}: unknown stage {stage!r}")
         # every encoder layer holds 5 tensors, which bounds the layout built next
@@ -483,8 +478,9 @@ def load_checkpoint(path) -> PerceptualModel:
     state: dict[str, np.ndarray] = {}
     for entry in directory:
         try:
-            name, kind, shape = str(entry["name"]), entry["kind"], tuple(int(n) for n in entry["shape"])
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            name, kind = str(entry["name"]), entry["kind"]
+            shape = tuple(check_value("a shape entry", n, "int") for n in entry["shape"])
+        except (KeyError, TypeError, ValueError) as err:
             raise FormatError(f"{path}: corrupt tensor directory entry ({err})") from err
         spec = layout.get(name)
         if spec is None:

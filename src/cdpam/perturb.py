@@ -22,14 +22,13 @@ import, is loaded on first use by the EQ family.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .audio import Waveform, rms
-from .errors import ContractError
+from .errors import ContractError, check_value
 
 NOISE_SNR_RANGE_DB = (0.0, 40.0)
 REVERB_RT60_RANGE_S = (0.05, 2.0)
@@ -57,16 +56,6 @@ _MU = 255.0
 _EQ_Q = np.sqrt(2.0)  # quality factor of every peaking band
 
 
-def _check_range(name: str, value, bounds: tuple, open_low: bool = False) -> None:
-    """`value` must be a number within `bounds`, and an integer where the bounds are;
-    a bool, NaN or infinity never is.  `open_low` excludes the lower bound."""
-    lo, hi = bounds
-    kind = numbers.Integral if isinstance(lo, int) else numbers.Real
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or not (lo < value if open_low else lo <= value) or not value <= hi):
-        raise ContractError(f"{name} {value!r} outside {'(' if open_low else '['}{lo}, {hi}]")
-
-
 @dataclass(frozen=True)
 class PerturbSpec:
     """Parameter record for one acoustic condition.
@@ -86,7 +75,7 @@ class PerturbSpec:
 
     def __post_init__(self):
         if self.noise_snr_db is not None:
-            _check_range("noise_snr_db", self.noise_snr_db, NOISE_SNR_RANGE_DB)
+            check_value("noise_snr_db", self.noise_snr_db, "number", *NOISE_SNR_RANGE_DB)
             color = self.noise_color or "white"
             if color not in ("white", "pink"):
                 raise ContractError(f"unknown noise color {color!r}")
@@ -94,27 +83,24 @@ class PerturbSpec:
         elif self.noise_color is not None:
             raise ContractError("noise_color given without noise_snr_db")
         if self.reverb_rt60_s is not None:  # any RT60 > 0 up to the sampled range's top
-            _check_range("reverb_rt60_s", self.reverb_rt60_s, (0.0, REVERB_RT60_RANGE_S[1]),
-                         open_low=True)
+            check_value("reverb_rt60_s", self.reverb_rt60_s, "number", 0.0,
+                        REVERB_RT60_RANGE_S[1], open_low=True)
         if self.eq_gains_db is not None:
             gains = tuple(self.eq_gains_db)
             if len(gains) != len(_EQ_BANDS_HZ):
                 raise ContractError(f"eq_gains_db needs {len(_EQ_BANDS_HZ)} values")
             for gain in gains:
-                _check_range("eq_gains_db", gain, EQ_GAIN_RANGE_DB)
+                check_value("eq_gains_db", gain, "number", *EQ_GAIN_RANGE_DB)
             object.__setattr__(self, "eq_gains_db", tuple(float(g) for g in gains))
         if self.mulaw_bits is not None:
-            _check_range("mulaw_bits", self.mulaw_bits, MULAW_BITS_RANGE)
+            check_value("mulaw_bits", self.mulaw_bits, "int", *MULAW_BITS_RANGE)
         if self.dropout_rate is not None:
-            _check_range("dropout_rate", self.dropout_rate, DROPOUT_RATE_RANGE)
+            check_value("dropout_rate", self.dropout_rate, "number", *DROPOUT_RATE_RANGE)
         if self.pop_rate is not None:
-            _check_range("pop_rate", self.pop_rate, POP_RATE_RANGE)
+            check_value("pop_rate", self.pop_rate, "number", *POP_RATE_RANGE)
         if not self.families:
             raise ContractError("a perturbation spec must name at least one family")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
-                or self.seed < 0:
-            raise ContractError(f"seed must be an integer >= 0, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", int(check_value("seed", self.seed, "int", lo=0)))
 
     @property
     def families(self) -> tuple:
@@ -156,7 +142,7 @@ def apply_noise(w: Waveform, snr_db: float, color: str = "white", seed: int = 0)
 
 def reverb_impulse_response(rt60_s: float, sample_rate: int, seed: int = 0) -> np.ndarray:
     """Exponentially decaying noise IR whose envelope hits -60 dB at rt60_s."""
-    _check_range("rt60", rt60_s, (0.0, REVERB_RT60_RANGE_S[1]), open_low=True)
+    check_value("rt60", rt60_s, "number", 0.0, REVERB_RT60_RANGE_S[1], open_low=True)
     n = int(round(rt60_s * sample_rate)) + 1
     rng = _family_rng(seed, "reverb")
     t = np.arange(n) / sample_rate
@@ -218,7 +204,7 @@ def apply_eq(w: Waveform, gains_db: Sequence[float]) -> Waveform:
         raise ContractError(f"expected {len(_EQ_BANDS_HZ)} band gains")
     out = w.samples
     for center, gain in zip(_EQ_BANDS_HZ, gains_db):
-        _check_range("eq_gains_db", gain, EQ_GAIN_RANGE_DB)
+        check_value("eq_gains_db", gain, "number", *EQ_GAIN_RANGE_DB)
         if gain == 0.0 or center >= w.sample_rate / 2.0:
             continue
         b, a = _peaking_coeffs(center, w.sample_rate, gain)
@@ -228,7 +214,7 @@ def apply_eq(w: Waveform, gains_db: Sequence[float]) -> Waveform:
 
 def apply_compression(w: Waveform, bits: int) -> Waveform:
     """Mu-law compand (mu=255), quantize to 2^bits levels, expand back."""
-    _check_range("mulaw_bits", bits, MULAW_BITS_RANGE)
+    check_value("mulaw_bits", bits, "int", *MULAW_BITS_RANGE)
     x = np.clip(w.samples, -1.0, 1.0)
     companded = np.sign(x) * np.log1p(_MU * np.abs(x)) / np.log1p(_MU)
     half_levels = 2 ** (bits - 1) - 1  # midtread grid: zero maps to zero
@@ -239,7 +225,7 @@ def apply_compression(w: Waveform, bits: int) -> Waveform:
 
 def apply_dropouts(w: Waveform, rate: float, seed: int = 0) -> Waveform:
     """Zero out seeded 10 ms windows covering roughly `rate` of the duration."""
-    _check_range("dropout_rate", rate, DROPOUT_RATE_RANGE)
+    check_value("dropout_rate", rate, "number", *DROPOUT_RATE_RANGE)
     if rate == 0.0:
         return w
     window = max(1, int(round(_DROPOUT_WINDOW_S * w.sample_rate)))
@@ -256,7 +242,7 @@ def apply_dropouts(w: Waveform, rate: float, seed: int = 0) -> Waveform:
 
 def apply_pops(w: Waveform, rate: float, seed: int = 0) -> Waveform:
     """Insert seeded full-scale 1 ms clicks at roughly `rate` events per second."""
-    _check_range("pop_rate", rate, POP_RATE_RANGE)
+    check_value("pop_rate", rate, "number", *POP_RATE_RANGE)
     n_pops = int(round(rate * w.duration))
     if n_pops == 0:
         return w

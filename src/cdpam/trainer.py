@@ -26,7 +26,6 @@ checkpoints.
 from __future__ import annotations
 
 import csv
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ import numpy as np
 from . import losses, tensor as T
 from .audio import Waveform, apply_gain_db, replacing
 from .datagen import corpus_by_id, make_contrastive_batch
-from .errors import ContractError, DataError, NumericError, TrainingError
+from .errors import ContractError, DataError, NumericError, TrainingError, check_value
 from .model import ModelConfig, PerceptualModel
 from .perturb import DEFAULT_FAMILIES, apply
 from .tensor import Tensor, adam_step
@@ -69,12 +68,13 @@ class TrainConfig:
             raise ContractError(f"unknown stage {self.stage!r}")
         if self.epochs is None:
             self.epochs = EPOCH_DEFAULTS[self.stage]
-        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
-        if (isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real)
-                or not (np.isfinite(self.lr) and self.lr > 0)):
-            raise ContractError(f"lr must be a finite number > 0, got {self.lr!r}")
+        check_value("epochs", self.epochs, "int", lo=1)
+        check_value("batch_size", self.batch_size, "int", lo=1)
+        check_value("lr", self.lr, "number", lo=0, open_low=True)
+        check_value("tau", self.tau, "number", lo=0, open_low=True)
+        check_value("margin", self.margin, "number")
+        check_value("seed", self.seed, "int", lo=0)
+        check_value("augment", self.augment, "bool")
 
 
 # -- online augmentation ----------------------------------------------------------

@@ -33,8 +33,9 @@ class TestWaveform:
             Waveform(np.array([0.0, np.nan]), 16000)
 
     def test_rejects_bad_rate(self):
-        with pytest.raises(ContractError):
-            Waveform(np.zeros(4), 0)
+        for rate in (0, True, 16000.0, "16000"):  # True was once read as 1 Hz
+            with pytest.raises(ContractError, match="^sample rate must be an integer >= 1, got "):
+                Waveform(np.zeros(4), rate)
 
 
 class TestReadWav:
@@ -90,7 +91,7 @@ class TestReadWav:
             read_wav(tmp_path / "u.wav")
 
     @pytest.mark.parametrize("payload,fields,reason", [
-        (struct.pack("<2h", 1, 2), {"rate": 0}, "sample rate must be a positive integer"),
+        (struct.pack("<2h", 1, 2), {"rate": 0}, "sample rate must be an integer >= 1, got 0"),
         (struct.pack("<2f", 0.5, np.nan), {"fmt_code": 3, "bits": 32}, "non-finite samples"),
         (b"\x01", {}, "no complete frame"),
     ])

@@ -1,5 +1,6 @@
 """CLI contracts: layout, ordering, exit codes, determinism, reproducibility."""
 
+import csv
 import json
 import os
 import shutil
@@ -240,8 +241,10 @@ class TestEvalCommand:
         _, config_path, _ = pipeline_run
         calls = []
         monkeypatch.setattr(PerceptualModel, "embed_waves", lambda self, waves: calls.append(1))
-        assert main(["eval", "--config", str(config_path), "--metrics", "two_afc,two_afc"]) == 2
-        assert "error: metric 'two_afc' is requested twice" in capsys.readouterr().err
+        for metrics, named in (("two_afc,two_afc", "metric 'two_afc' is requested twice"),
+                               ("", "unknown metric ''")):  # empty is not "not given"
+            assert main(["eval", "--config", str(config_path), "--metrics", metrics]) == 2
+            assert capsys.readouterr().err == f"error: {named}\n"
         assert calls == []
 
     @pytest.mark.parametrize("k", [0, -1])
@@ -250,7 +253,8 @@ class TestEvalCommand:
         config_path, _ = tiny_run_config(tmp_path, eval={**cfg["data"]["eval"], "k": k})
         assert main(["eval", "--config", str(config_path), "--out", cfg["out"],
                      "--metrics", "precision_at_k"]) == 2
-        assert f"error: k must be >= 1, got {k}" in capsys.readouterr().err
+        assert (f"error: config key 'data.eval.k' must be an integer >= 1, got {k}\n"
+                == capsys.readouterr().err)
 
 
 class TestEmptyEvalSets:
@@ -323,6 +327,13 @@ class TestJsonOutput:
                 == Path(out, "finetuned.ckpt").read_bytes())
 
 
+def _without_wall_ms(path) -> list:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("wall_ms")
+    return [row[:column] + row[column + 1:] for row in rows]
+
+
 class TestReproducibility:
     def test_same_seed_identical_manifests(self, tmp_path):
         path_a, cfg_a = tiny_run_config(tmp_path, out_name="rep_a")
@@ -333,6 +344,23 @@ class TestReproducibility:
             a = Path(cfg_a["out"], name).read_bytes()
             b = Path(cfg_b["out"], name).read_bytes()
             assert a == b
+
+    def test_pipeline_run_twice_writes_the_same_files(self, tmp_path):
+        # at one path, since the manifests echo it; the loss logs time each epoch in their
+        # wall_ms column, and match once it is dropped
+        config_path, cfg = tiny_run_config(tmp_path, out_name="twice")
+        root = Path(cfg["out"])
+        runs = []
+        for _ in range(2):
+            assert main(["pipeline", "--config", str(config_path), "--quiet"]) == 0
+            runs.append({str(path.relative_to(root)): _without_wall_ms(path)
+                         if path.name.endswith("_log.csv") else path.read_bytes()
+                         for path in root.rglob("*") if path.is_file()})
+            shutil.rmtree(root)
+        assert sorted(runs[0]) == sorted(runs[1])
+        assert sum(name.endswith("_log.csv") for name in runs[0]) == 3
+        for name, content in runs[0].items():
+            assert runs[1][name] == content, name
 
     def test_flag_overrides_win(self, tmp_path):
         config_path, _ = tiny_run_config(tmp_path, out_name="ov")
@@ -365,7 +393,7 @@ class TestConfigBoundary:
         ({"seed": "x"}, "config key 'seed' must be an integer"),
         ({"seed": True}, "config key 'seed' must be an integer"),
         ({"out": 5}, "config key 'out' must be a string"),
-        ({"train": {"tau": "0.5"}}, "config key 'train.tau' must be a number"),
+        ({"train": {"tau": "0.5"}}, "config key 'train.tau' must be a finite number, got '0.5'"),
         ({"train": {"augment": {"jnd": 1}}}, "config key 'train.augment.jnd' must be true"),
         ({"train": {"batches_per_mode": 1}}, "unknown config key 'train.batches_per_mode'"),
         ({"data": {"families": "noise"}}, "config key 'data.families' must be a list"),
@@ -379,13 +407,14 @@ class TestConfigBoundary:
                     "encoder": {**tiny_config().to_dict()["encoder"], "block_channels": []}}},
          "model.encoder.block_channels must be a non-empty tuple"),
         ({"model": {**tiny_config().to_dict(), "sample_rate": "1600"}},
-         "model.sample_rate must be a positive integer"),
-        ({"seed": -1}, "config key 'seed' must be a non-negative integer"),
+         "model.sample_rate must be an integer >= 1, got '1600'"),
+        ({"seed": -1}, "config key 'seed' must be an integer >= 0, got -1"),
         ({"data": {"jnd_threshold": float("nan")}},
          "config key 'data.jnd_threshold' must be a finite number, got nan"),
         ({"data": {"families": ["foo"]}}, "config key 'data.families' must be a list of one"),
         ({"data": {"families": []}}, "config key 'data.families' must be a list of one"),
-        ({"data": {"jnd_sigma": -0.5}}, "config key 'data.jnd_sigma' must be >= 0, got -0.5"),
+        ({"data": {"jnd_sigma": -0.5}},
+         "config key 'data.jnd_sigma' must be a finite number >= 0, got -0.5"),
         ({"data": {"eval": {"triplet_gap": float("inf")}}},
          "config key 'data.eval.triplet_gap' must be a finite number, got inf"),
         ({"train": {"tau": float("nan")}}, "config key 'train.tau' must be a finite number"),
@@ -404,7 +433,8 @@ class TestConfigBoundary:
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["synth-data", "--seed", "-1", "--out", str(tmp_path / "run")]) == 2
-        assert "'seed' must be a non-negative integer" in capsys.readouterr().err
+        assert ("error: config key 'seed' must be an integer >= 0, got -1\n"
+                == capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
 
     def test_k_below_one_exits_2_before_writing(self, tmp_path, capsys):
@@ -412,7 +442,8 @@ class TestConfigBoundary:
         cfg["data"]["eval"]["k"] = 0
         config_path.write_text(json.dumps(cfg))
         assert main(["synth-data", "--config", str(config_path)]) == 2
-        assert "k must be >= 1, got 0 (config key 'data.eval.k')" in capsys.readouterr().err
+        assert ("error: config key 'data.eval.k' must be an integer >= 1, got 0\n"
+                == capsys.readouterr().err)
         assert not os.path.exists(cfg["out"])
 
     @pytest.mark.parametrize("key,value,named", [
@@ -508,6 +539,8 @@ class TestMalformedRecords:
         ("eval/mono.jsonl", _set("level", "x"), "eval", "mono.jsonl line 2: key 'level'"),
         ("eval/mos.jsonl", _set("rating", "x"), "eval", "mos.jsonl line 2: key 'rating'"),
         ("eval/mos.jsonl", _set("rating", float("nan")), "eval", "mos.jsonl line 2: key 'rating'"),
+        ("eval/mos.jsonl", _set("rating", 10 ** 400), "eval",
+         f"mos.jsonl line 2: key 'rating' must be a finite number, got {10 ** 400}\n"),
         ("eval/retrieval.jsonl", _set("group_id", [1]), "eval",
          "retrieval.jsonl line 2: key 'group_id'"),
         ("eval/mono.jsonl", _set_spec_seed(-1), "eval",
@@ -518,7 +551,7 @@ class TestMalformedRecords:
          "mono.jsonl line 2: seed must be an integer >= 0, got True"),
     ], ids=["missing-spec_a", "missing-utt_id", "missing-speaker_id", "not-an-object",
             "unknown-ref_id", "unknown-utt_id", "string-level", "string-rating", "nan-rating",
-            "list-group_id", "negative-seed", "infinite-seed", "bool-seed"])
+            "huge-rating", "list-group_id", "negative-seed", "infinite-seed", "bool-seed"])
     def test_exits_2_naming_the_fault(self, pipeline_run, tmp_path, capsys, filename, edit,
                                       command, named):
         _, config_path, cfg = pipeline_run
@@ -574,9 +607,11 @@ class TestUsageErrors:
 
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["synth-data", "--config", str(bad)]) == 2
-        assert capsys.readouterr().err != ""
+        # the second is JSON, but its integer is longer than Python parses
+        for text in ("{not json", '{"seed": ' + "9" * 5000 + "}"):
+            bad.write_text(text)
+            assert main(["synth-data", "--config", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 class TestThreadCap:

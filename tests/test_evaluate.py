@@ -186,10 +186,10 @@ class TestPrecisionAtK:
         with pytest.raises(DataError):
             precision_at_k(np.ones((3, 2)) + np.arange(6).reshape(3, 2), [0, 0, 1], k=3)
 
-    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("k", [0, -1, True])
     def test_k_below_one_rejected(self, k):
         emb = np.random.default_rng(9).normal(size=(6, 4))
-        with pytest.raises(ContractError, match="k must be >= 1"):
+        with pytest.raises(ContractError, match=f"^k must be an integer >= 1, got {k}$"):
             precision_at_k(emb, [0, 0, 0, 1, 1, 1], k=k)
 
 

@@ -45,9 +45,11 @@ class TestDefaults:
         ("epochs", 0), ("epochs", "2"), ("epochs", 2.0), ("epochs", True),
         ("batch_size", 0), ("batch_size", -4), ("batch_size", "16"),
         ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")), ("lr", "x"),
+        pytest.param("lr", 10 ** 400, id="lr-huge"), ("tau", -1.0), ("tau", 0.0),
+        ("margin", float("nan")), ("margin", float("inf")), ("seed", -1), ("augment", 1),
     ])
     def test_invalid_values_rejected_naming_the_field(self, name, value):
-        with pytest.raises(ContractError, match=name):
+        with pytest.raises(ContractError, match=f"^{name} must be "):
             TrainConfig(stage="jnd", **{name: value})
 
     def test_integral_numpy_values_accepted(self):
