@@ -96,8 +96,13 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 # the check_value kind of a config leaf, by the type of its default
 _LEAF_KINDS = {bool: "bool", int: "int", float: "number", str: "str"}
-# the lower bounds of the leaves that have one; TrainConfig bounds the train.* leaves
-_LEAF_MINIMA = {"seed": 0, "data.eval.k": 1, "data.jnd_sigma": 0}
+# the lower bounds of the leaves that have one; TrainConfig bounds the train.* leaves.  The
+# data.eval.* minima are the least that every eval metric can score
+_LEAF_MINIMA = {"seed": 0, "data.eval.k": 1, "data.jnd_sigma": 0,
+                "data.eval.common_area_pairs": 1, "data.eval.retrieval_groups": 2,
+                "data.eval.retrieval_group_size": 2, "data.eval.mos_clips_per_cell": 1,
+                # two conditions make two (speaker, condition) cells at any speaker count
+                "data.eval.mos_conditions": 2}
 
 
 def _check_config(value, defaults: dict, path: str = "") -> None:
@@ -152,6 +157,11 @@ def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=Non
         cfg = _deep_merge(cfg, override)
     for name in TRAINING_STAGES:  # every stage's values, before any command writes a file
         _train_config(cfg, name)
+    ev = cfg["data"]["eval"]
+    items = ev["retrieval_groups"] * ev["retrieval_group_size"]
+    if items < ev["k"] + 1:  # P@K ranks each retrieval item's k nearest among the others
+        raise ContractError(f"config keys 'data.eval.retrieval_groups' x 'retrieval_group_size' "
+                            f"must be at least 'data.eval.k' + 1 = {ev['k'] + 1}, got {items}")
     return cfg
 
 
@@ -349,13 +359,12 @@ def cmd_eval(cfg: dict, ckpt_path: str | None = None, metrics=None, as_json: boo
     ckpt_path = ckpt_path or os.path.join(out, TRAINING_STAGES["finetune"][1])
     model = load_checkpoint(ckpt_path)
     eval_corpus, datasets = load_eval_datasets(os.path.join(out, "eval"))
-    wanted = tuple(metrics) if metrics else ALL_METRICS
     echo = {"seed": cfg["seed"], "families": list(cfg["data"]["families"]),
             "stage": model.stage}
-    reports = run_full_eval(model, eval_corpus, datasets, metrics=wanted,
+    reports = run_full_eval(model, eval_corpus, datasets,
+                            metrics=tuple(metrics) if metrics else ALL_METRICS,
                             k=cfg["data"]["eval"]["k"], config_echo=echo,
-                            histogram_path=os.path.join(out, "common_area_hist.svg")
-                            if "common_area" in wanted else None)
+                            histogram_path=os.path.join(out, "common_area_hist.svg"))
     write_reports_json(reports, os.path.join(out, "reports.json"))
     write_reports_csv(reports, os.path.join(out, "reports.csv"))
     _write_manifest(cfg, out, "eval")

@@ -69,7 +69,8 @@ def check_value(where: str, value, kind: str, lo=None, hi=None, open_low: bool =
     A bool is never an int or a number, and an int is a number.  A number is finite: NaN,
     an infinity and an int too large for a float are not.  `lo` and `hi` bound a number
     when given, and `open_low` excludes `lo`.  Otherwise raise
-    ``ContractError(f"{where} must be {what}, got {value!r}")``.
+    ``ContractError(f"{where} must be {what}, got {value!r}")``, where an int too long for
+    its decimal repr shows as "an integer of <n> bits".
     """
     ok = isinstance(value, _KIND_TYPES[kind])
     if ok and (kind == "int" or kind == "number"):
@@ -85,5 +86,9 @@ def check_value(where: str, value, kind: str, lo=None, hi=None, open_low: bool =
             what += f" {'>' if open_low else '>='} {lo}"
         elif hi is not None:
             what += f" <= {hi}"
-        raise ContractError(f"{where} must be {what}, got {value!r}")
+        try:
+            got = repr(value)
+        except ValueError:  # an int past sys.get_int_max_str_digits() has no decimal repr
+            got = f"an integer of {value.bit_length()} bits"
+        raise ContractError(f"{where} must be {what}, got {got}")
     return value

@@ -3,9 +3,9 @@ monotonicity, and top-K retrieval precision.
 
 The pure metric functions operate on plain arrays so they can be tested
 against brute-force oracles; the ``run_*`` wrappers drive a trained model
-over the evaluation datasets produced by :mod:`cdpam.datagen` and emit
-machine-readable :class:`EvalReport` records.  An eval clip is named only by
-its ``(utt_id, spec)`` key: :func:`clip_embedder` renders a key as
+over the evaluation datasets produced by :mod:`cdpam.datagen`, and each
+returns its machine-readable :class:`EvalReport`.  An eval clip is named
+only by its ``(utt_id, spec)`` key: :func:`clip_embedder` renders a key as
 ``apply(spec, clean)`` the first time it is asked for and caches its
 embedding row.
 """
@@ -187,57 +187,63 @@ def _require(records, dataset: str) -> None:
         raise DataError(f"the {dataset} set is empty")
 
 
-def run_two_afc(model, embed, triplets) -> tuple:
+def run_two_afc(model, embed, triplets) -> EvalReport:
     _require(triplets, "two-AFC triplet")
     refs = [(t.ref_id, None) for t in triplets]
     d_a = _distances(model, embed, refs, [(t.ref_id, t.spec_a) for t in triplets])
     d_b = _distances(model, embed, refs, [(t.ref_id, t.spec_b) for t in triplets])
-    return two_afc_from_distances(d_a, d_b, [t.label for t in triplets]), len(triplets)
+    return EvalReport("two_afc", two_afc_from_distances(d_a, d_b, [t.label for t in triplets]),
+                      len(triplets))
 
 
-def run_common_area(model, embed, grouped_pairs) -> tuple:
+def _common_area_groups(model, embed, grouped_pairs) -> dict:
+    """{"same": distances, "diff": distances} over the common-area pairs."""
     _require(grouped_pairs, "common-area")
     if not {"same", "diff"} <= {p.group for p in grouped_pairs}:
         raise DataError("the common-area set needs both 'same' and 'diff' pairs")
     d = _distances(model, embed, [(p.utt_a, p.spec_a) for p in grouped_pairs],
                    [(p.utt_b, p.spec_b) for p in grouped_pairs])
-    same = np.array([di for di, p in zip(d, grouped_pairs) if p.group == "same"])
-    diff = np.array([di for di, p in zip(d, grouped_pairs) if p.group == "diff"])
-    return common_area(same, diff), {"same": same, "diff": diff}
+    return {group: np.array([di for di, p in zip(d, grouped_pairs) if p.group == group])
+            for group in ("diff", "same")}
 
 
-def run_monotonicity(model, embed, items) -> tuple:
-    """Pooled Spearman(distance-to-clean, level) per family series.
+def run_common_area(model, embed, grouped_pairs) -> EvalReport:
+    groups = _common_area_groups(model, embed, grouped_pairs)
+    return EvalReport("common_area", common_area(groups["same"], groups["diff"]),
+                      len(grouped_pairs),
+                      breakdown=[{"group": g, "mean_distance": float(v.mean())}
+                                 for g, v in groups.items()])
 
-    Returns (mean rho over series, {family: rho}).
-    """
+
+def run_monotonicity(model, embed, items) -> EvalReport:
+    """Mean over families of the pooled Spearman(distance-to-clean, level), and each rho."""
     _require(items, "monotonicity series")
     distances = _distances(model, embed, [(item.utt_id, None) for item in items],
                            [(item.utt_id, item.spec) for item in items])
-    per_family: dict = {}
+    breakdown = []
     for family in sorted({item.family for item in items}):
         index = [i for i, item in enumerate(items) if item.family == family]
-        levels = [items[i].level for i in index]
-        per_family[family] = spearman(distances[index], levels)
-    return float(np.mean(list(per_family.values()))), per_family
+        breakdown.append({"family": family,
+                          "rho": spearman(distances[index], [items[i].level for i in index])})
+    return EvalReport("monotonicity", float(np.mean([row["rho"] for row in breakdown])),
+                      len(items), breakdown=breakdown)
 
 
-def run_precision_at_k(model, embed, retrieval_items, k: int = 5) -> tuple:
+def run_precision_at_k(model, embed, retrieval_items, k: int = 5) -> EvalReport:
     _require(retrieval_items, "retrieval")
     emb = embed([(item.utt_id, item.spec) for item in retrieval_items])
     labels = np.array([item.group_id for item in retrieval_items])
-    return precision_at_k(emb, labels, k), len(retrieval_items)
+    return EvalReport("precision_at_k", precision_at_k(emb, labels, k), len(retrieval_items),
+                      {"k": k})
 
 
-def run_mos_correlation(model, embed, mos_rows) -> tuple:
+def run_mos_correlation(model, embed, mos_rows) -> EvalReport:
     _require(mos_rows, "MOS")
     distances = _distances(model, embed, [(row.utt_id, None) for row in mos_rows],
                            [(row.utt_id, row.spec) for row in mos_rows])
-    rho = mos_correlation(distances,
-                          [row.rating for row in mos_rows],
-                          [row.speaker_id for row in mos_rows],
-                          [row.condition_id for row in mos_rows])
-    return rho, len(mos_rows)
+    return EvalReport("mos_correlation", mos_correlation(
+        distances, [row.rating for row in mos_rows], [row.speaker_id for row in mos_rows],
+        [row.condition_id for row in mos_rows]), len(mos_rows))
 
 
 # -- reports ------------------------------------------------------------------------------
@@ -293,7 +299,11 @@ def svg_histogram(groups: dict, path) -> None:
         fh.write("\n")
 
 
-ALL_METRICS = ("two_afc", "common_area", "monotonicity", "precision_at_k", "mos_correlation")
+# the dataset key each metric's runner, run_<metric>, scores; in report order
+METRIC_DATASETS = {"two_afc": "triplets", "common_area": "grouped_pairs",
+                   "monotonicity": "mono_items", "precision_at_k": "retrieval_items",
+                   "mos_correlation": "mos_rows"}
+ALL_METRICS = tuple(METRIC_DATASETS)
 
 
 def run_full_eval(model, corpus, datasets: dict, metrics=ALL_METRICS, k: int = 5,
@@ -302,39 +312,28 @@ def run_full_eval(model, corpus, datasets: dict, metrics=ALL_METRICS, k: int = 5
 
     `datasets` maps dataset keys (see :data:`cdpam.datagen.EVAL_SETS`) to
     their record lists, whose clips are ``(utt_id, spec)`` keys into
-    `corpus`.  Returns one EvalReport per metric.  An unknown or repeated
-    metric name raises ContractError before any metric runs.  The runners
-    share one :func:`clip_embedder`, so a clip that several datasets hold is
-    rendered and embedded once per call.
+    `corpus`.  Returns each runner's EvalReport, `config_echo` merged under
+    its config.  An unknown or repeated metric name raises ContractError
+    before any metric runs.  The runners share one :func:`clip_embedder`, so
+    a clip that several datasets hold is rendered and embedded once per call.
+    The histogram is drawn only once every requested metric has returned.
     """
     for i, metric in enumerate(metrics):
         if metric not in ALL_METRICS:
             raise ContractError(f"unknown metric {metric!r}")
         if metric in metrics[:i]:
             raise ContractError(f"metric {metric!r} is requested twice")
-    echo = config_echo or {}
     embed = clip_embedder(model, corpus)
+    options = {"precision_at_k": {"k": k}}
     reports = []
     for metric in metrics:
-        if metric == "two_afc":
-            value, n = run_two_afc(model, embed, datasets["triplets"])
-            reports.append(EvalReport("two_afc", value, n, echo))
-        elif metric == "common_area":
-            value, groups = run_common_area(model, embed, datasets["grouped_pairs"])
-            if histogram_path is not None:
-                svg_histogram(groups, histogram_path)
-            reports.append(EvalReport("common_area", value, len(datasets["grouped_pairs"]), echo,
-                                      breakdown=[{"group": g, "mean_distance": float(v.mean())}
-                                                 for g, v in sorted(groups.items())]))
-        elif metric == "monotonicity":
-            value, per_family = run_monotonicity(model, embed, datasets["mono_items"])
-            reports.append(EvalReport("monotonicity", value, len(datasets["mono_items"]), echo,
-                                      breakdown=[{"family": f, "rho": r}
-                                                 for f, r in sorted(per_family.items())]))
-        elif metric == "precision_at_k":
-            value, n = run_precision_at_k(model, embed, datasets["retrieval_items"], k=k)
-            reports.append(EvalReport("precision_at_k", value, n, {**echo, "k": k}))
-        elif metric == "mos_correlation":
-            value, n = run_mos_correlation(model, embed, datasets["mos_rows"])
-            reports.append(EvalReport("mos_correlation", value, n, echo))
+        # looked up per call, so that a wrapped run_* attribute is the one run
+        report = globals()[f"run_{metric}"](model, embed, datasets[METRIC_DATASETS[metric]],
+                                            **options.get(metric, {}))
+        report.config = {**(config_echo or {}), **report.config}
+        reports.append(report)
+    if histogram_path is not None and "common_area" in metrics:
+        # the embeddings are cached: this recomputes the distances, and embeds nothing
+        svg_histogram(_common_area_groups(model, embed, datasets["grouped_pairs"]),
+                      histogram_path)
     return reports

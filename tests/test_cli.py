@@ -421,6 +421,23 @@ class TestConfigBoundary:
         ({"data": {"families": ["noise", "noise"]}},
          "config key 'data.families' must be a list of one or more distinct families"),
         ({"train": {"tau": 10 ** 400}}, "config key 'train.tau' must be a finite number"),
+        # eval sizes that some metric cannot score, rejected before training
+        ({"data": {"eval": {"retrieval_groups": 1}}},
+         "config key 'data.eval.retrieval_groups' must be an integer >= 2, got 1"),
+        ({"data": {"eval": {"retrieval_group_size": 1}}},
+         "config key 'data.eval.retrieval_group_size' must be an integer >= 2, got 1"),
+        ({"data": {"eval": {"common_area_pairs": 0}}},
+         "config key 'data.eval.common_area_pairs' must be an integer >= 1, got 0"),
+        ({"data": {"eval": {"mos_clips_per_cell": 0}}},
+         "config key 'data.eval.mos_clips_per_cell' must be an integer >= 1, got 0"),
+        ({"data": {"eval": {"mos_conditions": 0}}},
+         "config key 'data.eval.mos_conditions' must be an integer >= 2, got 0"),
+        ({"data": {"n_speakers": 1, "eval": {"mos_conditions": 1}}},
+         "config key 'data.eval.mos_conditions' must be an integer >= 2, got 1"),
+        ({"data": {"eval": {"retrieval_groups": 2, "retrieval_group_size": 2}}},
+         "config keys 'data.eval.retrieval_groups' x 'retrieval_group_size' must be at least "
+         "'data.eval.k' + 1 = 6, got 4"),
+        ({"data": {"eval": {"k": 200}}}, "'data.eval.k' + 1 = 201, got 200"),
     ])
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, override, named):
         # synth-data is the first command to write: a bad value must stop it before it does

@@ -215,7 +215,7 @@ def tiny_eval():
 
 def uncached_runs(model, corpus, datasets, embed_waves):
     """Each runner alone, every clip rendered and passed to `embed_waves` afresh:
-    metric -> (value, detail)."""
+    metric -> its report."""
     from cdpam.datagen import corpus_by_id
     from cdpam.evaluate import (run_common_area, run_monotonicity, run_mos_correlation,
                                 run_precision_at_k, run_two_afc)
@@ -242,12 +242,11 @@ class TestEvalCache:
 
         model, corpus, datasets = tiny_eval
         reports = {r.metric: r for r in run_full_eval(model, corpus, datasets, k=3)}
-        for metric, (value, detail) in uncached_runs(model, corpus, datasets,
-                                                     model.embed_waves).items():
-            assert reports[metric].value == value, metric
-        groups = uncached_runs(model, corpus, datasets, model.embed_waves)["common_area"][1]
-        assert reports["common_area"].breakdown == [
-            {"group": g, "mean_distance": float(v.mean())} for g, v in sorted(groups.items())]
+        for metric, report in uncached_runs(model, corpus, datasets, model.embed_waves).items():
+            assert report.metric == metric
+            assert reports[metric] == report, metric
+        assert reports["precision_at_k"].config == {"k": 3}
+        assert [row["group"] for row in reports["common_area"].breakdown] == ["diff", "same"]
 
     def test_each_distinct_clip_embedded_once(self, tiny_eval, monkeypatch):
         from cdpam.evaluate import run_full_eval
@@ -331,6 +330,17 @@ class TestReportsAndRunners:
         write_reports_csv(reports, tmp_path / "r.csv")
         assert (tmp_path / "r.json").exists()
         assert (tmp_path / "hist.svg").exists()
+
+    def test_failed_metric_leaves_the_histogram(self, tiny_eval, tmp_path):
+        # the histogram is drawn only once every requested metric has returned
+        from cdpam.evaluate import run_full_eval
+
+        model, corpus, datasets = tiny_eval
+        hist = tmp_path / "hist.svg"
+        hist.write_bytes(b"<svg>old</svg>\n")
+        with pytest.raises(DataError, match="the MOS set is empty"):
+            run_full_eval(model, corpus, {**datasets, "mos_rows": []}, k=3, histogram_path=hist)
+        assert hist.read_bytes() == b"<svg>old</svg>\n"
 
     def test_metric_subset_filter(self):
         from cdpam.datagen import oracle_triplets, synth_corpus

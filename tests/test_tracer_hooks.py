@@ -101,3 +101,30 @@ def test_every_training_layer_is_traced():
         for op in ("tensor.conv1d", "tensor.batch_norm1d"):
             assert sorted(layer for name, layer in children if name == op) == layers, children
         assert sorted(layer for enc, layer in tracer.bwd if enc == e) == layers
+
+
+def test_full_eval_traces_every_runner(tmp_path):
+    # perfbench's evaluate.<metric>_ms reads these spans: run_full_eval must call the
+    # runners through their evaluate attributes, where the tracer wraps them
+    from cdpam.datagen import (build_common_area_sets, build_mono_series, build_mos_set,
+                               build_retrieval_set, oracle_triplets, synth_corpus)
+    from cdpam.model import PerceptualModel, tiny_config
+
+    tracer_module = load_tracer()
+    cfg = tiny_config()
+    corpus = synth_corpus(12, 2, seed=2, sample_rate=cfg.sample_rate,
+                          clip_samples=cfg.clip_samples)
+    datasets = {
+        "triplets": oracle_triplets(corpus, 4, seed=1),
+        "mono_items": build_mono_series(corpus, ("noise",), n_levels=3, n_contents=2, seed=2),
+        "grouped_pairs": build_common_area_sets(corpus, n_pairs=3, seed=3),
+        "retrieval_items": build_retrieval_set(corpus, n_groups=2, group_size=3, seed=4),
+        "mos_rows": build_mos_set(corpus, n_conditions=3, clips_per_cell=1, seed=5),
+    }
+    model = PerceptualModel.initialize(cfg, seed=0)
+    tracer = tracer_module.Tracer()
+    with tracer_module.traced(tracer):
+        evaluate.run_full_eval(model, corpus, datasets, k=2,
+                               histogram_path=tmp_path / "hist.svg")
+    runs = Counter(span[0] for span in tracer.spans if span[0].startswith("evaluate.run_"))
+    assert runs == {f"evaluate.run_{metric}": 1 for metric in evaluate.ALL_METRICS}

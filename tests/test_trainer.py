@@ -191,11 +191,11 @@ class TestFinetune:
                                              seed=1))
         records = oracle_triplets(corpus, 32, seed=7, min_magnitude_gap=0.3)
         from cdpam.evaluate import clip_embedder, run_two_afc
-        before, _ = run_two_afc(jnd_model, clip_embedder(jnd_model, corpus), records)
+        before = run_two_afc(jnd_model, clip_embedder(jnd_model, corpus), records).value
         config = TrainConfig(stage="finetune", epochs=20, batch_size=16, lr=5e-3, seed=5,
                              augment=False)
         tuned, _ = finetune_triplet(jnd_model, corpus, records, config)
-        after, _ = run_two_afc(tuned, clip_embedder(tuned, corpus), records)
+        after = run_two_afc(tuned, clip_embedder(tuned, corpus), records).value
         assert after >= before
 
 

@@ -17,8 +17,11 @@ KINDS = ("bool", "int", "number", "str")
 # the values around the float limit, where an int stops being a finite number
 FLOAT_EDGES = [sys.float_info.max, -sys.float_info.max, int(sys.float_info.max),
                int(sys.float_info.max) + 1, -int(sys.float_info.max) - 1, 2 ** 1024, 10 ** 400]
-JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 1100, 2 ** 1100),
-                         st.floats(), st.text(max_size=8), st.sampled_from(FLOAT_EDGES))
+# ints beyond the 4300 digits Python turns into a decimal string
+HUGE_INTS = [10 ** 4300, 10 ** 5000, -10 ** 5000]
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 16000, 2 ** 16000),
+                         st.floats(), st.text(max_size=8),
+                         st.sampled_from(FLOAT_EDGES + HUGE_INTS))
 # (lo, hi, open_low), as the package's callers pass them
 BOUNDS = st.sampled_from([(None, None, False), (0, None, False), (1, None, False),
                           (0, None, True), (0.0, 40.0, False), (4, 8, False),
@@ -48,7 +51,11 @@ class TestRules:
             with pytest.raises(ContractError) as err:
                 check_value("key", value, kind, lo, hi, open_low)
             assert str(err.value).startswith("key must be ")
-            assert str(err.value).endswith(f", got {value!r}")
+            try:
+                shown = repr(value)
+            except ValueError:
+                shown = f"an integer of {value.bit_length()} bits"
+            assert str(err.value).endswith(f", got {shown}")
 
     @pytest.mark.parametrize("args,message", [
         (("seed", -1, "int", 0), "seed must be an integer >= 0, got -1"),
@@ -59,10 +66,12 @@ class TestRules:
         (("bits", 9, "int", 4, 8), "bits must be an integer in [4, 8], got 9"),
         (("gain", 13.0, "number", None, 12.0), "gain must be a finite number <= 12.0, got 13.0"),
         (("rating", 10 ** 400, "number"), f"rating must be a finite number, got {10 ** 400}"),
+        (("lr", 10 ** 5000, "number", 0, None, True),
+         "lr must be a finite number > 0, got an integer of 16610 bits"),
         (("augment", 1, "bool"), "augment must be true or false, got 1"),
         (("out", None, "str"), "out must be a string, got None"),
     ], ids=["below-lo", "bool-int", "open-lo", "above-hi", "int-range", "hi-only", "huge-int",
-            "int-bool", "none-str"])
+            "undecimal-int", "int-bool", "none-str"])
     def test_message_names_the_key_the_rule_and_the_value(self, args, message):
         with pytest.raises(ContractError) as err:
             check_value(*args)
