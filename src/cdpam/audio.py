@@ -144,21 +144,16 @@ def write_wav(w: Waveform, path) -> None:
     read(write(w)) round trip is exact to within one 16-bit quantization step
     (1/32768) per sample.  `path` is written through :func:`replacing`.
     """
+    import wave  # here, not at the top: the set-up probe loads this module
+
     clipped = np.clip(w.samples, -1.0, 1.0)
     quantized = np.clip(np.round(clipped * 32768.0), -32768, 32767).astype("<i2")
-    payload = quantized.tobytes()
-    header = b"".join([
-        b"RIFF",
-        struct.pack("<I", 36 + len(payload)),
-        b"WAVE",
-        b"fmt ",
-        struct.pack("<IHHIIHH", 16, _PCM, 1, w.sample_rate, w.sample_rate * 2, 2, 16),
-        b"data",
-        struct.pack("<I", len(payload)),
-    ])
-    with replacing(path, binary=True) as fh:
-        fh.write(header)
-        fh.write(payload)
+    with replacing(path, binary=True) as fh, wave.open(fh, "wb") as out:
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(w.sample_rate)
+        out.setnframes(len(quantized))
+        out.writeframes(quantized.tobytes())
 
 
 @contextmanager

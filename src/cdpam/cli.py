@@ -96,18 +96,31 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 # the check_value kind of a config leaf, by the type of its default
 _LEAF_KINDS = {bool: "bool", int: "int", float: "number", str: "str"}
-# the lower bounds of the leaves that have one; TrainConfig bounds the train.* leaves.  The
-# data.eval.* minima are the least that every eval metric can score
-_LEAF_MINIMA = {"seed": 0, "data.eval.k": 1, "data.jnd_sigma": 0,
-                "data.eval.common_area_pairs": 1, "data.eval.retrieval_groups": 2,
-                "data.eval.retrieval_group_size": 2, "data.eval.mos_clips_per_cell": 1,
-                # two conditions make two (speaker, condition) cells at any speaker count
-                "data.eval.mos_conditions": 2}
+# check_value's bounds for the leaves that have them, checked once the leaf has its default's
+# type.  TrainConfig and the datagen functions hold the same train.* and data.* rules for
+# library callers; checked here, a violation names its config key.  The data.eval.* minima
+# are the least that every eval metric can score
+_LEAF_BOUNDS = {
+    "seed": {"lo": 0},
+    "data.n_jnd_pairs": {"lo": 1}, "data.n_triplets": {"lo": 1},
+    "data.jnd_threshold": {"lo": 0, "open_low": True}, "data.jnd_sigma": {"lo": 0},
+    "data.eval.n_triplets": {"lo": 1}, "data.eval.triplet_gap": {"lo": 0},
+    "data.eval.mono_levels": {"lo": 3}, "data.eval.mono_contents": {"lo": 2},
+    "data.eval.common_area_pairs": {"lo": 1}, "data.eval.retrieval_groups": {"lo": 2},
+    "data.eval.retrieval_group_size": {"lo": 2}, "data.eval.mos_clips_per_cell": {"lo": 1},
+    # two conditions make two (speaker, condition) cells at any speaker count
+    "data.eval.mos_conditions": {"lo": 2}, "data.eval.k": {"lo": 1},
+    "train.batch_size": {"lo": 1}, "train.tau": {"lo": 0, "open_low": True},
+    **{f"train.epochs.{stage}": {"lo": 1} for stage in TRAINING_STAGES},
+    **{f"train.lr.{stage}": {"lo": 0, "open_low": True} for stage in TRAINING_STAGES},
+}
+# the leaves that must also lie below 1, which check_value's closed upper bound cannot say
+_BELOW_ONE = ("data.jnd_threshold", "data.eval.triplet_gap")
 
 
 def _check_config(value, defaults: dict, path: str = "") -> None:
     """Reject keys the defaults lack, a non-object where the defaults hold one, a leaf
-    check_value rejects as a value of its default's type (and below its minimum), a
+    check_value rejects as a value of its default's type or outside its bounds, a
     families list that is empty, repeats a family or names one outside perturb.FAMILIES,
     and a model object ModelConfig cannot be built from."""
     if not isinstance(value, dict):
@@ -135,8 +148,13 @@ def _check_config(value, defaults: dict, path: str = "") -> None:
                 raise ContractError(f"config key 'data.families' must be a list of one or more "
                                     f"distinct families from {', '.join(FAMILIES)}, got {item!r}")
         else:
-            check_value(f"config key {dotted!r}", item, _LEAF_KINDS[type(defaults[key])],
-                        lo=_LEAF_MINIMA.get(dotted))
+            where = f"config key {dotted!r}"
+            kind = _LEAF_KINDS[type(defaults[key])]
+            check_value(where, item, kind)
+            if dotted in _LEAF_BOUNDS:
+                check_value(where, item, kind, **_LEAF_BOUNDS[dotted])
+            if dotted in _BELOW_ONE and not item < 1:
+                raise ContractError(f"{where} must be below 1, got {item!r}")
 
 
 def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=None) -> dict:
@@ -157,7 +175,11 @@ def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=Non
         cfg = _deep_merge(cfg, override)
     for name in TRAINING_STAGES:  # every stage's values, before any command writes a file
         _train_config(cfg, name)
-    ev = cfg["data"]["eval"]
+    data, ev = cfg["data"], cfg["data"]["eval"]
+    if ev["retrieval_group_size"] > data["n_eval_utterances"]:  # one utterance per group item
+        raise ContractError(f"config key 'data.eval.retrieval_group_size' must be at most "
+                            f"'data.n_eval_utterances' = {data['n_eval_utterances']}, "
+                            f"got {ev['retrieval_group_size']}")
     items = ev["retrieval_groups"] * ev["retrieval_group_size"]
     if items < ev["k"] + 1:  # P@K ranks each retrieval item's k nearest among the others
         raise ContractError(f"config keys 'data.eval.retrieval_groups' x 'retrieval_group_size' "

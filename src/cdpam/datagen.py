@@ -241,18 +241,14 @@ def corpus_by_id(corpus) -> dict:
 # -- contrastive pairing ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContrastivePair:
-    wave_i: Waveform
-    wave_j: Waveform
-
-
 def make_contrastive_batch(corpus, mode: str, batch_size: int = 16, seed: int = 0,
                            families=DEFAULT_FAMILIES) -> list:
     """Build one batch of positive pairs under the requested pairing rule.
 
     acoustic mode: two different utterances share one perturbation record.
     content mode: one utterance is perturbed with two independent records.
+    Returns 2 * batch_size waves, the first view of every pair and then the
+    second, so that waves k and batch_size + k form pair k.
     """
     if mode not in ("acoustic", "content"):
         raise ContractError(f"unknown contrastive mode {mode!r}")
@@ -263,18 +259,17 @@ def make_contrastive_batch(corpus, mode: str, batch_size: int = 16, seed: int = 
             f"{mode} batches of {batch_size} need {needed} distinct utterances, "
             f"corpus has {len(corpus)}")
     picks = rng.choice(len(corpus), size=needed, replace=False)
-    pairs = []
+    views_i, views_j = [], []
     for b in range(batch_size):
         if mode == "acoustic":
-            u1, u2 = corpus[picks[2 * b]], corpus[picks[2 * b + 1]]
             spec = sample_spec(int(rng.integers(0, 2 ** 63)), families)
-            pairs.append(ContrastivePair(apply(spec, u1.clean), apply(spec, u2.clean)))
+            views_i.append(apply(spec, corpus[picks[2 * b]].clean))
+            views_j.append(apply(spec, corpus[picks[2 * b + 1]].clean))
         else:
-            utt = corpus[picks[b]]
-            spec_1 = sample_spec(int(rng.integers(0, 2 ** 63)), families)
-            spec_2 = sample_spec(int(rng.integers(0, 2 ** 63)), families)
-            pairs.append(ContrastivePair(apply(spec_1, utt.clean), apply(spec_2, utt.clean)))
-    return pairs
+            clean = corpus[picks[b]].clean
+            views_i.append(apply(sample_spec(int(rng.integers(0, 2 ** 63)), families), clean))
+            views_j.append(apply(sample_spec(int(rng.integers(0, 2 ** 63)), families), clean))
+    return views_i + views_j
 
 
 # -- oracle annotators -----------------------------------------------------------

@@ -29,19 +29,12 @@ DEFAULT_BINS = 50
 
 
 def average_ranks(values) -> np.ndarray:
-    """1-based ranks with ties assigned their group average."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size)
-    sorted_v = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks with ties assigned their group average; NaNs tie with each other, last."""
+    _, group, counts = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True,
+                                 return_counts=True)
+    # a tie group ending at 1-based position `end` holds ranks end - count + 1 .. end
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[group]
 
 
 def spearman(xs, ys) -> float:

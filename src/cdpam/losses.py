@@ -15,28 +15,26 @@ from .tensor import Tensor
 BCE_CLAMP = 1e-7
 
 
-def nt_xent(z_i: Tensor, z_j: Tensor, tau: float = 0.5) -> Tensor:
+def nt_xent(z: Tensor, tau: float = 0.5) -> Tensor:
     """Normalized temperature-scaled cross-entropy over one batch of pairs.
 
-    z_i and z_j hold the two projected views, row k of each forming a
-    positive pair.  Every one of the 2N vectors acts as an anchor whose
-    softmax (over cosine similarity / tau) ranges over the other 2N-1
-    vectors; the loss is the mean anchor cross-entropy with the partner as
-    the positive class.
+    z stacks the 2N projected views: rows k and N + k form a positive pair.
+    Every one of the 2N vectors acts as an anchor whose softmax (over cosine
+    similarity / tau) ranges over the other 2N-1 vectors; the loss is the
+    mean anchor cross-entropy with the partner as the positive class.
     """
     if tau <= 0.0:
         raise ContractError(f"temperature must be positive, got {tau}")
-    if z_i.data.ndim != 2 or z_i.shape != z_j.shape:
-        raise ShapeError(f"nt_xent expects matching [N, d] views, got {z_i.shape}, {z_j.shape}")
-    n = z_i.shape[0]
+    if z.data.ndim != 2 or z.shape[0] % 2:
+        raise ShapeError(f"nt_xent expects a [2N, d] stack of views, got {z.shape}")
+    two_n = z.shape[0]
+    n = two_n // 2
     if n < 2:
         raise ContractError("nt_xent needs at least 2 pairs so negatives exist")
 
-    z = T.concat0([z_i, z_j])
     zn = T.normalize_rows(z)
     sims = T.mul(T.matmul(zn, T.transpose2d(zn)), Tensor(1.0 / tau))
 
-    two_n = 2 * n
     # drop each anchor's own similarity from its softmax support
     diag_penalty = Tensor(np.where(np.eye(two_n, dtype=bool), -1e30, 0.0))
     logits = T.add(sims, diag_penalty)

@@ -291,7 +291,9 @@ def _requested(families) -> tuple:
 def sample_spec(seed: int, families: Iterable[str] = FAMILIES) -> PerturbSpec:
     """Draw each requested family's parameter uniformly from its range."""
     requested = _requested(families)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(len(FAMILIES),)))
+    # the stream key is the constant 6, the family count when it was chosen, not
+    # len(FAMILIES): appending a family must not redraw every existing spec
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(6,)))
     kwargs = {}
     for fam, (field, (lo, hi), _) in _FAMILY_FIELDS.items():
         if fam not in requested:

@@ -339,14 +339,6 @@ def mean_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_(x, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
 
 
-def concat0(parts: list[Tensor]) -> Tensor:
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-    ends = np.cumsum([p.shape[0] for p in parts])
-    # each lambda binds its own rows as defaults, not the loop's last ones
-    vjps = [lambda g, lo=end - p.shape[0], hi=end: g[lo:hi] for p, end in zip(parts, ends)]
-    return _make(out_data, tuple(parts), vjps, "concat")
-
-
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * x.data.ndim
     index[axis] = slice(start, start + length)

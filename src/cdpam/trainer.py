@@ -175,15 +175,11 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
                for mode in ["acoustic", "content"] * per_mode]
 
     def epoch_losses(rng):
-        for mode, pairs in batches:
-            waves = _maybe_augment([p.wave_i for p in pairs], rng, config.augment) \
-                + _maybe_augment([p.wave_j for p in pairs], rng, config.augment)
-            x = model.waves_to_tensor(waves)
+        for mode, waves in batches:
+            x = model.waves_to_tensor(_maybe_augment(waves, rng, config.augment))
             acoustic, content = model.encode(x, train=True)
-            half = acoustic if mode == "acoustic" else content
-            z = model.project(half, mode)
-            n = len(pairs)
-            yield losses.nt_xent(T.narrow(z, 0, 0, n), T.narrow(z, 0, n, n), tau=config.tau)
+            z = model.project(acoustic if mode == "acoustic" else content, mode)
+            yield losses.nt_xent(z, tau=config.tau)
 
     return _run_epochs(model, config, 21, "pretrained", epoch_losses, progress)
 

@@ -381,7 +381,8 @@ class TestReproducibility:
 
 class TestConfigBoundary:
     @pytest.mark.parametrize("override,named", [
-        ({"train": {"batch_size": 0}}, "batch_size"),
+        ({"train": {"batch_size": 0}},
+         "config key 'train.batch_size' must be an integer >= 1, got 0"),
         ({"data": 5}, "'data'"),
         ({"train": {"lr": "x"}}, "'train.lr'"),
         ({"train": {"augment": True}}, "'train.augment'"),
@@ -438,6 +439,13 @@ class TestConfigBoundary:
          "config keys 'data.eval.retrieval_groups' x 'retrieval_group_size' must be at least "
          "'data.eval.k' + 1 = 6, got 4"),
         ({"data": {"eval": {"k": 200}}}, "'data.eval.k' + 1 = 201, got 200"),
+        ({"train": {"lr": {"jnd": -1.0}}},
+         "config key 'train.lr.jnd' must be a finite number > 0, got -1.0"),
+        ({"train": {"epochs": {"finetune": 0}}},
+         "config key 'train.epochs.finetune' must be an integer >= 1, got 0"),
+        ({"train": {"tau": 0}}, "config key 'train.tau' must be a finite number > 0, got 0"),
+        ({"data": {"eval": {"n_triplets": 0}}},
+         "config key 'data.eval.n_triplets' must be an integer >= 1, got 0"),
     ])
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, override, named):
         # synth-data is the first command to write: a bad value must stop it before it does
@@ -464,21 +472,30 @@ class TestConfigBoundary:
         assert not os.path.exists(cfg["out"])
 
     @pytest.mark.parametrize("key,value,named", [
-        ("n_jnd_pairs", 0, "need at least one jnd pair"),
-        ("n_triplets", 0, "need at least one triplet"),
-        ("jnd_threshold", 1.5, "threshold must lie in (0, 1)"),
-        ("eval.mono_levels", 2, "monotonicity needs >= 3 levels"),
-        ("eval.retrieval_group_size", 64, "retrieval groups need group_size"),
-        ("eval.triplet_gap", 1.0, "min_magnitude_gap must be in [0, 1)"),
+        ("n_jnd_pairs", 0, "config key 'data.n_jnd_pairs' must be an integer >= 1, got 0"),
+        ("n_triplets", 0, "config key 'data.n_triplets' must be an integer >= 1, got 0"),
+        ("jnd_threshold", 1.5, "config key 'data.jnd_threshold' must be below 1, got 1.5"),
+        ("eval.mono_levels", 2,
+         "config key 'data.eval.mono_levels' must be an integer >= 3, got 2"),
+        ("eval.retrieval_group_size", 64,
+         "config key 'data.eval.retrieval_group_size' must be at most "
+         "'data.n_eval_utterances' = 10, got 64"),
+        ("eval.triplet_gap", 1.0, "config key 'data.eval.triplet_gap' must be below 1, got 1.0"),
+        ("eval.mono_contents", 1,
+         "config key 'data.eval.mono_contents' must be an integer >= 2, got 1"),
+        ("jnd_threshold", 0.0,
+         "config key 'data.jnd_threshold' must be a finite number > 0, got 0.0"),
+        ("eval.triplet_gap", -0.1,
+         "config key 'data.eval.triplet_gap' must be a finite number >= 0, got -0.1"),
     ], ids=["n_jnd_pairs", "n_triplets", "jnd_threshold", "mono_levels", "retrieval_group_size",
-            "triplet_gap"])
+            "triplet_gap", "mono_contents", "jnd_threshold_zero", "triplet_gap_negative"])
     def test_synth_data_rejects_before_writing(self, tmp_path, capsys, key, value, named):
         config_path, cfg = tiny_run_config(tmp_path)
         section = cfg["data"]["eval"] if key.startswith("eval.") else cfg["data"]
         section[key.removeprefix("eval.")] = value
         config_path.write_text(json.dumps(cfg))
         assert main(["synth-data", "--config", str(config_path)]) == 2
-        assert named in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {named}\n"
         assert not os.path.exists(cfg["out"])
 
     @pytest.mark.parametrize("gap", [1.0, 1.5])
@@ -493,7 +510,8 @@ class TestConfigBoundary:
                                str(config_path)], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
-        assert f"min_magnitude_gap must be in [0, 1), got {gap}" in proc.stderr
+        assert (proc.stderr
+                == f"error: config key 'data.eval.triplet_gap' must be below 1, got {gap}\n")
 
     def test_leaf_types_accepted(self, tmp_path):
         path = tmp_path / "types.json"

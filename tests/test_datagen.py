@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cdpam import datagen
-from cdpam.audio import rms
+from cdpam.audio import Waveform, rms
 from cdpam.datagen import (CorpusEntry, JudgmentRecord, build_common_area_sets,
                            build_mono_series, build_mos_set, build_retrieval_set,
                            make_contrastive_batch, oracle_jnd, oracle_triplets, read_jsonl,
@@ -62,37 +62,39 @@ def applied(monkeypatch, corpus):
     return calls
 
 
-def _views(pairs, calls):
-    """(spec, utterance id) of view i and view j per pair, checked against the pair's waves."""
-    assert len(calls) == 2 * len(pairs)
+def _views(waves, calls):
+    """(spec, utterance id) of view i and view j per pair: view i of pair k must be wave k
+    and view j wave B + k, for a batch of B pairs."""
+    b = len(waves) // 2
+    assert len(waves) == 2 * b and len(calls) == 2 * b
     views = []
-    for pair, call_i, call_j in zip(pairs, calls[0::2], calls[1::2]):
-        assert pair.wave_i is call_i[2] and pair.wave_j is call_j[2]
+    for k, (call_i, call_j) in enumerate(zip(calls[0::2], calls[1::2])):
+        assert waves[k] is call_i[2] and waves[b + k] is call_j[2]
         views.append((call_i[:2], call_j[:2]))
     return views
 
 
 class TestContrastivePairs:
     def test_acoustic_mode_shares_spec(self, corpus, applied):
-        pairs = make_contrastive_batch(corpus, "acoustic", batch_size=8, seed=1)
-        assert len(pairs) == 8
+        waves = make_contrastive_batch(corpus, "acoustic", batch_size=8, seed=1)
+        assert len(waves) == 16
         seen = set()
-        for (spec_i, utt_i), (spec_j, utt_j) in _views(pairs, applied):
+        for (spec_i, utt_i), (spec_j, utt_j) in _views(waves, applied):
             assert spec_i == spec_j
             assert utt_i != utt_j
             seen.update((utt_i, utt_j))
         assert len(seen) == 16  # all distinct across the batch
 
     def test_content_mode_shares_utterance(self, corpus, applied):
-        pairs = make_contrastive_batch(corpus, "content", batch_size=8, seed=2)
-        for (spec_i, utt_i), (spec_j, utt_j) in _views(pairs, applied):
+        waves = make_contrastive_batch(corpus, "content", batch_size=8, seed=2)
+        for (spec_i, utt_i), (spec_j, utt_j) in _views(waves, applied):
             assert utt_i == utt_j
             assert spec_i != spec_j
 
     def test_batch_of_16_has_32_waveforms(self, corpus):
-        pairs = make_contrastive_batch(corpus, "acoustic", batch_size=16, seed=3)
-        waves = [w for pair in pairs for w in (pair.wave_i, pair.wave_j)]
+        waves = make_contrastive_batch(corpus, "acoustic", batch_size=16, seed=3)
         assert len(waves) == 32
+        assert all(isinstance(w, Waveform) for w in waves)
 
     def test_capacity_error(self, corpus):
         with pytest.raises(CapacityError):
@@ -101,9 +103,9 @@ class TestContrastivePairs:
     def test_deterministic(self, corpus):
         a = make_contrastive_batch(corpus, "content", batch_size=4, seed=11)
         b = make_contrastive_batch(corpus, "content", batch_size=4, seed=11)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.wave_i.samples, pb.wave_i.samples)
-            assert np.array_equal(pa.wave_j.samples, pb.wave_j.samples)
+        assert len(a) == len(b) == 8
+        for wa, wb in zip(a, b):
+            assert np.array_equal(wa.samples, wb.samples)
 
 
 class TestOracleJnd:

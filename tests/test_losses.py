@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdpam import tensor as T
-from cdpam.errors import ContractError, DegenerateInputError
+from cdpam.errors import ContractError, DegenerateInputError, ShapeError
 from cdpam.losses import bce, margin_rank, nt_xent
 from cdpam.tensor import Tensor
 from test_tensor import finite_difference_check, linear_probe
 
 
-def nt_xent_bruteforce(z_i, z_j, tau):
-    """Explicit 2N x 2N softmax cross-entropy, python-loop arithmetic only."""
-    z = np.concatenate([z_i, z_j], axis=0)
+def nt_xent_bruteforce(z, tau):
+    """Explicit 2N x 2N softmax cross-entropy over stacked views, python-loop arithmetic only."""
     two_n = z.shape[0]
     n = two_n // 2
 
@@ -36,65 +37,75 @@ def nt_xent_bruteforce(z_i, z_j, tau):
 class TestNtXent:
     def test_module_example(self):
         # two orthogonal pairs, each view equal to its partner, tau = 0.5
-        z = np.zeros((2, 256))
-        z[0, 0] = 1.0
-        z[1, 1] = 1.0
-        loss = nt_xent(Tensor(z), Tensor(z.copy()), tau=0.5)
+        z = np.zeros((4, 256))
+        z[[0, 2], 0] = 1.0
+        z[[1, 3], 1] = 1.0
+        loss = nt_xent(Tensor(z), tau=0.5)
         expected = -math.log(math.exp(2.0) / (math.exp(2.0) + 2.0))
         assert loss.item() == pytest.approx(expected, abs=1e-5)
         assert loss.item() == pytest.approx(0.23954, abs=1e-5)
 
     def test_all_identical_gives_log_2n_minus_1(self):
         for n in (2, 3, 5):
-            z = np.tile(np.random.default_rng(n).normal(size=(1, 8)), (n, 1))
-            loss = nt_xent(Tensor(z), Tensor(z.copy()), tau=0.5)
+            z = np.tile(np.random.default_rng(n).normal(size=(1, 8)), (2 * n, 1))
+            loss = nt_xent(Tensor(z), tau=0.5)
             assert loss.item() == pytest.approx(math.log(2 * n - 1), abs=1e-9)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_matches_bruteforce_oracle(self, n):
-        rng = np.random.default_rng(n)
-        z_i = rng.normal(size=(n, 256))
-        z_j = rng.normal(size=(n, 256))
-        loss = nt_xent(Tensor(z_i), Tensor(z_j), tau=0.5)
-        assert abs(loss.item() - nt_xent_bruteforce(z_i, z_j, 0.5)) < 1e-9
+        z = np.random.default_rng(n).normal(size=(2 * n, 256))
+        loss = nt_xent(Tensor(z), tau=0.5)
+        assert abs(loss.item() - nt_xent_bruteforce(z, 0.5)) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
+    def test_pairing_is_all_that_counts(self, n, seed):
+        # swapping the two halves, or permuting the pairs in both halves together, keeps
+        # every anchor's partner and negatives, so the loss is unchanged
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(2 * n, 5))
+        order = rng.permutation(n)
+        base = nt_xent(Tensor(z), tau=0.5).item()
+        swapped = np.concatenate([z[n:], z[:n]])
+        permuted = np.concatenate([z[:n][order], z[n:][order]])
+        assert nt_xent(Tensor(swapped), tau=0.5).item() == pytest.approx(base, abs=1e-12)
+        assert nt_xent(Tensor(permuted), tau=0.5).item() == pytest.approx(base, abs=1e-12)
 
     def test_invariant_to_positive_rescaling(self):
-        rng = np.random.default_rng(9)
-        z_i = rng.normal(size=(3, 16))
-        z_j = rng.normal(size=(3, 16))
-        base = nt_xent(Tensor(z_i), Tensor(z_j), tau=0.5).item()
-        z_i_scaled = z_i.copy()
-        z_i_scaled[1] *= 37.5
-        assert nt_xent(Tensor(z_i_scaled), Tensor(z_j), tau=0.5).item() == pytest.approx(
-            base, abs=1e-12)
+        z = np.random.default_rng(9).normal(size=(6, 16))
+        base = nt_xent(Tensor(z), tau=0.5).item()
+        z_scaled = z.copy()
+        z_scaled[1] *= 37.5
+        assert nt_xent(Tensor(z_scaled), tau=0.5).item() == pytest.approx(base, abs=1e-12)
 
     def test_decreases_when_positive_pair_aligns(self):
-        rng = np.random.default_rng(10)
-        z_i = rng.normal(size=(4, 16))
-        z_j = rng.normal(size=(4, 16))
-        drifted = z_j.copy()
-        drifted[0] = 0.5 * drifted[0] + 0.5 * z_i[0]  # pull one positive pair together
-        before = nt_xent(Tensor(z_i), Tensor(z_j), tau=0.5).item()
-        after = nt_xent(Tensor(z_i), Tensor(drifted), tau=0.5).item()
+        z = np.random.default_rng(10).normal(size=(8, 16))
+        drifted = z.copy()
+        drifted[4] = 0.5 * z[4] + 0.5 * z[0]  # pull pair 0's second view towards its first
+        before = nt_xent(Tensor(z), tau=0.5).item()
+        after = nt_xent(Tensor(drifted), tau=0.5).item()
         assert after < before
 
     def test_needs_two_pairs(self):
-        z = np.random.default_rng(0).normal(size=(1, 8))
+        z = np.random.default_rng(0).normal(size=(2, 8))
         with pytest.raises(ContractError):
-            nt_xent(Tensor(z), Tensor(z.copy()))
+            nt_xent(Tensor(z))
+
+    @pytest.mark.parametrize("shape", [(5, 8), (3, 8), (8,), (2, 4, 2)])
+    def test_needs_a_stack_of_paired_rows(self, shape):
+        z = np.random.default_rng(0).normal(size=shape)
+        with pytest.raises(ShapeError, match=r"^nt_xent expects a \[2N, d\] stack of views"):
+            nt_xent(Tensor(z))
 
     def test_zero_vector_rejected(self):
-        z = np.ones((2, 4))
-        z_bad = z.copy()
-        z_bad[0] = 0.0
+        z = np.ones((4, 4))
+        z[0] = 0.0
         with pytest.raises(DegenerateInputError):
-            nt_xent(Tensor(z_bad), Tensor(z))
+            nt_xent(Tensor(z))
 
     def test_gradients(self):
-        rng = np.random.default_rng(11)
-        z_i = rng.normal(size=(3, 6))
-        z_j = rng.normal(size=(3, 6))
-        finite_difference_check(lambda ts: nt_xent(ts[0], ts[1], tau=0.5), [z_i, z_j])
+        z = np.random.default_rng(11).normal(size=(6, 6))
+        finite_difference_check(lambda ts: nt_xent(ts[0], tau=0.5), [z])
 
 
 class TestBce:

@@ -280,7 +280,7 @@ def pretraining_step(model, seed, between=None):
     x = model.waves_to_tensor(random_clips(model.config, seed, n=4))
     acoustic, _ = model.encode(x, train=True)
     z = model.project(acoustic, "acoustic")
-    losses.nt_xent(T.narrow(z, 0, 0, 2), T.narrow(z, 0, 2, 2)).backward()
+    losses.nt_xent(z).backward()
     if between is not None:
         between()
     T.adam_step(model.params, {}, lr=1e-2)

@@ -272,6 +272,12 @@ class TestSampleSpec:
     def test_determinism(self):
         assert sample_spec(42, ("noise", "reverb")) == sample_spec(42, ("noise", "reverb"))
 
+    def test_appended_family_keeps_the_draws(self, monkeypatch):
+        # every contrastive batch and eval set is drawn through sample_spec
+        before = [sample_spec(seed, ("noise", "reverb")) for seed in range(5)]
+        monkeypatch.setattr(perturb, "FAMILIES", perturb.FAMILIES + ("another",))
+        assert [sample_spec(seed, ("noise", "reverb")) for seed in range(5)] == before
+
     def test_snr_mean_over_draws(self):
         values = [sample_spec(seed, ("noise",)).noise_snr_db for seed in range(1000)]
         assert 17.0 <= np.mean(values) <= 23.0

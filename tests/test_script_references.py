@@ -1,13 +1,13 @@
-"""The demos and the benchmark scripts use only names the package still defines.
+"""The demos, the benchmark scripts and the tools use only names the package still defines.
 
-Each ``demos/*.py`` and ``perfbench/*.py`` file is parsed with ``ast`` and
-never run.  Every ``from cdpam... import name`` must name something its
-module defines, every ``<alias>.attr`` read through a name bound to a
-cdpam module must exist, and every keyword passed to a cdpam callable, as in
-``T.batch_norm1d(..., train=True)`` or ``TrainConfig(stage=...)``, must be
-one of its parameters.  A deletion or a signature change in the package that
-would break a demo or the benchmark then fails here, not when the script
-next runs.
+Each ``demos/*.py``, ``perfbench/*.py`` and ``tools/*.py`` file is parsed
+with ``ast`` and never run.  Every ``from cdpam... import name`` must name
+something its module defines, every ``<alias>.attr`` read through a name
+bound to a cdpam module must exist, and every keyword passed to a cdpam
+callable, as in ``T.batch_norm1d(..., train=True)`` or
+``TrainConfig(stage=...)``, must be one of its parameters.  A deletion or a
+signature change in the package that would break a demo, the benchmark or a
+tool then fails here, not when the script next runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")])
+SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"),
+                  *ROOT.glob("tools/*.py")])
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -128,7 +129,7 @@ def unresolved(source: str) -> list:
 
 
 def test_scripts_found():
-    assert {path.parent.name for path in SCRIPTS} == {"demos", "perfbench"}
+    assert {path.parent.name for path in SCRIPTS} == {"demos", "perfbench", "tools"}
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=[f"{p.parent.name}/{p.name}" for p in SCRIPTS])
