@@ -181,8 +181,7 @@ def write_json(obj, path) -> None:
 
 def fix_length(w: Waveform, n: int) -> Waveform:
     """Pad with trailing zeros or truncate so the waveform has exactly n samples."""
-    if n <= 0:
-        raise ContractError(f"target length must be positive, got {n}")
+    check_value("n", n, "int", lo=1)
     if len(w) == n:
         return w
     if len(w) > n:
@@ -194,8 +193,7 @@ def fix_length(w: Waveform, n: int) -> Waveform:
 
 def apply_gain_db(w: Waveform, gain_db: float) -> Waveform:
     """Scale all samples by 10^(gain_db/20)."""
-    if not np.isfinite(gain_db):
-        raise ContractError("gain must be finite")
+    check_value("gain_db", gain_db, "number")
     return w.replace_samples(w.samples * 10.0 ** (gain_db / 20.0))
 
 
@@ -210,8 +208,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     This is a lossy convenience for conditioning external input (no anti-alias
     filtering); synthetic corpora are generated at the target rate directly.
     """
-    if target_rate <= 0:
-        raise ContractError("target rate must be positive")
+    check_value("target_rate", target_rate, "int", lo=1)
     if target_rate == w.sample_rate:
         return w
     n_out = max(1, int(round(len(w) * target_rate / w.sample_rate)))

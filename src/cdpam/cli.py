@@ -103,19 +103,17 @@ _LEAF_KINDS = {bool: "bool", int: "int", float: "number", str: "str"}
 _LEAF_BOUNDS = {
     "seed": {"lo": 0},
     "data.n_jnd_pairs": {"lo": 1}, "data.n_triplets": {"lo": 1},
-    "data.jnd_threshold": {"lo": 0, "open_low": True}, "data.jnd_sigma": {"lo": 0},
-    "data.eval.n_triplets": {"lo": 1}, "data.eval.triplet_gap": {"lo": 0},
+    "data.jnd_threshold": {"lo": 0, "hi": 1, "ends": "()"}, "data.jnd_sigma": {"lo": 0},
+    "data.eval.n_triplets": {"lo": 1}, "data.eval.triplet_gap": {"lo": 0, "hi": 1, "ends": "[)"},
     "data.eval.mono_levels": {"lo": 3}, "data.eval.mono_contents": {"lo": 2},
     "data.eval.common_area_pairs": {"lo": 1}, "data.eval.retrieval_groups": {"lo": 2},
     "data.eval.retrieval_group_size": {"lo": 2}, "data.eval.mos_clips_per_cell": {"lo": 1},
     # two conditions make two (speaker, condition) cells at any speaker count
     "data.eval.mos_conditions": {"lo": 2}, "data.eval.k": {"lo": 1},
-    "train.batch_size": {"lo": 1}, "train.tau": {"lo": 0, "open_low": True},
+    "train.batch_size": {"lo": 1}, "train.tau": {"lo": 0, "ends": "(]"},
     **{f"train.epochs.{stage}": {"lo": 1} for stage in TRAINING_STAGES},
-    **{f"train.lr.{stage}": {"lo": 0, "open_low": True} for stage in TRAINING_STAGES},
+    **{f"train.lr.{stage}": {"lo": 0, "ends": "(]"} for stage in TRAINING_STAGES},
 }
-# the leaves that must also lie below 1, which check_value's closed upper bound cannot say
-_BELOW_ONE = ("data.jnd_threshold", "data.eval.triplet_gap")
 
 
 def _check_config(value, defaults: dict, path: str = "") -> None:
@@ -153,8 +151,6 @@ def _check_config(value, defaults: dict, path: str = "") -> None:
             check_value(where, item, kind)
             if dotted in _LEAF_BOUNDS:
                 check_value(where, item, kind, **_LEAF_BOUNDS[dotted])
-            if dotted in _BELOW_ONE and not item < 1:
-                raise ContractError(f"{where} must be below 1, got {item!r}")
 
 
 def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=None) -> dict:

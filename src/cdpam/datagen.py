@@ -205,8 +205,8 @@ def synth_corpus(n: int, n_speakers: int, seed: int = 0,
                  sample_rate: int = CANONICAL_RATE, clip_samples: int = CANONICAL_SAMPLES,
                  id_prefix: str = "utt") -> list:
     """Generate n seeded utterances across n_speakers synthetic voices."""
-    if n < 1 or n_speakers < 1:
-        raise ContractError("corpus needs at least one utterance and one speaker")
+    check_value("n", n, "int", lo=1)
+    check_value("n_speakers", n_speakers, "int", lo=1)
     speakers = [_speaker_params(seed, s) for s in range(n_speakers)]
     corpus = []
     for i in range(n):
@@ -284,12 +284,9 @@ def oracle_jnd(corpus, n_pairs: int, threshold: float = DEFAULT_JND_THRESHOLD,
     labels come out roughly balanced; a pair is "different" when
     magnitude + N(0, noise_sigma) exceeds the threshold.
     """
-    if n_pairs < 1:
-        raise ContractError("need at least one jnd pair")
-    if not 0.0 < threshold < 1.0:
-        raise ContractError("threshold must lie in (0, 1)")
-    if not noise_sigma >= 0.0:
-        raise ContractError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
+    check_value("n_pairs", n_pairs, "int", lo=1)
+    check_value("threshold", threshold, "number", 0, 1, ends="()")
+    check_value("noise_sigma", noise_sigma, "number", lo=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
     records = []
     for _ in range(n_pairs):
@@ -311,10 +308,9 @@ def oracle_triplets(corpus, n: int, seed: int = 0, families=DEFAULT_FAMILIES,
     gap to keep the labels unambiguous.  A triplet whose pair misses the gap
     is drawn again, at most MAX_TRIPLET_DRAWS times before CapacityError.
     """
-    if n < 1:
-        raise ContractError("need at least one triplet")
-    if not 0.0 <= min_magnitude_gap < 1.0:  # magnitudes lie in [0, 1]
-        raise ContractError(f"min_magnitude_gap must be in [0, 1), got {min_magnitude_gap!r}")
+    check_value("n", n, "int", lo=1)
+    # magnitudes lie in [0, 1], so no pair reaches a gap of 1
+    check_value("min_magnitude_gap", min_magnitude_gap, "number", 0, 1, ends="[)")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
     records = []
     for _ in range(n):
@@ -381,8 +377,8 @@ EVAL_SETS = {"triplets": ("triplets.jsonl", JudgmentRecord),
 def build_mono_series(corpus, families=DEFAULT_FAMILIES, n_levels: int = 6,
                       n_contents: int = 8, seed: int = 0) -> list:
     """Per-content series at increasing severities, per family plus combined."""
-    if n_levels < 3 or n_contents < 2:
-        raise ContractError("monotonicity needs >= 3 levels and >= 2 content items")
+    check_value("n_levels", n_levels, "int", lo=3)
+    check_value("n_contents", n_contents, "int", lo=2)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(6,)))
     severities = np.linspace(0.15, 0.9, n_levels)
     contents = [corpus[int(i)] for i in

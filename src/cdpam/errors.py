@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the one value check for a scalar that
 comes from outside: a config leaf, a record field, a checkpoint header entry or an
-argument that reaches a public constructor.  The module imports no numpy.
+argument of a public function or constructor.  The module imports no numpy.
 """
 
 import numbers
@@ -63,12 +63,13 @@ _KIND_NAMES = {"bool": "true or false", "int": "an integer", "number": "a finite
 _FLOAT_MAX = sys.float_info.max
 
 
-def check_value(where: str, value, kind: str, lo=None, hi=None, open_low: bool = False):
+def check_value(where: str, value, kind: str, lo=None, hi=None, ends: str = "[]"):
     """Return `value` if it is a `kind`: "bool", "int", "number" or "str".
 
     A bool is never an int or a number, and an int is a number.  A number is finite: NaN,
     an infinity and an int too large for a float are not.  `lo` and `hi` bound a number
-    when given, and `open_low` excludes `lo`.  Otherwise raise
+    when given, and `ends` says in interval notation which of them the range holds: "[]"
+    both, "(]" not `lo`, "[)" not `hi`, "()" neither.  Otherwise raise
     ``ContractError(f"{where} must be {what}, got {value!r}")``, where an int too long for
     its decimal repr shows as "an integer of <n> bits".
     """
@@ -76,16 +77,16 @@ def check_value(where: str, value, kind: str, lo=None, hi=None, open_low: bool =
     if ok and (kind == "int" or kind == "number"):
         # chained comparisons allocate nothing, and NaN fails them
         ok = (not isinstance(value, bool) and -_FLOAT_MAX <= value <= _FLOAT_MAX
-              and (lo is None or (lo < value if open_low else lo <= value))
-              and (hi is None or value <= hi))
+              and (lo is None or (lo <= value if ends[0] == "[" else lo < value))
+              and (hi is None or (value <= hi if ends[1] == "]" else value < hi)))
     if not ok:
         what = _KIND_NAMES[kind]
         if lo is not None and hi is not None:
-            what += f" in {'(' if open_low else '['}{lo}, {hi}]"
+            what += f" in {ends[0]}{lo}, {hi}{ends[1]}"
         elif lo is not None:
-            what += f" {'>' if open_low else '>='} {lo}"
+            what += f" {'>=' if ends[0] == '[' else '>'} {lo}"
         elif hi is not None:
-            what += f" <= {hi}"
+            what += f" {'<=' if ends[1] == ']' else '<'} {hi}"
         try:
             got = repr(value)
         except ValueError:  # an int past sys.get_int_max_str_digits() has no decimal repr

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_value
 from .tensor import Tensor
 
 BCE_CLAMP = 1e-7
@@ -23,8 +23,7 @@ def nt_xent(z: Tensor, tau: float = 0.5) -> Tensor:
     similarity / tau) ranges over the other 2N-1 vectors; the loss is the
     mean anchor cross-entropy with the partner as the positive class.
     """
-    if tau <= 0.0:
-        raise ContractError(f"temperature must be positive, got {tau}")
+    check_value("tau", tau, "number", lo=0, ends="(]")
     if z.data.ndim != 2 or z.shape[0] % 2:
         raise ShapeError(f"nt_xent expects a [2N, d] stack of views, got {z.shape}")
     two_n = z.shape[0]
@@ -75,4 +74,5 @@ def margin_rank(d_pref: Tensor, d_other: Tensor, margin: float = 0.1) -> Tensor:
     """
     if np.any(d_pref.data < 0.0) or np.any(d_other.data < 0.0):
         raise ContractError("distances must be non-negative")
+    check_value("margin", margin, "number")
     return T.relu(T.add(T.sub(d_pref, d_other), Tensor(margin)))

@@ -378,7 +378,7 @@ class PerceptualModel:
         inputs, so the output is nudged back into the open interval.
         """
         if d.data.ndim != 2 or d.shape[1] != 1:
-            raise ShapeError("judge expects distances shaped [batch, 1]")
+            raise ShapeError(f"judge_from_distance needs [batch, 1] distances, got {d.shape}")
         h = T.leaky_relu(T.linear(d, self.params["clf.fc1.w"], self.params["clf.fc1.b"]),
                          LEAKY_SLOPE)
         p = T.sigmoid(T.linear(h, self.params["clf.fc2.w"], self.params["clf.fc2.b"]))
@@ -414,8 +414,7 @@ class PerceptualModel:
         return float(d.data[0])
 
     def judge(self, d: float) -> float:
-        if not np.isfinite(d) or d < 0.0:
-            raise ContractError(f"judge expects a non-negative distance, got {d}")
+        check_value("d", d, "number", lo=0)
         p = self.judge_from_distance(Tensor(np.array([[float(d)]])))
         return float(p.data[0, 0])
 

@@ -1,11 +1,11 @@
 """Deterministic synthesis of acoustic perturbations.
 
-Five families are supported: additive colored noise at a target SNR,
+Six families are supported: additive white or pink noise at a target SNR,
 synthetic-impulse-response reverberation, 8-band peaking equalization,
-mu-law bit-depth compression, and miscellaneous degradations (dropouts and
-pops).  A :class:`PerturbSpec` records the parameters of one acoustic
-condition; applying the same spec to the same input is bit-reproducible,
-which is what makes dataset generation and the pairing rules auditable.
+mu-law bit-depth compression, dropouts and pops.  A :class:`PerturbSpec`
+records the parameters of one acoustic condition; applying the same spec to
+the same input is bit-reproducible, which is what makes dataset generation
+and the pairing rules auditable.
 
 Each family is declared once, in one table: its spec field, the range over
 which its severity runs from 0 to 1, and whether severity falls as the value
@@ -36,6 +36,7 @@ EQ_GAIN_RANGE_DB = (-12.0, 12.0)
 MULAW_BITS_RANGE = (4, 8)
 DROPOUT_RATE_RANGE = (0.0, 0.1)
 POP_RATE_RANGE = (0.0, 10.0)
+NOISE_COLORS = ("white", "pink")
 
 # each family, in canonical order: the PerturbSpec field that holds it (None: absent), the
 # range its severity runs over from 0 to 1 (for eq, of the mean absolute band gain), and
@@ -77,14 +78,15 @@ class PerturbSpec:
         if self.noise_snr_db is not None:
             check_value("noise_snr_db", self.noise_snr_db, "number", *NOISE_SNR_RANGE_DB)
             color = self.noise_color or "white"
-            if color not in ("white", "pink"):
-                raise ContractError(f"unknown noise color {color!r}")
+            if color not in NOISE_COLORS:
+                raise ContractError(f"noise_color must be one of {', '.join(NOISE_COLORS)}, "
+                                    f"got {color!r}")
             object.__setattr__(self, "noise_color", color)
         elif self.noise_color is not None:
             raise ContractError("noise_color given without noise_snr_db")
         if self.reverb_rt60_s is not None:  # any RT60 > 0 up to the sampled range's top
             check_value("reverb_rt60_s", self.reverb_rt60_s, "number", 0.0,
-                        REVERB_RT60_RANGE_S[1], open_low=True)
+                        REVERB_RT60_RANGE_S[1], ends="(]")
         if self.eq_gains_db is not None:
             gains = tuple(self.eq_gains_db)
             if len(gains) != len(_EQ_BANDS_HZ):
@@ -131,6 +133,9 @@ def apply_noise(w: Waveform, snr_db: float, color: str = "white", seed: int = 0)
     The clean signal is untouched: the output is exactly w + noise, with the
     noise RMS set so 20*log10(rms(w)/rms(noise)) == snr_db.
     """
+    check_value("snr_db", snr_db, "number", *NOISE_SNR_RANGE_DB)
+    if color not in NOISE_COLORS:
+        raise ContractError(f"color must be one of {', '.join(NOISE_COLORS)}, got {color!r}")
     signal_rms = rms(w)
     if signal_rms <= 0.0:
         raise ContractError("cannot set an SNR against a silent signal")
@@ -142,7 +147,7 @@ def apply_noise(w: Waveform, snr_db: float, color: str = "white", seed: int = 0)
 
 def reverb_impulse_response(rt60_s: float, sample_rate: int, seed: int = 0) -> np.ndarray:
     """Exponentially decaying noise IR whose envelope hits -60 dB at rt60_s."""
-    check_value("rt60", rt60_s, "number", 0.0, REVERB_RT60_RANGE_S[1], open_low=True)
+    check_value("rt60", rt60_s, "number", 0.0, REVERB_RT60_RANGE_S[1], ends="(]")
     n = int(round(rt60_s * sample_rate)) + 1
     rng = _family_rng(seed, "reverb")
     t = np.arange(n) / sample_rate
@@ -305,7 +310,7 @@ def sample_spec(seed: int, families: Iterable[str] = FAMILIES) -> PerturbSpec:
         else:
             kwargs[field] = float(rng.uniform(lo, hi))
         if fam == "noise":
-            kwargs["noise_color"] = str(rng.choice(["white", "pink"]))
+            kwargs["noise_color"] = str(rng.choice(NOISE_COLORS))
     kwargs["seed"] = int(rng.integers(0, 2 ** 63))
     return PerturbSpec(**kwargs)
 
@@ -331,6 +336,7 @@ def spec_with_severity(families, target: float, rng: np.random.Generator,
     Eq draws a sign for each band, and compression rounds to whole bits.
     """
     pool = _requested(families)
+    check_value("max_families", max_families, "int", lo=1)
     t = float(np.clip(target, 0.0, 1.0))
     n_fam = 1 if len(pool) == 1 or max_families == 1 or rng.random() < 0.5 else 2
     chosen = rng.choice(pool, size=min(n_fam, len(pool)), replace=False)
@@ -339,7 +345,7 @@ def spec_with_severity(families, target: float, rng: np.random.Generator,
         field, (lo, hi), falls = _FAMILY_FIELDS[fam]
         value = hi - t * (hi - lo) if falls else lo + t * (hi - lo)
         if fam == "noise":
-            kwargs["noise_color"] = str(rng.choice(["white", "pink"]))
+            kwargs["noise_color"] = str(rng.choice(NOISE_COLORS))
         elif fam == "eq":
             value = tuple(rng.choice([-1.0, 1.0], size=len(_EQ_BANDS_HZ)) * value)
         kwargs[field] = int(round(value)) if isinstance(lo, int) else value

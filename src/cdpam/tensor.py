@@ -73,7 +73,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
+from .errors import ContractError, DegenerateInputError, NumericError, ShapeError, check_value
 
 _BN_EPS = 1e-5  # BatchNorm variance epsilon; batch_norm1d and fold_batch_norm must agree
 _BN_MOMENTUM = 0.1  # weight of each training batch's statistics in the running ones
@@ -284,11 +284,6 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
                  (lambda g: g * ((x.data >= lo) & (x.data <= hi)),), "clamp")
 
 
-def _check_slope(slope: float | None, op: str) -> None:
-    if slope is not None and not 0.0 <= slope <= 1.0:
-        raise ContractError(f"{op} slope must be in [0, 1], got {slope}")
-
-
 def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
     # max(x, slope*x) equals where(x > 0, x, slope*x) bit for bit when 0 <= slope <= 1
     return np.maximum(x, slope * x, out=out)
@@ -301,7 +296,7 @@ def _unleak(g: np.ndarray, y: np.ndarray, slope: float) -> np.ndarray:
 
 
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    _check_slope(slope, "leaky_relu")
+    check_value("leaky_relu slope", slope, "number", 0, 1)
     y = _leaky(x.data, slope)
     return _make(y, (x,), (lambda g: g,), "leaky_relu", pre=lambda g: _unleak(g, y, slope))
 
@@ -506,7 +501,8 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
         raise ShapeError(f"conv1d length {length} not divisible by stride {stride}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv1d bias must have shape ({cout},)")
-    _check_slope(slope, "conv1d")
+    if slope is not None:
+        check_value("conv1d slope", slope, "number", 0, 1)
 
     out_data = _conv1d_forward(x.data, w.data, stride, None if bias is None else bias.data, slope)
     parents = (x, w) if bias is None else (x, w, bias)
@@ -553,7 +549,8 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     ch = x.shape[1]
     if gamma.shape != (ch,) or beta.shape != (ch,):
         raise ShapeError("batch_norm1d gamma/beta must be per-channel vectors")
-    _check_slope(slope, "batch_norm1d")
+    if slope is not None:
+        check_value("batch_norm1d slope", slope, "number", 0, 1)
 
     mu = x.data.mean(axis=(0, 2))
     var = x.data.var(axis=(0, 2))

@@ -70,8 +70,8 @@ class TrainConfig:
             self.epochs = EPOCH_DEFAULTS[self.stage]
         check_value("epochs", self.epochs, "int", lo=1)
         check_value("batch_size", self.batch_size, "int", lo=1)
-        check_value("lr", self.lr, "number", lo=0, open_low=True)
-        check_value("tau", self.tau, "number", lo=0, open_low=True)
+        check_value("lr", self.lr, "number", lo=0, ends="(]")
+        check_value("tau", self.tau, "number", lo=0, ends="(]")
         check_value("margin", self.margin, "number")
         check_value("seed", self.seed, "int", lo=0)
         check_value("augment", self.augment, "bool")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import struct
@@ -13,10 +14,13 @@ import numpy as np
 import pytest
 
 import cdpam
+from cdpam import datagen
 from cdpam.audio import Waveform, read_wav, write_wav
-from cdpam.cli import DEFAULT_RUN_CONFIG, _configure_threads, main, resolve_config
+from cdpam.cli import DEFAULT_RUN_CONFIG, TRAINING_STAGES, _configure_threads, main, resolve_config
+from cdpam.errors import ContractError
 from cdpam.model import PerceptualModel, tiny_config
 from cdpam.perturb import DEFAULT_FAMILIES
+from cdpam.trainer import TrainConfig
 
 
 def tiny_run_config(tmp_path, out_name="run", **data_overrides):
@@ -474,19 +478,21 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("key,value,named", [
         ("n_jnd_pairs", 0, "config key 'data.n_jnd_pairs' must be an integer >= 1, got 0"),
         ("n_triplets", 0, "config key 'data.n_triplets' must be an integer >= 1, got 0"),
-        ("jnd_threshold", 1.5, "config key 'data.jnd_threshold' must be below 1, got 1.5"),
+        ("jnd_threshold", 1.5,
+         "config key 'data.jnd_threshold' must be a finite number in (0, 1), got 1.5"),
         ("eval.mono_levels", 2,
          "config key 'data.eval.mono_levels' must be an integer >= 3, got 2"),
         ("eval.retrieval_group_size", 64,
          "config key 'data.eval.retrieval_group_size' must be at most "
          "'data.n_eval_utterances' = 10, got 64"),
-        ("eval.triplet_gap", 1.0, "config key 'data.eval.triplet_gap' must be below 1, got 1.0"),
+        ("eval.triplet_gap", 1.0,
+         "config key 'data.eval.triplet_gap' must be a finite number in [0, 1), got 1.0"),
         ("eval.mono_contents", 1,
          "config key 'data.eval.mono_contents' must be an integer >= 2, got 1"),
         ("jnd_threshold", 0.0,
-         "config key 'data.jnd_threshold' must be a finite number > 0, got 0.0"),
+         "config key 'data.jnd_threshold' must be a finite number in (0, 1), got 0.0"),
         ("eval.triplet_gap", -0.1,
-         "config key 'data.eval.triplet_gap' must be a finite number >= 0, got -0.1"),
+         "config key 'data.eval.triplet_gap' must be a finite number in [0, 1), got -0.1"),
     ], ids=["n_jnd_pairs", "n_triplets", "jnd_threshold", "mono_levels", "retrieval_group_size",
             "triplet_gap", "mono_contents", "jnd_threshold_zero", "triplet_gap_negative"])
     def test_synth_data_rejects_before_writing(self, tmp_path, capsys, key, value, named):
@@ -510,8 +516,8 @@ class TestConfigBoundary:
                                str(config_path)], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
-        assert (proc.stderr
-                == f"error: config key 'data.eval.triplet_gap' must be below 1, got {gap}\n")
+        assert proc.stderr == (f"error: config key 'data.eval.triplet_gap' must be a finite "
+                               f"number in [0, 1), got {gap}\n")
 
     def test_leaf_types_accepted(self, tmp_path):
         path = tmp_path / "types.json"
@@ -529,6 +535,71 @@ class TestConfigBoundary:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"model": model}))
         assert resolve_config(str(path))["model"] == model
+
+
+# each config key whose rule the library function that consumes it also checks: the
+# parameter it becomes, a call that passes the value in its place, and the rule's bounds
+LIBRARY_RULES = {
+    **{f"train.epochs.{stage}": ("epochs", lambda c, v, stage=stage: TrainConfig(stage, v), 1)
+       for stage in TRAINING_STAGES},
+    "train.batch_size": ("batch_size", lambda c, v: TrainConfig(batch_size=v), 1),
+    **{f"train.lr.{stage}": ("lr", lambda c, v, stage=stage: TrainConfig(stage, lr=v), 0.0)
+       for stage in TRAINING_STAGES},
+    "train.tau": ("tau", lambda c, v: TrainConfig(tau=v), 0.0),
+    "data.n_jnd_pairs": ("n_pairs", lambda c, v: datagen.oracle_jnd(c, v), 1),
+    "data.jnd_threshold": ("threshold", lambda c, v: datagen.oracle_jnd(c, 1, threshold=v),
+                           0.0, 1.0),
+    "data.jnd_sigma": ("noise_sigma", lambda c, v: datagen.oracle_jnd(c, 1, noise_sigma=v), 0.0),
+    "data.n_triplets": ("n", lambda c, v: datagen.oracle_triplets(c, v), 1),
+    "data.eval.n_triplets": ("n", lambda c, v: datagen.oracle_triplets(c, v), 1),
+    "data.eval.triplet_gap": ("min_magnitude_gap",
+                              lambda c, v: datagen.oracle_triplets(c, 1, min_magnitude_gap=v),
+                              0.0, 1.0),
+    "data.eval.mono_levels": ("n_levels", lambda c, v: datagen.build_mono_series(c, n_levels=v),
+                              3),
+    "data.eval.mono_contents": ("n_contents",
+                                lambda c, v: datagen.build_mono_series(c, n_contents=v), 2),
+}
+
+
+def _around(bound) -> tuple:
+    """The bound and its nearest neighbours of the same type."""
+    if isinstance(bound, int):
+        return bound - 1, bound, bound + 1
+    return math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)
+
+
+class TestLibraryRulesMatch:
+    """cli states some library rules again, to reject a config before any command writes a
+    file and to name the dotted key; the two copies must agree at every bound."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return datagen.synth_corpus(4, 2, sample_rate=4000, clip_samples=400)
+
+    @pytest.mark.parametrize("key", LIBRARY_RULES)
+    def test_cli_and_library_agree_at_each_bound(self, tmp_path, monkeypatch, corpus, key):
+        # a triplet gap just below 1 is valid but unreachable: one draw, then CapacityError
+        monkeypatch.setattr(datagen, "MAX_TRIPLET_DRAWS", 1)
+        name, call, *bounds = LIBRARY_RULES[key]
+        path = tmp_path / "config.json"
+        for value in [v for bound in bounds for v in _around(bound)]:
+            override = value
+            for part in reversed(key.split(".")):
+                override = {part: override}
+            path.write_text(json.dumps(override))
+            try:
+                resolve_config(str(path))
+                cli_accepts = True
+            except ContractError as err:
+                assert str(err).startswith(f"config key {key!r} must be "), err
+                cli_accepts = False
+            try:
+                call(corpus, value)
+                library_accepts = True
+            except ContractError as err:  # CapacityError too: the value passed its check
+                library_accepts = not str(err).startswith(f"{name} must be ")
+            assert cli_accepts == library_accepts, (key, value)
 
 
 class TestEmptyRecordSets:

@@ -107,6 +107,18 @@ class TestNoise:
         high = spectrum[-200:].mean()
         assert low > 10 * high
 
+    @pytest.mark.parametrize("color", ["blue", "Pink"])
+    def test_unknown_color_rejected(self, tone, color):
+        with pytest.raises(ContractError) as err:
+            apply_noise(tone, 10.0, color, seed=1)
+        assert str(err.value) == f"color must be one of white, pink, got {color!r}"
+        with pytest.raises(ContractError, match="^noise_color must be one of white, pink"):
+            PerturbSpec(noise_snr_db=10.0, noise_color=color)
+
+    def test_spec_and_function_share_the_colors(self):
+        sampled = {sample_spec(seed, ["noise"]).noise_color for seed in range(20)}
+        assert sampled == set(perturb.NOISE_COLORS)
+
 
 class TestReverb:
     def test_envelope_hits_minus_60db_at_rt60(self):

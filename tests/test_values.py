@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdpam
+from cdpam import tensor as T
+from cdpam.audio import Waveform, apply_gain_db, fix_length, resample
+from cdpam.datagen import build_mono_series, oracle_jnd, oracle_triplets, synth_corpus
 from cdpam.errors import ContractError, check_value
+from cdpam.losses import margin_rank, nt_xent
+from cdpam.model import PerceptualModel, tiny_config
+from cdpam.perturb import apply_noise, spec_with_severity
+from cdpam.tensor import Tensor
 
 KINDS = ("bool", "int", "number", "str")
 # the values around the float limit, where an int stops being a finite number
@@ -22,13 +29,14 @@ HUGE_INTS = [10 ** 4300, 10 ** 5000, -10 ** 5000]
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 16000, 2 ** 16000),
                          st.floats(), st.text(max_size=8),
                          st.sampled_from(FLOAT_EDGES + HUGE_INTS))
-# (lo, hi, open_low), as the package's callers pass them
-BOUNDS = st.sampled_from([(None, None, False), (0, None, False), (1, None, False),
-                          (0, None, True), (0.0, 40.0, False), (4, 8, False),
-                          (0.0, 2.0, True), (None, 12.0, False)])
+# (lo, hi, ends), as the package's callers pass them, and each open upper end
+BOUNDS = st.sampled_from([(None, None, "[]"), (0, None, "[]"), (1, None, "[]"),
+                          (0, None, "(]"), (0.0, 40.0, "[]"), (4, 8, "[]"),
+                          (0.0, 2.0, "(]"), (None, 12.0, "[]"), (0, 1, "()"), (0, 1, "[)"),
+                          (None, 1, "[)"), (-1.5, 0.5, "()")])
 
 
-def reference(value, kind, lo, hi, open_low) -> bool:
+def reference(value, kind, lo, hi, ends) -> bool:
     """The rules of check_value, spelled out for the JSON scalar types."""
     if kind in ("bool", "str"):
         return type(value) is {"bool": bool, "str": str}[kind]
@@ -36,20 +44,21 @@ def reference(value, kind, lo, hi, open_low) -> bool:
         return False
     if isinstance(value, float) and math.isnan(value) or abs(value) > sys.float_info.max:
         return False
-    above_lo = lo is None or (value > lo if open_low else value >= lo)
-    return above_lo and (hi is None or value <= hi)
+    above_lo = lo is None or (value > lo if ends[0] == "(" else value >= lo)
+    below_hi = hi is None or (value < hi if ends[1] == ")" else value <= hi)
+    return above_lo and below_hi
 
 
 class TestRules:
     @settings(max_examples=500, deadline=None)
     @given(value=JSON_SCALARS, kind=st.sampled_from(KINDS), bounds=BOUNDS)
     def test_accepts_exactly_what_the_rules_allow(self, value, kind, bounds):
-        lo, hi, open_low = bounds
-        if reference(value, kind, lo, hi, open_low):
-            assert check_value("key", value, kind, lo, hi, open_low) is value
+        lo, hi, ends = bounds
+        if reference(value, kind, lo, hi, ends):
+            assert check_value("key", value, kind, lo, hi, ends) is value
         else:  # a TypeError or an OverflowError escapes pytest.raises and fails the test
             with pytest.raises(ContractError) as err:
-                check_value("key", value, kind, lo, hi, open_low)
+                check_value("key", value, kind, lo, hi, ends)
             assert str(err.value).startswith("key must be ")
             try:
                 shown = repr(value)
@@ -60,18 +69,22 @@ class TestRules:
     @pytest.mark.parametrize("args,message", [
         (("seed", -1, "int", 0), "seed must be an integer >= 0, got -1"),
         (("k", True, "int", 1), "k must be an integer >= 1, got True"),
-        (("lr", 0.0, "number", 0, None, True), "lr must be a finite number > 0, got 0.0"),
-        (("rt60", 2.5, "number", 0.0, 2.0, True),
+        (("lr", 0.0, "number", 0, None, "(]"), "lr must be a finite number > 0, got 0.0"),
+        (("rt60", 2.5, "number", 0.0, 2.0, "(]"),
          "rt60 must be a finite number in (0.0, 2.0], got 2.5"),
+        (("threshold", 1.0, "number", 0, 1, "()"),
+         "threshold must be a finite number in (0, 1), got 1.0"),
+        (("gap", 1.0, "number", 0, 1, "[)"), "gap must be a finite number in [0, 1), got 1.0"),
+        (("gap", 1, "number", None, 1, "[)"), "gap must be a finite number < 1, got 1"),
         (("bits", 9, "int", 4, 8), "bits must be an integer in [4, 8], got 9"),
         (("gain", 13.0, "number", None, 12.0), "gain must be a finite number <= 12.0, got 13.0"),
         (("rating", 10 ** 400, "number"), f"rating must be a finite number, got {10 ** 400}"),
-        (("lr", 10 ** 5000, "number", 0, None, True),
+        (("lr", 10 ** 5000, "number", 0, None, "(]"),
          "lr must be a finite number > 0, got an integer of 16610 bits"),
         (("augment", 1, "bool"), "augment must be true or false, got 1"),
         (("out", None, "str"), "out must be a string, got None"),
-    ], ids=["below-lo", "bool-int", "open-lo", "above-hi", "int-range", "hi-only", "huge-int",
-            "undecimal-int", "int-bool", "none-str"])
+    ], ids=["below-lo", "bool-int", "open-lo", "above-hi", "open-both", "open-hi", "open-hi-only",
+            "int-range", "hi-only", "huge-int", "undecimal-int", "int-bool", "none-str"])
     def test_message_names_the_key_the_rule_and_the_value(self, args, message):
         with pytest.raises(ContractError) as err:
             check_value(*args)
@@ -92,3 +105,69 @@ class TestRules:
                 for spelling in ("numbers.", "math.isfinite", "sys.float_info"):
                     assert spelling not in text, f"{path.name} spells out {spelling}"
 
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    rng = np.random.default_rng(29)
+    return {"wave": Waveform(rng.uniform(-0.5, 0.5, 400), 4000),
+            "corpus": synth_corpus(4, 2, sample_rate=4000, clip_samples=400),
+            "model": PerceptualModel.initialize(tiny_config(), seed=3),
+            "z": Tensor(rng.normal(size=(4, 3))), "d": Tensor(np.ones(2)),
+            "x": Tensor(rng.normal(size=(2, 3, 8))), "w": Tensor(rng.normal(size=(4, 3, 3)))}
+
+
+def _below(bound):
+    return math.nextafter(bound, -math.inf)
+
+
+def _above(bound):
+    return math.nextafter(bound, math.inf)
+
+
+# each scalar argument of a public function: the name its message starts with, a call
+# that passes the value in its place, and the nearest value past its bound (an infinity
+# where the bound is the float range)
+PUBLIC_ARGUMENTS = {
+    "fix_length": ("n", lambda e, v: fix_length(e["wave"], v), 0),
+    "apply_gain_db": ("gain_db", lambda e, v: apply_gain_db(e["wave"], v), math.inf),
+    "resample": ("target_rate", lambda e, v: resample(e["wave"], v), 0),
+    "synth_corpus.n": ("n", lambda e, v: synth_corpus(v, 1, clip_samples=400), 0),
+    "synth_corpus.n_speakers": ("n_speakers", lambda e, v: synth_corpus(1, v, clip_samples=400),
+                                0),
+    "oracle_jnd.n_pairs": ("n_pairs", lambda e, v: oracle_jnd(e["corpus"], v), 0),
+    "oracle_jnd.threshold": ("threshold", lambda e, v: oracle_jnd(e["corpus"], 2, threshold=v),
+                             1.0),
+    "oracle_jnd.noise_sigma": ("noise_sigma",
+                               lambda e, v: oracle_jnd(e["corpus"], 2, noise_sigma=v), _below(0.0)),
+    "oracle_triplets.n": ("n", lambda e, v: oracle_triplets(e["corpus"], v), 0),
+    "oracle_triplets.min_magnitude_gap": (
+        "min_magnitude_gap", lambda e, v: oracle_triplets(e["corpus"], 2, min_magnitude_gap=v),
+        1.0),
+    "build_mono_series.n_levels": ("n_levels",
+                                   lambda e, v: build_mono_series(e["corpus"], n_levels=v), 2),
+    "build_mono_series.n_contents": (
+        "n_contents", lambda e, v: build_mono_series(e["corpus"], n_contents=v), 1),
+    "nt_xent": ("tau", lambda e, v: nt_xent(e["z"], v), 0.0),
+    "margin_rank": ("margin", lambda e, v: margin_rank(e["d"], e["d"], v), math.inf),
+    "judge": ("d", lambda e, v: e["model"].judge(v), _below(0.0)),
+    "leaky_relu": ("leaky_relu slope", lambda e, v: T.leaky_relu(e["x"], v), _above(1.0)),
+    "conv1d": ("conv1d slope", lambda e, v: T.conv1d(e["x"], e["w"], slope=v), _below(0.0)),
+    "batch_norm1d": ("batch_norm1d slope", lambda e, v: T.batch_norm1d(
+        e["x"], Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3), True,
+        slope=v), _above(1.0)),
+    "spec_with_severity": ("max_families", lambda e, v: spec_with_severity(
+        ("noise", "reverb"), 0.5, np.random.default_rng(0), max_families=v), 0),
+    "apply_noise": ("snr_db", lambda e, v: apply_noise(e["wave"], v), _above(40.0)),
+}
+
+
+class TestPublicFunctions:
+    @pytest.mark.parametrize("bad", ["bool", "str", "nan", "past"])
+    @pytest.mark.parametrize("function", PUBLIC_ARGUMENTS)
+    def test_bad_scalar_is_a_contract_error_naming_the_parameter(self, inputs, function, bad):
+        where, call, past = PUBLIC_ARGUMENTS[function]
+        value = {"bool": True, "str": "3", "nan": math.nan, "past": past}[bad]
+        with pytest.raises(ContractError) as err:  # a TypeError escapes and fails the test
+            call(inputs, value)
+        assert str(err.value).startswith(f"{where} must be ")
