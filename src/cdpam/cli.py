@@ -102,6 +102,8 @@ _LEAF_KINDS = {bool: "bool", int: "int", float: "number", str: "str"}
 # are the least that every eval metric can score
 _LEAF_BOUNDS = {
     "seed": {"lo": 0},
+    "data.n_utterances": {"lo": 1}, "data.n_eval_utterances": {"lo": 1},
+    "data.n_speakers": {"lo": 1},
     "data.n_jnd_pairs": {"lo": 1}, "data.n_triplets": {"lo": 1},
     "data.jnd_threshold": {"lo": 0, "hi": 1, "ends": "()"}, "data.jnd_sigma": {"lo": 0},
     "data.eval.n_triplets": {"lo": 1}, "data.eval.triplet_gap": {"lo": 0, "hi": 1, "ends": "[)"},
@@ -308,18 +310,19 @@ def _run_stage(cfg: dict, stage: str, progress: bool) -> dict:
     command, checkpoint_name, records_name = TRAINING_STAGES[stage]
     config = _train_config(cfg, stage)
     out = cfg["out"]
-    corpus = _read_corpus(out, "corpus")
     callback = (lambda row: print(f"[{stage}] epoch {row['epoch']}: loss {row['loss']:.5f}",
                                   flush=True)) if progress else None
     if records_name is None:
-        model, rows = trainer.pretrain_contrastive(corpus, config, _model_config(cfg),
-                                                   progress=callback)
+        # a temporary, held by no name here, so pretraining can free it once its batches exist
+        model, rows = trainer.pretrain_contrastive(_read_corpus(out, "corpus"), config,
+                                                   _model_config(cfg), progress=callback)
     else:
         records = read_jsonl(os.path.join(out, records_name), JudgmentRecord)
         previous = list(TRAINING_STAGES)[list(TRAINING_STAGES).index(stage) - 1]
         model = load_checkpoint(os.path.join(out, TRAINING_STAGES[previous][1]))
         train = trainer.train_jnd if stage == "jnd" else trainer.finetune_triplet
-        model, rows = train(model, corpus, records, config, progress=callback)
+        model, rows = train(model, _read_corpus(out, "corpus"), records, config,
+                            progress=callback)
     checkpoint = os.path.join(out, checkpoint_name)
     log = os.path.join(out, f"{stage}_log.csv")
     save_checkpoint(model, checkpoint)

@@ -399,6 +399,7 @@ def build_mono_series(corpus, families=DEFAULT_FAMILIES, n_levels: int = 6,
 def build_common_area_sets(corpus, n_pairs: int = 150, seed: int = 0,
                            families=DEFAULT_FAMILIES) -> list:
     """Two groups of cross-content pairs: shared perturbation record vs independent ones."""
+    check_value("n_pairs", n_pairs, "int", lo=1)
     if len(corpus) < 2:
         raise CapacityError("common-area pairs need at least 2 utterances")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
@@ -417,6 +418,8 @@ def build_common_area_sets(corpus, n_pairs: int = 150, seed: int = 0,
 def build_retrieval_set(corpus, n_groups: int = 10, group_size: int = 20, seed: int = 0,
                         families=DEFAULT_FAMILIES) -> list:
     """n_groups perturbation records, each applied to group_size different utterances."""
+    check_value("n_groups", n_groups, "int", lo=2)
+    check_value("group_size", group_size, "int", lo=2)
     if len(corpus) < group_size:
         raise CapacityError("retrieval groups need group_size distinct utterances")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(8,)))
@@ -432,6 +435,8 @@ def build_retrieval_set(corpus, n_groups: int = 10, group_size: int = 20, seed: 
 def build_mos_set(corpus, n_conditions: int = 10, clips_per_cell: int = 3, seed: int = 0,
                   families=DEFAULT_FAMILIES) -> list:
     """Synthetic MOS table: rating = 5 - 4*magnitude + noise, clipped to [1, 5]."""
+    check_value("n_conditions", n_conditions, "int", lo=2)
+    check_value("clips_per_cell", clips_per_cell, "int", lo=1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
     speakers = sorted({utt.speaker_id for utt in corpus})
     by_speaker = {s: [u for u in corpus if u.speaker_id == s] for s in speakers}

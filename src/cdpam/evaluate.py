@@ -20,6 +20,7 @@ import numpy as np
 from .audio import replacing, write_json
 from .datagen import corpus_by_id
 from .errors import ContractError, DataError, DegenerateInputError, check_value
+from .model import EMBED_BATCH
 from .perturb import apply
 
 DEFAULT_BINS = 50
@@ -149,21 +150,23 @@ def precision_at_k(embeddings, labels, k: int) -> float:
 def clip_embedder(model, corpus):
     """``model.embed_waves`` over eval clips named by their ``(utt_id, spec)`` key.
 
-    ``spec=None`` names the clean clip.  Rows are cached by key, so the cache
-    holds keys and embedding rows, never samples.  Each call renders only the
-    keys it has not seen before, as ``apply(spec, clean)``, and embeds them in
-    one batch; embeddings do not depend on batch composition.  A key whose
-    utterance the corpus lacks raises DataError naming it.
+    ``spec=None`` names the clean clip.  Rows are cached by key, so the
+    cache holds keys and embedding rows, never samples.  Each call renders
+    only the keys it has not seen before, as ``apply(spec, clean)``, and
+    embeds them one EMBED_BATCH slice at a time, so at most one slice of
+    rendered clips is alive; embeddings do not depend on batch composition.
+    A key whose utterance the corpus lacks raises DataError naming it.
     """
     by_id = corpus_by_id(corpus)
     rows: dict = {}
 
     def embed(keys) -> np.ndarray:
         fresh = list(dict.fromkeys(key for key in keys if key not in rows))
-        if fresh:
+        for start in range(0, len(fresh), EMBED_BATCH):
+            chunk = fresh[start:start + EMBED_BATCH]
             waves = [by_id[utt].clean if spec is None else apply(spec, by_id[utt].clean)
-                     for utt, spec in fresh]
-            rows.update(zip(fresh, model.embed_waves(waves)))
+                     for utt, spec in chunk]
+            rows.update(zip(chunk, model.embed_waves(waves)))
         return np.array([rows[key] for key in keys]).reshape(len(keys),
                                                              model.config.encoder.acoustic_dim)
 

@@ -284,7 +284,10 @@ class PerceptualModel:
         statistics with the leaky ReLU as its epilogue.  Once the next conv
         has read a layer's output it is released, and backward rebuilds it
         from the conv output, so each layer's graph keeps one full-size
-        array; the last layer's output feeds the pool and stays.  Inference
+        array; the last layer's output feeds the pool and stays.  Layer 1
+        keeps none: its conv output is released once its batch norm has read
+        it, and backward rebuilds it from ``x`` inside layer 2's weight
+        gradient, just before it rebuilds layer 1's output.  Inference
         runs each layer as one ``T.conv1d`` with the leaky ReLU as its
         epilogue, on the layer's BatchNorm folded into its conv
         (``T.fold_batch_norm``); the folded weights are constants, so
@@ -315,9 +318,11 @@ class PerceptualModel:
             stride = 2 if layer in enc.stride2_layers else 1
             if train:
                 w, *bn = self._layer_tensors(layer)
-                h, consumed = T.conv1d(h, w, stride=stride), h
-                T.release(consumed)  # the previous layer's output; backward rebuilds it
-                h = T.batch_norm1d(h, *bn, train=True, slope=LEAKY_SLOPE)
+                conv = T.conv1d(h, w, stride=stride)
+                T.release(h)  # the previous layer's output; backward rebuilds it
+                h = T.batch_norm1d(conv, *bn, train=True, slope=LEAKY_SLOPE)
+                if layer == 1:  # rebuilt from x, which the graph keeps; a deeper rebuild
+                    T.release(conv)  # would first rebuild the released layer below it
             else:
                 h = T.conv1d(h, *folds[layer - 1], stride=stride, slope=LEAKY_SLOPE)
         pooled = T.global_avg_pool(h)

@@ -13,7 +13,7 @@ runs these closures in reverse topological order, so fan-out sums naturally.
 after a node's closure has run, the node drops its gradient, closure and
 parent edges, so each activation and interior gradient is freed once nothing
 upstream needs it, and only the leaves keep a ``.grad``.  A training step
-therefore holds one graph at a time, and an encoder layer keeps one
+therefore holds one graph at a time, and an encoder layer keeps at most one
 full-size array of it for backward, its conv output (see the epilogues
 below).  Each graph gets one backward: a second one through a released node
 raises :class:`ContractError` instead of leaving the leaves without gradients.
@@ -59,8 +59,13 @@ output's gradient, before the VJPs.  batch_norm1d's output also carries a
 rebuild function, the forward's own expression, so the encoder calls
 :func:`release` on it once the next conv has read it, and the first backward
 VJP that reads it, the next conv's weight gradient, recomputes it bit for bit
-(recomputation for memory, Chen et al. 2016): a layer's graph keeps only the
-conv output.
+(recomputation for memory, Chen et al. 2016).  A conv1d output that requires
+a gradient carries one too, the forward re-run on its input, which its VJPs
+hold already; an inference output carries none, because a rebuild would
+keep its input alive.  batch_norm1d reads its input through :func:`_value`,
+so the encoder releases layer 1's conv output, rebuilt from the waveform,
+once that layer's BatchNorm has read it: layer 1's graph keeps no full-size
+array, and each deeper layer keeps its conv output.
 
 :func:`adam_step` updates the parameter tensors in place and keeps its step
 count and moments per parameter name, so a parameter that a loss did not
@@ -486,6 +491,10 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     Requires an odd kernel, stride 1 or 2, and a length divisible by the
     stride; output length is len/stride.  With ``slope`` the output passes
     through ``leaky_relu(., slope)`` in the same pass, bit for bit.
+
+    An output that requires a gradient may be dropped with :func:`release`:
+    its rebuild runs the forward again on x, w and bias, so they must not
+    change before backward.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError("conv1d expects x[batch, ch, len] and w[out, ch, k]")
@@ -504,13 +513,20 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     if slope is not None:
         check_value("conv1d slope", slope, "number", 0, 1)
 
-    out_data = _conv1d_forward(x.data, w.data, stride, None if bias is None else bias.data, slope)
+    def output():  # the forward, and the rebuild of an output that release() dropped
+        return _conv1d_forward(_value(x), w.data, stride, None if bias is None else bias.data,
+                               slope)
+
     parents = (x, w) if bias is None else (x, w, bias)
     vjps = (lambda g: _conv1d_dx(g, w.data, stride, length),
             lambda g: _conv1d_dw(g, _value(x), w.shape, stride),  # rebuilds a released x
             lambda g: g.sum(axis=(0, 2)))
-    return _make(out_data, parents, vjps[:len(parents)], "conv1d",
-                 pre=None if slope is None else lambda g: _unleak(g, out_data, slope))
+    # `pre` reads the output through `out`, a cycle that backward breaks when it drops it
+    out = _make(output(), parents, vjps[:len(parents)], "conv1d",
+                pre=None if slope is None else lambda g: _unleak(g, _value(out), slope))
+    if out.requires_grad:  # the VJPs hold x and w already; here the rebuild keeps nothing alive
+        out._rebuild = output
+    return out
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -536,10 +552,11 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     The output may be dropped with :func:`release`: its rebuild runs the
     forward's expression again on x, the batch statistics, gamma and beta, so
-    gamma and beta must not change before backward.  The graph then keeps x
-    and per-channel vectors.  Backward scales the output's gradient in place
-    through one full-size factor, freed before the VJPs run, which then build
-    at most two more full-size temporaries.
+    gamma and beta must not change before backward.  The graph then keeps
+    per-channel vectors and x, which may itself be released (a conv output
+    is), since every read of x goes through its rebuild.  Backward scales the
+    output's gradient in place through one full-size factor, freed before the
+    VJPs run, which then build at most two more full-size temporaries.
     """
     if not train:
         raise ContractError("batch_norm1d normalizes on batch statistics only; inference "
@@ -561,7 +578,7 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
 
     def centered():
-        return x.data - mu[None, :, None]
+        return _value(x) - mu[None, :, None]
 
     def normalized():  # x-hat; gamma's VJP rebuilds it, so the graph keeps no x-hat
         xhat = centered()
@@ -588,7 +605,7 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         c *= dxhat
         dvar = c.sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
         dmu = -dxhat.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * c_sum
-        np.subtract(x.data, mu[None, :, None], out=c)
+        np.subtract(_value(x), mu[None, :, None], out=c)
         dxhat *= inv_std[None, :, None]
         c *= dvar[None, :, None] * 2.0
         c /= n

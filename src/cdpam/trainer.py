@@ -8,8 +8,9 @@ steps, and counts steps, only on the batches of its own mode.
 
 Stage b (jnd): the loss network and judgment classifier are fit with binary
 cross-entropy against oracle same/different labels.  The encoder is frozen,
-so each epoch encodes the (augmented) clips once in inference mode and the
-cheap loss-network optimization runs over cached embeddings.
+so each epoch encodes the (augmented) clips once in inference mode, one
+EMBED_BATCH slice at a time, and the cheap loss-network optimization runs
+over those embeddings.
 
 Stage c (finetune): margin ranking on triplet comparisons, loss network
 only, encoder still frozen.
@@ -35,7 +36,7 @@ from . import losses, tensor as T
 from .audio import Waveform, apply_gain_db, replacing
 from .datagen import corpus_by_id, make_contrastive_batch
 from .errors import ContractError, DataError, NumericError, TrainingError, check_value
-from .model import ModelConfig, PerceptualModel
+from .model import EMBED_BATCH, ModelConfig, PerceptualModel
 from .perturb import DEFAULT_FAMILIES, apply
 from .tensor import Tensor, adam_step
 
@@ -161,7 +162,9 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
 
     Returns (model tagged "pretrained", per-epoch loss rows).  Acoustic and
     content batches alternate, one of each per 4 * batch_size clips (at least
-    one) per epoch.  NaN losses abort with the epoch index.
+    one) per epoch.  NaN losses abort with the epoch index.  The batch set
+    is built before the first epoch, and the corpus is dropped then: a
+    caller that holds no other reference to it frees it for training.
     """
     _check_entry(config, "pretrain")
     model = PerceptualModel.initialize(model_config, seed=config.seed)
@@ -173,6 +176,7 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
                                              seed=int(seeder.integers(0, 2 ** 63)),
                                              families=config.families))
                for mode in ["acoustic", "content"] * per_mode]
+    del corpus
 
     def epoch_losses(rng):
         for mode, waves in batches:
@@ -207,9 +211,10 @@ def _frozen_encoder_epochs(model: PerceptualModel, corpus, records, config: Trai
                            progress) -> tuple:
     """Fit the trainable parameters on frozen-encoder embeddings of the `kind` records' clips.
 
-    Each epoch permutes the items, augments each clip column (reference first)
-    with the epoch generator, embeds each column once in inference mode, and
-    yields `batch_loss(embs, targets)` per minibatch.
+    Each epoch permutes the items, then augments each clip column (reference
+    first) with the epoch generator and embeds it in inference mode, one
+    EMBED_BATCH slice at a time, so at most one slice of augmented clips is
+    alive; then it yields `batch_loss(embs, targets)` per minibatch.
     """
     items = _clip_items(corpus, records, kind, positive)
     if not items:
@@ -217,10 +222,14 @@ def _frozen_encoder_epochs(model: PerceptualModel, corpus, records, config: Trai
     columns = list(zip(*(clips for clips, _ in items)))
     targets = np.array([target for _, target in items])
 
+    def embed(clips, rng) -> np.ndarray:
+        return np.concatenate([
+            model.embed_waves(_maybe_augment(clips[start:start + EMBED_BATCH], rng, config.augment))
+            for start in range(0, len(clips), EMBED_BATCH)])
+
     def epoch_losses(rng):
         order = rng.permutation(len(items))
-        embs = [model.embed_waves(_maybe_augment([column[i] for i in order], rng, config.augment))
-                for column in columns]
+        embs = [embed([column[i] for i in order], rng) for column in columns]
         for start in range(0, len(items), config.batch_size):
             batch = slice(start, start + config.batch_size)
             yield batch_loss([Tensor(e[batch]) for e in embs], targets[order[batch]])

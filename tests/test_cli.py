@@ -16,7 +16,8 @@ import pytest
 import cdpam
 from cdpam import datagen
 from cdpam.audio import Waveform, read_wav, write_wav
-from cdpam.cli import DEFAULT_RUN_CONFIG, TRAINING_STAGES, _configure_threads, main, resolve_config
+from cdpam.cli import (DEFAULT_RUN_CONFIG, TRAINING_STAGES, _check_config, _configure_threads, main,
+                       resolve_config)
 from cdpam.errors import ContractError
 from cdpam.model import PerceptualModel, tiny_config
 from cdpam.perturb import DEFAULT_FAMILIES
@@ -546,6 +547,11 @@ LIBRARY_RULES = {
     **{f"train.lr.{stage}": ("lr", lambda c, v, stage=stage: TrainConfig(stage, lr=v), 0.0)
        for stage in TRAINING_STAGES},
     "train.tau": ("tau", lambda c, v: TrainConfig(tau=v), 0.0),
+    "data.n_utterances": ("n", lambda c, v: datagen.synth_corpus(v, 1, clip_samples=400), 1),
+    "data.n_eval_utterances": ("n", lambda c, v: datagen.synth_corpus(v, 1, clip_samples=400),
+                               1),
+    "data.n_speakers": ("n_speakers", lambda c, v: datagen.synth_corpus(1, v, clip_samples=400),
+                        1),
     "data.n_jnd_pairs": ("n_pairs", lambda c, v: datagen.oracle_jnd(c, v), 1),
     "data.jnd_threshold": ("threshold", lambda c, v: datagen.oracle_jnd(c, 1, threshold=v),
                            0.0, 1.0),
@@ -559,6 +565,16 @@ LIBRARY_RULES = {
                               3),
     "data.eval.mono_contents": ("n_contents",
                                 lambda c, v: datagen.build_mono_series(c, n_contents=v), 2),
+    "data.eval.common_area_pairs": ("n_pairs",
+                                    lambda c, v: datagen.build_common_area_sets(c, v), 1),
+    "data.eval.retrieval_groups": (
+        "n_groups", lambda c, v: datagen.build_retrieval_set(c, n_groups=v, group_size=2), 2),
+    "data.eval.retrieval_group_size": (
+        "group_size", lambda c, v: datagen.build_retrieval_set(c, n_groups=2, group_size=v), 2),
+    "data.eval.mos_conditions": ("n_conditions",
+                                 lambda c, v: datagen.build_mos_set(c, n_conditions=v), 2),
+    "data.eval.mos_clips_per_cell": (
+        "clips_per_cell", lambda c, v: datagen.build_mos_set(c, clips_per_cell=v), 1),
 }
 
 
@@ -571,25 +587,25 @@ def _around(bound) -> tuple:
 
 class TestLibraryRulesMatch:
     """cli states some library rules again, to reject a config before any command writes a
-    file and to name the dotted key; the two copies must agree at every bound."""
+    file and to name the dotted key; the two copies must agree at every bound.  The copies
+    are the leaf rules of _check_config: resolve_config's rules across keys, such as
+    retrieval_group_size <= n_eval_utterances, are no library rule's copy."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
         return datagen.synth_corpus(4, 2, sample_rate=4000, clip_samples=400)
 
     @pytest.mark.parametrize("key", LIBRARY_RULES)
-    def test_cli_and_library_agree_at_each_bound(self, tmp_path, monkeypatch, corpus, key):
+    def test_cli_and_library_agree_at_each_bound(self, monkeypatch, corpus, key):
         # a triplet gap just below 1 is valid but unreachable: one draw, then CapacityError
         monkeypatch.setattr(datagen, "MAX_TRIPLET_DRAWS", 1)
         name, call, *bounds = LIBRARY_RULES[key]
-        path = tmp_path / "config.json"
         for value in [v for bound in bounds for v in _around(bound)]:
             override = value
             for part in reversed(key.split(".")):
                 override = {part: override}
-            path.write_text(json.dumps(override))
             try:
-                resolve_config(str(path))
+                _check_config(override, DEFAULT_RUN_CONFIG)
                 cli_accepts = True
             except ContractError as err:
                 assert str(err).startswith(f"config key {key!r} must be "), err

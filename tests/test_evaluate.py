@@ -292,6 +292,25 @@ class TestEvalCache:
             embed([(a, None), ("nope", spec)])
         assert embed([]).shape == (0, model.config.encoder.acoustic_dim)
 
+    def test_embeds_at_most_one_embed_batch_per_call(self, tiny_eval, monkeypatch):
+        from cdpam import evaluate
+        from cdpam.model import EMBED_BATCH
+
+        model, corpus, datasets = tiny_eval
+        specs = [None, *dict.fromkeys(row.spec for row in datasets["mos_rows"])]
+        keys = [(utt.id, spec) for spec in specs for utt in corpus]
+        assert len(set(keys)) == len(keys) > EMBED_BATCH
+        sizes, real = [], model.embed_waves
+        monkeypatch.setattr(model, "embed_waves",
+                            lambda waves: sizes.append(len(waves)) or real(waves))
+        rows = evaluate.clip_embedder(model, corpus)(keys)
+        assert sizes == [EMBED_BATCH, len(keys) - EMBED_BATCH]
+        # the bytes of one call over every rendered clip
+        by_id = {utt.id: utt.clean for utt in corpus}
+        waves = [by_id[utt] if spec is None else evaluate.apply(spec, by_id[utt])
+                 for utt, spec in keys]
+        assert rows.tobytes() == real(waves).tobytes()
+
     @pytest.mark.parametrize("runner,dataset", [
         ("run_two_afc", "two-AFC"), ("run_common_area", "common-area"),
         ("run_monotonicity", "monotonicity"), ("run_precision_at_k", "retrieval"),

@@ -139,23 +139,27 @@ class TestEncode:
         assert calls == ["conv1d", "batch_norm1d"] * tiny_config().encoder.n_layers
 
     def test_training_drops_each_layer_output_but_the_last(self, monkeypatch):
-        # backward rebuilds layers 1-15 from their conv outputs; layer 16 feeds the pool
+        # backward rebuilds layers 1-15 from their conv outputs; layer 16 feeds the pool.
+        # Of the conv outputs only layer 1's goes: it is rebuilt from x
         model = PerceptualModel.initialize(desk_config(), seed=0)
         model.set_trainable(("enc.",))
-        outputs = []
-        batch_norm1d = T.batch_norm1d
+        outputs = {"conv1d": [], "batch_norm1d": []}
 
-        def recording(*args, **kwargs):
-            out = batch_norm1d(*args, **kwargs)
-            outputs.append(weakref.ref(out.data))
-            return out
+        def recording(op):
+            def wrapped(*args, **kwargs):
+                out = op(*args, **kwargs)
+                outputs[op.__name__].append(weakref.ref(out.data))
+                return out
+            return wrapped
 
-        monkeypatch.setattr(T, "batch_norm1d", recording)
+        monkeypatch.setattr(T, "conv1d", recording(T.conv1d))
+        monkeypatch.setattr(T, "batch_norm1d", recording(T.batch_norm1d))
         x = Tensor(np.random.default_rng(5).normal(0.0, 0.1,
                                                         size=(2, 1, model.config.clip_samples)))
         acoustic, _ = model.encode(x, train=True)
-        assert len(outputs) == model.config.encoder.n_layers == 16
-        assert [ref() is None for ref in outputs] == [True] * 15 + [False]
+        assert model.config.encoder.n_layers == 16
+        assert [ref() is None for ref in outputs["batch_norm1d"]] == [True] * 15 + [False]
+        assert [ref() is None for ref in outputs["conv1d"]] == [True] + [False] * 15
 
 
 def with_random_batch_norm(config, seed):

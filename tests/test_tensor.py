@@ -597,36 +597,66 @@ class TestRelease:
     def test_rebuild_runs_once_per_released_layer(self, monkeypatch):
         model = PerceptualModel.initialize(tiny_config(), seed=3)
         model.set_trainable(("enc.",))
-        counts = []
-        batch_norm1d = T.batch_norm1d
+        counts = {"conv1d": [], "batch_norm1d": []}
 
-        def counting_batch_norm1d(*args, **kwargs):
-            out = batch_norm1d(*args, **kwargs)
-            rebuild, layer = out._rebuild, len(counts)
-            counts.append(0)
+        def counting(op):
+            def wrapped(*args, **kwargs):
+                out = op(*args, **kwargs)
+                rebuild, tally = out._rebuild, counts[op.__name__]
+                layer = len(tally)
+                tally.append(0)
 
-            def counted():
-                counts[layer] += 1
-                return rebuild()
+                def counted():
+                    tally[layer] += 1
+                    return rebuild()
 
-            out._rebuild = counted
-            return out
+                out._rebuild = counted
+                return out
+            return wrapped
 
-        monkeypatch.setattr(T, "batch_norm1d", counting_batch_norm1d)
+        monkeypatch.setattr(T, "conv1d", counting(T.conv1d))
+        monkeypatch.setattr(T, "batch_norm1d", counting(T.batch_norm1d))
         x = Tensor(np.random.default_rng(4).normal(0.0, 0.1,
                                                         size=(2, 1, model.config.clip_samples)))
         T.sum_(model.encode(x, train=True)[0]).backward()
+        n_layers = model.config.encoder.n_layers
         # the last layer's output feeds the pool and is never released
-        assert counts == [1] * (model.config.encoder.n_layers - 1) + [0]
+        assert counts["batch_norm1d"] == [1] * (n_layers - 1) + [0]
+        # of the conv outputs, only layer 1's is released: it is rebuilt from the input
+        assert counts["conv1d"] == [1] + [0] * (n_layers - 1)
 
     def test_release_of_other_tensors_is_a_no_op(self):
+        # a leaf, and a conv output that needs no gradient, hold no rebuild
         x, _, _, w = batch_norm_inputs(43)
         leaf = Tensor(x, requires_grad=True)
-        conv = T.conv1d(leaf, Tensor(w))
+        conv = T.conv1d(Tensor(x), Tensor(w), slope=0.2)
+        assert conv._rebuild is None
         for t in (leaf, conv):
             data = t.data
             T.release(t)
             assert t.data is data
+
+    @pytest.mark.parametrize("stride,slope", [(1, None), (2, None), (1, 0.2), (2, 0.0)])
+    def test_released_conv_output_rebuilt_bit_for_bit(self, stride, slope):
+        # BatchNorm reads the conv output, then release() drops it, as encode does at layer 1
+        x, _, _, w = batch_norm_inputs(44)
+        bias, gamma, beta = np.random.default_rng(45).normal(1.0, 0.3, size=(3, 5))
+        probe = linear_probe((3, 5, 10 // stride), 46)
+
+        def run(release):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in (x, w, bias, gamma, beta)]
+            conv = T.conv1d(*ts[:3], stride=stride, slope=slope)
+            forward = conv.data.tobytes()
+            out = T.batch_norm1d(conv, *ts[3:], np.zeros(5), np.ones(5), True, slope=0.2)
+            if release:
+                T.release(conv)
+                assert type(conv.data) is T._Dropped and conv.shape == (3, 5, 10 // stride)
+                assert T._value(conv).tobytes() == forward
+                T.release(conv)  # dropped again, so backward rebuilds it
+            T.sum_(T.mul(out, probe)).backward()
+            return forward, [t.grad.tobytes() for t in ts]
+
+        assert run(release=True) == run(release=False)
 
 
 class TestFoldBatchNorm:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from cdpam import losses, tensor as T
+from cdpam import losses, tensor as T, trainer
 from cdpam.audio import Waveform, rms
 from cdpam.datagen import oracle_jnd, oracle_triplets, synth_corpus
 from cdpam.errors import ContractError, DataError, NumericError, TrainingError
-from cdpam.model import PerceptualModel, tiny_config
+from cdpam.model import EMBED_BATCH, PerceptualModel, tiny_config
 from cdpam.trainer import (EPOCH_DEFAULTS, TrainConfig, _augment, finetune_triplet,
                            pretrain_contrastive, train_jnd)
 
@@ -160,6 +160,33 @@ class TestTrainJnd:
             correct += (p > 0.5) == (record.label == "different")
         assert correct / len(records) > 0.5
 
+
+
+class TestEmbedSlices:
+    @pytest.mark.parametrize("stage", ["jnd", "finetune"])
+    def test_at_most_one_embed_batch_per_call_and_the_same_bytes(self, corpus, pretrained,
+                                                                 monkeypatch, stage):
+        model, _ = pretrained
+        n, epochs = EMBED_BATCH + 6, 2  # more items than one slice: two calls per column
+        if stage == "jnd":
+            records, columns, train = oracle_jnd(corpus, n, seed=11), 2, train_jnd
+        else:
+            model, _ = train_jnd(model, corpus, oracle_jnd(corpus, 8, seed=12),
+                                 TrainConfig(stage="jnd", epochs=1, batch_size=8, seed=1))
+            records, columns, train = oracle_triplets(corpus, n, seed=13), 3, finetune_triplet
+        config = TrainConfig(stage=stage, epochs=epochs, batch_size=16, lr=1e-3, seed=3)
+        sizes = []
+        real = PerceptualModel.embed_waves
+        monkeypatch.setattr(PerceptualModel, "embed_waves",
+                            lambda self, waves: sizes.append(len(waves)) or real(self, waves))
+        sliced, _ = train(model, corpus, records, config)
+        assert sizes == [EMBED_BATCH, n - EMBED_BATCH] * (columns * epochs)
+        monkeypatch.setattr(trainer, "EMBED_BATCH", n)  # each column in one call
+        del sizes[:]
+        whole, _ = train(model, corpus, records, config)
+        assert sizes == [n] * (columns * epochs)
+        for name, t in whole.params.items():
+            assert sliced.params[name].data.tobytes() == t.data.tobytes(), name
 
 
 class TestFinetune:

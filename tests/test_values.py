@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import cdpam
 from cdpam import tensor as T
 from cdpam.audio import Waveform, apply_gain_db, fix_length, resample
-from cdpam.datagen import build_mono_series, oracle_jnd, oracle_triplets, synth_corpus
+from cdpam.datagen import (build_common_area_sets, build_mono_series, build_mos_set,
+                           build_retrieval_set, oracle_jnd, oracle_triplets, synth_corpus)
 from cdpam.errors import ContractError, check_value
 from cdpam.losses import margin_rank, nt_xent
 from cdpam.model import PerceptualModel, tiny_config
@@ -148,6 +149,16 @@ PUBLIC_ARGUMENTS = {
                                    lambda e, v: build_mono_series(e["corpus"], n_levels=v), 2),
     "build_mono_series.n_contents": (
         "n_contents", lambda e, v: build_mono_series(e["corpus"], n_contents=v), 1),
+    "build_common_area_sets": ("n_pairs", lambda e, v: build_common_area_sets(e["corpus"], v),
+                               0),
+    "build_retrieval_set.n_groups": (
+        "n_groups", lambda e, v: build_retrieval_set(e["corpus"], n_groups=v, group_size=2), 1),
+    "build_retrieval_set.group_size": (
+        "group_size", lambda e, v: build_retrieval_set(e["corpus"], n_groups=2, group_size=v), 1),
+    "build_mos_set.n_conditions": ("n_conditions",
+                                   lambda e, v: build_mos_set(e["corpus"], n_conditions=v), 1),
+    "build_mos_set.clips_per_cell": (
+        "clips_per_cell", lambda e, v: build_mos_set(e["corpus"], clips_per_cell=v), 0),
     "nt_xent": ("tau", lambda e, v: nt_xent(e["z"], v), 0.0),
     "margin_rank": ("margin", lambda e, v: margin_rank(e["d"], e["d"], v), math.inf),
     "judge": ("d", lambda e, v: e["model"].judge(v), _below(0.0)),
