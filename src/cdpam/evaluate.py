@@ -5,9 +5,8 @@ The pure metric functions operate on plain arrays so they can be tested
 against brute-force oracles; the ``run_*`` wrappers drive a trained model
 over the evaluation datasets produced by :mod:`cdpam.datagen`, and each
 returns its machine-readable :class:`EvalReport`.  An eval clip is named
-only by its ``(utt_id, spec)`` key: :func:`clip_embedder` renders a key as
-``apply(spec, clean)`` the first time it is asked for and caches its
-embedding row.
+only by its ``(utt_id, spec)`` key: :func:`clip_embedder` is the model's
+keyed embedder with that key's render, ``apply(spec, clean)``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 from .audio import replacing, write_json
 from .datagen import corpus_by_id
 from .errors import ContractError, DataError, DegenerateInputError, check_value
-from .model import EMBED_BATCH
 from .perturb import apply
 
 DEFAULT_BINS = 50
@@ -148,29 +146,18 @@ def precision_at_k(embeddings, labels, k: int) -> float:
 
 
 def clip_embedder(model, corpus):
-    """``model.embed_waves`` over eval clips named by their ``(utt_id, spec)`` key.
+    """``model.keyed_embedder`` over eval clips named by their ``(utt_id, spec)`` key.
 
-    ``spec=None`` names the clean clip.  Rows are cached by key, so the
-    cache holds keys and embedding rows, never samples.  Each call renders
-    only the keys it has not seen before, as ``apply(spec, clean)``, and
-    embeds them one EMBED_BATCH slice at a time, so at most one slice of
-    rendered clips is alive; embeddings do not depend on batch composition.
-    A key whose utterance the corpus lacks raises DataError naming it.
+    A key renders as ``apply(spec, clean)``, and ``spec=None`` names the clean
+    clip.  A key whose utterance the corpus lacks raises DataError naming it.
     """
     by_id = corpus_by_id(corpus)
-    rows: dict = {}
 
-    def embed(keys) -> np.ndarray:
-        fresh = list(dict.fromkeys(key for key in keys if key not in rows))
-        for start in range(0, len(fresh), EMBED_BATCH):
-            chunk = fresh[start:start + EMBED_BATCH]
-            waves = [by_id[utt].clean if spec is None else apply(spec, by_id[utt].clean)
-                     for utt, spec in chunk]
-            rows.update(zip(chunk, model.embed_waves(waves)))
-        return np.array([rows[key] for key in keys]).reshape(len(keys),
-                                                             model.config.encoder.acoustic_dim)
+    def render(key):
+        utt, spec = key
+        return by_id[utt].clean if spec is None else apply(spec, by_id[utt].clean)
 
-    return embed
+    return model.keyed_embedder(render)
 
 
 def _distances(model, embed, keys_x, keys_y) -> np.ndarray:

@@ -41,7 +41,7 @@ CHECKPOINT_MAGIC = b"CDPM"
 CHECKPOINT_VERSION = 1
 STAGES = ("init", "pretrained", "jnd", "finetuned")
 LEAKY_SLOPE = 0.2
-EMBED_BATCH = 64  # clips per inference encode in embed_waves
+EMBED_BATCH = 64  # clips per inference encode in embed_waves and keyed_embedder
 
 
 def _check_fields(config, where: str) -> None:
@@ -402,13 +402,34 @@ class PerceptualModel:
         return Tensor(batch[:, None, :])
 
     def embed_waves(self, waves) -> np.ndarray:
-        """Inference-mode acoustic embeddings for a list of waveforms, EMBED_BATCH at a time."""
+        """Inference-mode acoustic embeddings for a list of waveforms, EMBED_BATCH at a time;
+        clips rendered on demand go through :meth:`keyed_embedder`, which holds one slice."""
         chunks = [np.empty((0, self.config.encoder.acoustic_dim))]
         for start in range(0, len(waves), EMBED_BATCH):
             x = self.waves_to_tensor(waves[start:start + EMBED_BATCH])
             acoustic, _ = self.encode(x, train=False)
             chunks.append(acoustic.data)
         return np.concatenate(chunks, axis=0)
+
+    def keyed_embedder(self, render):
+        """``embed(keys)``: embedding rows, in key order, of clips named by hashable keys.
+
+        Each call renders only the keys it has not seen, in first-seen order,
+        as ``render(key)``, and hands them to :meth:`embed_waves` one
+        EMBED_BATCH slice at a time, so at most one slice of rendered clips is
+        alive.  Rows do not depend on batch composition; they are cached by key.
+        """
+        rows: dict = {}
+
+        def embed(keys) -> np.ndarray:
+            fresh = list(dict.fromkeys(key for key in keys if key not in rows))
+            for start in range(0, len(fresh), EMBED_BATCH):
+                chunk = fresh[start:start + EMBED_BATCH]
+                rows.update(zip(chunk, self.embed_waves([render(key) for key in chunk])))
+            return np.array([rows[key] for key in keys]).reshape(len(keys),
+                                                                 self.config.encoder.acoustic_dim)
+
+        return embed
 
     def distance(self, ref: Waveform, per: Waveform) -> float:
         """Perceptual distance between two clips (inference mode)."""

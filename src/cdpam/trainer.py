@@ -8,9 +8,9 @@ steps, and counts steps, only on the batches of its own mode.
 
 Stage b (jnd): the loss network and judgment classifier are fit with binary
 cross-entropy against oracle same/different labels.  The encoder is frozen,
-so each epoch encodes the (augmented) clips once in inference mode, one
-EMBED_BATCH slice at a time, and the cheap loss-network optimization runs
-over those embeddings.
+so each epoch embeds the (augmented) clips once in inference mode through the
+model's keyed embedder, and the cheap loss-network optimization runs over
+those embeddings.
 
 Stage c (finetune): margin ranking on triplet comparisons, loss network
 only, encoder still frozen.
@@ -36,7 +36,7 @@ from . import losses, tensor as T
 from .audio import Waveform, apply_gain_db, replacing
 from .datagen import corpus_by_id, make_contrastive_batch
 from .errors import ContractError, DataError, NumericError, TrainingError, check_value
-from .model import EMBED_BATCH, ModelConfig, PerceptualModel
+from .model import ModelConfig, PerceptualModel
 from .perturb import DEFAULT_FAMILIES, apply
 from .tensor import Tensor, adam_step
 
@@ -93,10 +93,6 @@ def _augment(w: Waveform, rng: np.random.Generator) -> Waveform:
         samples[:max(0, n - silence)] = w.samples[silence:]  # shifted left, tail silent
     gain_db = rng.uniform(*GAIN_RANGE_DB)
     return apply_gain_db(Waveform(samples, w.sample_rate), gain_db)
-
-
-def _maybe_augment(waves, rng, enabled: bool):
-    return [_augment(w, rng) for w in waves] if enabled else list(waves)
 
 
 # -- shared helpers ----------------------------------------------------------------
@@ -180,7 +176,8 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
 
     def epoch_losses(rng):
         for mode, waves in batches:
-            x = model.waves_to_tensor(_maybe_augment(waves, rng, config.augment))
+            x = model.waves_to_tensor([_augment(w, rng) for w in waves] if config.augment
+                                      else waves)
             acoustic, content = model.encode(x, train=True)
             z = model.project(acoustic if mode == "acoustic" else content, mode)
             yield losses.nt_xent(z, tau=config.tau)
@@ -191,46 +188,36 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
 # -- stages b and c: loss network on a frozen encoder ------------------------------------
 
 
-def _clip_items(corpus, records, kind: str, positive: str) -> list:
-    """(clips, target) per record: the clean reference, then each compared clip
-    regenerated from its spec; target is 1.0 when the label is `positive`."""
-    by_id = corpus_by_id(corpus)
-    items = []
-    for record in records:
-        if record.kind != kind:
-            raise ContractError(f"expected {kind} records, got {record.kind!r}")
-        clean = by_id[record.ref_id].clean
-        specs = (record.spec_a,) if record.spec_b is None else (record.spec_a, record.spec_b)
-        items.append(((clean, *(apply(spec, clean) for spec in specs)),
-                      1.0 if record.label == positive else 0.0))
-    return items
-
-
 def _frozen_encoder_epochs(model: PerceptualModel, corpus, records, config: TrainConfig,
                            kind: str, positive: str, spawn: int, done_tag: str, batch_loss,
                            progress) -> tuple:
     """Fit the trainable parameters on frozen-encoder embeddings of the `kind` records' clips.
 
-    Each epoch permutes the items, then augments each clip column (reference
-    first) with the epoch generator and embeds it in inference mode, one
-    EMBED_BATCH slice at a time, so at most one slice of augmented clips is
-    alive; then it yields `batch_loss(embs, targets)` per minibatch.
+    The clip columns are built once: the clean references, then each compared
+    clip regenerated from its spec; a record's target is 1.0 when its label is
+    `positive`.  Each epoch permutes the records and embeds each
+    column through a keyed embedder whose keys are record indices and whose
+    render augments the clip with the epoch generator; then it yields
+    `batch_loss(embs, targets)` per minibatch.
     """
-    items = _clip_items(corpus, records, kind, positive)
-    if not items:
+    for record in records:
+        if record.kind != kind:
+            raise ContractError(f"expected {kind} records, got {record.kind!r}")
+    if not records:
         raise DataError(f"the {kind.split('_')[0]} record set is empty")
-    columns = list(zip(*(clips for clips, _ in items)))
-    targets = np.array([target for _, target in items])
-
-    def embed(clips, rng) -> np.ndarray:
-        return np.concatenate([
-            model.embed_waves(_maybe_augment(clips[start:start + EMBED_BATCH], rng, config.augment))
-            for start in range(0, len(clips), EMBED_BATCH)])
+    by_id = corpus_by_id(corpus)
+    refs = [by_id[record.ref_id].clean for record in records]
+    fields = ("spec_a",) if kind == "jnd_pair" else ("spec_a", "spec_b")
+    columns = [refs, *([apply(getattr(record, field), ref) for record, ref in zip(records, refs)]
+                       for field in fields)]
+    targets = np.array([1.0 if record.label == positive else 0.0 for record in records])
 
     def epoch_losses(rng):
-        order = rng.permutation(len(items))
-        embs = [embed([column[i] for i in order], rng) for column in columns]
-        for start in range(0, len(items), config.batch_size):
+        order = rng.permutation(len(records))
+        augment = (lambda w: _augment(w, rng)) if config.augment else (lambda w: w)
+        embs = [model.keyed_embedder(lambda i, column=column: augment(column[i]))(order)
+                for column in columns]
+        for start in range(0, len(records), config.batch_size):
             batch = slice(start, start + config.batch_size)
             yield batch_loss([Tensor(e[batch]) for e in embs], targets[order[batch]])
 

@@ -635,6 +635,25 @@ class TestEmptyRecordSets:
         assert not (run / checkpoint).exists()
 
 
+class TestWrongRecordKind:
+    @pytest.mark.parametrize("command,records,other,checkpoint,message", [
+        ("train-jnd", "jnd.jsonl", "triplets.jsonl", "jnd.ckpt",
+         "expected jnd_pair records, got 'triplet'"),
+        ("finetune", "triplets.jsonl", "jnd.jsonl", "finetuned.ckpt",
+         "expected triplet records, got 'jnd_pair'"),
+    ])
+    def test_exits_2_without_a_checkpoint(self, pipeline_run, tmp_path, capsys, command, records,
+                                          other, checkpoint, message):
+        _, config_path, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(cfg["out"], run)
+        shutil.copyfile(run / other, run / records)
+        (run / checkpoint).unlink()
+        assert main([command, "--config", str(config_path), "--out", str(run), "--quiet"]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (run / checkpoint).exists()
+
+
 def _drop(key):
     return lambda row: {k: v for k, v in row.items() if k != key}
 

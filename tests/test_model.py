@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cdpam import losses, tensor as T
 from cdpam.audio import Waveform
 from cdpam.errors import CdpamError, ContractError, FormatError, ShapeError, VersionError
-from cdpam.model import (LEAKY_SLOPE, EncoderConfig, ModelConfig, PerceptualModel,
+from cdpam.model import (EMBED_BATCH, LEAKY_SLOPE, EncoderConfig, ModelConfig, PerceptualModel,
                          default_config, desk_config, load_checkpoint, save_checkpoint,
                          tiny_config)
 from cdpam.tensor import Tensor
@@ -341,6 +341,56 @@ class TestFoldCache:
         after = model.distance(ref, per)
         assert after != before
         assert after == rebuilt(model).distance(ref, per)
+
+
+class TestKeyedEmbedder:
+    """keyed_embedder: rows by key, each key rendered once, one EMBED_BATCH slice per call."""
+
+    @pytest.fixture
+    def recorded(self, tiny_model, monkeypatch):
+        """(clips, renders, sizes): keys index clips; renders and embed_waves sizes are logged."""
+        clips = random_clips(tiny_model.config, seed=21, n=EMBED_BATCH + 16)
+        renders, sizes, real = [], [], tiny_model.embed_waves
+        monkeypatch.setattr(tiny_model, "embed_waves",
+                            lambda waves: sizes.append(len(waves)) or real(waves))
+        return clips, renders, sizes
+
+    def embedder(self, model, clips, renders):
+        return model.keyed_embedder(lambda key: renders.append(key) or clips[key])
+
+    def test_rows_in_key_order_with_repeats_deduplicated(self, tiny_model, recorded):
+        clips, renders, sizes = recorded
+        rows = self.embedder(tiny_model, clips, renders)([2, 0, 2, 1])
+        assert renders == [2, 0, 1] and sizes == [3]
+        assert rows.tobytes() == tiny_model.embed_waves([clips[k] for k in (2, 0, 2, 1)]).tobytes()
+
+    def test_each_unseen_key_rendered_once(self, tiny_model, recorded):
+        clips, renders, _ = recorded
+        embed = self.embedder(tiny_model, clips, renders)
+        first = embed([3, 1])
+        assert renders == [3, 1]
+        embed([1, 4, 3, 5, 4])
+        assert renders == [3, 1, 4, 5]
+        assert np.array_equal(embed([3, 1]), first)
+        assert renders == [3, 1, 4, 5]
+
+    def test_at_most_one_embed_batch_per_call_and_the_bytes_of_one_call(self, tiny_model,
+                                                                         recorded):
+        clips, renders, sizes = recorded
+        embed = self.embedder(tiny_model, clips, renders)
+        keys = list(range(len(clips)))[::-1]
+        embed(keys[:10])
+        rows = embed(keys)
+        assert sizes == [10, EMBED_BATCH, len(clips) - 10 - EMBED_BATCH]
+        assert sorted(renders) == sorted(keys)
+        # other slices than one embed_waves call over every rendered clip, the same bytes
+        assert rows.tobytes() == tiny_model.embed_waves([clips[k] for k in keys]).tobytes()
+
+    def test_no_keys(self, tiny_model, recorded):
+        clips, renders, sizes = recorded
+        rows = self.embedder(tiny_model, clips, renders)([])
+        assert rows.shape == (0, tiny_model.config.encoder.acoustic_dim)
+        assert renders == [] and sizes == []
 
 
 class TestDistance:

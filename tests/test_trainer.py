@@ -120,6 +120,12 @@ class TestTrainJnd:
         with pytest.raises(ContractError):
             train_jnd(fresh, corpus, records, TrainConfig(stage="jnd", epochs=1))
 
+    def test_rejects_triplet_records(self, corpus, pretrained):
+        model, _ = pretrained
+        with pytest.raises(ContractError, match="^expected jnd_pair records, got 'triplet'$"):
+            train_jnd(model, corpus, oracle_triplets(corpus, 4, seed=0),
+                      TrainConfig(stage="jnd", epochs=1))
+
     def test_encoder_bit_identical_when_frozen(self, corpus, pretrained):
         model, _ = pretrained
         records = oracle_jnd(corpus, 16, seed=2)
@@ -181,7 +187,7 @@ class TestEmbedSlices:
                             lambda self, waves: sizes.append(len(waves)) or real(self, waves))
         sliced, _ = train(model, corpus, records, config)
         assert sizes == [EMBED_BATCH, n - EMBED_BATCH] * (columns * epochs)
-        monkeypatch.setattr(trainer, "EMBED_BATCH", n)  # each column in one call
+        monkeypatch.setattr("cdpam.model.EMBED_BATCH", n)  # each column in one call
         del sizes[:]
         whole, _ = train(model, corpus, records, config)
         assert sizes == [n] * (columns * epochs)
@@ -195,6 +201,14 @@ class TestFinetune:
         records = oracle_triplets(corpus, 8, seed=0)
         with pytest.raises(ContractError):
             finetune_triplet(model, corpus, records, TrainConfig(stage="finetune", epochs=1))
+
+    def test_rejects_jnd_pairs(self, corpus, pretrained):
+        model, _ = pretrained
+        jnd_model, _ = train_jnd(model, corpus, oracle_jnd(corpus, 8, seed=2),
+                                 TrainConfig(stage="jnd", epochs=1, batch_size=8, seed=1))
+        with pytest.raises(ContractError, match="^expected triplet records, got 'jnd_pair'$"):
+            finetune_triplet(jnd_model, corpus, oracle_jnd(corpus, 4, seed=0),
+                             TrainConfig(stage="finetune", epochs=1))
 
     def test_margin_default_and_stage_tag(self, corpus, pretrained):
         model, _ = pretrained
