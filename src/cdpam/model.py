@@ -281,15 +281,16 @@ class PerceptualModel:
         """Run the CNN; returns the (acoustic, content) embedding halves.
 
         Training runs two ops per layer: conv1d, then batch_norm1d on batch
-        statistics with the leaky ReLU as its epilogue.  Once the next conv
-        has read a layer's output it is released, and backward rebuilds it
-        from the conv output, so each layer's graph keeps one full-size
-        array; the last layer's output feeds the pool and stays.  Layer 1
+        statistics with the leaky ReLU as its epilogue.  Once the next conv,
+        or for the last layer the pool, has read a layer's output it is
+        released, and backward rebuilds it one item at a time from the conv
+        output, so each layer's graph keeps one full-size array, its conv
+        output, until its batch norm's backward releases that too.  Layer 1
         keeps none: its conv output is released once its batch norm has read
-        it, and backward rebuilds it from ``x`` inside layer 2's weight
-        gradient, just before it rebuilds layer 1's output.  Inference
-        runs each layer as one ``T.conv1d`` with the leaky ReLU as its
-        epilogue, on the layer's BatchNorm folded into its conv
+        it, and backward rebuilds it from ``x`` once, inside layer 2's weight
+        gradient, where layer 1's output is rebuilt from it item by item.
+        Inference runs each layer as one ``T.conv1d`` with the leaky ReLU as
+        its epilogue, on the layer's BatchNorm folded into its conv
         (``T.fold_batch_norm``); the folded weights are constants, so
         gradients reach ``x`` only.
 
@@ -326,6 +327,8 @@ class PerceptualModel:
             else:
                 h = T.conv1d(h, *folds[layer - 1], stride=stride, slope=LEAKY_SLOPE)
         pooled = T.global_avg_pool(h)
+        if train:  # the pool's backward reads only h's shape
+            T.release(h)
         acoustic = T.narrow(pooled, 1, 0, enc.acoustic_dim)
         content = T.narrow(pooled, 1, enc.acoustic_dim, enc.content_dim)
         return acoustic, content

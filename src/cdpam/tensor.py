@@ -8,6 +8,8 @@ output's gradient to that input's gradient.  Of the ops, only ``_make`` reads
 each input that requires a gradient, in input order, and adds the result
 into that input's ``.grad``.  Calling ``backward()`` on a scalar root
 runs these closures in reverse topological order, so fan-out sums naturally.
+An input's first gradient adopts a VJP result that nothing else holds, in
+place, instead of copying it (see :func:`_make`).
 
 ``backward()`` frees the graph as it walks it, as PyTorch does by default:
 after a node's closure has run, the node drops its gradient, closure and
@@ -15,8 +17,12 @@ parent edges, so each activation and interior gradient is freed once nothing
 upstream needs it, and only the leaves keep a ``.grad``.  A training step
 therefore holds one graph at a time, and an encoder layer keeps at most one
 full-size array of it for backward, its conv output (see the epilogues
-below).  Each graph gets one backward: a second one through a released node
-raises :class:`ContractError` instead of leaving the leaves without gradients.
+below).  Beyond what the graph keeps, an encoder layer's backward holds one
+output gradient and one full-size temporary at a time, and per-item buffers:
+BatchNorm builds its input's gradient in its output's gradient, and conv1d's
+input gradient is the one new array of its node.  Each graph gets one
+backward: a second one through a released node raises
+:class:`ContractError` instead of leaving the leaves without gradients.
 
 Every operation validates that its output is finite (NaN/Inf raises
 :class:`NumericError`), which is what lets training abort on divergence
@@ -35,9 +41,10 @@ items separately: dW fills the column buffer and accumulates g_b @ col_b^T,
 and dX writes w^T @ g_b into the middle of one reused, zero-margined
 (Cin, K, Lout + 2(K-1)) buffer.  A read-only skewed view of that buffer
 (:func:`_skewed_taps`, one per output parity) puts every tap that lands on
-one padded input position in one column, so a single np.add.reduce per item
-and parity sums the taps onto the padded input (the col2im step), in tap
-order, and dX needs no im2col of the input and no loop over the taps.
+one input position in one column, so a single np.add.reduce per item and
+parity sums the taps straight onto the unpadded input (the col2im step), in
+tap order, and dX needs no im2col of the input, no loop over the taps and
+no padded copy.
 
 conv1d also takes the layer's epilogue: its bias and, with ``slope``, a
 leaky ReLU are applied to each item's output in place right after its GEMM,
@@ -55,17 +62,28 @@ Every leaky ReLU, fused or not, has one derivative rule: with a slope in
 [0, 1] the output is positive exactly where the input was, so the op's
 ``pre`` (:func:`_unleak`) reads the mask from the output (In-Place Activated
 BatchNorm, Rota Bulo et al. 2018), and :func:`_make` applies it once, to the
-output's gradient, before the VJPs.  batch_norm1d's output also carries a
-rebuild function, the forward's own expression, so the encoder calls
-:func:`release` on it once the next conv has read it, and the first backward
-VJP that reads it, the next conv's weight gradient, recomputes it bit for bit
-(recomputation for memory, Chen et al. 2016).  A conv1d output that requires
-a gradient carries one too, the forward re-run on its input, which its VJPs
-hold already; an inference output carries none, because a rebuild would
-keep its input alive.  batch_norm1d reads its input through :func:`_value`,
-so the encoder releases layer 1's conv output, rebuilt from the waveform,
-once that layer's BatchNorm has read it: layer 1's graph keeps no full-size
-array, and each deeper layer keeps its conv output.
+output's gradient, before the VJPs.  :func:`_leaky` and :func:`_unleak` walk
+a 3-D array's items, so neither builds a full-size temporary.
+
+batch_norm1d's output also carries a rebuild function, the forward's own
+elementwise expression, whole or on one item, so the encoder calls
+:func:`release` on it once the next conv, or the pool, has read it
+(recomputation for memory, Chen et al. 2016).  A conv1d output that
+requires a gradient carries one too, the forward re-run on its input, which
+its VJPs hold already; an inference output carries none, because a rebuild
+would keep its input alive.  Backward reads a released output one item at a
+time (:func:`_items`): the next conv's weight gradient rebuilds each item,
+bit for bit, and drops it, and batch_norm1d keeps each item's leaky-ReLU
+mask, a bool array, for its own backward.  So a released BatchNorm output is
+rebuilt once, one item at a time, and never whole; the last layer's, which
+the pool reads no values of, is rebuilt for its mask alone.  batch_norm1d reads its input whole,
+through :func:`_value`, and releases it once its backward has built the
+input's gradient.  The encoder also releases layer 1's conv output once that
+layer's BatchNorm has read it; backward rebuilds it from the waveform once.
+So layer 1's graph keeps no full-size array, and each deeper layer keeps its
+conv output until its BatchNorm's backward.  The VJPs that read an input's
+data, not a parameter's, go through :func:`_value`, so a later reader of a
+released input rebuilds it.
 
 :func:`adam_step` updates the parameter tensors in place and keeps its step
 count and moments per parameter name, so a parameter that a loss did not
@@ -135,14 +153,21 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # one pass, no zero fill, the layout of zeros_like; bit-equal to 0.0 + g.  A
-            # released tensor's gradient arrives before its rebuild; its data was C-ordered
+    def _accumulate(self, g: np.ndarray, adopt: bool = False) -> None:
+        """Add g into ``.grad``; with `adopt`, g is an array that nothing else holds.
+
+        The first gradient is 0.0 + g, bit for bit, in the layout of zeros_like
+        (a released tensor's data was C-ordered).  An adopted g of that layout
+        becomes ``.grad`` in place; any other g is copied.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif adopt and g.flags.c_contiguous and (type(self.data) is _Dropped
+                                                 or self.data.flags.c_contiguous):
+            self.grad = np.add(g, 0.0, out=g)
+        else:
             like = np.empty(self.shape) if type(self.data) is _Dropped else np.empty_like(self.data)
             self.grad = np.add(g, 0.0, out=like)
-        else:
-            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar root; gradients sum over fan-out.
@@ -203,6 +228,14 @@ def _value(t: Tensor) -> np.ndarray:
     return t.data
 
 
+def _items(t: Tensor):
+    """t's data, or, if :func:`release` dropped it, an iterator over its items rebuilt one
+    at a time; either one iterates over t's items in order."""
+    if type(t.data) is _Dropped:
+        return map(t._rebuild, range(t.shape[0]))
+    return t.data
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient back down to the shape it was broadcast from."""
     while g.ndim > len(shape):
@@ -221,7 +254,14 @@ def _make(data, parents, vjps, op, pre=None):
     requires a gradient and accumulates in parent order, so a tensor that is
     two parents of one op, as in ``mul(z, z)``, gets its first parent's term
     first.  `pre`, if given, maps `g` once, before any VJP sees it; `g` is
-    the output's own gradient array, so `pre` may overwrite it.
+    the output's own gradient array, so `pre` may overwrite it, and so may
+    the last VJP that runs.
+
+    A VJP returns a new array, a view, or `g`; never an array that it, or
+    anything else, keeps.  A parent adopts a new array as its gradient
+    instead of copying it (:meth:`Tensor._accumulate`), and `g` too when the
+    last VJP that runs returns it: the node drops `g` once its closure ends.
+    A view or broadcast, and `g` from an earlier VJP, are copied.
     """
     if not any(p.requires_grad for p in parents):
         return Tensor(data, _op=op)
@@ -229,9 +269,13 @@ def _make(data, parents, vjps, op, pre=None):
     def backward(g):
         if pre is not None:
             g = pre(g)
-        for parent, vjp in zip(parents, vjps):
-            if parent.requires_grad:
-                parent._accumulate(vjp(g))
+        live = [i for i, p in enumerate(parents) if p.requires_grad]
+        for i in live:
+            r = vjps[i](g)
+            # g itself only from the last VJP: an earlier one's parent would be handed the
+            # array that the later VJPs still read
+            parents[i]._accumulate(r, type(r) is np.ndarray and r.base is None
+                                   and (r is not g or i == live[-1]))
 
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward_fn=backward, _op=op)
 
@@ -250,16 +294,17 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b),
-                 (lambda g: _unbroadcast(g * b.data, a.shape),
-                  lambda g: _unbroadcast(g * a.data, b.shape)), "mul")
+                 (lambda g: _unbroadcast(g * _value(b), a.shape),
+                  lambda g: _unbroadcast(g * _value(a), b.shape)), "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = a.data / b.data
     return _make(out_data, (a, b),
-                 (lambda g: _unbroadcast(g / b.data, a.shape),
-                  lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)), "div")
+                 (lambda g: _unbroadcast(g / _value(b), a.shape),
+                  lambda g: _unbroadcast(-g * _value(a) / (_value(b) * _value(b)), b.shape)),
+                 "div")
 
 
 def exp(x: Tensor) -> Tensor:
@@ -271,7 +316,7 @@ def exp(x: Tensor) -> Tensor:
 def log(x: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = np.log(x.data)
-    return _make(out_data, (x,), (lambda g: g / x.data,), "log")
+    return _make(out_data, (x,), (lambda g: g / _value(x),), "log")
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -281,23 +326,36 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def absolute(x: Tensor) -> Tensor:
-    return _make(np.abs(x.data), (x,), (lambda g: g * np.sign(x.data),), "abs")
+    return _make(np.abs(x.data), (x,), (lambda g: g * np.sign(_value(x)),), "abs")
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     return _make(np.clip(x.data, lo, hi), (x,),
-                 (lambda g: g * ((x.data >= lo) & (x.data <= hi)),), "clamp")
+                 (lambda g: g * ((_value(x) >= lo) & (_value(x) <= hi)),), "clamp")
 
 
 def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, slope*x), a 3-D x one item at a time, so its temporary slope*x is one item."""
     # max(x, slope*x) equals where(x > 0, x, slope*x) bit for bit when 0 <= slope <= 1
-    return np.maximum(x, slope * x, out=out)
+    if x.ndim < 3:
+        return np.maximum(x, slope * x, out=out)
+    out = np.empty_like(x) if out is None else out
+    for xb, ob in zip(x, out):
+        np.maximum(xb, slope * xb, out=ob)
+    return out
 
 
-def _unleak(g: np.ndarray, y: np.ndarray, slope: float) -> np.ndarray:
-    """g times the derivative of the leaky ReLU whose output is y, in place; returns g."""
+def _unleak(g: np.ndarray, y, slope: float) -> np.ndarray:
+    """g times the derivative of the leaky ReLU whose output is y, in place; returns g.
+
+    A 3-D g goes one item at a time, so its mask is one item, and y may be
+    any iterable of the output's items, such as :func:`_items` of a released
+    output.
+    """
     # max(y > 0, slope) is exactly 1.0 or exactly slope: the select form's bits, branch-free
-    return np.multiply(g, np.maximum(y > 0.0, slope, dtype=np.float64), out=g)
+    for gb, yb in zip(g, y) if g.ndim == 3 else [(g, y)]:
+        np.multiply(gb, np.maximum(yb > 0.0, slope, dtype=np.float64), out=gb)
+    return g
 
 
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
@@ -345,7 +403,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = tuple(index)
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x.shape)
         gx[index] = g
         return gx
 
@@ -367,8 +425,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul expects 2-D tensors")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    return _make(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g),
-                 "matmul")
+    return _make(a.data @ b.data, (a, b),
+                 (lambda g: g @ _value(b).T, lambda g: _value(a).T @ g), "matmul")
 
 
 # -- neural-network layers ----------------------------------------------------
@@ -378,7 +436,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear shape mismatch x{x.shape} w{w.shape}")
     return _make(x.data @ w.data.T + b.data, (x, w, b),
-                 (lambda g: g @ w.data, lambda g: g.T @ x.data, lambda g: g.sum(axis=0)),
+                 (lambda g: g @ _value(w), lambda g: g.T @ _value(x), lambda g: g.sum(axis=0)),
                  "linear")
 
 
@@ -393,21 +451,22 @@ def _taps(xp: np.ndarray, k: int, stride: int, out_len: int) -> np.ndarray:
     return taps
 
 
-def _columns(x: np.ndarray, k: int, stride: int):
-    """Each batch item's im2col columns: yields (b, col), col a (Cin*K, Lout) buffer.
+def _columns(items, cin: int, length: int, k: int, stride: int):
+    """Each (Cin, L) item's im2col columns: yields (b, col), col a (Cin*K, Lout) buffer.
 
-    col[c*K+j, t] = xp[b,c,j+stride*t], xp being x zero-padded by (k-1)//2
+    col[c*K+j, t] = xp[c,j+stride*t], xp being item b zero-padded by (k-1)//2
     on both ends.  Every item is padded in one reused row whose ends stay
-    zero and copied into one reused column buffer, so x is never padded whole.
+    zero and copied into one reused column buffer, so the batch is never
+    padded whole.  `items` is any iterable of items: a (B, Cin, L) array, or
+    :func:`_items` of a released tensor, whose items are rebuilt one at a time.
     """
-    batch, cin, length = x.shape
     pad, out_len = (k - 1) // 2, length // stride
     xp = np.zeros((cin, length + 2 * pad))
     taps = _taps(xp, k, stride, out_len)
     col = np.empty((cin, k, out_len))
     cols = col.reshape(cin * k, out_len)
-    for b in range(batch):
-        xp[:, pad:pad + length] = x[b]
+    for b, item in enumerate(items):
+        xp[:, pad:pad + length] = item
         np.copyto(col, taps)
         yield b, cols
 
@@ -418,7 +477,7 @@ def _conv1d_forward(x: np.ndarray, w: np.ndarray, stride: int,
     cout, _, k = w.shape
     w2 = w.reshape(cout, cin * k)
     out = np.empty((batch, cout, length // stride))
-    for b, col in _columns(x, k, stride):
+    for b, col in _columns(x, cin, length, k, stride):
         item = out[b]
         np.matmul(w2, col, out=item)
         # the epilogue runs while the GEMM's output is still in cache
@@ -450,36 +509,44 @@ def _skewed_taps(buf: np.ndarray, stride: int, width: int) -> list:
 
 
 def _conv1d_dx(g: np.ndarray, w: np.ndarray, stride: int, length: int) -> np.ndarray:
-    """Input gradient: w^T @ g_b per item, its taps summed onto the padded input by one reduction.
+    """Input gradient: w^T @ g_b per item, its taps summed onto the input by one reduction.
 
     Each item's product fills the middle of one zero-margined tap buffer, and
-    np.add.reduce over the taps of each :func:`_skewed_taps` view writes one
-    parity of the item's padded row.  It adds the taps in tap order, starting
-    from 0.0: the same additions as adding each tap's strided row onto a zeroed
-    row, so every position, its sign of zero included, keeps its bits.  The
-    positions, the view's smallest stride, are numpy's inner loop, so the taps
-    are never summed pairwise.
+    np.add.reduce over the taps of each :func:`_skewed_taps` view, cut to the
+    positions inside the padding, writes one parity of the item's (Cin, L)
+    row, so no padded row is ever built.  It adds the taps in tap order,
+    starting from 0.0: the same additions as adding each tap's strided row
+    onto a zeroed padded row, so every position, its sign of zero included,
+    keeps its bits.  The positions, the view's smallest stride, are numpy's
+    inner loop, so the taps are never summed pairwise.
     """
     batch, cout, out_len = g.shape
     _, cin, k = w.shape
     pad = (k - 1) // 2
-    width = length + 2 * pad
     w2 = w.reshape(cout, cin * k)
-    dxp = np.empty((batch, cin, width))  # the parities' reductions write every position
+    dx = np.empty((batch, cin, length))  # the parities' reductions write every position
     buf = np.zeros((cin, k, out_len + 2 * (k - 1)))
     cols = buf[:, :, k - 1:k - 1 + out_len].reshape(cin * k, out_len)
-    sums = _skewed_taps(buf, stride, width)
+    sums = []  # (first input position, taps of the positions s, s + stride, ...)
+    for r, taps in enumerate(_skewed_taps(buf, stride, length + 2 * pad)):
+        s = (r - pad) % stride  # padded position r + stride*q is input position r + stride*q - pad
+        q = (s + pad - r) // stride
+        sums.append((s, taps[:, :, q:q + len(range(s, length, stride))]))
     for b in range(batch):
         np.matmul(w2.T, g[b], out=cols)
-        for r, taps in enumerate(sums):
-            np.add.reduce(taps, axis=1, out=dxp[b, :, r::stride])
-    return dxp[:, :, pad:pad + length]
+        for s, taps in sums:
+            np.add.reduce(taps, axis=1, out=dx[b, :, s::stride])
+    return dx
 
 
-def _conv1d_dw(g: np.ndarray, x: np.ndarray, w_shape: tuple, stride: int) -> np.ndarray:
-    """Weight gradient: the sum over items of g_b @ col_b^T, col_b the item's im2col."""
-    dw2 = np.zeros((w_shape[0], w_shape[1] * w_shape[2]))
-    for b, col in _columns(x, w_shape[2], stride):
+def _conv1d_dw(g: np.ndarray, x, w_shape: tuple, stride: int) -> np.ndarray:
+    """Weight gradient: the sum over items of g_b @ col_b^T, col_b the im2col of x's item b.
+
+    x is any iterable of the input's items (see :func:`_columns`).
+    """
+    cout, cin, k = w_shape
+    dw2 = np.zeros((cout, cin * k))
+    for b, col in _columns(x, cin, g.shape[2] * stride, k, stride):
         dw2 += g[b] @ col.T
     return dw2.reshape(w_shape)
 
@@ -493,8 +560,9 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     through ``leaky_relu(., slope)`` in the same pass, bit for bit.
 
     An output that requires a gradient may be dropped with :func:`release`:
-    its rebuild runs the forward again on x, w and bias, so they must not
-    change before backward.
+    its rebuild runs the forward again on x, w and bias, whole or on one
+    item, so they must not change before backward.  The weight gradient
+    reads a released x one item at a time.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError("conv1d expects x[batch, ch, len] and w[out, ch, k]")
@@ -513,17 +581,18 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     if slope is not None:
         check_value("conv1d slope", slope, "number", 0, 1)
 
-    def output():  # the forward, and the rebuild of an output that release() dropped
-        return _conv1d_forward(_value(x), w.data, stride, None if bias is None else bias.data,
-                               slope)
+    def output(b=None):  # the forward, and the rebuild of a released output or of its item b
+        xs = _value(x) if b is None else _value(x)[b:b + 1]
+        y = _conv1d_forward(xs, w.data, stride, None if bias is None else bias.data, slope)
+        return y if b is None else y[0]
 
     parents = (x, w) if bias is None else (x, w, bias)
     vjps = (lambda g: _conv1d_dx(g, w.data, stride, length),
-            lambda g: _conv1d_dw(g, _value(x), w.shape, stride),  # rebuilds a released x
+            lambda g: _conv1d_dw(g, _items(x), w.shape, stride),
             lambda g: g.sum(axis=(0, 2)))
     # `pre` reads the output through `out`, a cycle that backward breaks when it drops it
     out = _make(output(), parents, vjps[:len(parents)], "conv1d",
-                pre=None if slope is None else lambda g: _unleak(g, _value(out), slope))
+                pre=None if slope is None else lambda g: _unleak(g, _items(out), slope))
     if out.requires_grad:  # the VJPs hold x and w already; here the rebuild keeps nothing alive
         out._rebuild = output
     return out
@@ -551,12 +620,16 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     for bit, as in :func:`conv1d`.
 
     The output may be dropped with :func:`release`: its rebuild runs the
-    forward's expression again on x, the batch statistics, gamma and beta, so
-    gamma and beta must not change before backward.  The graph then keeps
-    per-channel vectors and x, which may itself be released (a conv output
-    is), since every read of x goes through its rebuild.  Backward scales the
-    output's gradient in place through one full-size factor, freed before the
-    VJPs run, which then build at most two more full-size temporaries.
+    forward's expression again on x, the batch statistics, gamma and beta,
+    whole or on one item, so gamma and beta must not change before backward.
+    The graph then keeps per-channel vectors and x, which may itself be
+    released (a conv output is), since every read of x goes through its
+    rebuild.  Backward holds the output's gradient and one full-size
+    temporary.  The leaky ReLU's mask is taken one item at a time: from the
+    bool masks kept as backward's first reader rebuilt a released output's
+    items in order, else from the output's items.  gamma's and beta's VJPs
+    run first, then x's builds dx in the output's gradient, which becomes
+    x's gradient, and releases x, so a later reader rebuilds it.
     """
     if not train:
         raise ContractError("batch_norm1d normalizes on batch statistics only; inference "
@@ -577,52 +650,66 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     running_var += _BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
 
-    def centered():
-        return _value(x) - mu[None, :, None]
+    # (C, 1) columns broadcast over a (B, C, L) batch and over one (C, L) item alike
+    mu_c, inv_std_c = mu[:, None], inv_std[:, None]
 
-    def normalized():  # x-hat; gamma's VJP rebuilds it, so the graph keeps no x-hat
-        xhat = centered()
-        xhat *= inv_std[None, :, None]
+    def normalized(b=None):  # x-hat or its item b; gamma's VJP rebuilds it, so the graph keeps none
+        # a released x is rebuilt whole even for one item: dx reads it whole anyway
+        xhat = (_value(x) if b is None else _value(x)[b]) - mu_c
+        xhat *= inv_std_c
         return xhat
 
-    def output():  # the forward, and the rebuild of an output that release() dropped
-        y = normalized()
-        y *= gamma.data[None, :, None]
-        y += beta.data[None, :, None]
+    def output(b=None):  # the forward, and the rebuild of a released output or of its item b
+        y = normalized(b)
+        y *= gamma.data[:, None]
+        y += beta.data[:, None]
         if slope is not None:
             _leaky(y, slope, out=y)
         return y
 
-    def dx(g):
-        # dxhat * inv_std + dvar * 2 * centered / n + dmu / n, summed left to right as
-        # written, built in place in dxhat and centered, so only those two full-size
-        # temporaries are ever alive: dvar's product goes into centered's buffer, and
-        # centered is then rebuilt with the forward's expression
-        dxhat = g * gamma.data[None, :, None]
-        n = x.shape[0] * x.shape[2]
-        c = centered()
-        c_sum = c.sum(axis=(0, 2))
-        c *= dxhat
-        dvar = c.sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
-        dmu = -dxhat.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * c_sum
-        np.subtract(_value(x), mu[None, :, None], out=c)
-        dxhat *= inv_std[None, :, None]
-        c *= dvar[None, :, None] * 2.0
-        c /= n
-        dxhat += c
-        dxhat += dmu[None, :, None] / n
-        return dxhat
+    masks = []  # y > 0 of each item, kept as backward's first reader rebuilds them in order
+
+    def rebuild(b=None):
+        y = output(b)
+        if slope is not None and b == len(masks):
+            masks.append(y > 0.0)
+        return y
+
+    def unleak(g):  # `pre`: the first reader's masks, or else the output's items
+        _unleak(g, masks if len(masks) == len(g) else _items(out), slope)
+        masks.clear()
+        return g
 
     def dgamma(g):
         xhat = normalized()
         xhat *= g
         return xhat.sum(axis=(0, 2))
 
+    def dx(g):
+        # dxhat * inv_std + dvar * 2 * centered / n + dmu / n, summed left to right as
+        # written, built in place in g, which becomes dxhat, and in centered, the one
+        # full-size temporary: dvar's product goes into centered's buffer, and centered
+        # is then rebuilt with the forward's expression.  gamma's VJP has read g already
+        n = x.shape[0] * x.shape[2]
+        c = _value(x) - mu_c
+        c_sum = c.sum(axis=(0, 2))
+        g *= gamma.data[:, None]
+        c *= g
+        dvar = c.sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
+        dmu = -g.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * c_sum
+        np.subtract(_value(x), mu_c, out=c)
+        release(x)  # the last read of x in this backward; a later reader rebuilds it
+        g *= inv_std_c
+        c *= dvar[:, None] * 2.0
+        c /= n
+        g += c
+        g += dmu[:, None] / n
+        return g
+
     # `pre` reads the output through `out`, a cycle that backward breaks when it drops it
-    out = _make(output(), (x, gamma, beta), (dx, dgamma, lambda g: g.sum(axis=(0, 2))),
-                "batch_norm1d",
-                pre=None if slope is None else lambda g: _unleak(g, _value(out), slope))
-    out._rebuild = output
+    out = _make(output(), (gamma, beta, x), (dgamma, lambda g: g.sum(axis=(0, 2)), dx),
+                "batch_norm1d", pre=None if slope is None else unleak)
+    out._rebuild = rebuild
     return out
 
 

@@ -138,9 +138,10 @@ class TestEncode:
         calls = encoder_op_calls(monkeypatch, train=True)
         assert calls == ["conv1d", "batch_norm1d"] * tiny_config().encoder.n_layers
 
-    def test_training_drops_each_layer_output_but_the_last(self, monkeypatch):
-        # backward rebuilds layers 1-15 from their conv outputs; layer 16 feeds the pool.
-        # Of the conv outputs only layer 1's goes: it is rebuilt from x
+    def test_training_drops_every_batch_norm_output(self, monkeypatch):
+        # backward rebuilds each layer's output from its conv output, item by item; layer
+        # 16's goes once the pool has read it.  Of the conv outputs only layer 1's goes: it
+        # is rebuilt from x
         model = PerceptualModel.initialize(desk_config(), seed=0)
         model.set_trainable(("enc.",))
         outputs = {"conv1d": [], "batch_norm1d": []}
@@ -158,7 +159,7 @@ class TestEncode:
                                                         size=(2, 1, model.config.clip_samples)))
         acoustic, _ = model.encode(x, train=True)
         assert model.config.encoder.n_layers == 16
-        assert [ref() is None for ref in outputs["batch_norm1d"]] == [True] * 15 + [False]
+        assert [ref() is None for ref in outputs["batch_norm1d"]] == [True] * 16
         assert [ref() is None for ref in outputs["conv1d"]] == [True] + [False] * 15
 
 
