@@ -252,11 +252,12 @@ class PerceptualModel:
                        for name, arr in params.items()}
         self.state = {name: np.asarray(arr, dtype=np.float64).copy() for name, arr in state.items()}
         self.stage = stage
-        self.seed = int(seed)
+        self.seed = int(check_value("seed", seed, "int", lo=0))
         self._folds = None  # each encoder layer's folded (w, b) while the encoder is frozen
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int = 0) -> "PerceptualModel":
+        check_value("seed", seed, "int", lo=0)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xC0,)))
         params, state = _init_params(config, rng)
         return cls(config, params, state, stage="init", seed=seed)
@@ -489,7 +490,7 @@ def load_checkpoint(path) -> PerceptualModel:
         config = ModelConfig.from_dict(header["config"])
         directory = list(header["tensors"])
         stage = header["stage"]
-        seed = check_value("seed", header["seed"], "int")
+        seed = check_value("seed", header["seed"], "int", lo=0)
         if stage not in STAGES:
             raise FormatError(f"{path}: unknown stage {stage!r}")
         # every encoder layer holds 5 tensors, which bounds the layout built next

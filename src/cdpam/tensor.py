@@ -71,19 +71,20 @@ elementwise expression, whole or on one item, so the encoder calls
 (recomputation for memory, Chen et al. 2016).  A conv1d output that
 requires a gradient carries one too, the forward re-run on its input, which
 its VJPs hold already; an inference output carries none, because a rebuild
-would keep its input alive.  Backward reads a released output one item at a
-time (:func:`_items`): the next conv's weight gradient rebuilds each item,
-bit for bit, and drops it, and batch_norm1d keeps each item's leaky-ReLU
-mask, a bool array, for its own backward.  So a released BatchNorm output is
-rebuilt once, one item at a time, and never whole; the last layer's, which
-the pool reads no values of, is rebuilt for its mask alone.  batch_norm1d reads its input whole,
-through :func:`_value`, and releases it once its backward has built the
-input's gradient.  The encoder also releases layer 1's conv output once that
-layer's BatchNorm has read it; backward rebuilds it from the waveform once.
-So layer 1's graph keeps no full-size array, and each deeper layer keeps its
-conv output until its BatchNorm's backward.  The VJPs that read an input's
-data, not a parameter's, go through :func:`_value`, so a later reader of a
-released input rebuilds it.
+would keep its input alive.  A released tensor reads like any other, by one
+rule: ``.data`` rebuilds it whole, bit for bit, and keeps it; :func:`_items`
+rebuilds it one item at a time and keeps nothing; ``.shape`` never rebuilds.
+Backward reads a released output through :func:`_items`: the next conv's
+weight gradient rebuilds each item and drops it, and batch_norm1d keeps each
+item's leaky-ReLU mask, a bool array, for its own backward.  So a released
+BatchNorm output is rebuilt once, one item at a time, and never whole; the
+last layer's, which the pool reads no values of, is rebuilt for its mask
+alone.  batch_norm1d reads its input whole and releases it once its backward
+has built the input's gradient, so a later reader rebuilds it.  The encoder
+also releases layer 1's conv output once that layer's BatchNorm has read it;
+backward rebuilds it from the waveform once.  So layer 1's graph keeps no
+full-size array, and each deeper layer keeps its conv output until its
+BatchNorm's backward.
 
 :func:`adam_step` updates the parameter tensors in place and keeps its step
 count and moments per parameter name, so a parameter that a loss did not
@@ -92,6 +93,7 @@ reach neither moves nor counts that step.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -116,19 +118,10 @@ def _released(g):
     raise ContractError(_RELEASED)
 
 
-class _Dropped:
-    """The data of a tensor that :func:`release` dropped: its shape stays, its values go."""
-
-    __slots__ = ("shape",)
-
-    def __init__(self, shape: tuple):
-        self.shape = shape
-
-
 class Tensor:
     """N-dimensional float64 value participating in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_rebuild")
+    __slots__ = ("_data", "shape", "grad", "requires_grad", "_parents", "_backward_fn", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None, _op="tensor"):
         arr = np.asarray(data, dtype=np.float64)
@@ -141,15 +134,23 @@ class Tensor:
         self._rebuild = None  # a function that recomputes `data` bit for bit, if the op gave one
 
     @property
-    def shape(self):
-        return self.data.shape
+    def data(self) -> np.ndarray:
+        """The values; if :func:`release` dropped them, rebuilt once, bit for bit, and kept."""
+        if self._data is None:
+            self.data = self._rebuild()
+        return self._data
+
+    @data.setter
+    def data(self, arr: np.ndarray) -> None:
+        self._data = arr
+        self.shape = arr.shape
 
     @property
     def size(self):
-        return self.data.size
+        return math.prod(self.shape)
 
     def item(self) -> float:
-        if self.data.size != 1:
+        if self.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
@@ -157,17 +158,18 @@ class Tensor:
         """Add g into ``.grad``; with `adopt`, g is an array that nothing else holds.
 
         The first gradient is 0.0 + g, bit for bit, in the layout of zeros_like
-        (a released tensor's data was C-ordered).  An adopted g of that layout
-        becomes ``.grad`` in place; any other g is copied.
+        (a released tensor's data was C-ordered, and is not rebuilt for its
+        layout).  An adopted g of that layout becomes ``.grad`` in place; any
+        other g is copied.
         """
+        data = self._data
         if self.grad is not None:
             self.grad += g
-        elif adopt and g.flags.c_contiguous and (type(self.data) is _Dropped
-                                                 or self.data.flags.c_contiguous):
+        elif adopt and g.flags.c_contiguous and (data is None or data.flags.c_contiguous):
             self.grad = np.add(g, 0.0, out=g)
         else:
-            like = np.empty(self.shape) if type(self.data) is _Dropped else np.empty_like(self.data)
-            self.grad = np.add(g, 0.0, out=like)
+            self.grad = np.add(g, 0.0, out=np.empty(self.shape) if data is None
+                               else np.empty_like(data))
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar root; gradients sum over fan-out.
@@ -175,7 +177,7 @@ class Tensor:
         Interior nodes are popped off the topological order and released once
         their closure has run; leaves keep their ``.grad`` for :func:`adam_step`.
         """
-        if self.data.size != 1:
+        if self.size != 1:
             raise ContractError(f"backward() requires a scalar root, got shape {self.shape}")
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -201,8 +203,8 @@ class Tensor:
                 continue
             node._backward_fn(node.grad)
             # gradient first, then closure, then the node and its activation: under glibc
-            # the desk pretrain stage takes about 230k minor page faults in this order and
-            # 262k with the activation first (141k when the graph was kept whole)
+            # the desk pretrain stage took fewer minor page faults in this order than with
+            # the activation first when the two were measured
             node.grad, node._backward_fn, node._parents = None, _released, ()
             del node
 
@@ -213,27 +215,21 @@ class Tensor:
 def release(t: Tensor) -> None:
     """Drop t's data if its op gave it a rebuild function; a no-op on any other tensor.
 
-    Call it once every forward reader has consumed t.  The first backward
-    VJP that reads t rebuilds the data, bit for bit, and keeps it on t for
-    the later readers; ``.shape`` and gradient accumulation work without it.
+    Call it once every forward reader has consumed t.  A later read of
+    ``.data`` rebuilds the whole array, bit for bit, and keeps it on t;
+    :func:`_items` rebuilds one item at a time and keeps nothing; ``.shape``,
+    ``.size`` and gradient accumulation never rebuild.
     """
     if t._rebuild is not None:
-        t.data = _Dropped(t.shape)
-
-
-def _value(t: Tensor) -> np.ndarray:
-    """t's data, rebuilt once if :func:`release` dropped it."""
-    if type(t.data) is _Dropped:
-        t.data = t._rebuild()
-    return t.data
+        t._data = None
 
 
 def _items(t: Tensor):
     """t's data, or, if :func:`release` dropped it, an iterator over its items rebuilt one
-    at a time; either one iterates over t's items in order."""
-    if type(t.data) is _Dropped:
+    at a time and kept nowhere; either one iterates over t's items in order."""
+    if t._data is None:
         return map(t._rebuild, range(t.shape[0]))
-    return t.data
+    return t._data
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -294,16 +290,16 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b),
-                 (lambda g: _unbroadcast(g * _value(b), a.shape),
-                  lambda g: _unbroadcast(g * _value(a), b.shape)), "mul")
+                 (lambda g: _unbroadcast(g * b.data, a.shape),
+                  lambda g: _unbroadcast(g * a.data, b.shape)), "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = a.data / b.data
     return _make(out_data, (a, b),
-                 (lambda g: _unbroadcast(g / _value(b), a.shape),
-                  lambda g: _unbroadcast(-g * _value(a) / (_value(b) * _value(b)), b.shape)),
+                 (lambda g: _unbroadcast(g / b.data, a.shape),
+                  lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
                  "div")
 
 
@@ -316,7 +312,7 @@ def exp(x: Tensor) -> Tensor:
 def log(x: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = np.log(x.data)
-    return _make(out_data, (x,), (lambda g: g / _value(x),), "log")
+    return _make(out_data, (x,), (lambda g: g / x.data,), "log")
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -326,12 +322,12 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def absolute(x: Tensor) -> Tensor:
-    return _make(np.abs(x.data), (x,), (lambda g: g * np.sign(_value(x)),), "abs")
+    return _make(np.abs(x.data), (x,), (lambda g: g * np.sign(x.data),), "abs")
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     return _make(np.clip(x.data, lo, hi), (x,),
-                 (lambda g: g * ((_value(x) >= lo) & (_value(x) <= hi)),), "clamp")
+                 (lambda g: g * ((x.data >= lo) & (x.data <= hi)),), "clamp")
 
 
 def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -426,7 +422,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
     return _make(a.data @ b.data, (a, b),
-                 (lambda g: g @ _value(b).T, lambda g: _value(a).T @ g), "matmul")
+                 (lambda g: g @ b.data.T, lambda g: a.data.T @ g), "matmul")
 
 
 # -- neural-network layers ----------------------------------------------------
@@ -436,7 +432,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear shape mismatch x{x.shape} w{w.shape}")
     return _make(x.data @ w.data.T + b.data, (x, w, b),
-                 (lambda g: g @ _value(w), lambda g: g.T @ _value(x), lambda g: g.sum(axis=0)),
+                 (lambda g: g @ w.data, lambda g: g.T @ x.data, lambda g: g.sum(axis=0)),
                  "linear")
 
 
@@ -582,7 +578,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
         check_value("conv1d slope", slope, "number", 0, 1)
 
     def output(b=None):  # the forward, and the rebuild of a released output or of its item b
-        xs = _value(x) if b is None else _value(x)[b:b + 1]
+        xs = x.data if b is None else x.data[b:b + 1]
         y = _conv1d_forward(xs, w.data, stride, None if bias is None else bias.data, slope)
         return y if b is None else y[0]
 
@@ -655,7 +651,7 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     def normalized(b=None):  # x-hat or its item b; gamma's VJP rebuilds it, so the graph keeps none
         # a released x is rebuilt whole even for one item: dx reads it whole anyway
-        xhat = (_value(x) if b is None else _value(x)[b]) - mu_c
+        xhat = (x.data if b is None else x.data[b]) - mu_c
         xhat *= inv_std_c
         return xhat
 
@@ -691,13 +687,13 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         # full-size temporary: dvar's product goes into centered's buffer, and centered
         # is then rebuilt with the forward's expression.  gamma's VJP has read g already
         n = x.shape[0] * x.shape[2]
-        c = _value(x) - mu_c
+        c = x.data - mu_c
         c_sum = c.sum(axis=(0, 2))
         g *= gamma.data[:, None]
         c *= g
         dvar = c.sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
         dmu = -g.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * c_sum
-        np.subtract(_value(x), mu_c, out=c)
+        np.subtract(x.data, mu_c, out=c)
         release(x)  # the last read of x in this backward; a later reader rebuilds it
         g *= inv_std_c
         c *= dvar[:, None] * 2.0

@@ -593,12 +593,15 @@ class TestCheckpoint:
          "tensors listed for"),
         (lambda h: h["tensors"][0].update(shape=[float("inf")]), "corrupt tensor directory"),
         (_overflowing_shape, "truncated tensor payload"),
-        (lambda h: h.update(seed="7"), r"corrupt checkpoint header \(seed must be an integer, "
-                                       r"got '7'\)"),
+        (lambda h: h.update(seed="7"), r"corrupt checkpoint header \(seed must be an integer "
+                                       r">= 0, got '7'\)"),
+        (lambda h: h.update(seed=-1), r"corrupt checkpoint header \(seed must be an integer "
+                                      r">= 0, got -1\)"),
         (lambda h: h["tensors"][0].update(shape=[str(n) for n in h["tensors"][0]["shape"]]),
          r"corrupt tensor directory entry \(a shape entry must be an integer, got '"),
     ], ids=["empty-blocks", "zero-rate", "missing-key", "stage", "inf-seed", "huge-kernel",
-            "huge-depth", "inf-shape", "overflowing-shape", "string-seed", "string-shape"])
+            "huge-depth", "inf-shape", "overflowing-shape", "string-seed", "negative-seed",
+            "string-shape"])
     def test_bad_header_is_format_error_naming_the_file(self, tiny_model, tmp_path, edit,
                                                        problem):
         path = tmp_path / "header.ckpt"

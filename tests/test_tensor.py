@@ -722,7 +722,7 @@ class TestRelease:
         forward = out.data.tobytes()
         T.release(out)
         assert out.shape == x.shape
-        assert T._value(out).tobytes() == forward
+        assert out.data.tobytes() == forward
 
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     def test_gradients_bit_equal_with_and_without_release(self, slope):
@@ -801,13 +801,32 @@ class TestRelease:
             out = T.batch_norm1d(conv, *ts[3:], np.zeros(5), np.ones(5), True, slope=0.2)
             if release:
                 T.release(conv)
-                assert type(conv.data) is T._Dropped and conv.shape == (3, 5, 10 // stride)
-                assert T._value(conv).tobytes() == forward
+                assert conv._data is None and conv.shape == (3, 5, 10 // stride)
+                assert conv.data.tobytes() == forward
                 T.release(conv)  # dropped again, so backward rebuilds it
             T.sum_(T.mul(out, probe)).backward()
             return forward, [t.grad.tobytes() for t in ts]
 
         assert run(release=True) == run(release=False)
+
+    @pytest.mark.parametrize("read", ["data", "sum", "mul"])
+    def test_output_released_by_backward_reads_as_its_forward(self, read):
+        # batch_norm1d's backward releases its conv input; a read after backward() rebuilds
+        # it whole, once, while its shape and size need no rebuild
+        x, _, _, w = batch_norm_inputs(47)
+        conv = T.conv1d(Tensor(x, requires_grad=True), Tensor(w))
+        forward = conv.data.copy()
+        rebuild, rebuilds = conv._rebuild, []
+        conv._rebuild = lambda b=None: rebuilds.append(b) or rebuild(b)
+        out = T.batch_norm1d(conv, *(Tensor(a) for a in np.ones((2, 5))), np.zeros(5),
+                             np.ones(5), True)
+        T.sum_(T.mul(out, linear_probe(out.shape, 48))).backward()
+        assert conv._data is None
+        assert conv.shape == forward.shape and conv.size == forward.size and rebuilds == []
+        value = {"data": lambda: conv.data, "sum": lambda: T.sum_(conv).data,
+                 "mul": lambda: T.mul(conv, Tensor(1.0)).data}[read]()
+        expected = forward.sum() if read == "sum" else forward
+        assert value.tobytes() == expected.tobytes() and rebuilds == [None]
 
 
 def released_layer(stride, conv_slope, bn_slope, seed):
@@ -838,9 +857,9 @@ class TestReleasedItems:
         conv, out, (conv_data, out_data) = released_layer(stride, conv_slope, bn_slope, 80)
         for t, data in ((conv, conv_data), (out, out_data)):
             items = np.stack(list(T._items(t)))  # each item rebuilt alone, from rebuilt items
-            assert type(t.data) is T._Dropped
+            assert t._data is None
             assert items.tobytes() == data.tobytes()
-        assert T._value(out).tobytes() == out_data.tobytes()  # and whole, kept
+        assert out.data.tobytes() == out_data.tobytes()  # and whole, kept
 
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     def test_item_masks_equal_one_whole_mask(self, slope):
@@ -857,21 +876,27 @@ class TestReleasedItems:
         assert per_item.tobytes() == whole.tobytes()
         assert whole.tobytes() == np.where(out_data > 0.0, g, slope * g).tobytes()
 
-    @pytest.mark.parametrize("first", ["batch_norm", "product"])
+    @pytest.mark.parametrize("reader", ["mul", "div", "log", "absolute", "clamp"])
+    @pytest.mark.parametrize("first", ["batch_norm", "reader"])
     def test_input_released_by_batch_norm_backward_is_rebuilt_for_other_readers(
-            self, monkeypatch, first):
-        # batch_norm1d's backward releases its input; mul, which also reads it, rebuilds it
+            self, monkeypatch, first, reader):
+        # batch_norm1d's backward releases its input; another op whose VJP reads that input
+        # rebuilds it.  div and log read a positive conv output, the others one of both signs
+        positive = reader in ("div", "log")
         rng = np.random.default_rng(83)
-        x, w = rng.normal(size=(2, 3, 8)), rng.normal(size=(4, 3, 5))
+        x = rng.uniform(0.5, 1.5, size=(2, 3, 8)) if positive else rng.normal(size=(2, 3, 8))
+        w = rng.uniform(0.1, 1.0, size=(4, 3, 5)) if positive else rng.normal(size=(4, 3, 5))
         gamma, beta = rng.normal(1.0, 0.3, size=4), rng.normal(size=4)
         p, q = linear_probe((2, 4, 8), 84), linear_probe((2, 4, 8), 85)
+        read = {"mul": lambda c: T.mul(c, c), "div": lambda c: T.div(q, c), "log": T.log,
+                "absolute": T.absolute, "clamp": lambda c: T.clamp(c, -0.5, 0.5)}[reader]
 
         def grads():
             ts = [Tensor(a.copy(), requires_grad=True) for a in (x, w, gamma, beta)]
             conv = T.conv1d(*ts[:2])
             terms = [T.sum_(T.mul(T.batch_norm1d(conv, *ts[2:], np.zeros(4), np.ones(4), True,
                                                  slope=0.2), p)),
-                     T.sum_(T.mul(T.mul(conv, conv), q))]
+                     T.sum_(T.mul(read(conv), q))]
             T.add(*(terms if first == "batch_norm" else terms[::-1])).backward()
             return [t.grad.tobytes() for t in ts]
 

@@ -161,6 +161,9 @@ PUBLIC_ARGUMENTS = {
         "clips_per_cell", lambda e, v: build_mos_set(e["corpus"], clips_per_cell=v), 0),
     "nt_xent": ("tau", lambda e, v: nt_xent(e["z"], v), 0.0),
     "margin_rank": ("margin", lambda e, v: margin_rank(e["d"], e["d"], v), math.inf),
+    "PerceptualModel": ("seed", lambda e, v: PerceptualModel(tiny_config(), {}, {}, seed=v), -1),
+    "PerceptualModel.initialize": ("seed",
+                                   lambda e, v: PerceptualModel.initialize(tiny_config(), v), -1),
     "judge": ("d", lambda e, v: e["model"].judge(v), _below(0.0)),
     "leaky_relu": ("leaky_relu slope", lambda e, v: T.leaky_relu(e["x"], v), _above(1.0)),
     "conv1d": ("conv1d slope", lambda e, v: T.conv1d(e["x"], e["w"], slope=v), _below(0.0)),
