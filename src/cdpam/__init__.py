@@ -1,26 +1,7 @@
 """Learned perceptual audio similarity metric, desk-scale and self-contained.
 
-Submodules are imported lazily so that the CLI can apply the CDPAM_THREADS
+The package root imports no submodule, so that the CLI can apply the CDPAM_THREADS
 cap before numpy initializes its thread pool.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = ("audio", "perturb", "tensor", "losses", "model", "datagen",
-               "trainer", "evaluate", "cli", "errors")
-
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SUBMODULES))

@@ -26,7 +26,7 @@ import numpy as np
 from .audio import CANONICAL_RATE, CANONICAL_SAMPLES, Waveform, replacing
 from .errors import CapacityError, ContractError, DataError, check_value
 from .perturb import (DEFAULT_FAMILIES, PerturbSpec, apply, magnitude, sample_spec,
-                      spec_with_severity)
+                      spec_with_severity, stream)
 
 DEFAULT_JND_THRESHOLD = 0.15
 DEFAULT_JND_SIGMA = 0.03
@@ -133,7 +133,7 @@ def read_jsonl(path, cls) -> list:
 
 
 def _speaker_params(seed: int, speaker_id: int) -> dict:
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, speaker_id)))
+    rng = stream(seed, 1, speaker_id)
     n_formants = int(rng.integers(2, 4))
     formants = [float(rng.uniform(*band)) for band in
                 ((280.0, 750.0), (900.0, 2100.0), (2300.0, 3200.0))][:n_formants]
@@ -207,11 +207,13 @@ def synth_corpus(n: int, n_speakers: int, seed: int = 0,
     """Generate n seeded utterances across n_speakers synthetic voices."""
     check_value("n", n, "int", lo=1)
     check_value("n_speakers", n_speakers, "int", lo=1)
+    check_value("sample_rate", sample_rate, "int", lo=1)
+    check_value("clip_samples", clip_samples, "int", lo=1)
     speakers = [_speaker_params(seed, s) for s in range(n_speakers)]
     corpus = []
     for i in range(n):
         speaker_id = i % n_speakers
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, i)))
+        rng = stream(seed, 2, i)
         samples = _synth_utterance(speakers[speaker_id], rng, clip_samples, sample_rate)
         corpus.append(Utterance(id=f"{id_prefix}{i:04d}", clean=Waveform(samples, sample_rate),
                                 speaker_id=speaker_id))
@@ -250,9 +252,10 @@ def make_contrastive_batch(corpus, mode: str, batch_size: int = 16, seed: int = 
     Returns 2 * batch_size waves, the first view of every pair and then the
     second, so that waves k and batch_size + k form pair k.
     """
+    check_value("batch_size", batch_size, "int", lo=1)
     if mode not in ("acoustic", "content"):
         raise ContractError(f"unknown contrastive mode {mode!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
+    rng = stream(seed, 3)
     needed = 2 * batch_size if mode == "acoustic" else batch_size
     if len(corpus) < needed:
         raise CapacityError(
@@ -287,7 +290,7 @@ def oracle_jnd(corpus, n_pairs: int, threshold: float = DEFAULT_JND_THRESHOLD,
     check_value("n_pairs", n_pairs, "int", lo=1)
     check_value("threshold", threshold, "number", 0, 1, ends="()")
     check_value("noise_sigma", noise_sigma, "number", lo=0)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
+    rng = stream(seed, 4)
     records = []
     for _ in range(n_pairs):
         utt = corpus[int(rng.integers(0, len(corpus)))]
@@ -311,7 +314,7 @@ def oracle_triplets(corpus, n: int, seed: int = 0, families=DEFAULT_FAMILIES,
     check_value("n", n, "int", lo=1)
     # magnitudes lie in [0, 1], so no pair reaches a gap of 1
     check_value("min_magnitude_gap", min_magnitude_gap, "number", 0, 1, ends="[)")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
+    rng = stream(seed, 5)
     records = []
     for _ in range(n):
         utt = corpus[int(rng.integers(0, len(corpus)))]
@@ -379,7 +382,7 @@ def build_mono_series(corpus, families=DEFAULT_FAMILIES, n_levels: int = 6,
     """Per-content series at increasing severities, per family plus combined."""
     check_value("n_levels", n_levels, "int", lo=3)
     check_value("n_contents", n_contents, "int", lo=2)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(6,)))
+    rng = stream(seed, 6)
     severities = np.linspace(0.15, 0.9, n_levels)
     contents = [corpus[int(i)] for i in
                 rng.choice(len(corpus), size=min(n_contents, len(corpus)), replace=False)]
@@ -402,7 +405,7 @@ def build_common_area_sets(corpus, n_pairs: int = 150, seed: int = 0,
     check_value("n_pairs", n_pairs, "int", lo=1)
     if len(corpus) < 2:
         raise CapacityError("common-area pairs need at least 2 utterances")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
+    rng = stream(seed, 7)
     pairs = []
     for group in ("same", "diff"):
         for _ in range(n_pairs):
@@ -422,7 +425,7 @@ def build_retrieval_set(corpus, n_groups: int = 10, group_size: int = 20, seed: 
     check_value("group_size", group_size, "int", lo=2)
     if len(corpus) < group_size:
         raise CapacityError("retrieval groups need group_size distinct utterances")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(8,)))
+    rng = stream(seed, 8)
     items = []
     for group_id in range(n_groups):
         spec = sample_spec(int(rng.integers(0, 2 ** 63)), families)
@@ -437,7 +440,7 @@ def build_mos_set(corpus, n_conditions: int = 10, clips_per_cell: int = 3, seed:
     """Synthetic MOS table: rating = 5 - 4*magnitude + noise, clipped to [1, 5]."""
     check_value("n_conditions", n_conditions, "int", lo=2)
     check_value("clips_per_cell", clips_per_cell, "int", lo=1)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
+    rng = stream(seed, 9)
     speakers = sorted({utt.speaker_id for utt in corpus})
     by_speaker = {s: [u for u in corpus if u.speaker_id == s] for s in speakers}
     conditions = [sample_spec(int(rng.integers(0, 2 ** 63)), families)

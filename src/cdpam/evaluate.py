@@ -89,6 +89,8 @@ def two_afc_from_distances(d_a, d_b, labels) -> float:
         raise ContractError("two_afc needs parallel non-empty distance/label arrays")
     score = 0.0
     for da, db, label in zip(d_a, d_b, labels):
+        if label not in ("A", "B"):
+            raise ContractError(f"a two_afc label must be 'A' or 'B', got {label!r}")
         if da == db:
             score += 0.5
         elif (da < db) == (label == "A"):
@@ -96,8 +98,9 @@ def two_afc_from_distances(d_a, d_b, labels) -> float:
     return score / d_a.size
 
 
-def common_area(group_same, group_diff, n_bins: int = DEFAULT_BINS) -> float:
-    """Overlap of the two groups' normalized histograms over their pooled range."""
+def common_area(group_same, group_diff) -> float:
+    """Overlap of the two groups' normalized histograms, in DEFAULT_BINS bins over their
+    pooled range."""
     a = np.asarray(group_same, dtype=np.float64)
     b = np.asarray(group_diff, dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -106,7 +109,7 @@ def common_area(group_same, group_diff, n_bins: int = DEFAULT_BINS) -> float:
     hi = max(a.max(), b.max())
     if lo == hi:
         return 1.0
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, DEFAULT_BINS + 1)
     pa, _ = np.histogram(a, bins=edges)
     pb, _ = np.histogram(b, bins=edges)
     return float(np.minimum(pa / a.size, pb / b.size).sum())

@@ -17,8 +17,10 @@ call the pair different.
 
 Checkpoints are a single binary file: magic ``CDPM``, a u32 format version,
 a u32 byte length followed by a JSON header (config echo, training stage,
-seed, tensor directory), then the raw little-endian float64 tensor payloads
-in directory order.  Round trips are bit-exact.
+seed, and the tensor directory, which is the config's: its params, then its
+state, each in sorted order), then the raw little-endian float64 tensor
+payloads in directory order.  Round trips are bit-exact, and a file whose
+directory is any other is rejected.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from . import tensor as T
 from .audio import Waveform, fix_length, replacing, resample
 from .errors import ContractError, FormatError, ShapeError, VersionError, check_value
+from .perturb import stream
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"CDPM"
@@ -230,6 +233,15 @@ def _tensor_layout(config: ModelConfig) -> dict[str, _TensorSpec]:
     return layout
 
 
+def _directory(config: ModelConfig) -> list[dict]:
+    """A checkpoint's tensor directory for `config`: its params, then its state, each
+    sorted by name."""
+    layout = _tensor_layout(config)
+    return [{"kind": kind, "name": name, "shape": list(layout[name].shape)}
+            for kind in ("param", "state")
+            for name in sorted(n for n, spec in layout.items() if spec.kind == kind)]
+
+
 def _init_params(config: ModelConfig, rng: np.random.Generator) -> tuple[dict, dict]:
     params: dict[str, np.ndarray] = {}
     state: dict[str, np.ndarray] = {}
@@ -248,8 +260,7 @@ class PerceptualModel:
         if stage not in STAGES:
             raise ContractError(f"unknown stage {stage!r}")
         self.config = config
-        self.params = {name: arr if isinstance(arr, Tensor) else Tensor(arr)
-                       for name, arr in params.items()}
+        self.params = {name: Tensor(arr) for name, arr in params.items()}
         self.state = {name: np.asarray(arr, dtype=np.float64).copy() for name, arr in state.items()}
         self.stage = stage
         self.seed = int(check_value("seed", seed, "int", lo=0))
@@ -257,9 +268,7 @@ class PerceptualModel:
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int = 0) -> "PerceptualModel":
-        check_value("seed", seed, "int", lo=0)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xC0,)))
-        params, state = _init_params(config, rng)
+        params, state = _init_params(config, stream(seed, 0xC0))
         return cls(config, params, state, stage="init", seed=seed)
 
     # -- parameter bookkeeping ------------------------------------------------
@@ -452,13 +461,15 @@ class PerceptualModel:
 # -- checkpoint I/O ---------------------------------------------------------------
 
 def save_checkpoint(model: PerceptualModel, path) -> None:
-    """Write the model in the CDPM container format, through :func:`audio.replacing`."""
-    names = sorted(model.params) + sorted(model.state)
-    kinds = ["param"] * len(model.params) + ["state"] * len(model.state)
-    arrays = [model.params[n].data if k == "param" else model.state[n]
-              for n, k in zip(names, kinds)]
-    directory = [{"name": n, "kind": k, "shape": list(a.shape)}
-                 for n, k, a in zip(names, kinds, arrays)]
+    """Write the model in the CDPM container format, through :func:`audio.replacing`; a
+    model without a tensor of its config's directory raises ContractError naming it."""
+    directory = _directory(model.config)
+    held = {"param": {n: t.data for n, t in model.params.items()}, "state": model.state}
+    arrays = [held[entry["kind"]].get(entry["name"]) for entry in directory]
+    for entry, arr in zip(directory, arrays):
+        if arr is None or list(arr.shape) != entry["shape"]:
+            raise ContractError(f"the model holds no {entry['kind']} {entry['name']!r} "
+                                f"of shape {entry['shape']}")
     header = json.dumps({
         "config": model.config.to_dict(),
         "stage": model.stage,
@@ -475,6 +486,8 @@ def save_checkpoint(model: PerceptualModel, path) -> None:
 
 
 def load_checkpoint(path) -> PerceptualModel:
+    """Read a CDPM checkpoint; a malformed file, or one whose tensor directory is not its
+    config's, raises FormatError naming it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -488,51 +501,38 @@ def load_checkpoint(path) -> PerceptualModel:
     try:
         header = json.loads(blob[12:12 + header_len].decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
-        directory = list(header["tensors"])
+        listed = list(header["tensors"])
         stage = header["stage"]
         seed = check_value("seed", header["seed"], "int", lo=0)
         if stage not in STAGES:
             raise FormatError(f"{path}: unknown stage {stage!r}")
-        # every encoder layer holds 5 tensors, which bounds the layout built next
-        if 5 * config.encoder.n_layers > len(directory):
-            raise FormatError(f"{path}: {len(directory)} tensors listed for "
+        # every encoder layer holds 5 tensors, which bounds the directory built next
+        if 5 * config.encoder.n_layers > len(listed):
+            raise FormatError(f"{path}: {len(listed)} tensors listed for "
                               f"{config.encoder.n_layers} encoder layers")
-        layout = _tensor_layout(config)
+        directory = _directory(config)
     except (ValueError, KeyError, TypeError, OverflowError) as err:
         # ContractError is a ValueError: a config the model rejects is a corrupt header
         raise FormatError(f"{path}: corrupt checkpoint header ({err})") from err
+    if listed != directory:
+        i = next((i for i, (got, want) in enumerate(zip(listed, directory)) if got != want),
+                 min(len(listed), len(directory)))
+        got = repr(listed[i]) if i < len(listed) else "nothing"
+        want = repr(directory[i]) if i < len(directory) else "nothing"
+        raise FormatError(f"{path}: tensor directory entry {i} is {got}, expected {want}")
 
     offset = 12 + header_len
+    payload = 8 * sum(math.prod(entry["shape"]) for entry in directory)
+    if len(blob) - offset != payload:
+        raise FormatError(f"{path}: {len(blob) - offset} payload bytes, expected {payload}")
     params: dict[str, np.ndarray] = {}
     state: dict[str, np.ndarray] = {}
     for entry in directory:
-        try:
-            name, kind = str(entry["name"]), entry["kind"]
-            shape = tuple(check_value("a shape entry", n, "int") for n in entry["shape"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise FormatError(f"{path}: corrupt tensor directory entry ({err})") from err
-        spec = layout.get(name)
-        if spec is None:
-            raise FormatError(f"{path}: unexpected tensor {name!r}")
-        if name in params or name in state:
-            raise FormatError(f"{path}: duplicate tensor {name!r}")
-        if kind != spec.kind:
-            raise FormatError(f"{path}: tensor {name!r} has kind {kind!r}, expected {spec.kind!r}")
-        if shape != spec.shape:
-            raise FormatError(f"{path}: tensor {name!r} has shape {list(shape)}, "
-                              f"expected {list(spec.shape)}")
+        name, shape = entry["name"], tuple(entry["shape"])
         nbytes = math.prod(shape) * 8
-        if offset + nbytes > len(blob):
-            raise FormatError(f"{path}: truncated tensor payload for {name!r}")
         arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").astype(np.float64).reshape(shape)
         offset += nbytes
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
-        (params if kind == "param" else state)[name] = arr
-    if offset != len(blob):
-        raise FormatError(f"{path}: trailing bytes after tensor payloads")
-    missing = [name for name in layout if name not in params and name not in state]
-    if missing:
-        raise FormatError(f"{path}: missing tensor {missing[0]!r}"
-                          + (f" and {len(missing) - 1} more" if len(missing) > 1 else ""))
+        (params if entry["kind"] == "param" else state)[name] = arr
     return PerceptualModel(config, params, state, stage=stage, seed=seed)

@@ -110,8 +110,11 @@ class PerturbSpec:
                      if getattr(self, field) is not None)
 
 
-def _family_rng(seed: int, family: str) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(FAMILIES.index(family),)))
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The random stream `key` under `seed`, which must be an integer >= 0; every seeded
+    draw of the package's data and training comes from one."""
+    check_value("seed", seed, "int", lo=0)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _colored_noise(n: int, color: str, rng: np.random.Generator) -> np.ndarray:
@@ -139,7 +142,7 @@ def apply_noise(w: Waveform, snr_db: float, color: str = "white", seed: int = 0)
     signal_rms = rms(w)
     if signal_rms <= 0.0:
         raise ContractError("cannot set an SNR against a silent signal")
-    rng = _family_rng(seed, "noise")
+    rng = stream(seed, FAMILIES.index("noise"))
     noise = _colored_noise(len(w), color, rng)
     noise *= signal_rms * 10.0 ** (-snr_db / 20.0) / np.sqrt(np.mean(np.square(noise)))
     return w.replace_samples(w.samples + noise)
@@ -148,8 +151,9 @@ def apply_noise(w: Waveform, snr_db: float, color: str = "white", seed: int = 0)
 def reverb_impulse_response(rt60_s: float, sample_rate: int, seed: int = 0) -> np.ndarray:
     """Exponentially decaying noise IR whose envelope hits -60 dB at rt60_s."""
     check_value("rt60", rt60_s, "number", 0.0, REVERB_RT60_RANGE_S[1], ends="(]")
+    check_value("sample_rate", sample_rate, "int", lo=1)
     n = int(round(rt60_s * sample_rate)) + 1
-    rng = _family_rng(seed, "reverb")
+    rng = stream(seed, FAMILIES.index("reverb"))
     t = np.arange(n) / sample_rate
     envelope = np.exp(-np.log(1000.0) * t / rt60_s)
     ir = rng.standard_normal(n) * envelope
@@ -237,7 +241,7 @@ def apply_dropouts(w: Waveform, rate: float, seed: int = 0) -> Waveform:
     n_windows = int(round(rate * len(w) / window))
     if n_windows == 0:
         return w
-    rng = _family_rng(seed, "dropouts")
+    rng = stream(seed, FAMILIES.index("dropouts"))
     out = w.samples.copy()
     starts = rng.integers(0, max(1, len(w) - window), size=n_windows)
     for start in starts:
@@ -252,7 +256,7 @@ def apply_pops(w: Waveform, rate: float, seed: int = 0) -> Waveform:
     if n_pops == 0:
         return w
     window = max(1, int(round(_POP_WINDOW_S * w.sample_rate)))
-    rng = _family_rng(seed, "pops")
+    rng = stream(seed, FAMILIES.index("pops"))
     out = w.samples.copy()
     starts = rng.integers(0, max(1, len(w) - window), size=n_pops)
     signs = rng.choice([-1.0, 1.0], size=n_pops)
@@ -298,7 +302,7 @@ def sample_spec(seed: int, families: Iterable[str] = FAMILIES) -> PerturbSpec:
     requested = _requested(families)
     # the stream key is the constant 6, the family count when it was chosen, not
     # len(FAMILIES): appending a family must not redraw every existing spec
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(6,)))
+    rng = stream(seed, 6)
     kwargs = {}
     for fam, (field, (lo, hi), _) in _FAMILY_FIELDS.items():
         if fam not in requested:

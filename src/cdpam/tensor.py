@@ -8,8 +8,9 @@ output's gradient to that input's gradient.  Of the ops, only ``_make`` reads
 each input that requires a gradient, in input order, and adds the result
 into that input's ``.grad``.  Calling ``backward()`` on a scalar root
 runs these closures in reverse topological order, so fan-out sums naturally.
-An input's first gradient adopts a VJP result that nothing else holds, in
-place, instead of copying it (see :func:`_make`).
+An input's first gradient adopts a C-ordered VJP result that nothing else
+holds, in place, instead of copying it (see :func:`_make`); every gradient
+is C-ordered, whatever the layout of its tensor's data.
 
 ``backward()`` frees the graph as it walks it, as PyTorch does by default:
 after a node's closure has run, the node drops its gradient, closure and
@@ -157,19 +158,15 @@ class Tensor:
     def _accumulate(self, g: np.ndarray, adopt: bool = False) -> None:
         """Add g into ``.grad``; with `adopt`, g is an array that nothing else holds.
 
-        The first gradient is 0.0 + g, bit for bit, in the layout of zeros_like
-        (a released tensor's data was C-ordered, and is not rebuilt for its
-        layout).  An adopted g of that layout becomes ``.grad`` in place; any
-        other g is copied.
+        The first gradient is 0.0 + g, bit for bit, and C-ordered: an adopted
+        C-ordered g becomes ``.grad`` in place, and any other g is copied.
         """
-        data = self._data
         if self.grad is not None:
             self.grad += g
-        elif adopt and g.flags.c_contiguous and (data is None or data.flags.c_contiguous):
+        elif adopt and g.flags.c_contiguous:
             self.grad = np.add(g, 0.0, out=g)
         else:
-            self.grad = np.add(g, 0.0, out=np.empty(self.shape) if data is None
-                               else np.empty_like(data))
+            self.grad = np.add(g, 0.0, out=np.empty(self.shape))
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar root; gradients sum over fan-out.

@@ -37,7 +37,7 @@ from .audio import Waveform, apply_gain_db, replacing
 from .datagen import corpus_by_id, make_contrastive_batch
 from .errors import ContractError, DataError, NumericError, TrainingError, check_value
 from .model import ModelConfig, PerceptualModel
-from .perturb import DEFAULT_FAMILIES, apply
+from .perturb import DEFAULT_FAMILIES, apply, stream
 from .tensor import Tensor, adam_step
 
 EPOCH_DEFAULTS = {"pretrain": 250, "jnd": 250, "finetune": 100}
@@ -121,8 +121,8 @@ def _run_epochs(model: PerceptualModel, config: TrainConfig, spawn: int, done_ta
 
     The one training step: each loss the generator yields is backpropagated
     and followed by one Adam step before the generator resumes, and an epoch
-    logs its minibatch mean.  Epoch e draws from SeedSequence(seed,
-    spawn_key=(spawn, e)).  A non-finite value anywhere in an epoch aborts
+    logs its minibatch mean.  Epoch e draws from ``stream(seed, spawn, e)``
+    (:func:`perturb.stream`).  A non-finite value anywhere in an epoch aborts
     training with that epoch's index.  At the end the model is tagged
     `done_tag` and every parameter is frozen.
     """
@@ -130,7 +130,7 @@ def _run_epochs(model: PerceptualModel, config: TrainConfig, spawn: int, done_ta
     rows = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(spawn, epoch)))
+        rng = stream(config.seed, spawn, epoch)
         batch_losses = []
         try:
             for loss in epoch_losses(rng):
@@ -167,7 +167,7 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
     model.set_trainable(("enc.", "proj."))
     per_mode = max(1, len(corpus) // (4 * config.batch_size))
     # the pretraining set is fixed up front; only augmentation varies per epoch
-    seeder = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(20,)))
+    seeder = stream(config.seed, 20)
     batches = [(mode, make_contrastive_batch(corpus, mode, config.batch_size,
                                              seed=int(seeder.integers(0, 2 ** 63)),
                                              families=config.families))

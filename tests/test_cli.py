@@ -792,6 +792,15 @@ class TestThreadCap:
                               text=True, check=True)
         assert done.stdout.split() == ["1", "1", "1"]
 
+    def test_package_root_imports_no_submodule_and_no_numpy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cdpam.__file__)))
+        code = ("import sys\n"
+                "import cdpam\n"
+                "print(*sorted(m for m in sys.modules if m == 'numpy' or 'cdpam' in m))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["cdpam"]
+
     @pytest.mark.parametrize("cap", ["abc", "0"])
     def test_invalid_cap_exits_2_before_numpy_loads_or_a_file_is_written(self, tmp_path, cap):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cdpam.__file__)))

@@ -103,6 +103,10 @@ class TestTwoAfc:
         labels = ["A", "B", "A"]
         assert two_afc_from_distances(d_a, d_b, labels) == 1.0
 
+    def test_label_other_than_a_or_b_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="got 'C'"):
+            two_afc_from_distances([0.1], [0.2], ["C"])
+
     def test_ties_score_half(self):
         assert two_afc_from_distances([0.3], [0.3], ["A"]) == 0.5
 
@@ -131,10 +135,11 @@ class TestCommonArea:
         assert common_area([0.0, 0.1, 0.2], [5.0, 5.1, 5.2]) == 0.0
 
     def test_known_discrete_histograms(self):
-        # masses {0.5, 0.5, 0} vs {0, 0.5, 0.5} over three bins -> overlap 0.5
+        # each group has half its mass in the bin holding 1.0, and the other half in the
+        # first of the 50 bins or in the last -> overlap 0.5
         a = np.concatenate([np.full(10, 0.1), np.full(10, 1.0)])
         b = np.concatenate([np.full(10, 1.0), np.full(10, 1.9)])
-        assert common_area(a, b, n_bins=3) == pytest.approx(0.5)
+        assert common_area(a, b) == pytest.approx(0.5)
 
     def test_symmetry(self):
         rng = np.random.default_rng(4)

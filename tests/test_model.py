@@ -3,6 +3,7 @@
 import json
 import struct
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from cdpam.model import (EMBED_BATCH, LEAKY_SLOPE, EncoderConfig, ModelConfig, P
                          default_config, desk_config, load_checkpoint, save_checkpoint,
                          tiny_config)
 from cdpam.tensor import Tensor
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -554,9 +557,9 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit,name,problem", [
-        (lambda t: t.pop("enc.bn4.running_var"), "enc.bn4.running_var", "missing"),
+        (lambda t: t.pop("enc.bn4.running_var"), "enc.bn4.running_var", "is nothing, expected"),
         (lambda t: t.update({"enc.bogus": [{"name": "enc.bogus", "kind": "param", "shape": [2]},
-                                            np.zeros(2)]}), "enc.bogus", "unexpected"),
+                                            np.zeros(2)]}), "enc.bogus", "expected nothing"),
         (lambda t: t["enc.bn1.running_mean"][0].update(kind="buffer"),
          "enc.bn1.running_mean", "kind"),
         (lambda t: t.update({"lossnet.fc1.b": [{"name": "lossnet.fc1.b", "kind": "param",
@@ -591,14 +594,14 @@ class TestCheckpoint:
          "corrupt checkpoint header"),
         (lambda h: h["config"]["encoder"].update(n_layers=4 * 10 ** 12),
          "tensors listed for"),
-        (lambda h: h["tensors"][0].update(shape=[float("inf")]), "corrupt tensor directory"),
-        (_overflowing_shape, "truncated tensor payload"),
+        (lambda h: h["tensors"][0].update(shape=[float("inf")]), "tensor directory entry 0 is"),
+        (_overflowing_shape, "tensor directory entry 0 is"),
         (lambda h: h.update(seed="7"), r"corrupt checkpoint header \(seed must be an integer "
                                        r">= 0, got '7'\)"),
         (lambda h: h.update(seed=-1), r"corrupt checkpoint header \(seed must be an integer "
                                       r">= 0, got -1\)"),
         (lambda h: h["tensors"][0].update(shape=[str(n) for n in h["tensors"][0]["shape"]]),
-         r"corrupt tensor directory entry \(a shape entry must be an integer, got '"),
+         "tensor directory entry 0 is"),
     ], ids=["empty-blocks", "zero-rate", "missing-key", "stage", "inf-seed", "huge-kernel",
             "huge-depth", "inf-shape", "overflowing-shape", "string-seed", "negative-seed",
             "string-shape"])
@@ -613,6 +616,47 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=problem) as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    def test_reordered_directory_is_format_error_naming_the_file(self, tiny_model, tmp_path,
+                                                                 rewrite_checkpoint):
+        # every tensor, each with its own payload, but not in the order save writes them
+        def reverse(tensors):
+            items = list(tensors.items())[::-1]
+            tensors.clear()
+            tensors.update(items)
+
+        path = tmp_path / "reordered.ckpt"
+        save_checkpoint(tiny_model, path)
+        rewrite_checkpoint(path, reverse)
+        with pytest.raises(FormatError, match="tensor directory entry 0 is") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        assert "'enc.bn4.running_var'" in str(err.value)
+
+    @pytest.mark.parametrize("edit,name", [
+        (lambda params, state: params.pop("clf.fc2.b"), "clf.fc2.b"),
+        (lambda params, state: state.pop("enc.bn2.running_mean"), "enc.bn2.running_mean"),
+        (lambda params, state: params.update({"lossnet.fc1.w": np.zeros((3, 3))}),
+         "lossnet.fc1.w"),
+    ], ids=["missing-param", "missing-state", "wrong-shape"])
+    def test_save_of_a_model_without_a_tensor_names_it(self, tiny_model, tmp_path, edit, name):
+        params = {n: t.data for n, t in tiny_model.params.items()}
+        state = dict(tiny_model.state)
+        edit(params, state)
+        path = tmp_path / "lacking.ckpt"
+        with pytest.raises(ContractError, match=repr(name)):
+            save_checkpoint(PerceptualModel(tiny_config(), params, state), path)
+        assert not path.exists()
+
+    def test_checkpoint_of_the_earlier_writer_loads_bit_exactly(self, tmp_path):
+        # data/tiny_seed3.ckpt is PerceptualModel.initialize(tiny_config(), seed=3) as saved
+        # by the writer that listed the model's own tensors; saving what loads from it
+        # writes the same bytes, so every tensor loaded bit for bit
+        golden = DATA / "tiny_seed3.ckpt"
+        model = load_checkpoint(golden)
+        assert (model.config, model.stage, model.seed) == (tiny_config(), "init", 3)
+        save_checkpoint(model, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == golden.read_bytes()
 
     def test_stage_vocabulary(self):
         with pytest.raises(ContractError):

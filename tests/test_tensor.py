@@ -277,12 +277,18 @@ class TestGradientAdoption:
         assert z.grad.tobytes() == (g + 3.0 * g).tobytes()
         assert y.grad.tobytes() == (5.0 * g).tobytes()
 
-    def test_gradient_keeps_the_layout_of_its_data(self):
-        # matmul's VJP returns a new C-ordered array; a Fortran-ordered leaf copies it
+    def test_fortran_ordered_leaf_gets_the_gradient_of_a_c_ordered_one(self):
+        # matmul's VJP returns a new C-ordered array: a leaf adopts it, whatever the
+        # layout of the leaf's data, and its values are 0.0 + g either way
         rng = np.random.default_rng(75)
-        x = Tensor(np.asfortranarray(rng.normal(size=(3, 4))), requires_grad=True)
-        T.sum_(T.matmul(Tensor(rng.normal(size=(2, 3))), x)).backward()
-        assert x.grad.flags.f_contiguous and not x.grad.flags.c_contiguous
+        a, x = rng.normal(size=(2, 3)), rng.normal(size=(3, 4))
+        grads = []
+        for data in (np.asfortranarray(x), x):
+            leaf = Tensor(data, requires_grad=True)
+            T.sum_(T.matmul(Tensor(a), leaf)).backward()
+            grads.append(leaf.grad)
+        assert grads[0].flags.c_contiguous
+        assert grads[0].tobytes() == grads[1].tobytes() == (a.T @ np.ones((2, 4))).tobytes()
 
     def test_conv_and_batch_norm_input_gradients_are_adopted(self, monkeypatch):
         # conv1d's input gradient is the array _conv1d_dx returned, and batch_norm1d's

@@ -14,11 +14,13 @@ import cdpam
 from cdpam import tensor as T
 from cdpam.audio import Waveform, apply_gain_db, fix_length, resample
 from cdpam.datagen import (build_common_area_sets, build_mono_series, build_mos_set,
-                           build_retrieval_set, oracle_jnd, oracle_triplets, synth_corpus)
+                           build_retrieval_set, make_contrastive_batch, oracle_jnd,
+                           oracle_triplets, synth_corpus)
 from cdpam.errors import ContractError, check_value
 from cdpam.losses import margin_rank, nt_xent
 from cdpam.model import PerceptualModel, tiny_config
-from cdpam.perturb import apply_noise, spec_with_severity
+from cdpam.perturb import (apply_noise, apply_reverb, reverb_impulse_response, sample_spec,
+                           spec_with_severity)
 from cdpam.tensor import Tensor
 
 KINDS = ("bool", "int", "number", "str")
@@ -173,6 +175,32 @@ PUBLIC_ARGUMENTS = {
     "spec_with_severity": ("max_families", lambda e, v: spec_with_severity(
         ("noise", "reverb"), 0.5, np.random.default_rng(0), max_families=v), 0),
     "apply_noise": ("snr_db", lambda e, v: apply_noise(e["wave"], v), _above(40.0)),
+    # each seed is a SeedSequence entropy, an integer >= 0, and each rate and size >= 1
+    "sample_spec": ("seed", lambda e, v: sample_spec(v), -1),
+    "apply_noise.seed": ("seed", lambda e, v: apply_noise(e["wave"], 10.0, seed=v), -1),
+    "apply_reverb": ("seed", lambda e, v: apply_reverb(e["wave"], 0.3, seed=v), -1),
+    "reverb_impulse_response.sample_rate": (
+        "sample_rate", lambda e, v: reverb_impulse_response(0.3, v), 0),
+    "reverb_impulse_response.seed": (
+        "seed", lambda e, v: reverb_impulse_response(0.3, 100, seed=v), -1),
+    "synth_corpus.seed": ("seed", lambda e, v: synth_corpus(1, 1, seed=v, clip_samples=400),
+                          -1),
+    "synth_corpus.sample_rate": (
+        "sample_rate", lambda e, v: synth_corpus(1, 1, sample_rate=v, clip_samples=400), 0),
+    "synth_corpus.clip_samples": ("clip_samples",
+                                  lambda e, v: synth_corpus(1, 1, clip_samples=v), 0),
+    "make_contrastive_batch.batch_size": (
+        "batch_size", lambda e, v: make_contrastive_batch(e["corpus"], "content", v), 0),
+    "make_contrastive_batch.seed": (
+        "seed", lambda e, v: make_contrastive_batch(e["corpus"], "content", 1, seed=v), -1),
+    "oracle_jnd.seed": ("seed", lambda e, v: oracle_jnd(e["corpus"], 2, seed=v), -1),
+    "oracle_triplets.seed": ("seed", lambda e, v: oracle_triplets(e["corpus"], 2, seed=v), -1),
+    "build_mono_series.seed": ("seed", lambda e, v: build_mono_series(e["corpus"], seed=v), -1),
+    "build_common_area_sets.seed": (
+        "seed", lambda e, v: build_common_area_sets(e["corpus"], 2, seed=v), -1),
+    "build_retrieval_set.seed": ("seed", lambda e, v: build_retrieval_set(
+        e["corpus"], n_groups=2, group_size=2, seed=v), -1),
+    "build_mos_set.seed": ("seed", lambda e, v: build_mos_set(e["corpus"], seed=v), -1),
 }
 
 
