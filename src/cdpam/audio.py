@@ -63,11 +63,12 @@ class Waveform:
 def read_wav(path) -> Waveform:
     """Read a PCM WAV file as a mono waveform scaled to [-1, 1].
 
-    Accepts 8/16/24-bit integer and 32-bit float encodings, any channel
-    count (channels are averaged).  Raises FormatError, naming the file,
-    for malformed RIFF structure or a header or samples that no Waveform
-    holds (a zero sample rate, non-finite samples), and
-    UnsupportedFormatError for other codecs.
+    Accepts 8/16/24-bit integer and 32-bit float encodings, under a plain or
+    a WAVE_FORMAT_EXTENSIBLE header, and any channel count (channels are
+    averaged).  Raises FormatError, naming the file, for malformed RIFF
+    structure (an extensible fmt chunk under 40 bytes among it) or a header
+    or samples that no Waveform holds (a zero sample rate, non-finite
+    samples), and UnsupportedFormatError for other codecs.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -86,7 +87,7 @@ def read_wav(path) -> Waveform:
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise FormatError(f"{path}: fmt chunk too short")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = body
         elif chunk_id == b"data":
             payload = body
         offset += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
@@ -94,11 +95,14 @@ def read_wav(path) -> Waveform:
     if fmt is None or payload is None:
         raise FormatError(f"{path}: missing fmt or data chunk")
 
-    audio_format, n_channels, sample_rate, _byte_rate, _block_align, bits = fmt
+    audio_format, n_channels, sample_rate, _byte_rate, _block_align, bits = struct.unpack_from(
+        "<HHIIHH", fmt, 0)
     if audio_format == _EXTENSIBLE:
-        # The real format code is the first 2 bytes of the SubFormat GUID,
-        # stored after the 22-byte base of the extended fmt chunk.
-        raise UnsupportedFormatError(f"{path}: WAVE_FORMAT_EXTENSIBLE is not supported")
+        # the real format code is the first 2 bytes of the SubFormat GUID, which ends the
+        # 40-byte extended fmt chunk
+        if len(fmt) < 40:
+            raise FormatError(f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk too short")
+        (audio_format,) = struct.unpack_from("<H", fmt, 24)
     if n_channels < 1:
         raise FormatError(f"{path}: invalid channel count {n_channels}")
 

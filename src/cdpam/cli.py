@@ -161,7 +161,8 @@ def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=Non
         with open(config_path, "r", encoding="utf-8") as fh:
             try:
                 overrides.append(json.load(fh))
-            except ValueError as err:  # not UTF-8 JSON, or an integer too long to parse
+            # not UTF-8 JSON, an integer too long to parse or nesting past the recursion limit
+            except (ValueError, RecursionError) as err:
                 raise ContractError(f"{config_path}: {err}") from err
     # the flags win over the file, and pass the same checks
     flags = {key: value for key, value in (("seed", seed), ("out", out)) if value is not None}

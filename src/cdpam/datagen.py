@@ -124,7 +124,8 @@ def read_jsonl(path, cls) -> list:
                     elif f.default is MISSING:
                         raise DataError(f"missing key {f.name!r}")
                 items.append(cls(**kwargs))
-            except (TypeError, ValueError) as err:  # DataError and ContractError among them
+            # DataError and ContractError among them; RecursionError for nesting too deep
+            except (TypeError, ValueError, RecursionError) as err:
                 raise DataError(f"{path} line {number}: {err}") from err
     return items
 

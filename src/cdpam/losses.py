@@ -75,4 +75,4 @@ def margin_rank(d_pref: Tensor, d_other: Tensor, margin: float = 0.1) -> Tensor:
     if np.any(d_pref.data < 0.0) or np.any(d_other.data < 0.0):
         raise ContractError("distances must be non-negative")
     check_value("margin", margin, "number")
-    return T.relu(T.add(T.sub(d_pref, d_other), Tensor(margin)))
+    return T.leaky_relu(T.add(T.sub(d_pref, d_other), Tensor(margin)), 0.0)

@@ -511,8 +511,9 @@ def load_checkpoint(path) -> PerceptualModel:
             raise FormatError(f"{path}: {len(listed)} tensors listed for "
                               f"{config.encoder.n_layers} encoder layers")
         directory = _directory(config)
-    except (ValueError, KeyError, TypeError, OverflowError) as err:
-        # ContractError is a ValueError: a config the model rejects is a corrupt header
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as err:
+        # ContractError is a ValueError: a config the model rejects is a corrupt header, and
+        # so is one nested past the recursion limit
         raise FormatError(f"{path}: corrupt checkpoint header ({err})") from err
     if listed != directory:
         i = next((i for i, (got, want) in enumerate(zip(listed, directory)) if got != want),

@@ -357,14 +357,10 @@ def leaky_relu(x: Tensor, slope: float) -> Tensor:
     return _make(y, (x,), (lambda g: g,), "leaky_relu", pre=lambda g: _unleak(g, y, slope))
 
 
-def relu(x: Tensor) -> Tensor:
-    return leaky_relu(x, slope=0.0)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    out_data = np.where(d >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                        np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))  # 1/(1+e) for d >= 0 and e/(1+e) below, so exp never overflows
+    out_data = np.where(d >= 0.0, 1.0, e) / (1.0 + e)
     return _make(out_data, (x,), (lambda g: g * out_data * (1.0 - out_data),), "sigmoid")
 
 
@@ -379,15 +375,10 @@ def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), (vjp,), "sum")
 
 
-def mean_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = x.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= x.shape[ax]
-    return mul(sum_(x, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
+def mean_(x: Tensor, axis=None) -> Tensor:
+    """The mean over one int axis, or over every element when axis is None."""
+    count = x.size if axis is None else x.shape[axis]
+    return mul(sum_(x, axis=axis), Tensor(1.0 / count))
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:

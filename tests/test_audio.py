@@ -13,14 +13,26 @@ from cdpam.audio import (Waveform, apply_gain_db, fix_length, read_wav, resample
 from cdpam.errors import CdpamError, ContractError, FormatError, UnsupportedFormatError
 
 
-def _write_raw_wav(path, payload: bytes, fmt_code=1, channels=1, rate=16000, bits=16):
+# the SubFormat GUID of an extensible header after its 2-byte format code
+_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _wav_bytes(payload: bytes, fmt_code=1, channels=1, rate=16000, bits=16,
+               extensible=False) -> bytes:
+    """A WAV file: a plain 16-byte fmt chunk, or a 40-byte WAVE_FORMAT_EXTENSIBLE one whose
+    SubFormat GUID holds `fmt_code`."""
     block = channels * bits // 8
-    header = b"".join([
-        b"RIFF", struct.pack("<I", 36 + len(payload)), b"WAVE",
-        b"fmt ", struct.pack("<IHHIIHH", 16, fmt_code, channels, rate, rate * block, block, bits),
-        b"data", struct.pack("<I", len(payload)),
-    ])
-    path.write_bytes(header + payload)
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else fmt_code, channels, rate,
+                      rate * block, block, bits)
+    if extensible:  # cbSize, valid bits, channel mask, then the GUID
+        fmt += struct.pack("<HHIH", 22, bits, 0, fmt_code) + _GUID_TAIL
+    return b"".join([b"RIFF", struct.pack("<I", 20 + len(fmt) + len(payload)), b"WAVE",
+                     b"fmt ", struct.pack("<I", len(fmt)), fmt,
+                     b"data", struct.pack("<I", len(payload)), payload])
+
+
+def _write_raw_wav(path, payload: bytes, **fields):
+    path.write_bytes(_wav_bytes(payload, **fields))
 
 
 class TestWaveform:
@@ -103,21 +115,47 @@ class TestReadWav:
         assert str(err.value).startswith(f"{path}: ")
 
 
-def _valid_wavs() -> list:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(1, 8), (1, 16), (1, 24), (3, 32)]), st.integers(1, 2), st.data())
+    def test_extensible_header_reads_as_plain(self, tmp_path_factory, encoding, channels, data):
+        fmt_code, bits = encoding
+        frames = data.draw(st.integers(1, 12))
+        if fmt_code == 3:
+            values = data.draw(st.lists(st.floats(-1, 1, width=32), min_size=frames * channels,
+                                        max_size=frames * channels))
+            payload = struct.pack(f"<{len(values)}f", *values)
+        else:
+            payload = data.draw(st.binary(min_size=frames * channels * bits // 8,
+                                          max_size=frames * channels * bits // 8))
+        folder = tmp_path_factory.mktemp("ext")
+        fields = {"fmt_code": fmt_code, "channels": channels, "bits": bits}
+        _write_raw_wav(folder / "plain.wav", payload, **fields)
+        _write_raw_wav(folder / "ext.wav", payload, extensible=True, **fields)
+        plain, ext = read_wav(folder / "plain.wav"), read_wav(folder / "ext.wav")
+        assert ext.samples.tobytes() == plain.samples.tobytes()
+        assert ext.sample_rate == plain.sample_rate
+
+    def test_short_extensible_fmt_is_format_error(self, tmp_path):
+        blob = _wav_bytes(b"\x00\x00", extensible=True)
+        path = tmp_path / "short.wav"  # a 38-byte fmt chunk, 2 bytes short of its GUID's end
+        path.write_bytes(blob[:16] + struct.pack("<I", 38) + blob[20:58] + blob[60:])
+        with pytest.raises(FormatError, match="WAVE_FORMAT_EXTENSIBLE fmt chunk too short"):
+            read_wav(path)
+
+    def test_extensible_compressed_format_unsupported(self, tmp_path):
+        _write_raw_wav(tmp_path / "u.wav", b"\x00" * 8, fmt_code=6, extensible=True)  # a-law
+        with pytest.raises(UnsupportedFormatError, match="format code 6"):
+            read_wav(tmp_path / "u.wav")
+
+
+def _valid_wavs(extensible=False) -> list:
     """Small valid files in every encoding read_wav accepts: 8/16/24-bit PCM, float32."""
-    wavs = []
-    for fmt_code, bits, channels, payload in (
-            (1, 8, 1, bytes([128, 255, 0, 64])),
-            (1, 16, 2, struct.pack("<4h", 0, 16384, -16384, 32767)),
-            (1, 24, 1, bytes(range(9))),
-            (3, 32, 1, struct.pack("<3f", 0.25, -0.75, 1.0))):
-        block = channels * bits // 8
-        wavs.append(b"".join([
-            b"RIFF", struct.pack("<I", 36 + len(payload)), b"WAVE",
-            b"fmt ", struct.pack("<IHHIIHH", 16, fmt_code, channels, 8000, 8000 * block, block,
-                                 bits),
-            b"data", struct.pack("<I", len(payload)), payload]))
-    return wavs
+    return [_wav_bytes(payload, fmt_code, channels, 8000, bits, extensible)
+            for fmt_code, bits, channels, payload in (
+                (1, 8, 1, bytes([128, 255, 0, 64])),
+                (1, 16, 2, struct.pack("<4h", 0, 16384, -16384, 32767)),
+                (1, 24, 1, bytes(range(9))),
+                (3, 32, 1, struct.pack("<3f", 0.25, -0.75, 1.0)))]
 
 
 # (byte offset, struct layout) of each header field in the files above: the RIFF size,
@@ -154,9 +192,9 @@ class TestReadWavFuzz:
         _read_or_cdpam_error(tmp_path_factory.mktemp("fuzz") / "h.wav", bytes(mutated))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(_valid_wavs()),
-           st.lists(st.tuples(st.integers(0, 56), st.integers(0, 255)), max_size=4),
-           st.none() | st.integers(0, 56))
+    @given(st.sampled_from(_valid_wavs() + _valid_wavs(extensible=True)),
+           st.lists(st.tuples(st.integers(0, 80), st.integers(0, 255)), max_size=4),
+           st.none() | st.integers(0, 80))
     def test_mutated_valid_wavs(self, tmp_path_factory, blob, overwrites, cut):
         mutated = bytearray(blob)
         for position, value in overwrites:
@@ -165,7 +203,7 @@ class TestReadWavFuzz:
         _read_or_cdpam_error(tmp_path_factory.mktemp("fuzz") / "m.wav", bytes(mutated[:cut]))
 
     def test_valid_wavs_read(self, tmp_path):
-        for i, blob in enumerate(_valid_wavs()):
+        for i, blob in enumerate(_valid_wavs() + _valid_wavs(extensible=True)):
             (tmp_path / f"{i}.wav").write_bytes(blob)
             assert read_wav(tmp_path / f"{i}.wav").sample_rate == 8000
 

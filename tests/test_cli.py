@@ -754,6 +754,13 @@ class TestUsageErrors:
             assert main(["synth-data", "--config", str(bad)]) == 2
             assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    def test_deeply_nested_config_exits_2_before_writing(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)  # past the parser's recursion limit
+        assert main(["synth-data", "--config", str(deep), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {deep}: maximum recursion depth")
+        assert not (tmp_path / "run").exists()
+
 
 class TestThreadCap:
     def test_every_manifest_records_thread_settings(self, pipeline_run):

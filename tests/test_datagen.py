@@ -230,6 +230,14 @@ class TestManifests:
         with pytest.raises(DataError, match=f"jnd.jsonl line 2: {field} "):
             read_jsonl(path, JudgmentRecord)
 
+    def test_deeply_nested_line_names_file_and_line(self, corpus, tmp_path):
+        path = tmp_path / "jnd.jsonl"
+        write_jsonl(oracle_jnd(corpus, 1, seed=7), path)
+        deep = "[" * 100_000 + "]" * 100_000  # past the parser's recursion limit
+        path.write_text(path.read_text() + deep + "\n")
+        with pytest.raises(DataError, match="jnd.jsonl line 2: maximum recursion depth"):
+            read_jsonl(path, JudgmentRecord)
+
     def test_record_validation(self):
         from cdpam.perturb import PerturbSpec
         spec = PerturbSpec(noise_snr_db=10.0, seed=0)

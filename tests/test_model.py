@@ -1,7 +1,10 @@
 """Encoder shape contracts, distance properties, checkpoint format."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -13,9 +16,9 @@ from hypothesis import strategies as st
 from cdpam import losses, tensor as T
 from cdpam.audio import Waveform
 from cdpam.errors import CdpamError, ContractError, FormatError, ShapeError, VersionError
-from cdpam.model import (EMBED_BATCH, LEAKY_SLOPE, EncoderConfig, ModelConfig, PerceptualModel,
-                         default_config, desk_config, load_checkpoint, save_checkpoint,
-                         tiny_config)
+from cdpam.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, EMBED_BATCH, LEAKY_SLOPE,
+                         EncoderConfig, ModelConfig, PerceptualModel, default_config, desk_config,
+                         load_checkpoint, save_checkpoint, tiny_config)
 from cdpam.tensor import Tensor
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -397,6 +400,30 @@ class TestKeyedEmbedder:
         assert renders == [] and sizes == []
 
 
+# Run in a fresh interpreter, whose BLAS pool the environment sizes: the largest relative
+# gap between distance() on each desk-config pair and the eval runners' scoring, which
+# embeds all the pairs at once (more than EMBED_BATCH of them) and runs the loss network
+_AGREEMENT_CODE = """
+import numpy as np
+from cdpam.audio import Waveform
+from cdpam.datagen import synth_corpus
+from cdpam.model import PerceptualModel, desk_config
+from cdpam.tensor import Tensor
+
+model = PerceptualModel.initialize(desk_config(), seed=3)
+cfg = model.config
+refs = [u.clean for u in synth_corpus(70, 4, seed=8, sample_rate=cfg.sample_rate,
+                                      clip_samples=cfg.clip_samples)]
+rng = np.random.default_rng(9)
+pers = [Waveform(w.samples + rng.normal(scale=rng.uniform(1e-3, 0.1), size=len(w)),
+                 w.sample_rate) for w in refs]
+single = np.array([model.distance(a, b) for a, b in zip(refs, pers)])
+batched = model.distance_from_embeddings(Tensor(model.embed_waves(refs)),
+                                         Tensor(model.embed_waves(pers))).data
+print(float(np.max(np.abs(batched - single) / single)))
+"""
+
+
 class TestDistance:
     def test_zero_for_identical(self, tiny_model):
         from cdpam.datagen import synth_corpus
@@ -424,6 +451,16 @@ class TestDistance:
     def test_judge_rejects_negative(self, tiny_model):
         with pytest.raises(ContractError):
             tiny_model.judge(-0.5)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_agrees_with_eval_scoring(self, threads):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+        pools = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
+                              threads)
+        done = subprocess.run([sys.executable, "-c", _AGREEMENT_CODE], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src, **pools))
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) <= 1e-12
 
 
 def _split(blob: bytes) -> tuple:
@@ -616,6 +653,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=problem) as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    def test_deeply_nested_header_is_format_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "deep.ckpt"
+        header = b"[" * 100_000 + b"]" * 100_000  # past the parser's recursion limit
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header))
+                         + header)
+        with pytest.raises(FormatError, match="corrupt checkpoint header") as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_reordered_directory_is_format_error_naming_the_file(self, tiny_model, tmp_path,
                                                                  rewrite_checkpoint):
