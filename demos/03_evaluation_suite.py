@@ -39,14 +39,14 @@ print("building held-out evaluation datasets...")
 held_out = synth_corpus(24, 4, seed=100, sample_rate=config.sample_rate,
                         clip_samples=config.clip_samples, id_prefix="ev")
 datasets = {
-    "triplets": oracle_triplets(held_out, 40, seed=3, families=families,
-                                min_magnitude_gap=0.2),
-    "mono_items": build_mono_series(held_out, families, n_levels=4, n_contents=4, seed=4),
-    "grouped_pairs": build_common_area_sets(held_out, n_pairs=40, seed=5, families=families),
-    "retrieval_items": build_retrieval_set(held_out, n_groups=4, group_size=10, seed=6,
-                                           families=families),
-    "mos_rows": build_mos_set(held_out, n_conditions=5, clips_per_cell=2, seed=7,
-                              families=families),
+    "two_afc": oracle_triplets(held_out, 40, seed=3, families=families,
+                               min_magnitude_gap=0.2),
+    "monotonicity": build_mono_series(held_out, families, n_levels=4, n_contents=4, seed=4),
+    "common_area": build_common_area_sets(held_out, n_pairs=40, seed=5, families=families),
+    "precision_at_k": build_retrieval_set(held_out, n_groups=4, group_size=10, seed=6,
+                                          families=families),
+    "mos_correlation": build_mos_set(held_out, n_conditions=5, clips_per_cell=2, seed=7,
+                                     families=families),
 }
 
 reports = run_full_eval(model, held_out, datasets, k=3,

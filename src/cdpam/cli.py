@@ -175,6 +175,10 @@ def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=Non
     for name in TRAINING_STAGES:  # every stage's values, before any command writes a file
         _train_config(cfg, name)
     data, ev = cfg["data"], cfg["data"]["eval"]
+    pair_utterances = 2 * cfg["train"]["batch_size"]  # an acoustic pair is two utterances
+    if data["n_utterances"] < pair_utterances:
+        raise ContractError(f"config key 'data.n_utterances' must be at least 2 x "
+                            f"'train.batch_size' = {pair_utterances}, got {data['n_utterances']}")
     if ev["retrieval_group_size"] > data["n_eval_utterances"]:  # one utterance per group item
         raise ContractError(f"config key 'data.eval.retrieval_group_size' must be at most "
                             f"'data.n_eval_utterances' = {data['n_eval_utterances']}, "
@@ -253,6 +257,7 @@ def _read_corpus(root: str, subdir: str) -> list:
 def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
     from . import datagen
     from .datagen import write_jsonl
+    from .evaluate import EVAL_SETS
 
     out = cfg["out"]
     model_cfg = _model_config(cfg)
@@ -270,18 +275,18 @@ def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
     triplets = datagen.oracle_triplets(corpus, data["n_triplets"], seed=seed, families=families)
     eval_corpus = datagen.synth_corpus(data["n_eval_utterances"], data["n_speakers"],
                                        seed=seed + 1, id_prefix="ev", **clip)
-    eval_sets = {
-        "triplets": datagen.oracle_triplets(
+    eval_sets = {  # each metric's eval set; a seed offset stays with its builder
+        "two_afc": datagen.oracle_triplets(
             eval_corpus, ev["n_triplets"], seed=seed + 2, families=families,
             min_magnitude_gap=ev["triplet_gap"]),
-        "mono_items": datagen.build_mono_series(
-            eval_corpus, families, ev["mono_levels"], ev["mono_contents"], seed=seed + 3),
-        "grouped_pairs": datagen.build_common_area_sets(
+        "common_area": datagen.build_common_area_sets(
             eval_corpus, ev["common_area_pairs"], seed=seed + 4, families=families),
-        "retrieval_items": datagen.build_retrieval_set(
+        "monotonicity": datagen.build_mono_series(
+            eval_corpus, families, ev["mono_levels"], ev["mono_contents"], seed=seed + 3),
+        "precision_at_k": datagen.build_retrieval_set(
             eval_corpus, ev["retrieval_groups"], ev["retrieval_group_size"], seed=seed + 5,
             families=families),
-        "mos_rows": datagen.build_mos_set(
+        "mos_correlation": datagen.build_mos_set(
             eval_corpus, ev["mos_conditions"], ev["mos_clips_per_cell"], seed=seed + 6,
             families=families),
     }
@@ -291,14 +296,14 @@ def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
     write_jsonl(triplets, os.path.join(out, "triplets.jsonl"))
     eval_dir = os.path.join(out, "eval")
     _write_corpus(eval_corpus, eval_dir, "corpus")
-    for name, items in eval_sets.items():
-        write_jsonl(items, os.path.join(eval_dir, datagen.EVAL_SETS[name][0]))
+    for metric, items in eval_sets.items():
+        write_jsonl(items, os.path.join(eval_dir, EVAL_SETS[metric][0]))
     _write_manifest(cfg, out, "synth_data")
     if not as_json:
         print(f"corpus, manifests and eval splits written under {out}")
     return {"out": out, "corpus": len(corpus), "jnd_pairs": len(jnd), "triplets": len(triplets),
             "eval": {"corpus": len(eval_corpus),
-                     **{name: len(items) for name, items in eval_sets.items()}}}
+                     **{metric: len(items) for metric, items in eval_sets.items()}}}
 
 
 def _run_stage(cfg: dict, stage: str, progress: bool) -> dict:
@@ -363,13 +368,14 @@ def cmd_distance(ckpt_path: str, path_a: str, path_b: str, as_json: bool = False
 
 
 def load_eval_datasets(eval_dir: str) -> tuple:
-    from .datagen import EVAL_SETS, read_jsonl
+    from .datagen import read_jsonl
+    from .evaluate import EVAL_SETS
 
     if not os.path.isdir(eval_dir):
         raise DataError(f"missing eval split directory {eval_dir}")
     corpus = _read_corpus(eval_dir, "corpus")
-    datasets = {name: read_jsonl(os.path.join(eval_dir, filename), cls)
-                for name, (filename, cls) in EVAL_SETS.items()}
+    datasets = {metric: read_jsonl(os.path.join(eval_dir, filename), cls)
+                for metric, (filename, cls) in EVAL_SETS.items()}
     return corpus, datasets
 
 

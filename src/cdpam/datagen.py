@@ -370,14 +370,6 @@ class MosRow:
     rating: float
 
 
-# the eval sets `cdpam synth-data` writes under eval/: dataset key -> (file name, record type)
-EVAL_SETS = {"triplets": ("triplets.jsonl", JudgmentRecord),
-             "mono_items": ("mono.jsonl", MonoSeriesItem),
-             "grouped_pairs": ("common_area.jsonl", GroupedPair),
-             "retrieval_items": ("retrieval.jsonl", RetrievalItem),
-             "mos_rows": ("mos.jsonl", MosRow)}
-
-
 def build_mono_series(corpus, families=DEFAULT_FAMILIES, n_levels: int = 6,
                       n_contents: int = 8, seed: int = 0) -> list:
     """Per-content series at increasing severities, per family plus combined."""

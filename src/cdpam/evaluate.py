@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import replacing, write_json
-from .datagen import corpus_by_id
+from .datagen import (GroupedPair, JudgmentRecord, MonoSeriesItem, MosRow, RetrievalItem,
+                      corpus_by_id)
 from .errors import ContractError, DataError, DegenerateInputError, check_value
 from .perturb import apply
 
@@ -173,30 +174,29 @@ def _require(records, dataset: str) -> None:
         raise DataError(f"the {dataset} set is empty")
 
 
-def run_two_afc(model, embed, triplets) -> EvalReport:
-    _require(triplets, "two-AFC triplet")
-    refs = [(t.ref_id, None) for t in triplets]
-    d_a = _distances(model, embed, refs, [(t.ref_id, t.spec_a) for t in triplets])
-    d_b = _distances(model, embed, refs, [(t.ref_id, t.spec_b) for t in triplets])
-    return EvalReport("two_afc", two_afc_from_distances(d_a, d_b, [t.label for t in triplets]),
-                      len(triplets))
+def run_two_afc(model, embed, records) -> EvalReport:
+    _require(records, "two-AFC triplet")
+    refs = [(r.ref_id, None) for r in records]
+    d_a = _distances(model, embed, refs, [(r.ref_id, r.spec_a) for r in records])
+    d_b = _distances(model, embed, refs, [(r.ref_id, r.spec_b) for r in records])
+    return EvalReport("two_afc", two_afc_from_distances(d_a, d_b, [r.label for r in records]),
+                      len(records))
 
 
-def _common_area_groups(model, embed, grouped_pairs) -> dict:
+def _common_area_groups(model, embed, pairs) -> dict:
     """{"same": distances, "diff": distances} over the common-area pairs."""
-    _require(grouped_pairs, "common-area")
-    if not {"same", "diff"} <= {p.group for p in grouped_pairs}:
+    _require(pairs, "common-area")
+    if not {"same", "diff"} <= {p.group for p in pairs}:
         raise DataError("the common-area set needs both 'same' and 'diff' pairs")
-    d = _distances(model, embed, [(p.utt_a, p.spec_a) for p in grouped_pairs],
-                   [(p.utt_b, p.spec_b) for p in grouped_pairs])
-    return {group: np.array([di for di, p in zip(d, grouped_pairs) if p.group == group])
+    d = _distances(model, embed, [(p.utt_a, p.spec_a) for p in pairs],
+                   [(p.utt_b, p.spec_b) for p in pairs])
+    return {group: np.array([di for di, p in zip(d, pairs) if p.group == group])
             for group in ("diff", "same")}
 
 
-def run_common_area(model, embed, grouped_pairs) -> EvalReport:
-    groups = _common_area_groups(model, embed, grouped_pairs)
-    return EvalReport("common_area", common_area(groups["same"], groups["diff"]),
-                      len(grouped_pairs),
+def run_common_area(model, embed, pairs) -> EvalReport:
+    groups = _common_area_groups(model, embed, pairs)
+    return EvalReport("common_area", common_area(groups["same"], groups["diff"]), len(pairs),
                       breakdown=[{"group": g, "mean_distance": float(v.mean())}
                                  for g, v in groups.items()])
 
@@ -215,21 +215,20 @@ def run_monotonicity(model, embed, items) -> EvalReport:
                       len(items), breakdown=breakdown)
 
 
-def run_precision_at_k(model, embed, retrieval_items, k: int = 5) -> EvalReport:
-    _require(retrieval_items, "retrieval")
-    emb = embed([(item.utt_id, item.spec) for item in retrieval_items])
-    labels = np.array([item.group_id for item in retrieval_items])
-    return EvalReport("precision_at_k", precision_at_k(emb, labels, k), len(retrieval_items),
-                      {"k": k})
+def run_precision_at_k(model, embed, items, k: int = 5) -> EvalReport:
+    _require(items, "retrieval")
+    emb = embed([(item.utt_id, item.spec) for item in items])
+    labels = np.array([item.group_id for item in items])
+    return EvalReport("precision_at_k", precision_at_k(emb, labels, k), len(items), {"k": k})
 
 
-def run_mos_correlation(model, embed, mos_rows) -> EvalReport:
-    _require(mos_rows, "MOS")
-    distances = _distances(model, embed, [(row.utt_id, None) for row in mos_rows],
-                           [(row.utt_id, row.spec) for row in mos_rows])
+def run_mos_correlation(model, embed, rows) -> EvalReport:
+    _require(rows, "MOS")
+    distances = _distances(model, embed, [(row.utt_id, None) for row in rows],
+                           [(row.utt_id, row.spec) for row in rows])
     return EvalReport("mos_correlation", mos_correlation(
-        distances, [row.rating for row in mos_rows], [row.speaker_id for row in mos_rows],
-        [row.condition_id for row in mos_rows]), len(mos_rows))
+        distances, [row.rating for row in rows], [row.speaker_id for row in rows],
+        [row.condition_id for row in rows]), len(rows))
 
 
 # -- reports ------------------------------------------------------------------------------
@@ -285,19 +284,22 @@ def svg_histogram(groups: dict, path) -> None:
         fh.write("\n")
 
 
-# the dataset key each metric's runner, run_<metric>, scores; in report order
-METRIC_DATASETS = {"two_afc": "triplets", "common_area": "grouped_pairs",
-                   "monotonicity": "mono_items", "precision_at_k": "retrieval_items",
-                   "mos_correlation": "mos_rows"}
-ALL_METRICS = tuple(METRIC_DATASETS)
+# each metric's eval set, in report order: the file under eval/ and the record type that
+# run_<metric> scores
+EVAL_SETS = {"two_afc": ("triplets.jsonl", JudgmentRecord),
+             "common_area": ("common_area.jsonl", GroupedPair),
+             "monotonicity": ("mono.jsonl", MonoSeriesItem),
+             "precision_at_k": ("retrieval.jsonl", RetrievalItem),
+             "mos_correlation": ("mos.jsonl", MosRow)}
+ALL_METRICS = tuple(EVAL_SETS)
 
 
 def run_full_eval(model, corpus, datasets: dict, metrics=ALL_METRICS, k: int = 5,
                   config_echo: dict | None = None, histogram_path=None) -> list:
     """Run the requested metrics over pre-built evaluation datasets.
 
-    `datasets` maps dataset keys (see :data:`cdpam.datagen.EVAL_SETS`) to
-    their record lists, whose clips are ``(utt_id, spec)`` keys into
+    `datasets` maps each metric to its eval set's record list (see
+    :data:`EVAL_SETS`), whose clips are ``(utt_id, spec)`` keys into
     `corpus`.  Returns each runner's EvalReport, `config_echo` merged under
     its config.  An unknown or repeated metric name raises ContractError
     before any metric runs.  The runners share one :func:`clip_embedder`, so
@@ -314,12 +316,11 @@ def run_full_eval(model, corpus, datasets: dict, metrics=ALL_METRICS, k: int = 5
     reports = []
     for metric in metrics:
         # looked up per call, so that a wrapped run_* attribute is the one run
-        report = globals()[f"run_{metric}"](model, embed, datasets[METRIC_DATASETS[metric]],
+        report = globals()[f"run_{metric}"](model, embed, datasets[metric],
                                             **options.get(metric, {}))
         report.config = {**(config_echo or {}), **report.config}
         reports.append(report)
     if histogram_path is not None and "common_area" in metrics:
         # the embeddings are cached: this recomputes the distances, and embeds nothing
-        svg_histogram(_common_area_groups(model, embed, datasets["grouped_pairs"]),
-                      histogram_path)
+        svg_histogram(_common_area_groups(model, embed, datasets["common_area"]), histogram_path)
     return reports

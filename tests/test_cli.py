@@ -19,6 +19,7 @@ from cdpam.audio import Waveform, read_wav, write_wav
 from cdpam.cli import (DEFAULT_RUN_CONFIG, TRAINING_STAGES, _check_config, _configure_threads, main,
                        resolve_config)
 from cdpam.errors import ContractError
+from cdpam.evaluate import EVAL_SETS
 from cdpam.model import PerceptualModel, tiny_config
 from cdpam.perturb import DEFAULT_FAMILIES
 from cdpam.trainer import TrainConfig
@@ -296,7 +297,11 @@ class TestJsonOutput:
         assert main(["synth-data", "--config", str(config_path), "--json"]) == 0
         synth = json_line(capsys)
         assert synth["out"] == out and synth["corpus"] == cfg["data"]["n_utterances"]
-        assert synth["eval"]["triplets"] == cfg["data"]["eval"]["n_triplets"]
+        # each eval set's count under its metric's name, the lines of the file it wrote
+        lines = {metric: len(Path(out, "eval", filename).read_text().splitlines())
+                 for metric, (filename, _) in EVAL_SETS.items()}
+        assert synth["eval"] == {"corpus": cfg["data"]["n_eval_utterances"], **lines}
+        assert lines["two_afc"] == cfg["data"]["eval"]["n_triplets"]
         for command, stage, checkpoint in (("pretrain", "pretrain", "pretrained.ckpt"),
                                            ("train-jnd", "jnd", "jnd.ckpt"),
                                            ("finetune", "finetune", "finetuned.ckpt")):
@@ -451,6 +456,9 @@ class TestConfigBoundary:
         ({"train": {"tau": 0}}, "config key 'train.tau' must be a finite number > 0, got 0"),
         ({"data": {"eval": {"n_triplets": 0}}},
          "config key 'data.eval.n_triplets' must be an integer >= 1, got 0"),
+        # an acoustic pretraining pair is two utterances: a batch of 16 needs 32
+        ({"data": {"n_utterances": 31}},
+         "config key 'data.n_utterances' must be at least 2 x 'train.batch_size' = 32, got 31"),
     ])
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, capsys, override, named):
         # synth-data is the first command to write: a bad value must stop it before it does
@@ -522,8 +530,10 @@ class TestConfigBoundary:
 
     def test_leaf_types_accepted(self, tmp_path):
         path = tmp_path / "types.json"
+        # 32 utterances sit on the least corpus a batch of 16 accepts
         path.write_text(json.dumps({"train": {"tau": 1, "lr": {"jnd": 0.01}},
-                                    "data": {"jnd_threshold": 0.2, "families": ["eq"]}}))
+                                    "data": {"jnd_threshold": 0.2, "families": ["eq"],
+                                             "n_utterances": 32}}))
         cfg = resolve_config(str(path))
         assert cfg["train"]["tau"] == 1 and cfg["data"]["families"] == ["eq"]
 

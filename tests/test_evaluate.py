@@ -209,11 +209,11 @@ def tiny_eval():
                           clip_samples=cfg.clip_samples)
     model = PerceptualModel.initialize(cfg, seed=0)
     datasets = {
-        "triplets": oracle_triplets(corpus, 12, seed=1, min_magnitude_gap=0.2),
-        "mono_items": build_mono_series(corpus, ("noise",), n_levels=3, n_contents=2, seed=2),
-        "grouped_pairs": build_common_area_sets(corpus, n_pairs=10, seed=3),
-        "retrieval_items": build_retrieval_set(corpus, n_groups=3, group_size=6, seed=4),
-        "mos_rows": build_mos_set(corpus, n_conditions=3, clips_per_cell=2, seed=5),
+        "two_afc": oracle_triplets(corpus, 12, seed=1, min_magnitude_gap=0.2),
+        "monotonicity": build_mono_series(corpus, ("noise",), n_levels=3, n_contents=2, seed=2),
+        "common_area": build_common_area_sets(corpus, n_pairs=10, seed=3),
+        "precision_at_k": build_retrieval_set(corpus, n_groups=3, group_size=6, seed=4),
+        "mos_correlation": build_mos_set(corpus, n_conditions=3, clips_per_cell=2, seed=5),
     }
     return model, corpus, datasets
 
@@ -233,11 +233,11 @@ def uncached_runs(model, corpus, datasets, embed_waves):
                             for utt, spec in keys])
 
     return {
-        "two_afc": run_two_afc(model, embed, datasets["triplets"]),
-        "common_area": run_common_area(model, embed, datasets["grouped_pairs"]),
-        "monotonicity": run_monotonicity(model, embed, datasets["mono_items"]),
-        "precision_at_k": run_precision_at_k(model, embed, datasets["retrieval_items"], k=3),
-        "mos_correlation": run_mos_correlation(model, embed, datasets["mos_rows"]),
+        "two_afc": run_two_afc(model, embed, datasets["two_afc"]),
+        "common_area": run_common_area(model, embed, datasets["common_area"]),
+        "monotonicity": run_monotonicity(model, embed, datasets["monotonicity"]),
+        "precision_at_k": run_precision_at_k(model, embed, datasets["precision_at_k"], k=3),
+        "mos_correlation": run_mos_correlation(model, embed, datasets["mos_correlation"]),
     }
 
 
@@ -276,7 +276,7 @@ class TestEvalCache:
         from cdpam import evaluate
 
         model, corpus, datasets = tiny_eval
-        spec = datasets["mos_rows"][0].spec
+        spec = datasets["mos_correlation"][0].spec
         a, b = corpus[0].id, corpus[1].id
         renders, batches = [], []
         real_apply, real_embed = evaluate.apply, model.embed_waves
@@ -302,7 +302,7 @@ class TestEvalCache:
         from cdpam.model import EMBED_BATCH
 
         model, corpus, datasets = tiny_eval
-        specs = [None, *dict.fromkeys(row.spec for row in datasets["mos_rows"])]
+        specs = [None, *dict.fromkeys(row.spec for row in datasets["mos_correlation"])]
         keys = [(utt.id, spec) for spec in specs for utt in corpus]
         assert len(set(keys)) == len(keys) > EMBED_BATCH
         sizes, real = [], model.embed_waves
@@ -363,8 +363,17 @@ class TestReportsAndRunners:
         hist = tmp_path / "hist.svg"
         hist.write_bytes(b"<svg>old</svg>\n")
         with pytest.raises(DataError, match="the MOS set is empty"):
-            run_full_eval(model, corpus, {**datasets, "mos_rows": []}, k=3, histogram_path=hist)
+            run_full_eval(model, corpus, {**datasets, "mos_correlation": []}, k=3, histogram_path=hist)
         assert hist.read_bytes() == b"<svg>old</svg>\n"
+
+    def test_each_metric_is_one_eval_set_and_one_runner(self):
+        # EVAL_SETS' order is ALL_METRICS', so reports.csv's row order
+        from cdpam import evaluate
+
+        assert tuple(evaluate.EVAL_SETS) == evaluate.ALL_METRICS == (
+            "two_afc", "common_area", "monotonicity", "precision_at_k", "mos_correlation")
+        for metric in evaluate.ALL_METRICS:
+            assert callable(getattr(evaluate, f"run_{metric}")), metric
 
     def test_metric_subset_filter(self):
         from cdpam.datagen import oracle_triplets, synth_corpus
@@ -375,7 +384,7 @@ class TestReportsAndRunners:
         corpus = synth_corpus(8, 2, seed=3, sample_rate=cfg.sample_rate,
                               clip_samples=cfg.clip_samples)
         model = PerceptualModel.initialize(cfg, seed=0)
-        datasets = {"triplets": oracle_triplets(corpus, 6, seed=1)}
+        datasets = {"two_afc": oracle_triplets(corpus, 6, seed=1)}
         reports = run_full_eval(model, corpus, datasets, metrics=("two_afc",))
         assert [r.metric for r in reports] == ["two_afc"]
 

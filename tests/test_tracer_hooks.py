@@ -115,11 +115,11 @@ def test_full_eval_traces_every_runner(tmp_path):
     corpus = synth_corpus(12, 2, seed=2, sample_rate=cfg.sample_rate,
                           clip_samples=cfg.clip_samples)
     datasets = {
-        "triplets": oracle_triplets(corpus, 4, seed=1),
-        "mono_items": build_mono_series(corpus, ("noise",), n_levels=3, n_contents=2, seed=2),
-        "grouped_pairs": build_common_area_sets(corpus, n_pairs=3, seed=3),
-        "retrieval_items": build_retrieval_set(corpus, n_groups=2, group_size=3, seed=4),
-        "mos_rows": build_mos_set(corpus, n_conditions=3, clips_per_cell=1, seed=5),
+        "two_afc": oracle_triplets(corpus, 4, seed=1),
+        "monotonicity": build_mono_series(corpus, ("noise",), n_levels=3, n_contents=2, seed=2),
+        "common_area": build_common_area_sets(corpus, n_pairs=3, seed=3),
+        "precision_at_k": build_retrieval_set(corpus, n_groups=2, group_size=3, seed=4),
+        "mos_correlation": build_mos_set(corpus, n_conditions=3, clips_per_cell=1, seed=5),
     }
     model = PerceptualModel.initialize(cfg, seed=0)
     tracer = tracer_module.Tracer()
