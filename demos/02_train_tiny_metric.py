@@ -21,22 +21,20 @@ corpus = synth_corpus(48, 4, seed=0, sample_rate=config.sample_rate,
 print(f"corpus: {len(corpus)} utterances, {corpus[0].clean.duration:.1f}s each\n")
 
 print("stage a: contrastive pretraining")
-pretrain_cfg = TrainConfig(stage="pretrain", epochs=15, batch_size=8, lr=3e-3, seed=0,
-                           augment=False, families=("noise",))
+pretrain_cfg = TrainConfig(epochs=15, batch_size=8, lr=3e-3, seed=0, augment=False,
+                           families=("noise",))
 model, rows = pretrain_contrastive(corpus, pretrain_cfg, config)
 print(f"  nt-xent loss: {rows[0]['loss']:.3f} -> {rows[-1]['loss']:.3f}\n")
 
 print("stage b: JND training of the loss network")
 jnd_records = oracle_jnd(corpus, 64, seed=1, families=("noise",))
-jnd_cfg = TrainConfig(stage="jnd", epochs=25, batch_size=16, lr=5e-3, seed=0,
-                      families=("noise",))
+jnd_cfg = TrainConfig(epochs=25, batch_size=16, lr=5e-3, seed=0, families=("noise",))
 model, rows = train_jnd(model, corpus, jnd_records, jnd_cfg)
 print(f"  bce loss: {rows[0]['loss']:.3f} -> {rows[-1]['loss']:.3f}\n")
 
 print("stage c: triplet fine-tuning")
 triplets = oracle_triplets(corpus, 48, seed=2, families=("noise",))
-tune_cfg = TrainConfig(stage="finetune", epochs=15, batch_size=16, lr=3e-3, seed=0,
-                       families=("noise",))
+tune_cfg = TrainConfig(epochs=15, batch_size=16, lr=3e-3, seed=0, families=("noise",))
 model, rows = finetune_triplet(model, corpus, triplets, tune_cfg)
 print(f"  margin-rank loss: {rows[0]['loss']:.3f} -> {rows[-1]['loss']:.3f}\n")
 

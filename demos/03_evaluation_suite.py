@@ -25,15 +25,14 @@ print("training a toy metric (three stages)...")
 corpus = synth_corpus(48, 4, seed=0, sample_rate=config.sample_rate,
                       clip_samples=config.clip_samples)
 model, _ = pretrain_contrastive(
-    corpus, TrainConfig(stage="pretrain", epochs=15, batch_size=8, lr=3e-3, seed=0,
-                        augment=False, families=families), config)
+    corpus, TrainConfig(epochs=15, batch_size=8, lr=3e-3, seed=0, augment=False,
+                        families=families), config)
 model, _ = train_jnd(
     model, corpus, oracle_jnd(corpus, 64, seed=1, families=families),
-    TrainConfig(stage="jnd", epochs=25, batch_size=16, lr=5e-3, seed=0, families=families))
+    TrainConfig(epochs=25, batch_size=16, lr=5e-3, seed=0, families=families))
 model, _ = finetune_triplet(
     model, corpus, oracle_triplets(corpus, 48, seed=2, families=families),
-    TrainConfig(stage="finetune", epochs=15, batch_size=16, lr=3e-3, seed=0,
-                families=families))
+    TrainConfig(epochs=15, batch_size=16, lr=3e-3, seed=0, families=families))
 
 print("building held-out evaluation datasets...")
 held_out = synth_corpus(24, 4, seed=100, sample_rate=config.sample_rate,

@@ -2,11 +2,11 @@
 evaluation, and pairwise distance queries.
 
 Subcommands read a JSON config file (``--config``) merged over built-in
-desk-scale defaults, with individual flags (``--seed``, ``--out``,
-``--epochs``) winning over both; a key the defaults lack, or a value of
-another type than its default, is an error.  Every run writes a manifest
-echoing the fully resolved configuration and the BLAS thread settings, so a
-run is reproducible from its manifest alone.  With ``--json`` a subcommand
+desk-scale defaults, with the ``--seed`` and ``--out`` flags winning over
+both; a key the defaults lack, or a value of another type than its default,
+is an error.  Every run writes a manifest echoing the fully resolved
+configuration and the BLAS thread settings, so a run is reproducible from
+its manifest alone.  With ``--json`` a subcommand
 prints one JSON line holding its outputs (paths, counts, final losses, metric
 values) and nothing else.
 
@@ -155,7 +155,7 @@ def _check_config(value, defaults: dict, path: str = "") -> None:
                 check_value(where, item, kind, **_LEAF_BOUNDS[dotted])
 
 
-def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=None) -> dict:
+def resolve_config(config_path=None, seed=None, out=None) -> dict:
     overrides = []
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -166,8 +166,6 @@ def resolve_config(config_path=None, seed=None, out=None, epochs=None, stage=Non
                 raise ContractError(f"{config_path}: {err}") from err
     # the flags win over the file, and pass the same checks
     flags = {key: value for key, value in (("seed", seed), ("out", out)) if value is not None}
-    if epochs is not None and stage is not None:
-        flags["train"] = {"epochs": {stage: epochs}}
     cfg = DEFAULT_RUN_CONFIG
     for override in overrides + [flags]:
         _check_config(override, DEFAULT_RUN_CONFIG)
@@ -206,7 +204,6 @@ def _train_config(cfg: dict, stage: str):
 
     t = cfg["train"]
     return TrainConfig(
-        stage=stage,
         epochs=t["epochs"][stage],
         batch_size=t["batch_size"],
         lr=t["lr"][stage],
@@ -367,7 +364,9 @@ def cmd_distance(ckpt_path: str, path_a: str, path_b: str, as_json: bool = False
                        for path, w in zip((path_a, path_b), waves)]}
 
 
-def load_eval_datasets(eval_dir: str) -> tuple:
+def load_eval_datasets(eval_dir: str, metrics) -> tuple:
+    """The eval corpus and the eval set of each of `metrics`; a name that evaluate.EVAL_SETS
+    lacks reads nothing, and is left for run_full_eval to reject."""
     from .datagen import read_jsonl
     from .evaluate import EVAL_SETS
 
@@ -375,7 +374,7 @@ def load_eval_datasets(eval_dir: str) -> tuple:
         raise DataError(f"missing eval split directory {eval_dir}")
     corpus = _read_corpus(eval_dir, "corpus")
     datasets = {metric: read_jsonl(os.path.join(eval_dir, filename), cls)
-                for metric, (filename, cls) in EVAL_SETS.items()}
+                for metric, (filename, cls) in EVAL_SETS.items() if metric in metrics}
     return corpus, datasets
 
 
@@ -386,11 +385,11 @@ def cmd_eval(cfg: dict, ckpt_path: str | None = None, metrics=None, as_json: boo
     out = cfg["out"]
     ckpt_path = ckpt_path or os.path.join(out, TRAINING_STAGES["finetune"][1])
     model = load_checkpoint(ckpt_path)
-    eval_corpus, datasets = load_eval_datasets(os.path.join(out, "eval"))
+    metrics = tuple(metrics) if metrics else ALL_METRICS
+    eval_corpus, datasets = load_eval_datasets(os.path.join(out, "eval"), metrics)
     echo = {"seed": cfg["seed"], "families": list(cfg["data"]["families"]),
             "stage": model.stage}
-    reports = run_full_eval(model, eval_corpus, datasets,
-                            metrics=tuple(metrics) if metrics else ALL_METRICS,
+    reports = run_full_eval(model, eval_corpus, datasets, metrics=metrics,
                             k=cfg["data"]["eval"]["k"], config_echo=echo,
                             histogram_path=os.path.join(out, "common_area_hist.svg"))
     write_reports_json(reports, os.path.join(out, "reports.json"))
@@ -435,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {stage} training stage")
         common(p)
         p.set_defaults(stage=stage)
-        p.add_argument("--epochs", type=int, help="override epoch count for this stage")
         p.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
 
     p = sub.add_parser("distance", help="print the perceptual distance between two WAVs")
@@ -463,8 +461,7 @@ def main(argv=None) -> int:
             outputs = cmd_distance(args.checkpoint, args.wav_a, args.wav_b, as_json=args.json)
         else:
             stage = getattr(args, "stage", None)
-            cfg = resolve_config(args.config, args.seed, args.out, getattr(args, "epochs", None),
-                                 stage)
+            cfg = resolve_config(args.config, args.seed, args.out)
             # --json keeps stdout to the one JSON line, so per-epoch progress is off
             progress = not (args.json or getattr(args, "quiet", False))
             if args.command == "synth-data":

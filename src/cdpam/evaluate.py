@@ -99,21 +99,22 @@ def two_afc_from_distances(d_a, d_b, labels) -> float:
     return score / d_a.size
 
 
+def _binned(groups: dict) -> dict:
+    """Each group's normalized histogram in DEFAULT_BINS bins over the pooled range; a pool
+    of one value spans [value, value + 1], so that it falls in bin 0."""
+    groups = {name: np.asarray(v, dtype=np.float64) for name, v in groups.items()}
+    values = np.concatenate(list(groups.values()))
+    lo, hi = float(values.min()), float(values.max())
+    edges = np.linspace(lo, hi if hi > lo else lo + 1.0, DEFAULT_BINS + 1)
+    return {name: np.histogram(v, bins=edges)[0] / v.size for name, v in groups.items()}
+
+
 def common_area(group_same, group_diff) -> float:
-    """Overlap of the two groups' normalized histograms, in DEFAULT_BINS bins over their
-    pooled range."""
-    a = np.asarray(group_same, dtype=np.float64)
-    b = np.asarray(group_diff, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
+    """Overlap of the two groups' normalized histograms (:func:`_binned`)."""
+    if np.size(group_same) == 0 or np.size(group_diff) == 0:
         raise ContractError("common_area needs two non-empty groups")
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    if lo == hi:
-        return 1.0
-    edges = np.linspace(lo, hi, DEFAULT_BINS + 1)
-    pa, _ = np.histogram(a, bins=edges)
-    pb, _ = np.histogram(b, bins=edges)
-    return float(np.minimum(pa / a.size, pb / b.size).sum())
+    same, diff = _binned({"same": group_same, "diff": group_diff}).values()
+    return float(np.minimum(same, diff).sum())
 
 
 def precision_at_k(embeddings, labels, k: int) -> float:
@@ -257,17 +258,11 @@ def write_reports_csv(reports, path) -> None:
 def svg_histogram(groups: dict, path) -> None:
     """Overlaid normalized histograms as a dependency-free, deterministic SVG."""
     n_bins, width, height = DEFAULT_BINS, 640, 240
-    values = np.concatenate([np.asarray(v, dtype=np.float64) for v in groups.values()])
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        hi = lo + 1.0
-    edges = np.linspace(lo, hi, n_bins + 1)
     colors = ("#4878cf", "#d65f5f", "#6acc65")
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
              f'viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
-    hists = {name: np.histogram(np.asarray(v, dtype=np.float64), bins=edges)[0] / len(v)
-             for name, v in groups.items()}
+    hists = _binned(groups)
     peak = max(h.max() for h in hists.values()) or 1.0
     bar_w = width / n_bins
     for color, (name, hist) in zip(colors, sorted(hists.items())):

@@ -18,10 +18,13 @@ only, encoder still frozen.
 Each stage hands `_run_epochs` a generator of minibatch losses; backward,
 the Adam step and the epoch mean happen there and nowhere else.
 
-Stages must run in order; checkpoints carry a stage tag that is checked on
-entry.  All randomness (batch composition, augmentation, perturbation draws)
-derives from the config seed, so identical configs give byte-identical
-checkpoints.
+A stage is named once, by the function that runs it, and `_STAGES` holds
+what else it fixes: the tag it writes on its model, its epoch stream and its
+reference epoch count.  One TrainConfig serves any stage.  Stages must run
+in order: a stage's input model must carry the tag the stage before it
+writes.  All randomness (batch composition, augmentation, perturbation
+draws) derives from the config seed, so identical configs give
+byte-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -40,21 +43,25 @@ from .model import ModelConfig, PerceptualModel
 from .perturb import DEFAULT_FAMILIES, apply, stream
 from .tensor import Tensor, adam_step
 
-EPOCH_DEFAULTS = {"pretrain": 250, "jnd": 250, "finetune": 100}
+# the stages in run order, by the name their loss logs and errors use: the tag a stage writes
+# on its model, which the next stage needs on its input; its epoch stream key (perturb.stream);
+# and the reference recipe's epoch count, which TrainConfig(epochs=None) trains
+_STAGES = {"pretrain": ("pretrained", 21, 250),
+           "jnd": ("jnd", 22, 250),
+           "finetune": ("finetuned", 23, 100)}
 SHIFT_SECONDS = 0.25
 GAIN_RANGE_DB = (-20.0, 0.0)
 
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for one training stage.
+    """Hyperparameters for a training stage, whichever stage function it is passed to.
 
-    Defaults follow the reference recipe (batch 16, Adam at 1e-4, 250/250/100
-    epochs, temperature 0.5, margin 0.1); desk-scale runs override epochs,
-    learning rate and dataset sizes.
+    Defaults follow the reference recipe (batch 16, Adam at 1e-4, temperature
+    0.5, margin 0.1, and with ``epochs=None`` the stage's reference epoch
+    count); desk-scale runs override epochs, learning rate and dataset sizes.
     """
 
-    stage: str = "pretrain"
     epochs: int | None = None
     batch_size: int = 16
     lr: float = 1e-4
@@ -65,11 +72,8 @@ class TrainConfig:
     families: tuple = DEFAULT_FAMILIES
 
     def __post_init__(self):
-        if self.stage not in EPOCH_DEFAULTS:
-            raise ContractError(f"unknown stage {self.stage!r}")
-        if self.epochs is None:
-            self.epochs = EPOCH_DEFAULTS[self.stage]
-        check_value("epochs", self.epochs, "int", lo=1)
+        if self.epochs is not None:
+            check_value("epochs", self.epochs, "int", lo=1)
         check_value("batch_size", self.batch_size, "int", lo=1)
         check_value("lr", self.lr, "number", lo=0, ends="(]")
         check_value("tau", self.tau, "number", lo=0, ends="(]")
@@ -107,30 +111,24 @@ def save_loss_log(rows, path) -> None:
                              f"{row['wall_ms']:.1f}"])
 
 
-def _check_entry(config: TrainConfig, stage: str, model=None, needs: str | None = None) -> None:
-    """The config must be for `stage`; a given model must carry the stage tag `needs`."""
-    if config.stage != stage:
-        raise ContractError(f"config stage is {config.stage!r}, expected {stage!r}")
-    if model is not None and model.stage != needs:
-        raise ContractError(f"the {stage} stage needs a {needs!r} checkpoint, got {model.stage!r}")
-
-
-def _run_epochs(model: PerceptualModel, config: TrainConfig, spawn: int, done_tag: str,
-                epoch_losses, progress) -> tuple:
-    """Run config.epochs epochs of `epoch_losses(rng)`; return (model, loss rows).
+def _run_epochs(model: PerceptualModel, config: TrainConfig, stage: str, epoch_losses,
+                progress) -> tuple:
+    """Run the `stage` epochs of `epoch_losses(rng)`; return (model, loss rows).
 
     The one training step: each loss the generator yields is backpropagated
     and followed by one Adam step before the generator resumes, and an epoch
-    logs its minibatch mean.  Epoch e draws from ``stream(seed, spawn, e)``
-    (:func:`perturb.stream`).  A non-finite value anywhere in an epoch aborts
-    training with that epoch's index.  At the end the model is tagged
-    `done_tag` and every parameter is frozen.
+    logs its minibatch mean.  Epoch e draws from the stage's stream,
+    ``stream(seed, key, e)`` (:func:`perturb.stream`).  config.epochs epochs
+    run, or the stage's reference count if it is None.  A non-finite value
+    anywhere in an epoch aborts training with that epoch's index.  At the end
+    the model carries the stage's tag and every parameter is frozen.
     """
+    done_tag, key, reference_epochs = _STAGES[stage]
     moments: dict = {}
     rows = []
-    for epoch in range(config.epochs):
+    for epoch in range(reference_epochs if config.epochs is None else config.epochs):
         t0 = time.perf_counter()
-        rng = stream(config.seed, spawn, epoch)
+        rng = stream(config.seed, key, epoch)
         batch_losses = []
         try:
             for loss in epoch_losses(rng):
@@ -138,9 +136,9 @@ def _run_epochs(model: PerceptualModel, config: TrainConfig, spawn: int, done_ta
                 adam_step(model.params, moments, config.lr)
                 batch_losses.append(loss.item())
         except NumericError as err:
-            raise TrainingError(f"{config.stage} stage diverged at epoch {epoch}: {err}",
+            raise TrainingError(f"{stage} stage diverged at epoch {epoch}: {err}",
                                 epoch=epoch) from err
-        rows.append({"epoch": epoch, "stage": config.stage, "loss": float(np.mean(batch_losses)),
+        rows.append({"epoch": epoch, "stage": stage, "loss": float(np.mean(batch_losses)),
                      "wall_ms": (time.perf_counter() - t0) * 1000.0})
         if progress:
             progress(rows[-1])
@@ -156,13 +154,12 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
                          progress=None) -> tuple:
     """Train the encoder (plus both projection heads) with NT-Xent batches.
 
-    Returns (model tagged "pretrained", per-epoch loss rows).  Acoustic and
+    Returns (the pretrained model, per-epoch loss rows).  Acoustic and
     content batches alternate, one of each per 4 * batch_size clips (at least
     one) per epoch.  NaN losses abort with the epoch index.  The batch set
     is built before the first epoch, and the corpus is dropped then: a
     caller that holds no other reference to it frees it for training.
     """
-    _check_entry(config, "pretrain")
     model = PerceptualModel.initialize(model_config, seed=config.seed)
     model.set_trainable(("enc.", "proj."))
     per_mode = max(1, len(corpus) // (4 * config.batch_size))
@@ -182,24 +179,28 @@ def pretrain_contrastive(corpus, config: TrainConfig, model_config: ModelConfig,
             z = model.project(acoustic if mode == "acoustic" else content, mode)
             yield losses.nt_xent(z, tau=config.tau)
 
-    return _run_epochs(model, config, 21, "pretrained", epoch_losses, progress)
+    return _run_epochs(model, config, "pretrain", epoch_losses, progress)
 
 
 # -- stages b and c: loss network on a frozen encoder ------------------------------------
 
 
 def _frozen_encoder_epochs(model: PerceptualModel, corpus, records, config: TrainConfig,
-                           kind: str, positive: str, spawn: int, done_tag: str, batch_loss,
-                           progress) -> tuple:
+                           stage: str, kind: str, positive: str, batch_loss, progress) -> tuple:
     """Fit the trainable parameters on frozen-encoder embeddings of the `kind` records' clips.
 
-    The clip columns are built once: the clean references, then each compared
-    clip regenerated from its spec; a record's target is 1.0 when its label is
+    `model` must carry the tag that the stage before `stage` writes.  The clip
+    columns are built once: the clean references, then each compared clip
+    regenerated from its spec; a record's target is 1.0 when its label is
     `positive`.  Each epoch permutes the records and embeds each
     column through a keyed embedder whose keys are record indices and whose
     render augments the clip with the epoch generator; then it yields
     `batch_loss(embs, targets)` per minibatch.
     """
+    stages = list(_STAGES)
+    needs = _STAGES[stages[stages.index(stage) - 1]][0]  # the tag the stage before writes
+    if model.stage != needs:
+        raise ContractError(f"the {stage} stage needs a {needs!r} checkpoint, got {model.stage!r}")
     for record in records:
         if record.kind != kind:
             raise ContractError(f"expected {kind} records, got {record.kind!r}")
@@ -221,13 +222,12 @@ def _frozen_encoder_epochs(model: PerceptualModel, corpus, records, config: Trai
             batch = slice(start, start + config.batch_size)
             yield batch_loss([Tensor(e[batch]) for e in embs], targets[order[batch]])
 
-    return _run_epochs(model, config, spawn, done_tag, epoch_losses, progress)
+    return _run_epochs(model, config, stage, epoch_losses, progress)
 
 
 def train_jnd(model: PerceptualModel, corpus, records, config: TrainConfig,
               progress=None) -> tuple:
     """Fit the loss network + classifier on oracle same/different pairs with BCE."""
-    _check_entry(config, "jnd", model, needs="pretrained")
     model = model.clone()
     model.set_trainable(("lossnet.", "clf."))
 
@@ -237,14 +237,13 @@ def train_jnd(model: PerceptualModel, corpus, records, config: TrainConfig,
         p = model.judge_from_distance(T.reshape(d, (len(labels), 1)))
         return losses.bce(p, labels.reshape(-1, 1))
 
-    return _frozen_encoder_epochs(model, corpus, records, config, "jnd_pair", "different", 22,
-                                  "jnd", batch_loss, progress)
+    return _frozen_encoder_epochs(model, corpus, records, config, "jnd", "jnd_pair", "different",
+                                  batch_loss, progress)
 
 
 def finetune_triplet(model: PerceptualModel, corpus, records, config: TrainConfig,
                      progress=None) -> tuple:
     """Fine-tune the loss network with margin ranking on triplet comparisons."""
-    _check_entry(config, "finetune", model, needs="jnd")
     model = model.clone()
     model.set_trainable(("lossnet.",))
 
@@ -258,5 +257,5 @@ def finetune_triplet(model: PerceptualModel, corpus, records, config: TrainConfi
         d_other = T.add(T.mul(d_b, mask), T.mul(d_a, T.sub(one, mask)))
         return T.mean_(losses.margin_rank(d_pref, d_other, margin=config.margin))
 
-    return _frozen_encoder_epochs(model, corpus, records, config, "triplet", "A", 23,
-                                  "finetuned", batch_loss, progress)
+    return _frozen_encoder_epochs(model, corpus, records, config, "finetune", "triplet", "A",
+                                  batch_loss, progress)

@@ -253,6 +253,23 @@ class TestEvalCommand:
             assert capsys.readouterr().err == f"error: {named}\n"
         assert calls == []
 
+    @pytest.mark.parametrize("fault", ["corrupt", "missing"])
+    def test_subset_reads_only_its_eval_sets(self, pipeline_run, tmp_path, fault):
+        # a two_afc eval reads the eval corpus and eval/triplets.jsonl alone, so a MOS file
+        # that cannot be read does not stop it
+        _, config_path, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(cfg["out"], run)
+        mos = run / "eval" / "mos.jsonl"
+        if fault == "corrupt":
+            mos.write_text("{not json\n")
+        else:
+            mos.unlink()
+        (run / "reports.json").unlink()
+        assert main(["eval", "--config", str(config_path), "--out", str(run),
+                     "--metrics", "two_afc"]) == 0
+        assert list(json.loads((run / "reports.json").read_text())) == ["two_afc"]
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_exits_2(self, pipeline_run, tmp_path, capsys, k):
         _, _, cfg = pipeline_run
@@ -373,12 +390,12 @@ class TestReproducibility:
             assert runs[1][name] == content, name
 
     def test_flag_overrides_win(self, tmp_path):
-        config_path, _ = tiny_run_config(tmp_path, out_name="ov")
-        cfg = resolve_config(str(config_path), seed=99, out=str(tmp_path / "other"),
-                             epochs=7, stage="pretrain")
+        config_path, file_cfg = tiny_run_config(tmp_path, out_name="ov")
+        cfg = resolve_config(str(config_path), seed=99, out=str(tmp_path / "other"))
         assert cfg["seed"] == 99
         assert cfg["out"] == str(tmp_path / "other")
-        assert cfg["train"]["epochs"]["pretrain"] == 7
+        # the config file is the one setter of a stage's epoch count
+        assert cfg["train"]["epochs"] == file_cfg["train"]["epochs"]
 
     def test_run_manifest_echoes_config(self, pipeline_run):
         _, _, cfg = pipeline_run
@@ -551,10 +568,10 @@ class TestConfigBoundary:
 # each config key whose rule the library function that consumes it also checks: the
 # parameter it becomes, a call that passes the value in its place, and the rule's bounds
 LIBRARY_RULES = {
-    **{f"train.epochs.{stage}": ("epochs", lambda c, v, stage=stage: TrainConfig(stage, v), 1)
+    **{f"train.epochs.{stage}": ("epochs", lambda c, v: TrainConfig(epochs=v), 1)
        for stage in TRAINING_STAGES},
     "train.batch_size": ("batch_size", lambda c, v: TrainConfig(batch_size=v), 1),
-    **{f"train.lr.{stage}": ("lr", lambda c, v, stage=stage: TrainConfig(stage, lr=v), 0.0)
+    **{f"train.lr.{stage}": ("lr", lambda c, v: TrainConfig(lr=v), 0.0)
        for stage in TRAINING_STAGES},
     "train.tau": ("tau", lambda c, v: TrainConfig(tau=v), 0.0),
     "data.n_utterances": ("n", lambda c, v: datagen.synth_corpus(v, 1, clip_samples=400), 1),
@@ -713,8 +730,9 @@ class TestMalformedRecords:
         lines[1] = json.dumps(edit(json.loads(lines[1])))
         path.write_text("\n".join(lines) + "\n")
         argv = [command, "--config", str(config_path), "--out", str(run)]
-        assert main(argv + (["--metrics", "monotonicity"] if command == "eval" else
-                            ["--quiet"])) == 2
+        # eval reads only the sets of the metrics it runs: run the one that reads `filename`
+        metric = next((m for m, (name, _) in EVAL_SETS.items() if name == path.name), None)
+        assert main(argv + (["--metrics", metric] if command == "eval" else ["--quiet"])) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
@@ -724,6 +742,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [name for name, _, _ in TRAINING_STAGES.values()])
+    def test_epochs_flag_is_an_unknown_argument(self, capsys, command):
+        # a stage's epoch count is set in the config file alone
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--epochs", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --epochs 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("slot", [0, 1, 2])  # the checkpoint, the first WAV, the second
     def test_directory_for_a_distance_file_exits_2(self, pipeline_run, tmp_path, capsys, slot):

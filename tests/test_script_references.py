@@ -5,7 +5,7 @@ with ``ast`` and never run.  Every ``from cdpam... import name`` must name
 something its module defines, every ``<alias>.attr`` read through a name
 bound to a cdpam module must exist, and every keyword passed to a cdpam
 callable, as in ``T.batch_norm1d(..., train=True)`` or
-``TrainConfig(stage=...)``, must be one of its parameters.  A deletion or a
+``TrainConfig(epochs=...)``, must be one of its parameters.  A deletion or a
 signature change in the package that would break a demo, the benchmark or a
 tool then fails here, not when the script next runs.
 """
@@ -158,7 +158,7 @@ def test_reports_unknown_keywords():
               "from cdpam.trainer import TrainConfig\n"
               "from cdpam.model import PerceptualModel\n"
               "T.batch_norm1d(x, g, b, rm, rv, train=True, slope=0.2, gone=1)\n"
-              "TrainConfig(stage='pretrain', batches_per_mode=1, **extra)\n"
+              "TrainConfig(epochs=2, batches_per_mode=1, **extra)\n"
               "PerceptualModel.initialize(cfg, seed=0, scale=2)\n"
               "T.conv1d(x, w, stride=2, slope=0.2)\n")
     assert sorted(unresolved(source)) == [

@@ -49,7 +49,7 @@ def trace_stage(stage):
     cfg = tiny_config()
     corpus = synth_corpus(16, 2, seed=1, sample_rate=cfg.sample_rate,
                           clip_samples=cfg.clip_samples)
-    config = trainer.TrainConfig(stage=stage, epochs=1, batch_size=4)
+    config = trainer.TrainConfig(epochs=1, batch_size=4)
     model = PerceptualModel.initialize(cfg, seed=0)
     model.stage = {"pretrain": "init", "jnd": "pretrained", "finetune": "jnd"}[stage]
     jnd_records, triplets = oracle_jnd(corpus, 10, seed=2), oracle_triplets(corpus, 10, seed=2)

@@ -8,8 +8,8 @@ from cdpam.audio import Waveform, rms
 from cdpam.datagen import oracle_jnd, oracle_triplets, synth_corpus
 from cdpam.errors import ContractError, DataError, NumericError, TrainingError
 from cdpam.model import EMBED_BATCH, PerceptualModel, tiny_config
-from cdpam.trainer import (EPOCH_DEFAULTS, TrainConfig, _augment, finetune_triplet,
-                           pretrain_contrastive, train_jnd)
+from cdpam.trainer import (TrainConfig, _augment, finetune_triplet, pretrain_contrastive,
+                           save_loss_log, train_jnd)
 
 CFG = tiny_config()
 
@@ -22,24 +22,29 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def pretrained(corpus):
-    config = TrainConfig(stage="pretrain", epochs=3, batch_size=4, lr=1e-3, seed=7)
+    config = TrainConfig(epochs=3, batch_size=4, lr=1e-3, seed=7)
     model, rows = pretrain_contrastive(corpus, config, CFG)
     return model, rows
 
 
 class TestDefaults:
     def test_reference_hyperparameters(self):
-        assert EPOCH_DEFAULTS == {"pretrain": 250, "jnd": 250, "finetune": 100}
-        config = TrainConfig(stage="finetune")
-        assert config.epochs == 100
+        # each stage's tag, epoch stream key and reference epoch count, which epochs=None trains
+        assert trainer._STAGES == {"pretrain": ("pretrained", 21, 250), "jnd": ("jnd", 22, 250),
+                                   "finetune": ("finetuned", 23, 100)}
+        config = TrainConfig()
+        assert config.epochs is None
         assert config.lr == 1e-4
         assert config.batch_size == 16
         assert config.margin == 0.1
         assert config.tau == 0.5
 
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ContractError):
-            TrainConfig(stage="warmup")
+    def test_epochs_none_runs_the_reference_count(self, corpus, monkeypatch):
+        monkeypatch.setitem(trainer._STAGES, "pretrain", ("pretrained", 21, 2))
+        config = TrainConfig(batch_size=4, seed=7)
+        _, rows = pretrain_contrastive(corpus, config, CFG)
+        assert len(rows) == 2
+        assert config.epochs is None  # resolved where the stage runs, not in the config
 
     @pytest.mark.parametrize("name,value", [
         ("epochs", 0), ("epochs", "2"), ("epochs", 2.0), ("epochs", True),
@@ -50,10 +55,10 @@ class TestDefaults:
     ])
     def test_invalid_values_rejected_naming_the_field(self, name, value):
         with pytest.raises(ContractError, match=f"^{name} must be "):
-            TrainConfig(stage="jnd", **{name: value})
+            TrainConfig(**{name: value})
 
     def test_integral_numpy_values_accepted(self):
-        config = TrainConfig(stage="jnd", epochs=np.int64(2), batch_size=np.int64(4),
+        config = TrainConfig(epochs=np.int64(2), batch_size=np.int64(4),
                              lr=np.float64(1e-3))
         assert config.epochs == 2 and config.batch_size == 4
 
@@ -95,7 +100,7 @@ class TestPretrain:
 
     def test_deterministic(self, corpus, pretrained):
         model, _ = pretrained
-        config = TrainConfig(stage="pretrain", epochs=3, batch_size=4, lr=1e-3, seed=7)
+        config = TrainConfig(epochs=3, batch_size=4, lr=1e-3, seed=7)
         again, _ = pretrain_contrastive(corpus, config, CFG)
         for name in model.params:
             assert np.array_equal(model.params[name].data, again.params[name].data)
@@ -103,33 +108,31 @@ class TestPretrain:
             assert np.array_equal(model.state[name], again.state[name])
 
     def test_loss_decreases_over_training(self, corpus):
-        config = TrainConfig(stage="pretrain", epochs=12, batch_size=4, lr=3e-3, seed=3,
+        config = TrainConfig(epochs=12, batch_size=4, lr=3e-3, seed=3,
                              families=("noise",), augment=False)
         _, rows = pretrain_contrastive(corpus, config, CFG)
         assert rows[-1]["loss"] < rows[0]["loss"]
 
-    def test_wrong_stage_config(self, corpus):
-        with pytest.raises(ContractError):
-            pretrain_contrastive(corpus, TrainConfig(stage="jnd", epochs=1), CFG)
 
 
 class TestTrainJnd:
     def test_requires_pretrained(self, corpus):
         fresh = PerceptualModel.initialize(CFG, seed=0)
         records = oracle_jnd(corpus, 8, seed=0)
-        with pytest.raises(ContractError):
-            train_jnd(fresh, corpus, records, TrainConfig(stage="jnd", epochs=1))
+        with pytest.raises(ContractError,
+                           match="^the jnd stage needs a 'pretrained' checkpoint, got 'init'$"):
+            train_jnd(fresh, corpus, records, TrainConfig(epochs=1))
 
     def test_rejects_triplet_records(self, corpus, pretrained):
         model, _ = pretrained
         with pytest.raises(ContractError, match="^expected jnd_pair records, got 'triplet'$"):
             train_jnd(model, corpus, oracle_triplets(corpus, 4, seed=0),
-                      TrainConfig(stage="jnd", epochs=1))
+                      TrainConfig(epochs=1))
 
     def test_encoder_bit_identical_when_frozen(self, corpus, pretrained):
         model, _ = pretrained
         records = oracle_jnd(corpus, 16, seed=2)
-        config = TrainConfig(stage="jnd", epochs=2, batch_size=8, lr=1e-3, seed=1)
+        config = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=1)
         trained, rows = train_jnd(model, corpus, records, config)
         assert trained.stage == "jnd"
         assert len(rows) == 2
@@ -145,7 +148,7 @@ class TestTrainJnd:
     def test_deterministic(self, corpus, pretrained):
         model, _ = pretrained
         records = oracle_jnd(corpus, 16, seed=2)
-        config = TrainConfig(stage="jnd", epochs=2, batch_size=8, lr=1e-3, seed=1)
+        config = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=1)
         a, _ = train_jnd(model, corpus, records, config)
         b, _ = train_jnd(model, corpus, records, config)
         assert all(np.array_equal(a.params[n].data, b.params[n].data) for n in a.params)
@@ -153,7 +156,7 @@ class TestTrainJnd:
     def test_learns_above_chance(self, corpus, pretrained):
         model, _ = pretrained
         records = oracle_jnd(corpus, 48, threshold=0.3, noise_sigma=0.0, seed=4)
-        config = TrainConfig(stage="jnd", epochs=30, batch_size=16, lr=5e-3, seed=2,
+        config = TrainConfig(epochs=30, batch_size=16, lr=5e-3, seed=2,
                              augment=False)
         trained, _ = train_jnd(model, corpus, records, config)
         from cdpam.perturb import apply
@@ -178,9 +181,9 @@ class TestEmbedSlices:
             records, columns, train = oracle_jnd(corpus, n, seed=11), 2, train_jnd
         else:
             model, _ = train_jnd(model, corpus, oracle_jnd(corpus, 8, seed=12),
-                                 TrainConfig(stage="jnd", epochs=1, batch_size=8, seed=1))
+                                 TrainConfig(epochs=1, batch_size=8, seed=1))
             records, columns, train = oracle_triplets(corpus, n, seed=13), 3, finetune_triplet
-        config = TrainConfig(stage=stage, epochs=epochs, batch_size=16, lr=1e-3, seed=3)
+        config = TrainConfig(epochs=epochs, batch_size=16, lr=1e-3, seed=3)
         sizes = []
         real = PerceptualModel.embed_waves
         monkeypatch.setattr(PerceptualModel, "embed_waves",
@@ -199,22 +202,23 @@ class TestFinetune:
     def test_requires_jnd_stage(self, corpus, pretrained):
         model, _ = pretrained
         records = oracle_triplets(corpus, 8, seed=0)
-        with pytest.raises(ContractError):
-            finetune_triplet(model, corpus, records, TrainConfig(stage="finetune", epochs=1))
+        with pytest.raises(ContractError,
+                           match="^the finetune stage needs a 'jnd' checkpoint, got 'pretrained'$"):
+            finetune_triplet(model, corpus, records, TrainConfig(epochs=1))
 
     def test_rejects_jnd_pairs(self, corpus, pretrained):
         model, _ = pretrained
         jnd_model, _ = train_jnd(model, corpus, oracle_jnd(corpus, 8, seed=2),
-                                 TrainConfig(stage="jnd", epochs=1, batch_size=8, seed=1))
+                                 TrainConfig(epochs=1, batch_size=8, seed=1))
         with pytest.raises(ContractError, match="^expected triplet records, got 'jnd_pair'$"):
             finetune_triplet(jnd_model, corpus, oracle_jnd(corpus, 4, seed=0),
-                             TrainConfig(stage="finetune", epochs=1))
+                             TrainConfig(epochs=1))
 
     def test_margin_default_and_stage_tag(self, corpus, pretrained):
         model, _ = pretrained
         jnd_model, _ = train_jnd(model, corpus, oracle_jnd(corpus, 16, seed=2),
-                                 TrainConfig(stage="jnd", epochs=1, batch_size=8, seed=1))
-        config = TrainConfig(stage="finetune", epochs=2, batch_size=8, lr=1e-3, seed=4)
+                                 TrainConfig(epochs=1, batch_size=8, seed=1))
+        config = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=4)
         assert config.margin == 0.1
         tuned, rows = finetune_triplet(jnd_model, corpus, oracle_triplets(corpus, 12, seed=5),
                                        config)
@@ -228,16 +232,33 @@ class TestFinetune:
     def test_ranking_improves_on_training_triplets(self, corpus, pretrained):
         model, _ = pretrained
         jnd_model, _ = train_jnd(model, corpus, oracle_jnd(corpus, 32, seed=6),
-                                 TrainConfig(stage="jnd", epochs=10, batch_size=16, lr=3e-3,
+                                 TrainConfig(epochs=10, batch_size=16, lr=3e-3,
                                              seed=1))
         records = oracle_triplets(corpus, 32, seed=7, min_magnitude_gap=0.3)
         from cdpam.evaluate import clip_embedder, run_two_afc
         before = run_two_afc(jnd_model, clip_embedder(jnd_model, corpus), records).value
-        config = TrainConfig(stage="finetune", epochs=20, batch_size=16, lr=5e-3, seed=5,
+        config = TrainConfig(epochs=20, batch_size=16, lr=5e-3, seed=5,
                              augment=False)
         tuned, _ = finetune_triplet(jnd_model, corpus, records, config)
         after = run_two_afc(tuned, clip_embedder(tuned, corpus), records).value
         assert after >= before
+
+
+class TestOneConfig:
+    def test_one_config_trains_all_three_stages(self, corpus, tmp_path):
+        # a config names no stage: the stage is the function it is passed to
+        config = TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=7)
+        model, pre_rows = pretrain_contrastive(corpus, config, CFG)
+        model, jnd_rows = train_jnd(model, corpus, oracle_jnd(corpus, 8, seed=2), config)
+        model, tune_rows = finetune_triplet(model, corpus, oracle_triplets(corpus, 8, seed=0),
+                                            config)
+        assert model.stage == "finetuned"
+        logged = []
+        for name, rows in (("pretrain", pre_rows), ("jnd", jnd_rows), ("finetune", tune_rows)):
+            save_loss_log(rows, tmp_path / f"{name}_log.csv")
+            lines = (tmp_path / f"{name}_log.csv").read_text().splitlines()
+            logged.append([line.split(",")[1] for line in lines[1:]])
+        assert logged == [["pretrain"], ["jnd"], ["finetune"]]
 
 
 class TestDivergence:
@@ -249,7 +270,7 @@ class TestDivergence:
         model, _ = pretrained
         if stage == "finetune":
             model, _ = train_jnd(model, corpus, oracle_jnd(corpus, 8, seed=2),
-                                 TrainConfig(stage="jnd", epochs=1, batch_size=8, seed=1))
+                                 TrainConfig(epochs=1, batch_size=8, seed=1))
         finished = []  # one entry per completed epoch, from the progress callback
         real = getattr(losses, loss)
 
@@ -258,7 +279,7 @@ class TestDivergence:
             return T.mul(out, T.Tensor(np.nan)) if finished else out
 
         monkeypatch.setattr(losses, loss, nan_after_epoch_0)
-        config = TrainConfig(stage=stage, epochs=3, batch_size=4, lr=1e-3, seed=7)
+        config = TrainConfig(epochs=3, batch_size=4, lr=1e-3, seed=7)
         with pytest.raises(TrainingError, match=f"{stage} stage diverged at epoch 1") as err:
             if stage == "pretrain":
                 pretrain_contrastive(corpus, config, CFG, progress=finished.append)
@@ -284,6 +305,6 @@ class TestEmptyRecordSets:
         train = train_jnd if stage == "jnd" else finetune_triplet
         finished = []
         with pytest.raises(DataError, match=f"the {name} record set is empty"):
-            train(model, corpus, [], TrainConfig(stage=stage, epochs=2),
+            train(model, corpus, [], TrainConfig(epochs=2),
                   progress=finished.append)
         assert finished == []
