@@ -65,11 +65,12 @@ DEFAULT_RUN_CONFIG = {
 # the BLAS pool settings a run's manifest records: checkpoints are byte-identical
 # only at a fixed thread count
 THREAD_VARS = ("CDPAM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
-# the training stages in run order, by config key: command, checkpoint written, record file
-# read (pretraining reads the corpus alone); a stage loads the checkpoint of the one before it
-TRAINING_STAGES = {"pretrain": ("pretrain", "pretrained.ckpt", None),
-                   "jnd": ("train-jnd", "jnd.ckpt", "jnd.jsonl"),
-                   "finetune": ("finetune", "finetuned.ckpt", "triplets.jsonl")}
+# the training stages in run order, by config key: command and record file read (pretraining
+# reads the corpus alone).  A stage loads the checkpoint of the one before it, named after the
+# tag that stage writes on its model (_checkpoint_path)
+TRAINING_STAGES = {"pretrain": ("pretrain", None),
+                   "jnd": ("train-jnd", "jnd.jsonl"),
+                   "finetune": ("finetune", "triplets.jsonl")}
 
 
 def _configure_threads() -> None:
@@ -303,6 +304,17 @@ def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
                      **{metric: len(items) for metric, items in eval_sets.items()}}}
 
 
+def _checkpoint_path(out: str, stage: str) -> str:
+    """The checkpoint `stage` writes under `out`: the tag it gives its model, plus .ckpt.
+
+    trainer, which holds the tags, loads numpy, so it is imported here, once a
+    command has capped the BLAS pool (_configure_threads).
+    """
+    from .trainer import stage_tag
+
+    return os.path.join(out, f"{stage_tag(stage)}.ckpt")
+
+
 def _run_stage(cfg: dict, stage: str, progress: bool) -> dict:
     """Train `stage` on the run directory's files; write its checkpoint, loss log and
     manifest, and return their paths, the epoch count and the final loss."""
@@ -310,7 +322,7 @@ def _run_stage(cfg: dict, stage: str, progress: bool) -> dict:
     from .datagen import JudgmentRecord, read_jsonl
     from .model import load_checkpoint, save_checkpoint
 
-    command, checkpoint_name, records_name = TRAINING_STAGES[stage]
+    command, records_name = TRAINING_STAGES[stage]
     config = _train_config(cfg, stage)
     out = cfg["out"]
     callback = (lambda row: print(f"[{stage}] epoch {row['epoch']}: loss {row['loss']:.5f}",
@@ -322,11 +334,11 @@ def _run_stage(cfg: dict, stage: str, progress: bool) -> dict:
     else:
         records = read_jsonl(os.path.join(out, records_name), JudgmentRecord)
         previous = list(TRAINING_STAGES)[list(TRAINING_STAGES).index(stage) - 1]
-        model = load_checkpoint(os.path.join(out, TRAINING_STAGES[previous][1]))
+        model = load_checkpoint(_checkpoint_path(out, previous))
         train = trainer.train_jnd if stage == "jnd" else trainer.finetune_triplet
         model, rows = train(model, _read_corpus(out, "corpus"), records, config,
                             progress=callback)
-    checkpoint = os.path.join(out, checkpoint_name)
+    checkpoint = _checkpoint_path(out, stage)
     log = os.path.join(out, f"{stage}_log.csv")
     save_checkpoint(model, checkpoint)
     trainer.save_loss_log(rows, log)
@@ -383,15 +395,17 @@ def cmd_eval(cfg: dict, ckpt_path: str | None = None, metrics=None, as_json: boo
     from .model import load_checkpoint
 
     out = cfg["out"]
-    ckpt_path = ckpt_path or os.path.join(out, TRAINING_STAGES["finetune"][1])
-    model = load_checkpoint(ckpt_path)
+    model = load_checkpoint(ckpt_path or _checkpoint_path(out, "finetune"))
     metrics = tuple(metrics) if metrics else ALL_METRICS
     eval_corpus, datasets = load_eval_datasets(os.path.join(out, "eval"), metrics)
     echo = {"seed": cfg["seed"], "families": list(cfg["data"]["families"]),
             "stage": model.stage}
+    histogram = os.path.join(out, "common_area_hist.svg")
     reports = run_full_eval(model, eval_corpus, datasets, metrics=metrics,
                             k=cfg["data"]["eval"]["k"], config_echo=echo,
-                            histogram_path=os.path.join(out, "common_area_hist.svg"))
+                            histogram_path=histogram)
+    if "common_area" not in metrics and os.path.exists(histogram):
+        os.remove(histogram)  # an earlier eval's, which the reports below would not describe
     write_reports_json(reports, os.path.join(out, "reports.json"))
     write_reports_csv(reports, os.path.join(out, "reports.csv"))
     _write_manifest(cfg, out, "eval")
@@ -430,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-data", help="synthesize corpus, manifests and eval splits")
     common(p)
 
-    for stage, (name, _, _) in TRAINING_STAGES.items():
+    for stage, (name, _) in TRAINING_STAGES.items():
         p = sub.add_parser(name, help=f"run the {stage} training stage")
         common(p)
         p.set_defaults(stage=stage)

@@ -19,9 +19,9 @@ upstream needs it, and only the leaves keep a ``.grad``.  A training step
 therefore holds one graph at a time, and an encoder layer keeps at most one
 full-size array of it for backward, its conv output (see the epilogues
 below).  Beyond what the graph keeps, an encoder layer's backward holds one
-output gradient and one full-size temporary at a time, and per-item buffers:
-BatchNorm builds its input's gradient in its output's gradient, and conv1d's
-input gradient is the one new array of its node.  Each graph gets one
+output gradient and one new full-size array at a time, conv1d's input
+gradient, and per-item buffers: BatchNorm builds its input's gradient in
+its output's gradient.  Each graph gets one
 backward: a second one through a released node raises
 :class:`ContractError` instead of leaving the leaves without gradients.
 
@@ -59,6 +59,20 @@ model computes each fold once per frozen model state and keeps it until a
 training pass or ``set_trainable`` drops it (``PerceptualModel.encode``).
 In training, batch_norm1d takes the leaky ReLU as its epilogue, in place, and
 its backward rebuilds x-hat from its input and the per-channel statistics.
+
+batch_norm1d walks the batch one item at a time too, forward and backward,
+so that each pass over an item finds it in cache: a desk layer's whole
+(32, C, L) batch is up to 4 MB, larger than a 2 MB L2, while an item is at
+most 128 KB.  Its statistics and its backward's five per-channel sums add
+each item's ``axis=1`` sums in item order (:func:`_item_order_sum`).  That
+is the order in which numpy's ``sum``, ``mean`` and ``var`` over axes (0, 2)
+add them: each (item, channel) row's pairwise sum goes into its channel's
+total, item after item, and a Tier-1 test holds numpy to it.  Its per-item
+steps are the whole-batch expression's, on per-channel vectors spread to one
+item's shape (:func:`_spread`), so every output, gradient and running
+statistic keeps its bits.  Its backward is two sweeps over the items: one
+takes every sum, the other builds the input's gradient.
+
 Every leaky ReLU, fused or not, has one derivative rule: with a slope in
 [0, 1] the output is positive exactly where the input was, so the op's
 ``pre`` (:func:`_unleak`) reads the mask from the output (In-Place Activated
@@ -343,11 +357,12 @@ def _unleak(g: np.ndarray, y, slope: float) -> np.ndarray:
 
     A 3-D g goes one item at a time, so its mask is one item, and y may be
     any iterable of the output's items, such as :func:`_items` of a released
-    output.
+    output, or of their ``y > 0`` bool masks, which are used as they are.
     """
     # max(y > 0, slope) is exactly 1.0 or exactly slope: the select form's bits, branch-free
     for gb, yb in zip(g, y) if g.ndim == 3 else [(g, y)]:
-        np.multiply(gb, np.maximum(yb > 0.0, slope, dtype=np.float64), out=gb)
+        mask = yb if yb.dtype == bool else yb > 0.0
+        np.multiply(gb, np.maximum(mask, slope, dtype=np.float64), out=gb)
     return g
 
 
@@ -592,6 +607,33 @@ def global_avg_pool(x: Tensor) -> Tensor:
                  "global_avg_pool")
 
 
+def _item_order_sum(parts) -> np.ndarray:
+    """The sum of the arrays `parts` yields, added in the order it yields them.
+
+    Each part may be a buffer that the iterator reuses: it is read before the
+    next one is made.  With one part per item of a (B, C, L) batch, each the
+    item's ``axis=1`` sums, this equals numpy's ``sum(axis=(0, 2))`` of the
+    batch bit for bit: that reduction adds each (item, channel) row's pairwise
+    sum into its channel's total, item after item (tests/test_tensor.py holds
+    numpy to it).
+    """
+    parts = iter(parts)
+    total = next(parts).copy()
+    for part in parts:
+        total += part
+    return total
+
+
+def _spread(length: int, *vectors) -> list:
+    """Each per-channel vector repeated along time: a contiguous (C, length) plane.
+
+    An item's elementwise step with a plane has the bits of the same step with
+    the vector as a (C, 1) column broadcast over the item, and numpy runs it
+    faster than the broadcast.
+    """
+    return [np.repeat(v[:, None], length, axis=1) for v in vectors]
+
+
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
                  train: bool, slope: float | None = None) -> Tensor:
@@ -603,96 +645,135 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     ``slope`` the output passes through ``leaky_relu(., slope)`` in place, bit
     for bit, as in :func:`conv1d`.
 
+    Forward and backward walk the batch one (ch, len) item at a time, as
+    conv1d does, so each pass over an item finds it in cache, and no
+    temporary is larger than one item.  The mean, the variance and
+    backward's per-channel sums add up each item's ``axis=1`` sums in item
+    order (:func:`_item_order_sum`), which is bit for bit what numpy's
+    ``mean``, ``var`` and ``sum`` over axes (0, 2) compute.  Each item's
+    elementwise steps are the ones the whole-batch expression takes, with the
+    per-channel vectors spread to one item's shape (:func:`_spread`).  So the
+    output, the gradients and the running statistics keep their bits.
+
     The output may be dropped with :func:`release`: its rebuild runs the
     forward's expression again on x, the batch statistics, gamma and beta,
     whole or on one item, so gamma and beta must not change before backward.
     The graph then keeps per-channel vectors and x, which may itself be
     released (a conv output is), since every read of x goes through its
-    rebuild.  Backward holds the output's gradient and one full-size
-    temporary.  The leaky ReLU's mask is taken one item at a time: from the
-    bool masks kept as backward's first reader rebuilt a released output's
-    items in order, else from the output's items.  gamma's and beta's VJPs
-    run first, then x's builds dx in the output's gradient, which becomes
-    x's gradient, and releases x, so a later reader rebuilds it.
+    rebuild.  Backward makes two sweeps over the items.  The first is the
+    op's ``pre``.  It applies the leaky ReLU's mask to the output's gradient g,
+    taking the mask from the bool masks that backward's first reader kept as
+    it rebuilt a released output's items in order, or else from the output's
+    items.  Then, item by item, it turns g into x-hat's gradient and takes the
+    five per-channel sums the gradients need.  gamma's and beta's VJPs return
+    two of them.  x's VJP is the second sweep: it builds dx in g, which
+    becomes x's gradient, and releases x, so a later reader rebuilds it.
     """
     if not train:
         raise ContractError("batch_norm1d normalizes on batch statistics only; inference "
                             "folds the running statistics into the conv with fold_batch_norm")
     if x.data.ndim != 3:
         raise ShapeError("batch_norm1d expects x[batch, ch, len]")
-    ch = x.shape[1]
+    batch, ch, length = x.shape
     if gamma.shape != (ch,) or beta.shape != (ch,):
         raise ShapeError("batch_norm1d gamma/beta must be per-channel vectors")
+    n = batch * length
+    if n == 0:
+        raise ShapeError(f"batch_norm1d needs batch statistics, got an empty batch {x.shape}")
     if slope is not None:
         check_value("batch_norm1d slope", slope, "number", 0, 1)
+    # numpy reduces a one-channel batch as one (1, B*L) row, so the walk takes it as one item
+    span = n if ch == 1 else length
 
-    mu = x.data.mean(axis=(0, 2))
-    var = x.data.var(axis=(0, 2))
+    def walk(a):  # a C-ordered (B, C, L) array as the items the walk takes
+        return a.reshape(-1, ch, span)
+
+    xs = walk(x.data)
+    mu = _item_order_sum(xb.sum(axis=1) for xb in xs) / n
+    y = np.empty(x.shape)
+
+    def squares(mu_):  # each item's squared deviations; the deviations go into y
+        sq = np.empty((ch, span))
+        for xb, yb in zip(xs, walk(y)):
+            np.subtract(xb, mu_, out=yb)
+            yield np.multiply(yb, yb, out=sq).sum(axis=1)
+
+    var = _item_order_sum(squares(*_spread(span, mu))) / n
     running_mean *= 1.0 - _BN_MOMENTUM
     running_mean += _BN_MOMENTUM * mu
     running_var *= 1.0 - _BN_MOMENTUM
     running_var += _BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
 
-    # (C, 1) columns broadcast over a (B, C, L) batch and over one (C, L) item alike
-    mu_c, inv_std_c = mu[:, None], inv_std[:, None]
-
-    def normalized(b=None):  # x-hat or its item b; gamma's VJP rebuilds it, so the graph keeps none
-        # a released x is rebuilt whole even for one item: dx reads it whole anyway
-        xhat = (x.data if b is None else x.data[b]) - mu_c
-        xhat *= inv_std_c
-        return xhat
-
-    def output(b=None):  # the forward, and the rebuild of a released output or of its item b
-        y = normalized(b)
-        y *= gamma.data[:, None]
-        y += beta.data[:, None]
+    def finish(y, inv_std_, gamma_, beta_):  # x - mu in y becomes the output, in place
+        y *= inv_std_
+        y *= gamma_
+        y += beta_
         if slope is not None:
             _leaky(y, slope, out=y)
         return y
 
+    planes = _spread(span, inv_std, gamma.data, beta.data)
+    for yb in walk(y):
+        finish(yb, *planes)
+    del planes
     masks = []  # y > 0 of each item, kept as backward's first reader rebuilds them in order
 
-    def rebuild(b=None):
-        y = output(b)
+    def rebuild(b=None):  # the output, or its item b, again
+        # a released x is rebuilt whole even for one item: backward reads it whole anyway
+        y = finish((x.data if b is None else x.data[b]) - mu[:, None], inv_std[:, None],
+                   gamma.data[:, None], beta.data[:, None])
         if slope is not None and b == len(masks):
             masks.append(y > 0.0)
         return y
 
-    def unleak(g):  # `pre`: the first reader's masks, or else the output's items
-        _unleak(g, masks if len(masks) == len(g) else _items(out), slope)
+    sums = []  # from the first sweep: dgamma, dbeta, and the sums of x - mu, dxhat, (x - mu)*dxhat
+
+    def sweep(g):  # `pre`: g becomes x-hat's gradient, dxhat, and every sum is taken on the way
+        if slope is not None:  # the masks of backward's first reader, or the output's items
+            _unleak(g, masks if len(masks) == batch else _items(out), slope)
+
+        def parts():
+            mu_, inv_std_, gamma_ = _spread(span, mu, inv_std, gamma.data)
+            c, t, part = np.empty((ch, span)), np.empty((ch, span)), np.empty((5, ch))
+            for gb, xb in zip(walk(g), walk(x.data)):
+                np.add.reduce(gb, axis=1, out=part[1])
+                np.subtract(xb, mu_, out=c)
+                np.add.reduce(c, axis=1, out=part[2])
+                np.multiply(c, inv_std_, out=t)  # x-hat
+                t *= gb
+                np.add.reduce(t, axis=1, out=part[0])
+                gb *= gamma_
+                np.add.reduce(gb, axis=1, out=part[3])
+                c *= gb
+                np.add.reduce(c, axis=1, out=part[4])
+                yield part
+
+        sums[:] = _item_order_sum(parts())
         masks.clear()
         return g
 
-    def dgamma(g):
-        xhat = normalized()
-        xhat *= g
-        return xhat.sum(axis=(0, 2))
-
     def dx(g):
         # dxhat * inv_std + dvar * 2 * centered / n + dmu / n, summed left to right as
-        # written, built in place in g, which becomes dxhat, and in centered, the one
-        # full-size temporary: dvar's product goes into centered's buffer, and centered
-        # is then rebuilt with the forward's expression.  gamma's VJP has read g already
-        n = x.shape[0] * x.shape[2]
-        c = x.data - mu_c
-        c_sum = c.sum(axis=(0, 2))
-        g *= gamma.data[:, None]
-        c *= g
-        dvar = c.sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
-        dmu = -g.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * c_sum
-        np.subtract(x.data, mu_c, out=c)
+        # written, item by item in g, which holds dxhat, and in one item's buffer
+        _, _, c_sum, dxhat_sum, c_dxhat = sums
+        dvar = c_dxhat * (-0.5) * inv_std ** 3
+        dmu = -dxhat_sum * inv_std + dvar * (-2.0 / n) * c_sum
+        mu_, inv_std_, dvar2, dmu_n = _spread(span, mu, inv_std, dvar * 2.0, dmu / n)
+        c = np.empty((ch, span))
+        for gb, xb in zip(walk(g), walk(x.data)):
+            gb *= inv_std_
+            np.subtract(xb, mu_, out=c)
+            c *= dvar2
+            c /= n
+            gb += c
+            gb += dmu_n
         release(x)  # the last read of x in this backward; a later reader rebuilds it
-        g *= inv_std_c
-        c *= dvar[:, None] * 2.0
-        c /= n
-        g += c
-        g += dmu[:, None] / n
         return g
 
     # `pre` reads the output through `out`, a cycle that backward breaks when it drops it
-    out = _make(output(), (gamma, beta, x), (dgamma, lambda g: g.sum(axis=(0, 2)), dx),
-                "batch_norm1d", pre=None if slope is None else unleak)
+    out = _make(y, (gamma, beta, x), (lambda g: sums[0], lambda g: sums[1], dx),
+                "batch_norm1d", pre=sweep)
     out._rebuild = rebuild
     return out
 

@@ -19,7 +19,8 @@ Each stage hands `_run_epochs` a generator of minibatch losses; backward,
 the Adam step and the epoch mean happen there and nowhere else.
 
 A stage is named once, by the function that runs it, and `_STAGES` holds
-what else it fixes: the tag it writes on its model, its epoch stream and its
+what else it fixes: the tag it writes on its model (:func:`stage_tag`, after
+which the CLI names the stage's checkpoint), its epoch stream and its
 reference epoch count.  One TrainConfig serves any stage.  Stages must run
 in order: a stage's input model must carry the tag the stage before it
 writes.  All randomness (batch composition, augmentation, perturbation
@@ -51,6 +52,11 @@ _STAGES = {"pretrain": ("pretrained", 21, 250),
            "finetune": ("finetuned", 23, 100)}
 SHIFT_SECONDS = 0.25
 GAIN_RANGE_DB = (-20.0, 0.0)
+
+
+def stage_tag(stage: str) -> str:
+    """The tag that `stage` writes on the model it trains, which the next stage needs."""
+    return _STAGES[stage][0]
 
 
 @dataclass
@@ -198,7 +204,7 @@ def _frozen_encoder_epochs(model: PerceptualModel, corpus, records, config: Trai
     `batch_loss(embs, targets)` per minibatch.
     """
     stages = list(_STAGES)
-    needs = _STAGES[stages[stages.index(stage) - 1]][0]  # the tag the stage before writes
+    needs = stage_tag(stages[stages.index(stage) - 1])
     if model.stage != needs:
         raise ContractError(f"the {stage} stage needs a {needs!r} checkpoint, got {model.stage!r}")
     for record in records:

@@ -270,6 +270,21 @@ class TestEvalCommand:
                      "--metrics", "two_afc"]) == 0
         assert list(json.loads((run / "reports.json").read_text())) == ["two_afc"]
 
+    def test_subset_without_common_area_removes_the_histogram(self, pipeline_run, tmp_path):
+        # an earlier eval's histogram would sit beside reports of another checkpoint
+        _, config_path, cfg = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(cfg["out"], run)
+        histogram = run / "common_area_hist.svg"
+        argv = ["eval", "--config", str(config_path), "--out", str(run), "--metrics"]
+        assert main(argv + ["common_area"]) == 0
+        drawn = histogram.read_bytes()
+        assert main(argv + ["two_afc"]) == 0
+        assert not histogram.exists()
+        assert main(argv + ["two_afc"]) == 0  # and with none there, the eval still runs
+        assert main(argv + ["two_afc,common_area"]) == 0
+        assert histogram.read_bytes() == drawn
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_exits_2(self, pipeline_run, tmp_path, capsys, k):
         _, _, cfg = pipeline_run
@@ -743,7 +758,7 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", [name for name, _, _ in TRAINING_STAGES.values()])
+    @pytest.mark.parametrize("command", [name for name, _ in TRAINING_STAGES.values()])
     def test_epochs_flag_is_an_unknown_argument(self, capsys, command):
         # a stage's epoch count is set in the config file alone
         with pytest.raises(SystemExit) as exc:

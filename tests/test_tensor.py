@@ -7,6 +7,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cdpam import losses, tensor as T
@@ -612,6 +614,112 @@ class TestBatchNormEpilogue:
         with pytest.raises(ContractError):
             T.batch_norm1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.ones(1)), Tensor(np.zeros(1)),
                            np.zeros(1), np.ones(1), True, slope=-0.1)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 4), (3, 2, 0)])
+    def test_empty_batch_rejected(self, shape):
+        # no statistics to normalize on; the running statistics are left as they were
+        rm, rv = np.zeros(2), np.ones(2)
+        with pytest.raises(ShapeError, match="empty batch"):
+            T.batch_norm1d(Tensor(np.zeros(shape)), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                           rm, rv, True)
+        assert rm.tolist() == [0.0, 0.0] and rv.tolist() == [1.0, 1.0]
+
+
+def whole_batch_norm(x, gamma, beta, g, slope, running_mean, running_var):
+    """Training batch norm on the whole (B, C, L) batch at once, in numpy: the output, the
+    running statistics updated in place, and the x, gamma and beta gradients for output
+    gradient g, each as the first gradient a leaf holds (0.0 + value)."""
+    n = x.shape[0] * x.shape[2]
+    mu, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+    running_mean *= 0.9
+    running_mean += 0.1 * mu
+    running_var *= 0.9
+    running_var += 0.1 * var
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    centered = x - mu[:, None]
+    xhat = centered * inv_std[:, None]
+    y = xhat * gamma[:, None] + beta[:, None]
+    if slope is not None:
+        y = np.where(y > 0.0, y, slope * y)
+        g = np.where(y > 0.0, g, slope * g)
+    dxhat = g * gamma[:, None]
+    dvar = (centered * dxhat).sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
+    dmu = -dxhat.sum(axis=(0, 2)) * inv_std + dvar * (-2.0 / n) * centered.sum(axis=(0, 2))
+    dx = dxhat * inv_std[:, None] + centered * (dvar[:, None] * 2.0) / n + dmu[:, None] / n
+    return y, [dx + 0.0, (xhat * g).sum(axis=(0, 2)) + 0.0, g.sum(axis=(0, 2)) + 0.0]
+
+
+def assert_batch_norm_bit_equal_to_whole_batch(x, gamma, beta, g, slope, release):
+    """batch_norm1d's output, running statistics and gradients against whole_batch_norm's,
+    byte for byte; with `release` the output is released and backward rebuilds its items."""
+    ch = x.shape[1]
+    stats = [np.linspace(-1.0, 1.0, ch), np.linspace(0.5, 2.0, ch)]
+    ref_stats = [s.copy() for s in stats]
+    ref_y, ref_grads = whole_batch_norm(x, gamma, beta, g, slope, *ref_stats)
+    ts = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+    out = T.batch_norm1d(*ts, *stats, True, slope=slope)
+    assert out.data.tobytes() == ref_y.tobytes()
+    assert [s.tobytes() for s in stats] == [s.tobytes() for s in ref_stats]
+    if release:
+        T.release(out)
+        assert list(map(np.ndarray.tobytes, T._items(out))) == [yb.tobytes() for yb in ref_y]
+    out._backward_fn(g.copy())
+    assert [t.grad.tobytes() for t in ts] == [r.tobytes() for r in ref_grads]
+
+
+class TestBatchNormItemWalk:
+    """batch_norm1d walks the batch one item at a time and keeps the whole-batch bytes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=st.integers(1, 8), ch=st.integers(1, 1024), length=st.integers(1, 600),
+           spread=st.integers(0, 150), seed=st.integers(0, 2 ** 32 - 1))
+    @example(batch=1, ch=1, length=1, spread=0, seed=0)
+    @example(batch=1, ch=1024, length=1, spread=150, seed=1)
+    @example(batch=8, ch=1024, length=32, spread=150, seed=2)
+    @example(batch=3, ch=2, length=600, spread=150, seed=3)
+    @example(batch=5, ch=1, length=200, spread=5, seed=4)
+    def test_item_order_sums_equal_numpy(self, batch, ch, length, spread, seed):
+        # numpy's sum, mean and var over axes (0, 2) add each item's axis=1 sums in item
+        # order, and take a one-channel batch as one row; a numpy that reduces in another
+        # order fails here, not in a checkpoint hash
+        rng = np.random.default_rng(seed)
+        length = max(1, min(length, 2 ** 17 // (batch * ch)))
+        shape = (batch, ch, length)
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-spread, spread, size=shape)
+        x[rng.random(shape) < 0.05] = -0.0
+        n = batch * length
+        items = x.reshape(1, 1, n) if ch == 1 else x
+        sums = T._item_order_sum(xb.sum(axis=1) for xb in items)
+        assert sums.tobytes() == x.sum(axis=(0, 2)).tobytes()
+        mean = sums / n
+        assert mean.tobytes() == x.mean(axis=(0, 2)).tobytes()
+        squares = T._item_order_sum(((xb - mean[:, None]) * (xb - mean[:, None])).sum(axis=1)
+                                    for xb in items)
+        assert (squares / n).tobytes() == x.var(axis=(0, 2)).tobytes()
+
+    @pytest.mark.parametrize("release", [False, True])
+    def test_desk_layers_bit_equal_to_whole_batch(self, release):
+        rng = np.random.default_rng(45)
+        for cin, cout, k, stride, length in desk_conv_shapes():
+            x = rng.normal(0.3, 2.0, size=(3, cout, length // stride))
+            gamma, beta = rng.normal(1.0, 0.3, size=cout), rng.normal(size=cout)
+            assert_batch_norm_bit_equal_to_whole_batch(x, gamma, beta, rng.normal(size=x.shape),
+                                                       0.2, release)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.integers(1, 5), ch=st.integers(1, 40), length=st.integers(1, 300),
+           slope=st.sampled_from([None, 0.0, 0.2, 1.0]), scale=st.integers(-100, 100),
+           release=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(batch=3, ch=1, length=7, slope=0.2, scale=0, release=True, seed=5)
+    @example(batch=4, ch=3, length=1, slope=None, scale=0, release=False, seed=6)
+    def test_random_shapes_bit_equal_to_whole_batch(self, batch, ch, length, slope, scale,
+                                                    release, seed):
+        rng = np.random.default_rng(seed)
+        shape = (batch, ch, length)
+        x = (rng.normal(size=shape) + rng.normal(size=(ch, 1))) * 10.0 ** scale
+        gamma, beta = rng.normal(1.0, 0.3, size=ch), rng.normal(size=ch)
+        assert_batch_norm_bit_equal_to_whole_batch(x, gamma, beta, rng.normal(size=shape),
+                                                   slope, release and slope is not None)
 
 
 def leaky_inputs(op, rng):
