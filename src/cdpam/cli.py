@@ -290,8 +290,8 @@ def cmd_synth_data(cfg: dict, as_json: bool = False) -> dict:
     }
 
     _write_corpus(corpus, out, "corpus")  # creates `out`
-    write_jsonl(jnd, os.path.join(out, "jnd.jsonl"))
-    write_jsonl(triplets, os.path.join(out, "triplets.jsonl"))
+    for stage, records in (("jnd", jnd), ("finetune", triplets)):  # the file the stage reads
+        write_jsonl(records, os.path.join(out, TRAINING_STAGES[stage][1]))
     eval_dir = os.path.join(out, "eval")
     _write_corpus(eval_corpus, eval_dir, "corpus")
     for metric, items in eval_sets.items():

@@ -44,7 +44,25 @@ CHECKPOINT_MAGIC = b"CDPM"
 CHECKPOINT_VERSION = 1
 STAGES = ("init", "pretrained", "jnd", "finetuned")
 LEAKY_SLOPE = 0.2
-EMBED_BATCH = 64  # clips per inference encode in embed_waves and keyed_embedder
+# Clips per inference encode in embed_waves and keyed_embedder.  No embedding depends on it:
+# each encoder layer runs one GEMM per clip.  What it sets is the size of a slice's arrays
+# (up to 128 kB per clip and layer at desk_config, 41 MB at default_config), and so whether
+# glibc hands them back to the OS between slices and faults them in again: its trim
+# threshold is twice the largest mapped block freed so far.  A fresh process, such as one
+# CLI stage, has freed nothing larger than its own slices and trims from 8 clips up; a
+# process that trained first trims at 32 and 64.  embed_waves of 192 desk clips, one BLAS
+# thread, median of 21 calls in 3 processes (the training step: 32 clips, with backward):
+#
+#   clips per slice                    1      4      8     16     32     64
+#   fresh process   faults per call    0    874  25488  31866  16215   9283
+#                   ms per clip     2.43   2.25   2.44   2.44   2.32   2.36
+#   after training  faults per call    0      0      0      0  13215   5772
+#                   ms per clip     2.58   2.35   2.32   2.25   2.33   2.29
+#
+# With trimming switched off (a diagnostic only) every size from 4 up ties at 2.2-2.4 ms
+# and 1 pays for its per-slice overhead, so the faults set the time: 4 is the largest size
+# that stays under 1k faults per call in both processes.
+EMBED_BATCH = 4
 
 
 def _check_fields(config, where: str) -> None:

@@ -34,3 +34,16 @@ def rewrite_checkpoint():
         Path(path).write_bytes(blob[:8] + struct.pack("<I", len(encoded)) + encoded + payload)
 
     return rewrite
+
+
+@pytest.fixture
+def embed_slices():
+    """The sizes of the embed_waves calls that embed n clips one EMBED_BATCH slice at a
+    time: full slices, then the remainder."""
+    from cdpam import model
+
+    def slices(n):
+        full, rest = divmod(n, model.EMBED_BATCH)
+        return [model.EMBED_BATCH] * full + [rest] * (rest > 0)
+
+    return slices

@@ -98,6 +98,22 @@ class TestSynthLayout:
                     with open(os.path.join(root, name)) as fh:
                         assert all("paths" not in json.loads(line) for line in fh), name
 
+    def test_writes_exactly_the_record_files_the_stages_read(self, tmp_path, monkeypatch):
+        # each stage's record file is named once, in TRAINING_STAGES: renamed there, it is
+        # written under the new name
+        stages = {stage: (command, name and "renamed_" + name)
+                  for stage, (command, name) in TRAINING_STAGES.items()}
+        monkeypatch.setattr("cdpam.cli.TRAINING_STAGES", stages)
+        config_path, cfg = tiny_run_config(tmp_path)
+        assert main(["synth-data", "--config", str(config_path)]) == 0
+        written = {name for name in os.listdir(cfg["out"]) if name.endswith(".jsonl")}
+        assert written - {"corpus.jsonl"} == {name for _, name in stages.values() if name}
+        kinds = {"jnd": "jnd_pair", "finetune": "triplet"}
+        for stage, kind in kinds.items():
+            records = datagen.read_jsonl(os.path.join(cfg["out"], stages[stage][1]),
+                                         datagen.JudgmentRecord)
+            assert records and {record.kind for record in records} == {kind}, stage
+
     def test_missing_output_dir_is_created(self, tmp_path):
         config_path, cfg = tiny_run_config(tmp_path, out_name="nested/deeper/run")
         assert main(["synth-data", "--config", str(config_path)]) == 0

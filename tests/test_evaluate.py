@@ -297,7 +297,7 @@ class TestEvalCache:
             embed([(a, None), ("nope", spec)])
         assert embed([]).shape == (0, model.config.encoder.acoustic_dim)
 
-    def test_embeds_at_most_one_embed_batch_per_call(self, tiny_eval, monkeypatch):
+    def test_embeds_at_most_one_embed_batch_per_call(self, tiny_eval, monkeypatch, embed_slices):
         from cdpam import evaluate
         from cdpam.model import EMBED_BATCH
 
@@ -309,7 +309,7 @@ class TestEvalCache:
         monkeypatch.setattr(model, "embed_waves",
                             lambda waves: sizes.append(len(waves)) or real(waves))
         rows = evaluate.clip_embedder(model, corpus)(keys)
-        assert sizes == [EMBED_BATCH, len(keys) - EMBED_BATCH]
+        assert sizes == embed_slices(len(keys))
         # the bytes of one call over every rendered clip
         by_id = {utt.id: utt.clean for utt in corpus}
         waves = [by_id[utt] if spec is None else evaluate.apply(spec, by_id[utt])

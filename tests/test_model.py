@@ -382,13 +382,13 @@ class TestKeyedEmbedder:
         assert renders == [3, 1, 4, 5]
 
     def test_at_most_one_embed_batch_per_call_and_the_bytes_of_one_call(self, tiny_model,
-                                                                         recorded):
+                                                                         recorded, embed_slices):
         clips, renders, sizes = recorded
         embed = self.embedder(tiny_model, clips, renders)
         keys = list(range(len(clips)))[::-1]
         embed(keys[:10])
         rows = embed(keys)
-        assert sizes == [10, EMBED_BATCH, len(clips) - 10 - EMBED_BATCH]
+        assert sizes == embed_slices(10) + embed_slices(len(clips) - 10)
         assert sorted(renders) == sorted(keys)
         # other slices than one embed_waves call over every rendered clip, the same bytes
         assert rows.tobytes() == tiny_model.embed_waves([clips[k] for k in keys]).tobytes()
@@ -398,6 +398,21 @@ class TestKeyedEmbedder:
         rows = self.embedder(tiny_model, clips, renders)([])
         assert rows.shape == (0, tiny_model.config.encoder.acoustic_dim)
         assert renders == [] and sizes == []
+
+
+def test_desk_embeddings_keep_their_bytes_at_any_slice_size(monkeypatch):
+    # each encoder layer runs one GEMM per clip, so EMBED_BATCH is free to change
+    model = with_random_batch_norm(desk_config(), seed=40)
+    clips = random_clips(model.config, seed=41, n=41)
+    keys = [5, *range(len(clips)), 5, 0]
+    rows = {}
+    for size in (1, 7, 16, 64):
+        monkeypatch.setattr("cdpam.model.EMBED_BATCH", size)
+        rows[size] = (model.embed_waves(clips), model.keyed_embedder(clips.__getitem__)(keys))
+    one_clip = rows[1][0]
+    for size, (whole, keyed) in rows.items():
+        assert whole.tobytes() == one_clip.tobytes(), size
+        assert keyed.tobytes() == one_clip[keys].tobytes(), size
 
 
 # Run in a fresh interpreter, whose BLAS pool the environment sizes: the largest relative

@@ -174,9 +174,10 @@ class TestTrainJnd:
 class TestEmbedSlices:
     @pytest.mark.parametrize("stage", ["jnd", "finetune"])
     def test_at_most_one_embed_batch_per_call_and_the_same_bytes(self, corpus, pretrained,
-                                                                 monkeypatch, stage):
+                                                                 monkeypatch, stage,
+                                                                 embed_slices):
         model, _ = pretrained
-        n, epochs = EMBED_BATCH + 6, 2  # more items than one slice: two calls per column
+        n, epochs = EMBED_BATCH + 6, 2  # more items than one slice
         if stage == "jnd":
             records, columns, train = oracle_jnd(corpus, n, seed=11), 2, train_jnd
         else:
@@ -189,7 +190,7 @@ class TestEmbedSlices:
         monkeypatch.setattr(PerceptualModel, "embed_waves",
                             lambda self, waves: sizes.append(len(waves)) or real(self, waves))
         sliced, _ = train(model, corpus, records, config)
-        assert sizes == [EMBED_BATCH, n - EMBED_BATCH] * (columns * epochs)
+        assert sizes == embed_slices(n) * (columns * epochs)
         monkeypatch.setattr("cdpam.model.EMBED_BATCH", n)  # each column in one call
         del sizes[:]
         whole, _ = train(model, corpus, records, config)
