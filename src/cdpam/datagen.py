@@ -153,6 +153,16 @@ def _anchored_track(rng, n, n_anchors, lo, hi):
 
 
 def _synth_utterance(spk: dict, rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
+    """One clip: formant-weighted harmonics of a drifting pitch, times a syllable envelope,
+    plus a breath-noise floor, scaled to a drawn loudness.
+
+    The harmonics are computed only where the envelope is nonzero; a silent gap holds the
+    breath-noise floor alone.  That writes the bytes of summing every harmonic over every
+    sample: there a silent sample is ``0 * sum + noise``, which is ``noise`` exactly, and a
+    kept segment's first and last samples already have envelope 0 (its raised-cosine ramps
+    start and end at 0).  The harmonic phases, one ``rng.uniform`` call per harmonic, are
+    drawn before the envelope's draws, the order in which the every-sample sum drew them.
+    """
     t = np.arange(n) / sr
     # pitch contour: slow anchored drift (+-2 semitones) plus vibrato
     drift = _anchored_track(rng, n, 6, -2.0, 2.0)
@@ -165,15 +175,7 @@ def _synth_utterance(spk: dict, rng: np.random.Generator, n: int, sr: int) -> np
 
     f_max = 0.45 * sr
     n_harm = max(3, int(f_max / float(np.max(f0))))
-    out = np.zeros(n)
-    for k in range(1, n_harm + 1):
-        freq_k = k * f0
-        amp = np.zeros(n)
-        for track, bw in zip(formant_tracks, spk["bandwidths"]):
-            amp += 1.0 / (1.0 + ((freq_k - track) / bw) ** 2)
-        amp *= 1.0 / k
-        amp[freq_k > f_max] = 0.0
-        out += amp * np.sin(k * base_phase + rng.uniform(0.0, 2.0 * np.pi))
+    phases = [rng.uniform(0.0, 2.0 * np.pi) for _ in range(n_harm)]
 
     # syllable-like energy contour with silence gaps and raised-cosine edges
     envelope = np.zeros(n)
@@ -190,6 +192,21 @@ def _synth_utterance(spk: dict, rng: np.random.Generator, n: int, sr: int) -> np
         envelope[j - fade:j] = np.minimum(envelope[j - fade:j], ramp[::-1])
     if not envelope.any():
         envelope[:] = 1.0
+
+    voiced = np.flatnonzero(envelope)
+    f0, base_phase = f0[voiced], base_phase[voiced]
+    formant_tracks = [track[voiced] for track in formant_tracks]
+    harmonics = np.zeros(len(voiced))
+    for k, phase in enumerate(phases, 1):
+        freq_k = k * f0
+        amp = np.zeros(len(voiced))
+        for track, bw in zip(formant_tracks, spk["bandwidths"]):
+            amp += 1.0 / (1.0 + ((freq_k - track) / bw) ** 2)
+        amp *= 1.0 / k
+        amp[freq_k > f_max] = 0.0
+        harmonics += amp * np.sin(k * base_phase + phase)
+    out = np.zeros(n)
+    out[voiced] = harmonics
     out *= envelope
 
     out += 10.0 ** (-35.0 / 20.0) * rng.standard_normal(n)  # breath-noise floor

@@ -46,6 +46,91 @@ class TestSynthCorpus:
             assert utt.clean.sample_rate == SR
 
 
+def _reference_utterance(spk, rng, n, sr):
+    """The synthesis that sums every harmonic over every sample, kept verbatim: the
+    voiced-samples-only synthesis must reproduce its bytes."""
+    t = np.arange(n) / sr
+    # pitch contour: slow anchored drift (+-2 semitones) plus vibrato
+    drift = datagen._anchored_track(rng, n, 6, -2.0, 2.0)
+    f0 = spk["f0_base"] * 2.0 ** (drift / 12.0)
+    f0 *= 1.0 + spk["vibrato_depth"] * np.sin(2.0 * np.pi * spk["vibrato_hz"] * t)
+    base_phase = 2.0 * np.pi * np.cumsum(f0) / sr
+
+    formant_tracks = [f * (1.0 + datagen._anchored_track(rng, n, 5, -0.18, 0.18))
+                      for f in spk["formants"]]
+
+    f_max = 0.45 * sr
+    n_harm = max(3, int(f_max / float(np.max(f0))))
+    out = np.zeros(n)
+    for k in range(1, n_harm + 1):
+        freq_k = k * f0
+        amp = np.zeros(n)
+        for track, bw in zip(formant_tracks, spk["bandwidths"]):
+            amp += 1.0 / (1.0 + ((freq_k - track) / bw) ** 2)
+        amp *= 1.0 / k
+        amp[freq_k > f_max] = 0.0
+        out += amp * np.sin(k * base_phase + rng.uniform(0.0, 2.0 * np.pi))
+
+    # syllable-like energy contour with silence gaps and raised-cosine edges
+    envelope = np.zeros(n)
+    n_segments = int(rng.integers(2, 5))
+    edges = np.sort(rng.uniform(0.02, 0.98, size=2 * n_segments))
+    fade = max(1, int(0.03 * sr))
+    ramp = 0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi, fade))
+    for a, b in zip(edges[0::2], edges[1::2]):
+        i, j = int(a * n), int(b * n)
+        if j - i < 2 * fade + 1:
+            continue
+        envelope[i:j] = 1.0
+        envelope[i:i + fade] = np.minimum(envelope[i:i + fade], ramp)
+        envelope[j - fade:j] = np.minimum(envelope[j - fade:j], ramp[::-1])
+    if not envelope.any():
+        envelope[:] = 1.0
+    out *= envelope
+
+    out += 10.0 ** (-35.0 / 20.0) * rng.standard_normal(n)  # breath-noise floor
+
+    target_rms = rng.uniform(0.05, 0.2)
+    out *= target_rms / np.sqrt(np.mean(np.square(out)))
+    peak = np.max(np.abs(out))
+    if peak > 0.95:
+        out *= 0.95 / peak
+    return out
+
+
+@pytest.mark.parametrize("sample_rate,clip_samples,n,n_speakers,seeds", [
+    (8000, 8000, 12, 4, (0, 1, 2, 3)),
+    # seed 0, one speaker: utterance 118 has no segment long enough to keep, so its
+    # envelope falls back to all ones
+    (1600, 1600, 120, 1, (0,)),
+    (1600, 1600, 12, 3, (1, 2, 3)),
+    (16000, 40000, 3, 2, (0, 1, 2)),
+])
+def test_synth_corpus_keeps_the_bytes_of_the_every_sample_reference(
+        monkeypatch, sample_rate, clip_samples, n, n_speakers, seeds):
+    fallbacks = []
+    real_flatnonzero = np.flatnonzero
+
+    def recording_flatnonzero(envelope):
+        fallbacks.append(bool(np.all(envelope == 1.0)))
+        return real_flatnonzero(envelope)
+
+    monkeypatch.setattr(datagen.np, "flatnonzero", recording_flatnonzero)
+    for seed in seeds:
+        fallbacks.clear()
+        corpus = synth_corpus(n, n_speakers, seed=seed, sample_rate=sample_rate,
+                              clip_samples=clip_samples)
+        speakers = [datagen._speaker_params(seed, s) for s in range(n_speakers)]
+        for i, utt in enumerate(corpus):
+            expected = _reference_utterance(speakers[i % n_speakers],
+                                            datagen.stream(seed, 2, i), clip_samples,
+                                            sample_rate)
+            assert utt.clean.samples.tobytes() == expected.tobytes(), (seed, utt.id)
+        if n_speakers == 1:
+            assert fallbacks[118]
+    assert len(fallbacks) == n
+
+
 @pytest.fixture
 def applied(monkeypatch, corpus):
     """Per pair, the (spec, utterance id) of each perturbation make_contrastive_batch applies."""
